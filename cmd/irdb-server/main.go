@@ -161,11 +161,7 @@ func main() {
 		log.Printf("loaded %d triples from %s", len(triples), *dataPath)
 	}
 
-	for _, st := range []*strategy.Strategy{
-		strategy.Toy(),
-		strategy.Auction(0.7, 0.3),
-		strategy.Production(),
-	} {
+	for _, st := range strategy.Builtins() {
 		if err := srv.Install(st); err != nil {
 			log.Fatal(err)
 		}

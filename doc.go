@@ -50,6 +50,27 @@
 //	}
 //	if st.Err() != nil { ... } // cancelled / disconnected mid-stream
 //
+// # One request spine
+//
+// Every query-running method and irdb-server's request handlers pass
+// through the same admission gate (internal/engine, Gate): an in-flight
+// limit (WithMaxInFlight), an admission wait capped by the caller's
+// deadline (WithAdmissionWait), the per-query memory reservation
+// (WithQueryMemBytes, WithMemoryPoolBytes), and the drain behind Close
+// and the server's Shutdown. A search is one function on both surfaces:
+// admitted first, then compiled, optimized, cut to the top k and
+// executed (Strategy.Rank), so DB.Search and /search return identical
+// rankings. The gate refuses with a typed cause that each surface
+// reports in its own terms:
+//
+//	cause                              facade                      HTTP
+//	closing / draining                 ErrClosed                   503 + Retry-After
+//	admission wait expired             ErrOverloaded               503 + Retry-After
+//	deadline passed before admission   context.DeadlineExceeded    503 + Retry-After
+//	cancelled while queued             context.Canceled            503
+//	budget exceeded while executing    ErrBudgetExceeded           507
+//	deadline exceeded while executing  the caller's ctx.Err()      504 (server deadline)
+//
 // The HTTP layer speaks the same taxonomy: the server sheds overload as
 // 503 + Retry-After, answers budget denials with 507 (terminal), streams
 // /search?stream=1 as ndjson frames, and exposes /healthz and /readyz;
@@ -92,11 +113,11 @@
 //	catalog.New + triple.NewStore + engine.NewCtx   -> irdb.Open(opts...)
 //	ctx.Parallelism = n                             -> irdb.WithParallelism(n)
 //	cat.Cache().SetMaxBytes(n)                      -> irdb.WithCacheBytes(n)
-//	server admission semaphore                      -> irdb.WithMaxInFlight(n)
+//	server admission gate                           -> irdb.WithMaxInFlight(n)
 //	store.Load(triples)                             -> db.LoadTriples / db.LoadTriplesTSV
 //	spinql.Eval(src, env, ctx)                      -> db.Query(ctx, src)
 //	spinql.Parse + Compile per request              -> db.Prepare(src); stmt.Query(ctx, params...)
-//	strategy.FromJSON + Compile + engine.NewTopN    -> db.InstallStrategy(json); db.Search(ctx, name, q, k)
+//	strategy.FromJSON + Rank                        -> db.InstallStrategy(json); db.Search(ctx, name, q, k)
 //	ir.NewSearcher(ctx, docsPlan, params).Search    -> db.LoadDocs(docs); db.SearchDocs(ctx, q, k)
 //	spinql.Explain / pra.ToSQL                      -> db.Explain / db.ToSQL
 //

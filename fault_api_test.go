@@ -80,8 +80,11 @@ func TestAdmissionWaitOverloaded(t *testing.T) {
 	}
 	const q = `SELECT [$2 = "type"] (triples);`
 
-	db.inFlight <- struct{}{} // occupy the only slot
-	_, err := db.Query(ctx, q)
+	_, release, err := db.gate.Enter(ctx) // occupy the only slot
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.Query(ctx, q)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -89,9 +92,46 @@ func TestAdmissionWaitOverloaded(t *testing.T) {
 		t.Errorf("Overloaded = %d, want 1", st.Faults.Overloaded)
 	}
 
-	<-db.inFlight
+	release()
 	if _, err := db.Query(ctx, q); err != nil {
 		t.Fatalf("query after slot freed: %v", err)
+	}
+}
+
+// TestSearchShedsBeforeOptimizing: Search is admitted before it plans.
+// With the only slot held by an open stream and a short admission wait,
+// Search fails fast with ErrOverloaded and the optimizer never sees its
+// plan; once the stream closes the same search succeeds.
+func TestSearchShedsBeforeOptimizing(t *testing.T) {
+	ctx := context.Background()
+	db := openT(t, WithMaxInFlight(1), WithAdmissionWait(5*time.Millisecond))
+	t.Cleanup(func() { db.Close() })
+	if err := db.LoadTriples(testGraph(50)); err != nil {
+		t.Fatal(err)
+	}
+	db.InstallBuiltinStrategies()
+	stmt, err := db.Prepare(`SELECT [$2 = "type"] (triples);`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := stmt.QueryStream(ctx) // holds the only slot until Close
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plans := db.Stats().Optimizer.Plans
+	if _, err := db.Search(ctx, "auction-lots", "wooden train", 10); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Search with the slot held = %v, want ErrOverloaded", err)
+	}
+	if got := db.Stats().Optimizer.Plans; got != plans {
+		t.Errorf("a shed Search optimized %d plan(s); admission must come first", got-plans)
+	}
+
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Search(ctx, "auction-lots", "wooden train", 10); err != nil {
+		t.Fatalf("Search after the stream closed: %v", err)
 	}
 }
 
@@ -99,7 +139,7 @@ func TestAdmissionWaitOverloaded(t *testing.T) {
 // then every later operation reports ErrClosed.
 func TestCloseDrainsInFlight(t *testing.T) {
 	db := openT(t)
-	end, err := db.begin()
+	_, end, err := db.gate.Enter(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,10 @@ import (
 // deliberately not persisted — cache tables are re-derived on demand, as
 // the paper's design intends.
 //
-// Durability contract (version 3):
+// Durability contract (version 3.1, the only format read or written):
 //
 //   - The file is framed: a header, one checksummed section per payload
-//     (the shared dictionaries, then each table), and a trailer sealing
+//     (metadata, the shared dictionaries, then each table), and a trailer sealing
 //     the section list. Every section carries a CRC32-C of its bytes.
 //   - A truncated, bit-flipped, or otherwise damaged file is detected on
 //     read and reported as a *CorruptError (matching ErrCorruptSnapshot
@@ -69,29 +69,25 @@ type snapshotColumn struct {
 	Floats []float64
 	Strs   []string
 	Bools  []bool
-	// Version 2+: a dict-encoded string column stores its codes plus an
-	// index into the file-level Dicts table instead of expanded strings.
-	// Columns sharing one frozen dict share one Dicts entry, so encoding
-	// (and cross-column code comparability) survives a save/load cycle.
-	// Encoded is the explicit marker — Codes may legitimately be empty
-	// (a zero-row partition still shares the store's dict).
+	// A dict-encoded string column stores its codes plus an index into
+	// the file-level Dicts table instead of expanded strings. Columns
+	// sharing one frozen dict share one Dicts entry, so encoding (and
+	// cross-column code comparability) survives a save/load cycle.
+	// Encoded is the explicit marker — a column may legitimately have no
+	// codes (a zero-row partition still shares the store's dict).
 	Encoded bool
-	Codes   []int32
 	DictID  int
-	// Version 3.1: code columns are written zigzag-delta-varint packed
-	// (CodesPacked holding NumCodes codes) instead of as raw int32s —
-	// triple-store columns are sorted-ish runs of small codes, so deltas
-	// varint-pack to a fraction of 4 bytes each. Packed marks the
-	// representation; version 3 files (Packed false, Codes set) still load.
-	Packed      bool
+	// Codes are written zigzag-delta-varint packed (CodesPacked holding
+	// NumCodes codes) instead of as raw int32s — triple-store columns are
+	// sorted-ish runs of small codes, so deltas varint-pack to a fraction
+	// of 4 bytes each.
 	NumCodes    int
 	CodesPacked []byte
 }
 
-// SnapshotMeta is the version 3.1 metadata section: the ingest watermark
-// (last WAL sequence number covered by the snapshot), which recovery uses
-// as the replay cutoff. Version 3 files have no meta section and load
-// with a zero watermark.
+// SnapshotMeta is the metadata section: the ingest watermark (last WAL
+// sequence number covered by the snapshot), which recovery uses as the
+// replay cutoff.
 type SnapshotMeta struct {
 	Watermark uint64
 }
@@ -103,29 +99,19 @@ type snapshotTable struct {
 }
 
 type snapshotFile struct {
-	Magic   string
-	Version int
-	Tables  []snapshotTable
-	// Dicts holds each shared dictionary's strings in code order
-	// (version 2+; empty in version 1 files).
+	Tables []snapshotTable
+	// Dicts holds each shared dictionary's strings in code order.
 	Dicts [][]string
 }
 
 const (
-	snapshotMagic   = "irdb-snapshot"
-	snapshotVersion = 3
-	// snapshotVersion31 is the current format, "v3.1": same framing as 3
-	// plus a leading meta section (ingest watermark) and varint/delta
-	// packed code columns. Saves write 3.1; version 3 files still load.
-	snapshotVersion31 = 31
-	// oldest snapshot version LoadSnapshot still reads. Versions 1 and 2
-	// are a single gob blob with no framing or checksums; they load (fully
-	// validated) but new saves always write the framed version 3.1.
-	snapshotMinVersion = 1
+	// snapshotVersion is the format version in the header, "v3.1": a
+	// leading meta section (ingest watermark) and varint/delta packed code
+	// columns. Files of any other version — the unframed gob files of
+	// versions 1–2 and the framed version 3 — are refused as corrupt.
+	snapshotVersion = 31
 
-	// Framed-format markers. The header magic doubles as the format sniff:
-	// legacy gob snapshots can never start with these 8 bytes (gob streams
-	// begin with a length byte < 0x80).
+	// Framed-format markers.
 	frameMagic = "IRDBSNP3"
 	frameEnd   = "IRDBEND!"
 
@@ -138,7 +124,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // snapshot builds the serializable image of every base table.
 func (c *Catalog) snapshot() (*snapshotFile, error) {
-	file := &snapshotFile{Magic: snapshotMagic, Version: snapshotVersion31}
+	file := &snapshotFile{}
 	dictIDs := map[*vector.FrozenDict]int{}
 	for _, name := range c.TableNames() {
 		rel, err := c.Table(name)
@@ -164,7 +150,6 @@ func (c *Catalog) snapshot() (*snapshotFile, error) {
 				}
 				sc.Encoded = true
 				sc.DictID = id
-				sc.Packed = true
 				sc.NumCodes = len(v.Codes())
 				sc.CodesPacked = packCodes(v.Codes())
 			case *vector.Bools:
@@ -205,7 +190,7 @@ func writeSection(w io.Writer, name string, payload []byte, crcs *[]uint32) erro
 }
 
 // Save writes every base table to w in the framed, checksummed format
-// (version 3.1, zero watermark). The cache is not included.
+// (zero watermark). The cache is not included.
 func (c *Catalog) Save(w io.Writer) error {
 	return c.SaveMeta(w, SnapshotMeta{})
 }
@@ -228,7 +213,7 @@ func (c *Catalog) SaveMeta(w io.Writer, meta SnapshotMeta) error {
 	if _, err := io.WriteString(w, frameMagic); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(snapshotVersion31)); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, uint32(snapshotVersion)); err != nil {
 		return err
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(2+len(file.Tables))); err != nil {
@@ -342,7 +327,6 @@ func (c *Catalog) LoadFile(path string) error {
 
 // LoadFileMeta is LoadFile returning the snapshot's metadata section —
 // recovery reads the watermark here to know where WAL replay resumes.
-// Pre-3.1 files load with a zero watermark.
 func (c *Catalog) LoadFileMeta(path string) (SnapshotMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -366,16 +350,14 @@ func (cr *countReader) Read(p []byte) (int, error) {
 }
 
 // LoadSnapshot replaces the catalog's base tables with the snapshot
-// contents and clears the cache. The framed formats (versions 3 and 3.1)
-// and the legacy gob formats (versions 1–2) are all read; all of them are
-// fully validated before the catalog is touched.
+// contents and clears the cache. The file is fully validated before the
+// catalog is touched.
 func (c *Catalog) LoadSnapshot(r io.Reader) error {
 	_, err := c.LoadSnapshotMeta(r)
 	return err
 }
 
-// LoadSnapshotMeta is LoadSnapshot returning the metadata section (zero
-// for pre-3.1 formats).
+// LoadSnapshotMeta is LoadSnapshot returning the metadata section.
 func (c *Catalog) LoadSnapshotMeta(r io.Reader) (SnapshotMeta, error) {
 	meta, err := c.loadSnapshot(r)
 	if errors.Is(err, ErrCorruptSnapshot) {
@@ -392,24 +374,18 @@ func (c *Catalog) loadSnapshot(r io.Reader) (SnapshotMeta, error) {
 	if _, err := io.ReadFull(cr, magic); err != nil {
 		return SnapshotMeta{}, &CorruptError{Section: "header", Offset: cr.n, Reason: "short read: " + err.Error()}
 	}
-	var file *snapshotFile
-	var meta SnapshotMeta
-	var err error
-	if string(magic) == frameMagic {
-		file, meta, err = readFramed(cr)
-	} else {
-		// Legacy gob snapshot: the 8 bytes already consumed are part of the
-		// gob stream; stitch them back on.
-		file, err = readLegacy(io.MultiReader(bytes.NewReader(magic), cr))
+	if string(magic) != frameMagic {
+		return SnapshotMeta{}, &CorruptError{Section: "header", Offset: cr.n, Reason: fmt.Sprintf("not a snapshot file (magic %q)", magic)}
 	}
+	file, meta, err := readFramed(cr)
 	if err != nil {
 		return SnapshotMeta{}, err
 	}
 	return meta, c.install(file)
 }
 
-// readFramed reads the framed section format, versions 3 and 3.1 (header
-// magic already consumed), verifying every checksum and the trailer.
+// readFramed reads the framed section format (header magic already
+// consumed), verifying every checksum and the trailer.
 func readFramed(cr *countReader) (*snapshotFile, SnapshotMeta, error) {
 	var meta SnapshotMeta
 	corrupt := func(section, reason string) error {
@@ -419,8 +395,8 @@ func readFramed(cr *countReader) (*snapshotFile, SnapshotMeta, error) {
 	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
 		return nil, meta, corrupt("header", "short read: "+err.Error())
 	}
-	if version != snapshotVersion && version != snapshotVersion31 {
-		return nil, meta, corrupt("header", fmt.Sprintf("unsupported framed version %d", version))
+	if version != snapshotVersion {
+		return nil, meta, corrupt("header", fmt.Sprintf("unsupported snapshot version %d", version))
 	}
 	if err := binary.Read(cr, binary.LittleEndian, &nSections); err != nil {
 		return nil, meta, corrupt("header", "short read: "+err.Error())
@@ -428,12 +404,9 @@ func readFramed(cr *countReader) (*snapshotFile, SnapshotMeta, error) {
 	if nSections == 0 || nSections > 1<<20 {
 		return nil, meta, corrupt("header", fmt.Sprintf("implausible section count %d", nSections))
 	}
-	// Version 3 files start at the dicts section; 3.1 files lead with meta.
-	metaIdx, dictsIdx := -1, 0
-	if version == snapshotVersion31 {
-		metaIdx, dictsIdx = 0, 1
-	}
-	file := &snapshotFile{Magic: snapshotMagic, Version: int(version)}
+	// Sections: meta, dicts, then one per table.
+	const metaIdx, dictsIdx = 0, 1
+	file := &snapshotFile{}
 	var crcs []uint32
 	for i := uint32(0); i < nSections; i++ {
 		var nameLen uint32
@@ -524,6 +497,9 @@ func packCodes(codes []int32) []byte {
 // malformed varints, out-of-int32-range values and trailing bytes as
 // errors (the caller reports them as corruption).
 func unpackCodes(b []byte, n int) ([]int32, error) {
+	if n < 0 || n > len(b) { // every code takes at least one byte
+		return nil, fmt.Errorf("implausible code count %d for %d packed bytes", n, len(b))
+	}
 	codes := make([]int32, n)
 	var prev int64
 	off := 0
@@ -543,21 +519,6 @@ func unpackCodes(b []byte, n int) ([]int32, error) {
 		return nil, fmt.Errorf("%d trailing bytes after %d codes", len(b)-off, n)
 	}
 	return codes, nil
-}
-
-// readLegacy reads the single-gob-blob formats (versions 1 and 2).
-func readLegacy(r io.Reader) (*snapshotFile, error) {
-	var file snapshotFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return nil, &CorruptError{Section: "gob", Reason: "decoding snapshot: " + err.Error()}
-	}
-	if file.Magic != snapshotMagic {
-		return nil, &CorruptError{Section: "header", Reason: fmt.Sprintf("not a snapshot file (magic %q)", file.Magic)}
-	}
-	if file.Version < snapshotMinVersion || file.Version >= snapshotVersion {
-		return nil, &CorruptError{Section: "header", Reason: fmt.Sprintf("unsupported snapshot version %d", file.Version)}
-	}
-	return &file, nil
 }
 
 // install validates the decoded snapshot and, only if everything checks
@@ -604,13 +565,9 @@ func (c *Catalog) install(file *snapshotFile) error {
 						return corrupt(section, "column %q references unknown dict %d", sc.Name, sc.DictID)
 					}
 					d := dicts[sc.DictID]
-					codes := sc.Codes
-					if sc.Packed {
-						var err error
-						codes, err = unpackCodes(sc.CodesPacked, sc.NumCodes)
-						if err != nil {
-							return corrupt(section, "column %q packed codes: %v", sc.Name, err)
-						}
+					codes, err := unpackCodes(sc.CodesPacked, sc.NumCodes)
+					if err != nil {
+						return corrupt(section, "column %q packed codes: %v", sc.Name, err)
 					}
 					// Bounds-check every code against its dictionary: an
 					// out-of-range code read from disk must fail here as

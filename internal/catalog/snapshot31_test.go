@@ -9,6 +9,7 @@ import (
 	"io"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"irdb/internal/relation"
@@ -138,40 +139,29 @@ func writeFramedFile(t *testing.T, version uint32, sections []struct {
 	return buf.Bytes()
 }
 
-// TestVersion3SnapshotStillLoads: a framed file exactly as the previous
-// release wrote it — version 3, no meta section, raw (unpacked) code
-// columns — must load into the current catalog with a zero watermark.
-func TestVersion3SnapshotStillLoads(t *testing.T) {
+// TestVersion3SnapshotRefused: a framed file as the previous format
+// wrote it — version 3, no meta section, raw (unpacked) code columns — is
+// refused as corrupt, and the catalog keeps its tables.
+func TestVersion3SnapshotRefused(t *testing.T) {
 	table := snapshotTable{
 		Name: "edges",
-		Cols: []snapshotColumn{
-			{Name: "s", Kind: int(vector.String), Encoded: true, DictID: 0, Codes: []int32{0, 1, 0}},
-			{Name: "w", Kind: int(vector.Int64), Ints: []int64{1, 2, 3}},
-		},
+		Cols: []snapshotColumn{{Name: "w", Kind: int(vector.Int64), Ints: []int64{1, 2, 3}}},
 		Prob: []float64{1, 1, 0.5},
 	}
-	data := writeFramedFile(t, snapshotVersion, []struct {
+	data := writeFramedFile(t, 3, []struct {
 		name    string
 		payload any
 	}{
 		{dictsSection, [][]string{{"n1", "n2"}}},
 		{"table:edges", table},
 	})
-	c := New(0)
-	meta, err := c.LoadSnapshotMeta(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("version 3 file rejected: %v", err)
+	c := snapshotCatalog()
+	before := c.TableNames()
+	if err := c.LoadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("version 3 file: err = %v, want ErrCorruptSnapshot", err)
 	}
-	if meta.Watermark != 0 {
-		t.Fatalf("version 3 watermark = %d, want 0", meta.Watermark)
-	}
-	rel, err := c.Table("edges")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, ok := rel.Col(0).Vec.(*vector.DictStrings)
-	if !ok || ds.At(2) != "n1" || rel.Prob()[2] != 0.5 {
-		t.Fatalf("version 3 contents wrong: %T %s", rel.Col(0).Vec, rel.Format(-1))
+	if after := c.TableNames(); !slices.Equal(before, after) {
+		t.Fatalf("refused load changed tables: %v -> %v", before, after)
 	}
 }
 
@@ -183,16 +173,16 @@ func TestPackedCodeCorruptionIsCorruptError(t *testing.T) {
 	bad := []snapshotColumn{
 		// Truncated final varint.
 		{Name: "s", Kind: int(vector.String), Encoded: true, DictID: 0,
-			Packed: true, NumCodes: 2, CodesPacked: []byte{0x00, 0x80}},
+			NumCodes: 2, CodesPacked: []byte{0x00, 0x80}},
 		// Trailing bytes after the declared codes.
 		{Name: "s", Kind: int(vector.String), Encoded: true, DictID: 0,
-			Packed: true, NumCodes: 1, CodesPacked: []byte{0x00, 0x00}},
+			NumCodes: 1, CodesPacked: []byte{0x00, 0x00}},
 		// Valid varints, out-of-dict-range code (dict has 1 string).
 		{Name: "s", Kind: int(vector.String), Encoded: true, DictID: 0,
-			Packed: true, NumCodes: 1, CodesPacked: packCodes([]int32{9})},
+			NumCodes: 1, CodesPacked: packCodes([]int32{9})},
 	}
 	for i, col := range bad {
-		data := writeFramedFile(t, snapshotVersion31, []struct {
+		data := writeFramedFile(t, snapshotVersion, []struct {
 			name    string
 			payload any
 		}{
@@ -224,7 +214,7 @@ func TestSnapshot31DictColumnsStayPacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := file.Tables[0].Cols[0]
-	if !col.Packed || col.Codes != nil || col.NumCodes != 3 {
+	if col.NumCodes != 3 || len(col.CodesPacked) == 0 {
 		t.Fatalf("writer emitted unpacked column: %+v", col)
 	}
 	var buf bytes.Buffer

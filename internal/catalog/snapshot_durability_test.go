@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"irdb/internal/relation"
 	"irdb/internal/vector"
 )
 
@@ -89,13 +90,13 @@ func TestLoadBitFlippedSnapshot(t *testing.T) {
 func TestInstallRejectsBadDictReferences(t *testing.T) {
 	mk := func(codes []int32, dictID int) *snapshotFile {
 		return &snapshotFile{
-			Magic: snapshotMagic, Version: snapshotVersion,
 			Dicts: [][]string{{"a", "b"}},
 			Tables: []snapshotTable{{
 				Name: "t",
 				Cols: []snapshotColumn{{
 					Name: "s", Kind: int(vector.String),
-					Encoded: true, Codes: codes, DictID: dictID,
+					Encoded: true, DictID: dictID,
+					NumCodes: len(codes), CodesPacked: packCodes(codes),
 				}},
 				Prob: make([]float64, len(codes)),
 			}},
@@ -121,27 +122,36 @@ func TestInstallRejectsBadDictReferences(t *testing.T) {
 	}
 }
 
-// TestLegacyGobSnapshotLoads: pre-framing snapshot files (a single gob
-// blob, versions 1–2) still load — durability upgrades must not orphan
-// existing data files.
-func TestLegacyGobSnapshotLoads(t *testing.T) {
+// TestLegacyGobSnapshotRefused: a pre-framing snapshot file (a single
+// gob blob, versions 1–2) is refused with ErrCorruptSnapshot and leaves
+// the catalog unchanged.
+func TestLegacyGobSnapshotRefused(t *testing.T) {
 	src := snapshotCatalog()
 	file, err := src.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	file.Version = 2
+	// The gob-era layout: magic and version fields beside the tables.
+	legacy := struct {
+		Magic   string
+		Version int
+		Tables  []snapshotTable
+		Dicts   [][]string
+	}{"irdb-snapshot", 2, file.Tables, file.Dicts}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
 		t.Fatal(err)
 	}
 	dst := New(0)
-	if err := dst.LoadSnapshot(&buf); err != nil {
-		t.Fatalf("legacy snapshot: %v", err)
+	dst.Put("keep", relation.NewBuilder([]string{"x"}, []vector.Kind{vector.Int64}).Add(int64(1)).Build())
+	if err := dst.LoadSnapshot(&buf); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("legacy snapshot: err = %v, want ErrCorruptSnapshot", err)
 	}
-	rel, err := dst.Table("mixed")
-	if err != nil || rel.NumRows() != 2 {
-		t.Fatalf("legacy load: table mixed: %v", err)
+	if names := dst.TableNames(); len(names) != 1 || names[0] != "keep" {
+		t.Fatalf("refused load changed tables: %v", names)
+	}
+	if st := dst.SnapshotStats(); st.CorruptLoads != 1 {
+		t.Errorf("CorruptLoads = %d, want 1", st.CorruptLoads)
 	}
 }
 

@@ -45,12 +45,7 @@ func E4(cfg Config) (*Result, error) {
 	strat := strategy.Auction(0.7, 0.3)
 
 	runQuery := func(q string) error {
-		plan, err := strat.CompileOptimized(&strategy.Compiler{Query: q}, ctx)
-		if err != nil {
-			return err
-		}
-		_, err = ctx.Exec(context.Background(), engine.NewTopN(plan, 50, engine.SortSpec{Col: "", Desc: true},
-			engine.SortSpec{Col: triple.ColSubject}))
+		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q}, 50)
 		return err
 	}
 

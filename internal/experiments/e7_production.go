@@ -42,12 +42,7 @@ func E7(cfg Config) (*Result, error) {
 	measure := func(s *strategy.Strategy, c *strategy.Compiler) (*bench.Latencies, error) {
 		run := func(q string) error {
 			c.Query = q
-			plan, err := s.CompileOptimized(c, ctx)
-			if err != nil {
-				return err
-			}
-			_, err = ctx.Exec(context.Background(), engine.NewTopN(plan, 50, engine.SortSpec{Col: "", Desc: true},
-				engine.SortSpec{Col: triple.ColSubject}))
+			_, err := s.Rank(context.Background(), ctx, c, 50)
 			return err
 		}
 		if err := run(queries[0]); err != nil { // warm all branch indexes

@@ -42,12 +42,7 @@ func E8(cfg Config) (*Result, error) {
 	}
 
 	searchOnce := func(ctx *engine.Ctx, q string) error {
-		plan, err := st.CompileOptimized(&strategy.Compiler{Query: q}, ctx)
-		if err != nil {
-			return err
-		}
-		_, err = ctx.Exec(context.Background(), engine.NewTopN(plan, 50,
-			engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: triple.ColSubject}))
+		_, err := st.Rank(context.Background(), ctx, &strategy.Compiler{Query: q}, 50)
 		return err
 	}
 

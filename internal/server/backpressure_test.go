@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,7 +29,10 @@ func TestBackpressureSemaphore(t *testing.T) {
 		return fmt.Sprintf("%s/search?strategy=auction-lots&q=%s&k=5", ts.URL, url.QueryEscape(q))
 	}
 
-	srv.acquire(context.Background()) // occupy the only slot
+	_, release, err := srv.gate.Enter(context.Background()) // occupy the only slot
+	if err != nil {
+		t.Fatal(err)
+	}
 	codes := make(chan int, 1)
 	go func() {
 		resp, err := http.Get(searchURL(0))
@@ -41,10 +45,10 @@ func TestBackpressureSemaphore(t *testing.T) {
 		codes <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.queueDepth.Load() == 0 && time.Now().Before(deadline) {
+	for srv.gate.Stats().QueueDepth == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := srv.queueDepth.Load(); got != 1 {
+	if got := srv.gate.Stats().QueueDepth; got != 1 {
 		t.Fatalf("queue_depth = %d while slot held, want 1", got)
 	}
 	select {
@@ -54,21 +58,24 @@ func TestBackpressureSemaphore(t *testing.T) {
 	}
 	// A caller whose context dies while queued must not be admitted.
 	cctx, cancel := context.WithCancel(context.Background())
-	admitted := make(chan admitResult, 1)
-	go func() { admitted <- srv.acquire(cctx) }()
-	for srv.queueDepth.Load() != 2 {
+	admitted := make(chan error, 1)
+	go func() {
+		_, _, err := srv.gate.Enter(cctx)
+		admitted <- err
+	}()
+	for srv.gate.Stats().QueueDepth != 2 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if got := <-admitted; got != admitGone {
-		t.Fatalf("acquire = %v for a request whose context was cancelled while queued, want admitGone", got)
+	if err := <-admitted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Enter = %v for a request whose context was cancelled while queued, want context.Canceled", err)
 	}
 
-	srv.release()
+	release()
 	if code := <-codes; code != http.StatusOK {
 		t.Fatalf("queued request finished with status %d, want 200", code)
 	}
-	if srv.queuedTotal.Load() == 0 {
+	if srv.gate.Stats().QueuedTotal == 0 {
 		t.Error("queued_total = 0 after a request demonstrably queued")
 	}
 
@@ -134,7 +141,10 @@ func TestStrategyInstallGatedByAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv.acquire(context.Background()) // occupy the only slot
+	_, release, err := srv.gate.Enter(context.Background()) // occupy the only slot
+	if err != nil {
+		t.Fatal(err)
+	}
 	codes := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/strategies", "application/json", strings.NewReader(body))
@@ -147,10 +157,10 @@ func TestStrategyInstallGatedByAdmission(t *testing.T) {
 		codes <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.queueDepth.Load() == 0 && time.Now().Before(deadline) {
+	for srv.gate.Stats().QueueDepth == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := srv.queueDepth.Load(); got != 1 {
+	if got := srv.gate.Stats().QueueDepth; got != 1 {
 		t.Fatalf("queue_depth = %d while slot held, want 1 (install bypassed admission?)", got)
 	}
 	select {
@@ -171,7 +181,7 @@ func TestStrategyInstallGatedByAdmission(t *testing.T) {
 		t.Errorf("stats queue_depth = %d, want 1", stats.Admission.QueueDepth)
 	}
 
-	srv.release()
+	release()
 	if code := <-codes; code != http.StatusCreated {
 		t.Fatalf("queued install finished with status %d, want 201", code)
 	}

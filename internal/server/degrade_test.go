@@ -44,10 +44,11 @@ func TestAdmissionWaitSheds(t *testing.T) {
 	srv, ts := newTestServer(t)
 	srv.SetMaxInFlight(1)
 	srv.SetAdmissionWait(5 * time.Millisecond)
-	if got := srv.acquire(context.Background()); got != admitted {
-		t.Fatalf("initial acquire = %v", got)
+	_, release, err := srv.gate.Enter(context.Background())
+	if err != nil {
+		t.Fatalf("initial Enter = %v", err)
 	}
-	defer srv.release()
+	defer release()
 
 	resp, err := http.Get(ts.URL + "/search?strategy=auction-lots&q=x")
 	if err != nil {
@@ -85,8 +86,9 @@ func TestAdmissionWaitSheds(t *testing.T) {
 // answering.
 func TestShutdownDrains(t *testing.T) {
 	srv, ts := newTestServer(t)
-	if got := srv.acquire(context.Background()); got != admitted {
-		t.Fatalf("acquire = %v", got)
+	_, release, err := srv.gate.Enter(context.Background())
+	if err != nil {
+		t.Fatalf("Enter = %v", err)
 	}
 
 	// With a request in flight, a bounded Shutdown times out.
@@ -97,7 +99,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 
 	// Once the request finishes the drain completes.
-	srv.release()
+	release()
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown after release = %v", err)
 	}

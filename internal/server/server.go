@@ -9,6 +9,12 @@
 // cold queries computes each sub-plan once) and the shared worker pool
 // bounding total intra-query parallelism across the whole process.
 //
+// Admission, memory budgets and drain are the engine.Gate the irdb
+// facade runs every query through, and a search is Strategy.Rank on both
+// surfaces; only the reporting differs (see the refusal table in package
+// irdb's doc). /stats counts the refusal causes as faults.shed_drain,
+// shed_wait and shed_deadline; shed_requests is their sum.
+//
 // Endpoints:
 //
 //	GET  /search?strategy=<name>&q=<keywords>&k=<n>  ranked results (JSON)
@@ -40,7 +46,6 @@ import (
 	"irdb/internal/fault"
 	"irdb/internal/faultpoint"
 	"irdb/internal/ingest"
-	"irdb/internal/memory"
 	"irdb/internal/strategy"
 	"irdb/internal/text"
 	"irdb/internal/triple"
@@ -50,12 +55,13 @@ import (
 // execution context (and therefore one shared materialization cache, so
 // concurrent requests reuse each other's on-demand indexes).
 //
-// Admission is gated by a request-level semaphore (default 2× the engine's
-// worker-pool size) shared by /search and strategy installation: excess
-// requests queue instead of oversubscribing the pool, so saturation shows
-// up as predictable queueing latency rather than a throughput collapse.
-// /stats bypasses admission so the queue stays observable under load. The
-// current queue depth and in-flight count are exported via /stats.
+// Admission goes through an engine.Gate (in-flight limit default 2× the
+// engine's worker-pool size) shared by /search, strategy installation and
+// /append: excess requests queue instead of oversubscribing the pool, so
+// saturation shows up as predictable queueing latency rather than a
+// throughput collapse. /stats bypasses admission so the queue stays
+// observable under load. The current queue depth and in-flight count are
+// exported via /stats.
 type Server struct {
 	ctx      *engine.Ctx
 	synonyms text.SynonymDict
@@ -69,50 +75,19 @@ type Server struct {
 
 	requests sync.Map // strategy name -> *counter
 
-	inFlight    chan struct{} // request-level admission semaphore
-	queueDepth  atomic.Int64  // requests currently waiting for a slot
-	queuedTotal atomic.Int64  // requests that ever had to wait
-	queueWaitNS atomic.Int64  // cumulative time requests spent queued
+	// gate is the admission gate: in-flight slots, the admission-wait
+	// bound, drain, queue counters and per-request memory reservations.
+	// A refused request is shed with 503 + Retry-After.
+	gate engine.Gate
 
 	// timeout bounds each admitted request's engine work (0 = none). The
 	// deadline starts when the request is admitted, not while it queues.
 	timeout time.Duration
 
-	// admissionWait bounds how long a request may queue for an admission
-	// slot (0 = unbounded). A request whose wait would exceed it — or whose
-	// own deadline expires sooner — is shed fast with 503 + Retry-After
-	// instead of holding a connection open for an answer it will never get
-	// in time.
-	admissionWait time.Duration
-
-	// draining is set by Shutdown: no new request is admitted, in-flight
-	// requests finish. /stats keeps answering so the drain is observable.
-	// drainMu orders admission against Shutdown: admitters register with
-	// active under the read lock, Shutdown flips draining under the write
-	// lock, so every admitted request is either seen by Shutdown's Wait or
-	// refused — active.Add can never race active.Wait at zero.
-	drainMu  sync.RWMutex
-	draining atomic.Bool
-	// active tracks admitted requests so Shutdown can wait for them.
-	active sync.WaitGroup
-
 	cancelled     atomic.Int64 // requests aborted by client disconnect
 	timedOut      atomic.Int64 // requests aborted by the server deadline
-	shed          atomic.Int64 // requests refused by admission-wait bound or drain
 	handlerPanics atomic.Int64 // panics the recovery middleware contained
-
-	// Per-cause shed breakdown (shed is the total): a client deciding how
-	// hard to retry needs to know whether 503s come from overload (back
-	// off and retry) or drain (find another replica).
-	shedDrain    atomic.Int64 // refused because the server is draining
-	shedWait     atomic.Int64 // refused because the queue wait bound expired
-	shedDeadline atomic.Int64 // refused because the request's deadline had already passed
-	budgetDenied atomic.Int64 // queries aborted by the per-query memory budget
-
-	// memPool/perQueryBytes govern per-request memory (nil = ungoverned);
-	// see SetMemory.
-	memPool       *memory.Pool
-	perQueryBytes int64
+	budgetDenied  atomic.Int64 // queries aborted by the per-query memory budget
 
 	// ready gates /readyz: the process answers /healthz as soon as it can
 	// serve HTTP, but reports ready only once warm-up (data load, WAL
@@ -137,22 +112,17 @@ func New(ctx *engine.Ctx, synonyms text.SynonymDict) *Server {
 		ctx:        ctx,
 		synonyms:   synonyms,
 		strategies: make(map[string]*strategy.Strategy),
-		inFlight:   make(chan struct{}, 2*par),
 	}
+	s.gate.SetMaxInFlight(2 * par)
 	// Ready by default: servers with a warm-up phase call SetReady(false)
 	// before listening and SetReady(true) once recovery/load completes.
 	s.ready.Store(true)
 	return s
 }
 
-// SetMaxInFlight resizes the request admission semaphore. Must be called
-// before the server starts handling requests.
-func (s *Server) SetMaxInFlight(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.inFlight = make(chan struct{}, n)
-}
+// SetMaxInFlight resizes the request admission semaphore (minimum 1).
+// Must be called before the server starts handling requests.
+func (s *Server) SetMaxInFlight(n int) { s.gate.SetMaxInFlight(max(n, 1)) }
 
 // SetIngest enables POST /append, routing mutations through the given
 // manager (which owns the WAL when one is configured). Must be called
@@ -166,9 +136,12 @@ func (s *Server) SetIngest(m *ingest.Manager) { s.ingestMgr = m }
 func (s *Server) SetTimeout(d time.Duration) { s.timeout = d }
 
 // SetAdmissionWait bounds how long a request may queue for an admission
-// slot (0 = unbounded, the default). Must be called before the server
-// starts handling requests.
-func (s *Server) SetAdmissionWait(d time.Duration) { s.admissionWait = d }
+// slot (0 = unbounded, the default). A request whose wait would exceed it
+// — or whose own deadline expires sooner — is shed fast with 503 +
+// Retry-After instead of holding a connection open for an answer it will
+// never get in time. Must be called before the server starts handling
+// requests.
+func (s *Server) SetAdmissionWait(d time.Duration) { s.gate.SetAdmissionWait(d) }
 
 // SetMemory governs per-request memory: each admitted /search reserves
 // up to perQueryBytes (0 = bounded only by the pool) from a shared pool
@@ -177,12 +150,7 @@ func (s *Server) SetAdmissionWait(d time.Duration) { s.admissionWait = d }
 // pressuring the process toward OOM. Must be called before the server
 // starts handling requests.
 func (s *Server) SetMemory(poolBytes, perQueryBytes int64) {
-	if poolBytes <= 0 && perQueryBytes <= 0 {
-		s.memPool, s.perQueryBytes = nil, 0
-		return
-	}
-	s.memPool = memory.NewPool(poolBytes)
-	s.perQueryBytes = perQueryBytes
+	s.gate.SetMemory(poolBytes, perQueryBytes)
 }
 
 // SetReady flips the /readyz answer. A server with a warm-up phase
@@ -191,7 +159,7 @@ func (s *Server) SetMemory(poolBytes, perQueryBytes int64) {
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Ready reports the current readiness (false while draining).
-func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
+func (s *Server) Ready() bool { return s.ready.Load() && !s.gate.Stats().Draining }
 
 // Shutdown stops admitting requests and waits for the in-flight ones to
 // drain, or for ctx to expire (returning its error with requests still
@@ -199,136 +167,34 @@ func (s *Server) Ready() bool { return s.ready.Load() && !s.draining.Load() }
 // Retry-After; /stats keeps working so the drain is observable. Shutdown
 // does not close listeners — pair it with http.Server.Shutdown, which
 // stops accepting connections while this drains the query work.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.drainMu.Lock()
-	s.draining.Store(true)
-	s.drainMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		// Contain any panic at this boundary (WaitGroup misuse is the
-		// only candidate): it must not kill a server mid-drain, and the
-		// deferred close still releases the select below.
-		defer close(done)
-		var err error
-		defer fault.Recover("shutdown drain", &err)
-		s.active.Wait()
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.gate.Drain(ctx) }
 
-// admitResult says how acquire disposed of a request.
-type admitResult int
-
-const (
-	admitted  admitResult = iota // slot taken; caller must release()
-	admitShed                    // shed: queue wait would exceed the bound, or draining
-	admitGone                    // client's context ended while queued
-)
-
-// acquire admits a request, queueing (counted in queue depth and wait
-// time) while the semaphore is full. The queue wait is bounded by
-// admissionWait and by the request's own deadline, whichever is sooner;
-// a request that cannot be admitted in time is shed immediately — a fast
-// 503 the client can retry, instead of a slot-less wait that would end in
-// a timeout anyway.
-func (s *Server) acquire(ctx context.Context) admitResult {
-	if s.draining.Load() {
-		s.shed.Add(1)
-		s.shedDrain.Add(1)
-		return admitShed
+// enter admits a request through the gate, writing the refusal response
+// when it is not admitted: 503 + Retry-After for a shed (drain, wait
+// bound, deadline), 503 for a client that went away while queued.
+func (s *Server) enter(w http.ResponseWriter, r *http.Request) (context.Context, func(), bool) {
+	c, release, err := s.gate.Enter(r.Context())
+	if err == nil {
+		return c, release, true
 	}
-	select {
-	case s.inFlight <- struct{}{}:
-		if !s.admit() {
-			<-s.inFlight
-			s.shed.Add(1)
-			s.shedDrain.Add(1)
-			return admitShed
-		}
-		return admitted
-	default:
+	if _, shed := engine.RefusalCause(err); shed {
+		s.shedResponse(w)
+	} else {
+		// Client went away while queued; nothing useful to send.
+		httpError(w, http.StatusServiceUnavailable, "request cancelled while queued")
 	}
-	s.queuedTotal.Add(1)
-	s.queueDepth.Add(1)
-	start := time.Now()
-	defer func() {
-		s.queueDepth.Add(-1)
-		s.queueWaitNS.Add(time.Since(start).Nanoseconds())
-	}()
-
-	// The effective wait bound: admissionWait, capped by the time left on
-	// the request's own deadline (waiting longer than the client will wait
-	// is pure waste).
-	wait := s.admissionWait
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); wait <= 0 || rem < wait {
-			wait = rem
-		}
-	}
-	var timeoutC <-chan time.Time
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		timeoutC = t.C
-	} else if wait < 0 {
-		// Deadline already passed; shed without waiting.
-		s.shed.Add(1)
-		s.shedDeadline.Add(1)
-		return admitShed
-	}
-	select {
-	case s.inFlight <- struct{}{}:
-		if !s.admit() {
-			// Shutdown raced our admission; hand the slot back.
-			<-s.inFlight
-			s.shed.Add(1)
-			s.shedDrain.Add(1)
-			return admitShed
-		}
-		return admitted
-	case <-timeoutC:
-		s.shed.Add(1)
-		s.shedWait.Add(1)
-		return admitShed
-	case <-ctx.Done():
-		return admitGone
-	}
-}
-
-// admit registers the caller (who holds an inFlight slot) as an active
-// request, unless the server is draining. The read lock orders the
-// registration against Shutdown's drain flip.
-func (s *Server) admit() bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining.Load() {
-		return false
-	}
-	s.active.Add(1)
-	return true
-}
-
-func (s *Server) release() {
-	<-s.inFlight
-	s.active.Done()
+	return nil, nil, false
 }
 
 // shedResponse answers a request refused by admission: 503 plus a
 // Retry-After hint sized to the admission wait bound, so well-behaved
 // clients back off instead of hammering a saturated (or draining) server.
 func (s *Server) shedResponse(w http.ResponseWriter) {
-	retry := int(s.admissionWait / time.Second)
-	if retry < 1 {
-		retry = 1
-	}
+	gs := s.gate.Stats()
+	retry := max(int(gs.AdmissionWait/time.Second), 1)
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	msg := "server overloaded; retry later"
-	if s.draining.Load() {
+	if gs.Draining {
 		msg = "server shutting down"
 	}
 	httpError(w, http.StatusServiceUnavailable, msg)
@@ -386,7 +252,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.Ready() {
 		reason := "warming up"
-		if s.draining.Load() {
+		if s.gate.Stats().Draining {
 			reason = "draining"
 		}
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "unavailable", "reason": reason})
@@ -462,40 +328,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	switch s.acquire(r.Context()) {
-	case admitShed:
-		s.shedResponse(w)
-		return
-	case admitGone:
-		// Client went away while queued; nothing useful to send.
-		httpError(w, http.StatusServiceUnavailable, "request cancelled while queued")
-		return
-	}
-	defer s.release()
-	plan, err := st.CompileOptimized(&strategy.Compiler{Query: query, Synonyms: s.synonyms}, s.ctx)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	// Execute under the request's context: when the client disconnects the
 	// engine aborts the plan at its next chunk boundary and the admission
 	// slot frees immediately, instead of a dead request holding it until
-	// plan completion. The optional server deadline stacks on top, and on
-	// a memory-governed server the request's reservation rides the same
-	// context — released on this handler's exit however the request ends.
-	c := r.Context()
+	// plan completion. On a memory-governed server the gate puts the
+	// request's reservation on the same context — released on this
+	// handler's exit however the request ends — and the optional server
+	// deadline, which starts at admission, stacks on top.
+	c, release, ok := s.enter(w, r)
+	if !ok {
+		return
+	}
+	defer release()
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		c, cancel = context.WithTimeout(c, s.timeout)
 		defer cancel()
 	}
-	if s.memPool != nil {
-		res := s.memPool.Reserve(s.perQueryBytes)
-		defer res.Release()
-		c = memory.WithReservation(c, res)
-	}
-	rel, err := s.ctx.Exec(c, engine.NewTopN(plan, k,
-		engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: triple.ColSubject}))
+	rel, err := st.Rank(c, s.ctx, &strategy.Compiler{Query: query, Synonyms: s.synonyms}, k)
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrBudgetExceeded):
@@ -653,15 +503,11 @@ func (s *Server) handleInstallStrategy(w http.ResponseWriter, r *http.Request) {
 	// the body is read and parsed — a slow or malformed upload must not
 	// occupy admission while doing no engine work. /stats stays exempt —
 	// it must answer while the pool is busy, that is its job.
-	switch s.acquire(r.Context()) {
-	case admitShed:
-		s.shedResponse(w)
-		return
-	case admitGone:
-		httpError(w, http.StatusServiceUnavailable, "request cancelled while queued")
+	_, release, ok := s.enter(w, r)
+	if !ok {
 		return
 	}
-	defer s.release()
+	defer release()
 	if err := s.Install(st); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -758,15 +604,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// delta does engine-adjacent work (relation builds, cache eviction),
 	// so it must not bypass the load bound. The slot is taken only after
 	// the body is parsed.
-	switch s.acquire(r.Context()) {
-	case admitShed:
-		s.shedResponse(w)
-		return
-	case admitGone:
-		httpError(w, http.StatusServiceUnavailable, "request cancelled while queued")
+	_, release, ok := s.enter(w, r)
+	if !ok {
 		return
 	}
-	defer s.release()
+	defer release()
 	appended, err := s.ingestMgr.AppendTriples(appends)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
@@ -823,6 +665,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			walStats = ws
 		}
 	}
+	gs := s.gate.Stats()
+	shed, pool := gs.Refused, s.gate.Pool()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tables":     s.ctx.Cat.TableNames(),
 		"cache":      cacheStats,
@@ -837,25 +681,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"optimizer": s.ctx.OptimizerStats(),
 		"admission": map[string]any{
-			"max_in_flight":     cap(s.inFlight),
-			"in_flight":         len(s.inFlight),
-			"queue_depth":       s.queueDepth.Load(),
-			"queued_total":      s.queuedTotal.Load(),
-			"queue_wait_ms":     s.queueWaitNS.Load() / 1e6,
-			"admission_wait_ms": s.admissionWait.Milliseconds(),
+			"max_in_flight":     gs.MaxInFlight,
+			"in_flight":         gs.InFlight,
+			"queue_depth":       gs.QueueDepth,
+			"queued_total":      gs.QueuedTotal,
+			"queue_wait_ms":     gs.QueueWait.Milliseconds(),
+			"admission_wait_ms": gs.AdmissionWait.Milliseconds(),
 			"timeout_ms":        s.timeout.Milliseconds(),
 			"cancelled":         s.cancelled.Load(),
 			"timed_out":         s.timedOut.Load(),
-			"draining":          s.draining.Load(),
+			"draining":          gs.Draining,
 			"ready":             s.Ready(),
 		},
 		"memory": map[string]any{
-			"enabled":             s.memPool != nil,
-			"pool_capacity":       s.memPool.Capacity(),
-			"pool_used":           s.memPool.Used(),
-			"pool_peak":           s.memPool.Peak(),
-			"per_query_bytes":     s.perQueryBytes,
-			"active_reservations": s.memPool.Active(),
+			"enabled":             pool != nil,
+			"pool_capacity":       pool.Capacity(),
+			"pool_used":           pool.Used(),
+			"pool_peak":           pool.Peak(),
+			"per_query_bytes":     s.gate.QueryBudget(),
+			"active_reservations": pool.Active(),
 			"budget_denied":       s.budgetDenied.Load(),
 		},
 		// The degradation ledger: every contained failure is counted here,
@@ -866,10 +710,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"query_panics":           s.ctx.RecoveredPanics(),
 			"cache_compute_panics":   cacheStats.Panics,
 			"corrupt_snapshot_loads": s.ctx.Cat.SnapshotStats().CorruptLoads,
-			"shed_requests":          s.shed.Load(),
-			"shed_drain":             s.shedDrain.Load(),
-			"shed_wait":              s.shedWait.Load(),
-			"shed_deadline":          s.shedDeadline.Load(),
+			"shed_requests":          shed[engine.CauseDrain] + shed[engine.CauseWait] + shed[engine.CauseDeadline],
+			"shed_drain":             shed[engine.CauseDrain],
+			"shed_wait":              shed[engine.CauseWait],
+			"shed_deadline":          shed[engine.CauseDeadline],
 			"budget_denied":          s.budgetDenied.Load(),
 		},
 	})

@@ -131,16 +131,16 @@ func TestStreamedSearchDisconnect(t *testing.T) {
 	// reservation; both are observable through the server itself.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if srv.memPool.Active() == 0 && len(srv.inFlight) == 0 {
+		if srv.gate.Pool().Active() == 0 && srv.gate.Stats().InFlight == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after disconnect: %d reservations, %d slots still held",
-				srv.memPool.Active(), len(srv.inFlight))
+				srv.gate.Pool().Active(), srv.gate.Stats().InFlight)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if used := srv.memPool.Used(); used != 0 {
+	if used := srv.gate.Pool().Used(); used != 0 {
 		t.Fatalf("pool holds %d bytes after disconnect", used)
 	}
 	// And the server still serves.
@@ -170,7 +170,7 @@ func TestSearchBudget507(t *testing.T) {
 	if srv.budgetDenied.Load() == 0 {
 		t.Fatal("denial not counted")
 	}
-	if used := srv.memPool.Used(); used != 0 {
+	if used := srv.gate.Pool().Used(); used != 0 {
 		t.Fatalf("pool holds %d bytes after denial", used)
 	}
 
@@ -183,7 +183,7 @@ func TestSearchBudget507(t *testing.T) {
 	if len(ok.Results) == 0 {
 		t.Fatal("no results under generous budget")
 	}
-	if srv2.memPool.Peak() == 0 {
+	if srv2.gate.Pool().Peak() == 0 {
 		t.Fatal("no charges reached the pool")
 	}
 }

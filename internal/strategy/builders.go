@@ -5,6 +5,13 @@ package strategy
 // visual environment — and are used by the examples and the E4/E7
 // experiments.
 
+// Builtins returns the strategies shipped with the reproduction: the
+// Figure 2 toy strategy, the Figure 3 auction strategy (lot weight 0.7,
+// auction weight 0.3) and its production variant.
+func Builtins() []*Strategy {
+	return []*Strategy{Toy(), Auction(0.7, 0.3), Production()}
+}
+
 // Toy returns the Figure 2 strategy: rank toy products by their
 // description. Blocks: filter products to category=toy, extract
 // descriptions, rank by text BM25.

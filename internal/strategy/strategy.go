@@ -10,13 +10,16 @@
 package strategy
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 
 	"irdb/internal/engine"
 	"irdb/internal/ir"
+	"irdb/internal/relation"
 	"irdb/internal/text"
+	"irdb/internal/triple"
 )
 
 // Block is one building block of a strategy.
@@ -134,17 +137,17 @@ func (s *Strategy) Validate() error {
 	return nil
 }
 
-// CompileOptimized lowers the strategy and runs the plan through ctx's
-// optimizer — the form executors should prefer: machine-generated
-// strategies compile to naive plan shapes (selections above joins,
-// full-width scans) that the optimizer is built to clean up. Results are
-// bit-identical to executing the Compile output directly.
-func (s *Strategy) CompileOptimized(c *Compiler, ctx *engine.Ctx) (engine.Node, error) {
+// Rank is the search request through the strategy: compile it for c's
+// query, optimize the plan on eng, keep the top k subjects by descending
+// score (ties broken by subject) and execute under ctx. Every search
+// entry point calls it, so they all run the same plan in the same order.
+func (s *Strategy) Rank(ctx context.Context, eng *engine.Ctx, c *Compiler, k int) (*relation.Relation, error) {
 	plan, err := s.Compile(c)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.Optimize(plan), nil
+	return eng.Exec(ctx, engine.NewTopN(eng.Optimize(plan), k,
+		engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: triple.ColSubject}))
 }
 
 // Compile lowers the strategy into one engine plan producing a ranked

@@ -15,7 +15,6 @@ import (
 	"irdb/internal/engine"
 	"irdb/internal/ingest"
 	"irdb/internal/ir"
-	"irdb/internal/memory"
 	"irdb/internal/relation"
 	"irdb/internal/spinql"
 	"irdb/internal/strategy"
@@ -85,28 +84,15 @@ type DB struct {
 	mu         sync.RWMutex
 	strategies map[string]*strategy.Strategy
 
-	// inFlight is the admission semaphore (nil = unbounded): queries past
-	// the limit queue context-aware, so a caller that gives up while
-	// queued never occupies a slot. admissionWait bounds the queueing
-	// time (0 = wait as long as the context allows).
-	inFlight      chan struct{}
-	admissionWait time.Duration
+	// gate admits every query (the same admission gate irdb-server
+	// uses): the in-flight limit, the admission-wait bound, the per-query
+	// memory reservation, and the drain Close waits on.
+	gate engine.Gate
 
-	// memPool is the shared memory-reservation pool (nil = ungoverned);
-	// queryMemBytes the per-query byte budget carved from it (0 = bounded
-	// only by the pool).
-	memPool       *memory.Pool
-	queryMemBytes int64
-
-	// execMu tracks in-flight query execution for Close: queries hold the
-	// read side for their duration, Close takes the write side to drain.
-	execMu sync.RWMutex
-
-	parses     atomic.Int64
-	compiles   atomic.Int64
-	queries    atomic.Int64
-	overloaded atomic.Int64
-	closed     atomic.Bool
+	parses   atomic.Int64
+	compiles atomic.Int64
+	queries  atomic.Int64
+	closed   atomic.Bool
 
 	// searcher caches the SearchDocs searcher (its construction walks the
 	// collection for BM25 statistics); LoadDocs invalidates it. A racing
@@ -221,14 +207,9 @@ func Open(opts ...Option) (*DB, error) {
 		synonyms:   text.SynonymDict(cfg.synonyms),
 		strategies: make(map[string]*strategy.Strategy),
 	}
-	if cfg.maxInFlight > 0 {
-		db.inFlight = make(chan struct{}, cfg.maxInFlight)
-		db.admissionWait = cfg.admissionWait
-	}
-	if cfg.memPoolBytes > 0 || cfg.queryMemBytes > 0 {
-		db.memPool = memory.NewPool(cfg.memPoolBytes)
-		db.queryMemBytes = cfg.queryMemBytes
-	}
+	db.gate.SetMaxInFlight(cfg.maxInFlight)
+	db.gate.SetAdmissionWait(cfg.admissionWait)
+	db.gate.SetMemory(cfg.memPoolBytes, cfg.queryMemBytes)
 	if cfg.durDir != "" {
 		if cfg.fsyncPolicy == "" {
 			cfg.fsyncPolicy = "always"
@@ -253,8 +234,8 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return ErrClosed
 	}
-	db.execMu.Lock()
-	defer db.execMu.Unlock()
+	// Drain fails only when its context ends; Background never does.
+	_ = db.gate.Drain(context.Background())
 	db.cat.Cache().Clear()
 	return db.ingest.Close()
 }
@@ -266,63 +247,29 @@ func (db *DB) check() error {
 	return nil
 }
 
-// begin registers a query execution with the Close drain. The closed
-// check happens under the read lock, so once Close holds the write side
-// no new query can slip in.
-func (db *DB) begin() (end func(), err error) {
-	db.execMu.RLock()
-	if db.closed.Load() {
-		db.execMu.RUnlock()
-		return nil, ErrClosed
-	}
-	return db.execMu.RUnlock, nil
-}
-
-// acquire admits one query, queueing context-aware when the in-flight
-// limit is reached. When an admission wait is configured, queueing is
-// additionally bounded: a query that cannot start within the wait fails
-// fast with ErrOverloaded instead of deepening the backlog. The returned
-// release func is a no-op when admission is unbounded.
-func (db *DB) acquire(ctx context.Context) (release func(), err error) {
-	if db.inFlight == nil {
-		return func() {}, nil
-	}
-	select {
-	case db.inFlight <- struct{}{}:
-		return func() { <-db.inFlight }, nil
-	default:
-	}
-	if db.admissionWait > 0 {
-		t := time.NewTimer(db.admissionWait)
-		defer t.Stop()
-		select {
-		case db.inFlight <- struct{}{}:
-			return func() { <-db.inFlight }, nil
-		case <-t.C:
-			db.overloaded.Add(1)
-			return nil, ErrOverloaded
-		case <-ctx.Done():
-			return nil, ctx.Err()
+// enter admits one query through the gate and counts it, translating a
+// refusal into the facade's errors: a closed (draining) database answers
+// ErrClosed, an expired admission wait ErrOverloaded, and a deadline that
+// passed before a slot freed context.DeadlineExceeded. The returned
+// context carries the query's memory reservation on a governed database;
+// release returns it and the slot.
+func (db *DB) enter(ctx context.Context) (context.Context, func(), error) {
+	qctx, release, err := db.gate.Enter(ctx)
+	if cause, refused := engine.RefusalCause(err); refused {
+		switch cause {
+		case engine.CauseDrain:
+			return nil, nil, ErrClosed
+		case engine.CauseWait:
+			return nil, nil, ErrOverloaded
+		default:
+			return nil, nil, context.DeadlineExceeded
 		}
 	}
-	select {
-	case db.inFlight <- struct{}{}:
-		return func() { <-db.inFlight }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// reserve attaches a per-query memory reservation to ctx on a governed
-// database. The returned done func releases the reservation back to the
-// pool; it is idempotent and safe to call after the query failed. On an
-// ungoverned database both returns are no-ops.
-func (db *DB) reserve(ctx context.Context) (context.Context, func()) {
-	if db.memPool == nil {
-		return ctx, func() {}
-	}
-	res := db.memPool.Reserve(db.queryMemBytes)
-	return memory.WithReservation(ctx, res), func() { res.Release() }
+	db.queries.Add(1)
+	return qctx, release, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -499,11 +446,11 @@ func (db *DB) Checkpoint() error {
 // file or the new one — never a torn mix. The materialization cache is
 // not saved; it rebuilds on demand.
 func (db *DB) SaveSnapshot(path string) error {
-	end, err := db.begin()
+	release, err := db.gate.Hold() // refused only while closing
 	if err != nil {
-		return err
+		return ErrClosed
 	}
-	defer end()
+	defer release()
 	return db.cat.SaveFile(path)
 }
 
@@ -513,11 +460,11 @@ func (db *DB) SaveSnapshot(path string) error {
 // corrupt file LoadSnapshot returns an error matching ErrCorruptSnapshot
 // and the database is unchanged.
 func (db *DB) LoadSnapshot(path string) error {
-	end, err := db.begin()
+	release, err := db.gate.Hold() // refused only while closing
 	if err != nil {
-		return err
+		return ErrClosed
 	}
-	defer end()
+	defer release()
 	if err := db.ingest.LoadSnapshotFile(path); err != nil {
 		return err
 	}
@@ -533,11 +480,11 @@ func (db *DB) LoadSnapshot(path string) error {
 // repeated execution use Prepare, which does both exactly once.
 // Statements with ?name parameters must go through Prepare.
 func (db *DB) Query(ctx context.Context, src string) (*Result, error) {
-	end, err := db.begin()
+	qctx, release, err := db.enter(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer end()
+	defer release()
 	naive, plan, err := db.compile(src)
 	if err != nil {
 		return nil, err
@@ -545,14 +492,6 @@ func (db *DB) Query(ctx context.Context, src string) (*Result, error) {
 	if params := engine.Params(naive); len(params) > 0 {
 		return nil, fmt.Errorf("irdb: statement has parameters %v; use Prepare and bind them", params)
 	}
-	release, err := db.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	qctx, done := db.reserve(ctx)
-	defer done()
-	db.queries.Add(1)
 	rel, err := db.eng.Exec(qctx, plan)
 	if err != nil {
 		return nil, err
@@ -627,17 +566,13 @@ func (db *DB) InstallStrategy(spec []byte) (string, error) {
 // reproduction — the Figure 2 toy strategy, the Figure 3 auction strategy
 // and its production variant — and returns their names.
 func (db *DB) InstallBuiltinStrategies() []string {
-	names := make([]string, 0, 3)
-	for _, st := range []*strategy.Strategy{
-		strategy.Toy(),
-		strategy.Auction(0.7, 0.3),
-		strategy.Production(),
-	} {
-		db.mu.Lock()
+	var names []string
+	db.mu.Lock()
+	for _, st := range strategy.Builtins() {
 		db.strategies[st.Name] = st
-		db.mu.Unlock()
 		names = append(names, st.Name)
 	}
+	db.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
@@ -661,35 +596,23 @@ type Hit struct {
 }
 
 // Search runs an installed strategy against a keyword query and returns
-// the top k subjects. ctx's deadline and cancellation abort the plan
-// mid-execution.
+// the top k subjects. It runs the same admission and the same plan as
+// irdb-server's /search: admitted first, then compiled, optimized and
+// executed by Strategy.Rank. ctx's deadline and cancellation abort the
+// plan mid-execution.
 func (db *DB) Search(ctx context.Context, strategyName, query string, k int) ([]Hit, error) {
-	end, err := db.begin()
+	qctx, release, err := db.enter(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer end()
+	defer release()
 	db.mu.RLock()
 	st, ok := db.strategies[strategyName]
 	db.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("irdb: no strategy %q (installed: %v)", strategyName, db.StrategyNames())
 	}
-	plan, err := st.Compile(&strategy.Compiler{Query: query, Synonyms: db.synonyms})
-	if err != nil {
-		return nil, err
-	}
-	ranked := db.eng.Optimize(engine.NewTopN(plan, k,
-		engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: triple.ColSubject}))
-	release, err := db.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	qctx, done := db.reserve(ctx)
-	defer done()
-	db.queries.Add(1)
-	rel, err := db.eng.Exec(qctx, ranked)
+	rel, err := st.Rank(qctx, db.eng, &strategy.Compiler{Query: query, Synonyms: db.synonyms}, k)
 	if err != nil {
 		return nil, err
 	}
@@ -705,11 +628,11 @@ func (db *DB) Search(ctx context.Context, strategyName, query string, k int) ([]
 // the default retrieval model (BM25) and returns the top k documents. The
 // searcher is constructed once and cached until the next LoadDocs.
 func (db *DB) SearchDocs(ctx context.Context, query string, k int) ([]Hit, error) {
-	end, err := db.begin()
+	qctx, release, err := db.enter(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer end()
+	defer release()
 	s := db.searcher.Load()
 	if s == nil {
 		s, err = ir.NewSearcher(db.eng, engine.NewScan(DocsTable), ir.DefaultParams())
@@ -718,14 +641,6 @@ func (db *DB) SearchDocs(ctx context.Context, query string, k int) ([]Hit, error
 		}
 		db.searcher.Store(s)
 	}
-	release, err := db.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	qctx, done := db.reserve(ctx)
-	defer done()
-	db.queries.Add(1)
 	irHits, err := s.Search(qctx, query, k)
 	if err != nil {
 		return nil, err
@@ -893,15 +808,15 @@ func (db *DB) Stats() Stats {
 	}
 	is := db.ingest.Stats()
 	var ms MemoryStats
-	if db.memPool != nil {
+	if pool := db.gate.Pool(); pool != nil {
 		ms = MemoryStats{
 			Enabled:            true,
-			PoolCapacity:       db.memPool.Capacity(),
-			PoolUsed:           db.memPool.Used(),
-			PoolPeak:           db.memPool.Peak(),
-			PoolDenied:         db.memPool.Denied(),
-			ActiveReservations: db.memPool.Active(),
-			QueryBudget:        db.queryMemBytes,
+			PoolCapacity:       pool.Capacity(),
+			PoolUsed:           pool.Used(),
+			PoolPeak:           pool.Peak(),
+			PoolDenied:         pool.Denied(),
+			ActiveReservations: pool.Active(),
+			QueryBudget:        db.gate.QueryBudget(),
 			BudgetDenials:      db.eng.BudgetDenials(),
 		}
 	}
@@ -947,7 +862,7 @@ func (db *DB) Stats() Stats {
 		Faults: FaultStats{
 			RecoveredPanics:      db.eng.RecoveredPanics(),
 			CachePanics:          cs.Panics,
-			Overloaded:           db.overloaded.Load(),
+			Overloaded:           db.gate.Stats().Refused[engine.CauseWait],
 			SnapshotSaves:        ss.Saves,
 			SnapshotLoads:        ss.Loads,
 			CorruptSnapshotLoads: ss.CorruptLoads,

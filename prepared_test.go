@@ -304,7 +304,7 @@ func TestMaxInFlightAdmission(t *testing.T) {
 	if err := db.LoadTriples(testGraph(50)); err != nil {
 		t.Fatal(err)
 	}
-	release, err := db.acquire(context.Background())
+	_, release, err := db.gate.Enter(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,23 +71,15 @@ func P(name string, value any) Param { return Param{Name: name, Value: value} }
 // placeholder, and ctx's deadline and cancellation abort the plan
 // mid-execution. Re-execution performs zero parse or compile work.
 func (s *Stmt) Query(ctx context.Context, params ...Param) (*Result, error) {
-	end, err := s.db.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer end()
-	plan, err := s.bind(params)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.db.acquire(ctx)
+	qctx, release, err := s.db.enter(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	qctx, done := s.db.reserve(ctx)
-	defer done()
-	s.db.queries.Add(1)
+	plan, err := s.bind(params)
+	if err != nil {
+		return nil, err
+	}
 	rel, err := s.db.eng.Exec(qctx, plan)
 	if err != nil {
 		return nil, err

@@ -24,13 +24,13 @@ const streamBatchRows = 1024
 //
 // A Stream is not safe for concurrent use.
 type Stream struct {
-	ctx     context.Context
-	rel     *relation.Relation
-	pos     int
-	cur     *Result
-	err     error
-	closed  bool
-	cleanup []func()
+	ctx    context.Context
+	rel    *relation.Relation
+	pos    int
+	cur    *Result
+	err    error
+	closed bool
+	done   func() // releases the admission slot and reservation
 }
 
 // Columns returns the stream's column names, in order.
@@ -89,10 +89,7 @@ func (s *Stream) release() {
 	}
 	s.closed = true
 	s.cur = nil
-	for _, f := range s.cleanup {
-		f()
-	}
-	s.cleanup = nil
+	s.done()
 }
 
 // QueryStream executes the prepared statement and returns its result as
@@ -103,40 +100,19 @@ func (s *Stream) release() {
 // server can bound its exposure to slow readers: the slot frees when
 // the reader is done (or gone), not when execution ends.
 func (s *Stmt) QueryStream(ctx context.Context, params ...Param) (*Stream, error) {
-	end, err := s.db.begin()
+	qctx, release, err := s.db.enter(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			end()
-		}
-	}()
 	plan, err := s.bind(params)
 	if err != nil {
+		release()
 		return nil, err
 	}
-	release, err := s.db.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if !ok {
-			release()
-		}
-	}()
-	qctx, done := s.db.reserve(ctx)
-	defer func() {
-		if !ok {
-			done()
-		}
-	}()
-	s.db.queries.Add(1)
 	rel, err := s.db.eng.Exec(qctx, plan)
 	if err != nil {
+		release()
 		return nil, err
 	}
-	ok = true
-	return &Stream{ctx: ctx, rel: rel, cleanup: []func(){done, release, end}}, nil
+	return &Stream{ctx: ctx, rel: rel, done: release}, nil
 }
