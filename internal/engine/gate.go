@@ -118,16 +118,9 @@ func (g *Gate) QueryBudget() int64 { return g.perQuery }
 // allow, whichever is sooner. Enter fails with a *RefusedError (see
 // Cause) or, when ctx is cancelled while queued, with ctx's error.
 func (g *Gate) Enter(ctx context.Context) (context.Context, func(), error) {
-	if g.draining.Load() {
-		return nil, nil, g.refuse(CauseDrain)
-	}
-	if err := g.takeSlot(ctx); err != nil {
+	leave, err := g.Admit(ctx)
+	if err != nil {
 		return nil, nil, err
-	}
-	if !g.register() {
-		// Drain raced the slot; hand it back.
-		g.freeSlot()
-		return nil, nil, g.refuse(CauseDrain)
 	}
 	var res *memory.Reservation
 	if g.pool != nil {
@@ -136,6 +129,26 @@ func (g *Gate) Enter(ctx context.Context) (context.Context, func(), error) {
 	}
 	return ctx, func() {
 		res.Release()
+		leave()
+	}, nil
+}
+
+// Admit is Enter without the memory reservation, for work that takes a
+// slot but runs no query plan (an append, a strategy install). It queues
+// and refuses exactly as Enter does; release returns the slot.
+func (g *Gate) Admit(ctx context.Context) (release func(), err error) {
+	if g.draining.Load() {
+		return nil, g.refuse(CauseDrain)
+	}
+	if err := g.takeSlot(ctx); err != nil {
+		return nil, err
+	}
+	if !g.register() {
+		// Drain raced the slot; hand it back.
+		g.freeSlot()
+		return nil, g.refuse(CauseDrain)
+	}
+	return func() {
 		g.freeSlot()
 		g.leave()
 	}, nil

@@ -209,3 +209,32 @@ func TestGateReleasesReservation(t *testing.T) {
 		}
 	})
 }
+
+// TestGateAdmitTakesNoReservation: Admit holds a slot and counts toward
+// the drain like Enter, but opens no memory reservation.
+func TestGateAdmitTakesNoReservation(t *testing.T) {
+	var g Gate
+	g.SetMaxInFlight(1)
+	g.SetAdmissionWait(5 * time.Millisecond)
+	g.SetMemory(0, 1<<20)
+	release, err := g.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Pool().Active(); got != 0 {
+		t.Fatalf("active reservations under Admit = %d, want 0", got)
+	}
+	_, _, err = g.Enter(context.Background())
+	wantRefusal(t, err, CauseWait)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if err := g.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with admitted work = %v, want DeadlineExceeded", err)
+	}
+	release()
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, err = g.Admit(context.Background())
+	wantRefusal(t, err, CauseDrain)
+}

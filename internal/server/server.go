@@ -169,13 +169,15 @@ func (s *Server) Ready() bool { return s.ready.Load() && !s.gate.Stats().Drainin
 // stops accepting connections while this drains the query work.
 func (s *Server) Shutdown(ctx context.Context) error { return s.gate.Drain(ctx) }
 
-// enter admits a request through the gate, writing the refusal response
-// when it is not admitted: 503 + Retry-After for a shed (drain, wait
-// bound, deadline), 503 for a client that went away while queued.
-func (s *Server) enter(w http.ResponseWriter, r *http.Request) (context.Context, func(), bool) {
-	c, release, err := s.gate.Enter(r.Context())
+// admitted reports whether the gate admitted a request (err is what
+// Enter or Admit returned), writing the refusal response when it did
+// not: 503 + Retry-After for a shed (drain, wait bound, deadline), 503
+// for a client that went away while queued. /search enters with a memory
+// reservation; /append and strategy installs, which run no query plan,
+// only Admit.
+func (s *Server) admitted(w http.ResponseWriter, err error) bool {
 	if err == nil {
-		return c, release, true
+		return true
 	}
 	if _, shed := engine.RefusalCause(err); shed {
 		s.shedResponse(w)
@@ -183,7 +185,7 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request) (context.Context,
 		// Client went away while queued; nothing useful to send.
 		httpError(w, http.StatusServiceUnavailable, "request cancelled while queued")
 	}
-	return nil, nil, false
+	return false
 }
 
 // shedResponse answers a request refused by admission: 503 plus a
@@ -335,8 +337,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// request's reservation on the same context — released on this
 	// handler's exit however the request ends — and the optional server
 	// deadline, which starts at admission, stacks on top.
-	c, release, ok := s.enter(w, r)
-	if !ok {
+	c, release, err := s.gate.Enter(r.Context())
+	if !s.admitted(w, err) {
 		return
 	}
 	defer release()
@@ -503,8 +505,8 @@ func (s *Server) handleInstallStrategy(w http.ResponseWriter, r *http.Request) {
 	// the body is read and parsed — a slow or malformed upload must not
 	// occupy admission while doing no engine work. /stats stays exempt —
 	// it must answer while the pool is busy, that is its job.
-	_, release, ok := s.enter(w, r)
-	if !ok {
+	release, err := s.gate.Admit(r.Context())
+	if !s.admitted(w, err) {
 		return
 	}
 	defer release()
@@ -604,8 +606,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// delta does engine-adjacent work (relation builds, cache eviction),
 	// so it must not bypass the load bound. The slot is taken only after
 	// the body is parsed.
-	_, release, ok := s.enter(w, r)
-	if !ok {
+	release, err := s.gate.Admit(r.Context())
+	if !s.admitted(w, err) {
 		return
 	}
 	defer release()

@@ -247,7 +247,7 @@ func (db *DB) check() error {
 	return nil
 }
 
-// enter admits one query through the gate and counts it, translating a
+// enter admits one query through the gate, translating a
 // refusal into the facade's errors: a closed (draining) database answers
 // ErrClosed, an expired admission wait ErrOverloaded, and a deadline that
 // passed before a slot freed context.DeadlineExceeded. The returned
@@ -268,7 +268,6 @@ func (db *DB) enter(ctx context.Context) (context.Context, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db.queries.Add(1)
 	return qctx, release, nil
 }
 
@@ -492,6 +491,7 @@ func (db *DB) Query(ctx context.Context, src string) (*Result, error) {
 	if params := engine.Params(naive); len(params) > 0 {
 		return nil, fmt.Errorf("irdb: statement has parameters %v; use Prepare and bind them", params)
 	}
+	db.queries.Add(1)
 	rel, err := db.eng.Exec(qctx, plan)
 	if err != nil {
 		return nil, err
@@ -612,6 +612,7 @@ func (db *DB) Search(ctx context.Context, strategyName, query string, k int) ([]
 	if !ok {
 		return nil, fmt.Errorf("irdb: no strategy %q (installed: %v)", strategyName, db.StrategyNames())
 	}
+	db.queries.Add(1)
 	rel, err := st.Rank(qctx, db.eng, &strategy.Compiler{Query: query, Synonyms: db.synonyms}, k)
 	if err != nil {
 		return nil, err
@@ -641,6 +642,7 @@ func (db *DB) SearchDocs(ctx context.Context, query string, k int) ([]Hit, error
 		}
 		db.searcher.Store(s)
 	}
+	db.queries.Add(1)
 	irHits, err := s.Search(qctx, query, k)
 	if err != nil {
 		return nil, err

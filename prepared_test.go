@@ -171,6 +171,23 @@ func TestPreparedZeroRecompile(t *testing.T) {
 	if after.Queries-base.Queries != 25 {
 		t.Fatalf("Queries counter = %d, want 25", after.Queries-base.Queries)
 	}
+
+	// Admitted calls that fail before executing anything are not counted.
+	if _, err := stmt.Query(ctx, P("nosuch", "x")); err == nil {
+		t.Fatal("bad binding: want error")
+	}
+	if _, err := stmt.QueryStream(ctx); err == nil {
+		t.Fatal("missing binding on stream: want error")
+	}
+	if _, err := db.Query(ctx, `SELECT [`); err == nil {
+		t.Fatal("parse error: want error")
+	}
+	if _, err := db.Search(ctx, "no-such-strategy", "toy", 10); err == nil {
+		t.Fatal("unknown strategy: want error")
+	}
+	if got := db.Stats().Statements.Queries; got != after.Queries {
+		t.Fatalf("failed calls counted as queries: %d -> %d", after.Queries, got)
+	}
 }
 
 // TestPreparedSharesCacheAcrossBindings: sub-plans that do not depend on

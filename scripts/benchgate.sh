@@ -15,7 +15,6 @@
 # Environment:
 #   WORKLOAD  benchmark workload (default hot_search)
 #   RUNS      runs per side (default 3)
-#   KEEP      directory to copy the results files into (default: none)
 set -euo pipefail
 
 base_ref=${1:-origin/main}
@@ -57,10 +56,6 @@ for i in $(seq 1 "$runs"); do
 		breached=$((breached + 1))
 	fi
 done
-if [ -n "${KEEP:-}" ]; then
-	mkdir -p "$KEEP"
-	cp "$work"/base-*.json "$work"/head-*.json "$KEEP"/
-fi
 
 fail_at=$((runs / 2 + 1))
 echo "$workload: $breached of $runs pairs breached (the gate fails at $fail_at)"

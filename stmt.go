@@ -80,6 +80,7 @@ func (s *Stmt) Query(ctx context.Context, params ...Param) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.db.queries.Add(1)
 	rel, err := s.db.eng.Exec(qctx, plan)
 	if err != nil {
 		return nil, err

@@ -109,6 +109,7 @@ func (s *Stmt) QueryStream(ctx context.Context, params ...Param) (*Stream, error
 		release()
 		return nil, err
 	}
+	s.db.queries.Add(1)
 	rel, err := s.db.eng.Exec(qctx, plan)
 	if err != nil {
 		release()
