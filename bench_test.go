@@ -1,8 +1,7 @@
-// Package irdb's root benchmarks regenerate each experiment's core
-// measurement as a testing.B benchmark (one per table/figure of the
-// paper's reported numbers; see DESIGN.md for the experiment index).
-// cmd/benchrun produces the full report tables; these benches give
-// `go test -bench` visibility into the same code paths.
+// Package irdb's root benchmarks measure the paper's claims that the
+// end-to-end workloads in benchmark/ do not state on their own (one
+// BenchmarkE<n> family per claim). CLAIMS.md maps each claim E1–E9 to the
+// benchmark or workload metric that measures it, with its verdict.
 package irdb
 
 import (
@@ -173,18 +172,14 @@ func BenchmarkE3Boolean(b *testing.B) {
 }
 
 // BenchmarkE4AuctionStrategyHot: the Figure 3 two-branch strategy, hot
-// (section 3, "about 150ms per request").
+// (section 3, "about 150ms per request"), through Strategy.Rank — the
+// compile, optimize, top-k and exec that /search and DB.Search run.
 func BenchmarkE4AuctionStrategyHot(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
 	queries := workload.Queries(20, 3, 20000, 44)
 	strat := strategy.Auction(0.7, 0.3)
 	run := func(q string) error {
-		plan, err := strat.Compile(&strategy.Compiler{Query: q})
-		if err != nil {
-			return err
-		}
-		_, err = ctx.Exec(context.Background(), engine.NewTopN(plan, 50,
-			engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: triple.ColSubject}))
+		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q}, 50)
 		return err
 	}
 	if err := run(queries[0]); err != nil {
@@ -254,18 +249,14 @@ func BenchmarkE6InvertedIndexHot(b *testing.B) {
 }
 
 // BenchmarkE7ProductionStrategyHot: the 5-branch expanded production
-// strategy (section 3).
+// strategy (section 3), through the same Strategy.Rank as E4.
 func BenchmarkE7ProductionStrategyHot(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
 	queries := workload.Queries(20, 3, 20000, 45)
 	synonyms := text.SynonymDict(workload.Synonyms(20000, 200, 2, 42))
 	strat := strategy.Production()
 	run := func(q string) error {
-		plan, err := strat.Compile(&strategy.Compiler{Query: q, Synonyms: synonyms})
-		if err != nil {
-			return err
-		}
-		_, err = ctx.Exec(context.Background(), plan)
+		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q, Synonyms: synonyms}, 10)
 		return err
 	}
 	if err := run(queries[0]); err != nil {

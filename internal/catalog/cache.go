@@ -32,8 +32,8 @@ import (
 // entries evict only as many LRU bytes as they actually need. Auxiliary
 // entries (join indexes) share the same LRU order and byte budget:
 // values implementing Sized are weighed by their reported footprint,
-// others count as zero bytes but remain evictable. Statistics are exposed
-// for the E2/E5/E8 experiments, which measure exactly this mechanism.
+// others count as zero bytes but remain evictable. Statistics feed /stats
+// and the catalog.cache_* benchmark metrics.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int   // <= 0 means unbounded; bounds relation entries only

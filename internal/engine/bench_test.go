@@ -112,8 +112,7 @@ func BenchmarkTopN(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Morsel-parallel materialization microbenchmarks: each pair compares the
 // serial legacy path against the write-at-offset parallel path at 8
-// workers, on E8-shaped data (string key + numeric columns + random
-// probabilities).
+// workers, on a string key, numeric columns and random probabilities.
 
 // matRel builds the materialization benchmark input: n rows of (k string,
 // v int64, x float64) with nKeys distinct keys and random probabilities.

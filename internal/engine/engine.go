@@ -38,9 +38,9 @@ type Ctx struct {
 	Cat *catalog.Catalog
 	// UseCache enables the materialization cache for Materialize nodes.
 	UseCache bool
-	// CacheAll additionally caches every intermediate node. Used by tests
-	// and by the E2 experiment to emulate "cache tables for any
-	// intermediate result" (section 2.2).
+	// CacheAll additionally caches every intermediate node, emulating
+	// "cache tables for any intermediate result" (section 2.2). Only tests
+	// set it.
 	CacheAll bool
 	// Parallelism bounds the worker goroutines this context may run at
 	// once, across all concurrent queries sharing it. 0 (the default)

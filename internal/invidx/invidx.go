@@ -4,10 +4,13 @@
 // is not the focus of this study", section 2.1; references [5] and [10]
 // claim relational engines stay competitive).
 //
-// It serves as the baseline of experiment E6: same tokenization, same
-// stemming, same BM25 — but classic posting lists, document-at-a-time
-// scoring with per-query accumulators, and a top-k heap instead of
-// relational operators.
+// It has two roles. It is the reference implementation the relational
+// BM25 pipeline is checked against (TestMatchesRelationalPipeline: same
+// hits, scores and top-10 order), and the specialized side of the
+// BenchmarkE6RelationalHot / BenchmarkE6InvertedIndexHot pair in
+// CLAIMS.md. Same tokenization, same stemming, same BM25 — but classic
+// posting lists, document-at-a-time scoring with per-query accumulators,
+// and a top-k heap instead of relational operators.
 package invidx
 
 import (
@@ -28,26 +31,17 @@ type Posting struct {
 	TF  int32
 }
 
-// Index is an inverted index over a document collection. Search never
-// mutates it and is safe to call concurrently; Append grows it in place
-// (live ingest) and must be serialized with Search by the caller.
+// Index is an immutable inverted index over a document collection;
+// Search is safe to call concurrently.
 type Index struct {
-	params  ir.Params
-	stemmer stem.Stemmer
-	// terms is the frozen term dictionary Search reads; termDict is the
-	// retained mutable dictionary Append interns new terms into, whose
-	// Freeze successors preserve every existing term ID — the same
-	// append-only dictionary-growth scheme the triple store's delta
-	// segments use.
+	params   ir.Params
+	stemmer  stem.Stemmer
 	terms    *vector.FrozenDict
-	termDict *vector.Dict
 	postings [][]Posting // by termID
 	docLens  []int32     // by internal doc position
 	docIDs   []int64     // internal position → external ID
-	totalLen int64
 	avgdl    float64
-	// bm25IDF per termID, recomputed incrementally on Append.
-	idf []float64
+	idf      []float64 // BM25 IDF by termID
 }
 
 // Doc is one input document.
@@ -57,8 +51,8 @@ type Doc struct {
 }
 
 // Build constructs the index with the same text pipeline the relational
-// searcher uses (tokenizer + stemmer from params), so E6 compares engines
-// rather than analyzers. Only BM25 is supported.
+// searcher uses (tokenizer + stemmer from params), so a comparison measures
+// engines rather than analyzers. Only BM25 is supported.
 func Build(docs []Doc, p ir.Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -70,84 +64,54 @@ func Build(docs []Doc, p ir.Params) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{
-		params:   p,
-		stemmer:  st,
-		termDict: vector.NewDict(1024),
-	}
-	idx.addDocs(docs)
-	return idx, nil
-}
-
-// Append adds documents to an existing index — the inverted-index side of
-// live ingest. New terms intern into the retained mutable dictionary
-// (existing term IDs keep their meaning), postings for the new documents
-// append to the lists, and the collection statistics (avgdl, per-term
-// BM25 IDF) are recomputed incrementally from the running totals instead
-// of rebuilding the index. Append must be serialized with Search by the
-// caller; Search itself never mutates the index.
-func (x *Index) Append(docs []Doc) {
-	x.addDocs(docs)
-}
-
-// addDocs tokenizes and appends docs, refreezes the term dictionary when
-// it grew, and refreshes the collection statistics.
-func (x *Index) addDocs(docs []Doc) {
-	for _, d := range docs {
-		toks := x.params.Tokenizer.TokensPos(d.Data)
-		if x.params.WithCompounds {
+	x := &Index{params: p, stemmer: st}
+	dict := vector.NewDict(1024)
+	var totalLen int64
+	for pos, d := range docs {
+		toks := p.Tokenizer.TokensPos(d.Data)
+		if p.WithCompounds {
 			toks = text.CompoundVariants(toks)
 		}
-		pos := int32(len(x.docIDs))
 		counts := map[int32]int32{}
 		for _, tok := range toks {
-			term := x.stemmer.Stem(tok.Term)
-			tid := int32(x.termDict.Put(term))
+			tid := int32(dict.Put(st.Stem(tok.Term)))
 			if int(tid) == len(x.postings) {
 				x.postings = append(x.postings, nil)
 			}
 			counts[tid]++
 		}
-		// stable posting order: term IDs appended in doc order; postings
-		// per term are in increasing doc position by construction
+		// postings per term are in increasing doc position by construction;
+		// sorting the term IDs keeps the append order deterministic
 		tids := make([]int32, 0, len(counts))
 		for tid := range counts {
 			tids = append(tids, tid)
 		}
 		sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 		for _, tid := range tids {
-			x.postings[tid] = append(x.postings[tid], Posting{Doc: pos, TF: counts[tid]})
+			x.postings[tid] = append(x.postings[tid], Posting{Doc: int32(pos), TF: counts[tid]})
 		}
 		x.docLens = append(x.docLens, int32(len(toks)))
 		x.docIDs = append(x.docIDs, d.ID)
-		x.totalLen += int64(len(toks))
+		totalLen += int64(len(toks))
 	}
-	if x.terms == nil || x.terms.Len() != x.termDict.Len() {
-		x.terms = x.termDict.Freeze()
+	x.terms = dict.Freeze()
+	n := float64(len(docs))
+	if n > 0 {
+		x.avgdl = float64(totalLen) / n
 	}
-	x.refreshStats()
-}
-
-// refreshStats recomputes avgdl and the per-term IDF from the running
-// document totals. Document frequency is the posting-list length, so the
-// recompute is O(terms) regardless of collection size.
-func (x *Index) refreshStats() {
-	x.avgdl = 0
-	if len(x.docIDs) > 0 {
-		x.avgdl = float64(x.totalLen) / float64(len(x.docIDs))
-	}
-	n := float64(len(x.docIDs))
+	// Document frequency is the posting-list length.
 	x.idf = make([]float64, len(x.postings))
 	for tid, plist := range x.postings {
 		df := float64(len(plist))
 		ratio := (n - df + 0.5) / (df + 0.5)
-		if x.params.IDFPlusOne {
+		if p.IDFPlusOne {
 			ratio += 1
 		}
 		if ratio > 0 {
 			x.idf[tid] = math.Log(ratio)
 		}
 	}
+	return x, nil
 }
 
 // Stats summarizes the built index.

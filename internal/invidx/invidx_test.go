@@ -68,9 +68,9 @@ func TestSearchBasics(t *testing.T) {
 	}
 }
 
-// E6's core correctness claim: the dedicated engine and the relational
-// IR-on-DB pipeline must return identical rankings and scores on the same
-// collection, queries, and parameters.
+// The dedicated engine and the relational IR-on-DB pipeline must return
+// the same hits with the same scores, and the same top-10 order, on the
+// same collection, queries, and parameters.
 func TestMatchesRelationalPipeline(t *testing.T) {
 	gen := workload.GenDocs(300, 15, 2000, 21)
 	ivDocs := make([]Doc, len(gen))
@@ -114,6 +114,21 @@ func TestMatchesRelationalPipeline(t *testing.T) {
 			}
 			if math.Abs(h.Score-ws) > 1e-9 {
 				t.Errorf("query %q doc %s: invidx %g, relational %g", q, h.DocID, h.Score, ws)
+			}
+		}
+
+		wantTop, err := searcher.Search(context.Background(), q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTop := idx.Search(q, 10)
+		if len(gotTop) != len(wantTop) {
+			t.Fatalf("query %q top-10: %d vs %d hits", q, len(gotTop), len(wantTop))
+		}
+		for i := range wantTop {
+			if gotTop[i].DocID != wantTop[i].DocID {
+				t.Errorf("query %q top-10 rank %d: invidx doc %s, relational doc %s",
+					q, i, gotTop[i].DocID, wantTop[i].DocID)
 			}
 		}
 	}

@@ -347,6 +347,29 @@ func TestHotSearchUsesCache(t *testing.T) {
 	if ctx.Cat.Cache().Stats().Hits == 0 {
 		t.Error("no cache hits during hot search")
 	}
+
+	// A second searcher with identical parameters is served entirely from
+	// the shared cache: its index build adds no misses.
+	same, _ := NewSearcher(ctx, docs, DefaultParams())
+	misses := ctx.Cat.Cache().Stats().Misses
+	if err := same.BuildIndex(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx.Cat.Cache().Stats().Misses - misses; got != 0 {
+		t.Errorf("same-params searcher build missed the cache %d times", got)
+	}
+
+	// A different stemmer is a different index, built on demand.
+	p := DefaultParams()
+	p.Stemmer = "porter"
+	porter, _ := NewSearcher(ctx, docs, p)
+	misses = ctx.Cat.Cache().Stats().Misses
+	if err := porter.BuildIndex(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Cat.Cache().Stats().Misses == misses {
+		t.Error("porter-stemmer searcher build was served from the default-stemmer index")
+	}
 }
 
 func TestAllModelsRankRelevantFirst(t *testing.T) {

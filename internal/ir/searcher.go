@@ -42,7 +42,7 @@ func (s *Searcher) Params() Params { return s.p }
 func (s *Searcher) Docs() engine.Node { return s.docs }
 
 // BuildIndex forces materialization of every query-independent view (the
-// "cold" cost measured by experiment E5). It is optional: the first
+// cold cost BenchmarkE1IndexBuild measures). It is optional: the first
 // Search triggers the same work. c bounds the index build: a cancelled
 // build stops and caches nothing partial.
 func (s *Searcher) BuildIndex(c context.Context) error {

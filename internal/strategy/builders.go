@@ -2,8 +2,8 @@ package strategy
 
 // Prebuilt strategies reproducing the paper's figures. They are plain
 // data — the same structures a strategy designer would lay out in the
-// visual environment — and are used by the examples and the E4/E7
-// experiments.
+// visual environment — installed by irdb-server and
+// DB.InstallBuiltinStrategies, and measured by the root E4/E7 benchmarks.
 
 // Builtins returns the strategies shipped with the reproduction: the
 // Figure 2 toy strategy, the Figure 3 auction strategy (lot weight 0.7,

@@ -6,8 +6,8 @@ import (
 )
 
 // SynonymDict maps a term to its synonyms. The production strategy of
-// section 3 uses "query expansion with synonyms and compound terms"; the
-// E7 experiment exercises this code path.
+// section 3 uses "query expansion with synonyms and compound terms";
+// BenchmarkE7ProductionStrategyHot exercises this code path.
 type SynonymDict map[string][]string
 
 // Expand returns the query terms plus their synonyms, deduplicated,

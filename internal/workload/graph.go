@@ -107,10 +107,10 @@ func AuctionGraph(cfg AuctionConfig) []triple.Triple {
 }
 
 // WidePropertyGraph generates a graph with nProps distinct properties
-// spread over nSubjects subjects — the workload of experiment E2, which
-// reproduces the vertical-partitioning discussion (Abadi [1] vs
-// Sidirourgos [13]: per-property tables degrade as the number of
-// properties grows).
+// spread over nSubjects subjects — the data of the E2 benchmarks
+// (BenchmarkE2SelfJoinScan, BenchmarkE2OnDemandHot), which reproduce the
+// vertical-partitioning discussion (Abadi [1] vs Sidirourgos [13]:
+// per-property tables degrade as the number of properties grows).
 func WidePropertyGraph(nSubjects, nProps, vocabSize int, seed int64) []triple.Triple {
 	v := NewVocabulary(vocabSize, seed)
 	rng := rand.New(rand.NewSource(seed + 23))

@@ -110,7 +110,7 @@ type Doc struct {
 
 // GenDocs produces n documents of approximately meanLen tokens over a
 // vocabulary of vocabSize terms — the stand-in for the paper's 1.1M-doc
-// raw-text collection (E1/E5/E6).
+// raw-text collection.
 func GenDocs(n, meanLen, vocabSize int, seed int64) []Doc {
 	v := NewVocabulary(vocabSize, seed)
 	docs := make([]Doc, n)
@@ -122,7 +122,7 @@ func GenDocs(n, meanLen, vocabSize int, seed int64) []Doc {
 
 // DocsRelation loads generated docs into the (docID, data) relation shape
 // the relational searcher scans — the single ingest point for synthetic
-// document collections (experiments, benches, servers).
+// document collections (benches, tests, servers).
 //
 // The data column stays a plain string column on purpose: document
 // payloads are unique per row, so dictionary-encoding them would buy no
@@ -166,7 +166,7 @@ func Queries(n, termsPer, vocabSize int, seed int64) []string {
 
 // Synonyms builds a synonym dictionary over the most frequent maxTerms
 // vocabulary words, mapping each to nPerTerm random less-frequent words —
-// the dictionary driving query expansion in the production strategy (E7).
+// the dictionary driving query expansion in the production strategy.
 func Synonyms(vocabSize, maxTerms, nPerTerm int, seed int64) map[string][]string {
 	v := NewVocabulary(vocabSize, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
