@@ -247,38 +247,6 @@ type DictStats struct {
 	EncodedColumns  int   `json:"encoded_columns"`
 }
 
-// TableStats describes one base table for plan costing: its cardinality
-// and, for dict-encoded columns, an upper bound on distinct values (the
-// dictionary length; dictionaries may be shared across columns, so the
-// bound can be loose). These are the statistics the optimizer's memo costs
-// join build-side alternatives from.
-type TableStats struct {
-	Rows     int
-	Distinct map[string]int
-}
-
-// TableStats reports costing statistics for the named base table.
-func (c *Catalog) TableStats(name string) (TableStats, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rel, ok := c.tables[name]
-	if !ok {
-		return TableStats{}, false
-	}
-	st := TableStats{Rows: rel.NumRows()}
-	for _, col := range rel.Columns() {
-		if ds, isDict := col.Vec.(*vector.DictStrings); isDict {
-			if st.Distinct == nil {
-				st.Distinct = make(map[string]int)
-			}
-			if _, dup := st.Distinct[col.Name]; !dup {
-				st.Distinct[col.Name] = ds.Dict().Len()
-			}
-		}
-	}
-	return st, true
-}
-
 // DictStats reports dictionary-encoding statistics over all base tables.
 func (c *Catalog) DictStats() DictStats {
 	c.mu.RLock()

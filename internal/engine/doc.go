@@ -38,14 +38,13 @@
 //     semantics — see README.md's dictionary-encoding contract.
 //
 // Compiled plans pass through an optimizer (Optimize / Ctx.Optimize)
-// before execution: selection pushdown below joins and set operators,
-// statically-empty branch elimination, column pruning ahead of
-// materialization, and a memo that picks each hash join's build side
-// from catalog statistics (base-table row counts and dictionary-length
-// distinct bounds). Every rewrite preserves bit-identical results —
-// values, probabilities and row order — at any parallelism, and every
-// pass is conservative: a rewrite whose legality cannot be proven is
-// skipped. ExplainChange renders the before/after plans;
+// before execution: three rule passes — selection pushdown below joins
+// and set operators, statically-empty branch elimination, and column
+// pruning ahead of materialization. There is no cost model; a hash join
+// always builds on its right input. Every rewrite preserves bit-identical
+// results — values, probabilities and row order — at any parallelism,
+// and every pass is conservative: a rewrite whose legality cannot be
+// proven is skipped. ExplainChange renders the before/after plans;
 // Ctx.OptimizerStats counts what the passes did.
 //
 // See README.md in this package for the materialization model, the

@@ -53,13 +53,6 @@ type HashJoin struct {
 	LPos  []int
 	RPos  []int
 	PMode JoinProb
-	// BuildLeft, set by the optimizer when the left input is estimated
-	// smaller, builds the hash table on the left side and probes with the
-	// right, then restores the canonical left-major output order with a
-	// counting sort. Results are bit-identical to the default build-right
-	// execution, so the fingerprint — and every cache entry keyed by it —
-	// is shared between the two physical forms.
-	BuildLeft bool
 }
 
 // NewHashJoin joins l and r on pairwise equality of the named key columns.
@@ -113,12 +106,7 @@ func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 		}
 	}
 
-	var lSel, rSel []int
-	if j.BuildLeft {
-		lSel, rSel, err = j.matchBuildLeft(c, ctx, left, right, lIdx, rIdx)
-	} else {
-		lSel, rSel, err = j.matchBuildRight(c, ctx, left, right, lIdx, rIdx)
-	}
+	lSel, rSel, err := j.match(c, ctx, left, right, lIdx, rIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -172,12 +160,11 @@ func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	return relation.FromColumns(cols, prob)
 }
 
-// matchBuildRight is the default physical form: hash table over the right
-// input, probed with left rows. Pairs come out in the canonical order —
-// ascending left row, ties in ascending right row (bucket segments store
-// build rows ascending).
-func (j *HashJoin) matchBuildRight(c context.Context, ctx *Ctx, left, right *relation.Relation, lIdx, rIdx []int) ([]int, []int, error) {
-	idx, err := j.buildIndex(c, ctx, right, rIdx, j.R, j.rKeySpec())
+// match builds the hash table over the right input and probes it with left
+// rows. Pairs come out in the canonical order — ascending left row, ties in
+// ascending right row (bucket segments store build rows ascending).
+func (j *HashJoin) match(c context.Context, ctx *Ctx, left, right *relation.Relation, lIdx, rIdx []int) ([]int, []int, error) {
+	idx, err := j.buildIndex(c, ctx, right, rIdx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,31 +174,6 @@ func (j *HashJoin) matchBuildRight(c context.Context, ctx *Ctx, left, right *rel
 	rKeyVecs := colVecs(right, rIdx)
 	lKeyVecs := alignProbeVecs(ctx, colVecs(left, lIdx), rKeyVecs)
 	return probePairs(c, ctx, idx, lKeyVecs, rKeyVecs, left.NumRows())
-}
-
-// matchBuildLeft is the swapped physical form chosen by the optimizer when
-// the left input is estimated smaller: hash table over the left input,
-// probed with right rows. The probe emits pairs in right-major order; a
-// stable counting sort by left row restores the canonical left-major
-// order, so downstream output is bit-identical to matchBuildRight.
-func (j *HashJoin) matchBuildLeft(c context.Context, ctx *Ctx, left, right *relation.Relation, lIdx, rIdx []int) ([]int, []int, error) {
-	idx, err := j.buildIndex(c, ctx, left, lIdx, j.L, j.lKeySpec())
-	if err != nil {
-		return nil, nil, err
-	}
-	lKeyVecs := colVecs(left, lIdx)
-	rKeyVecs := alignProbeVecs(ctx, colVecs(right, rIdx), lKeyVecs)
-	rSel, lSel, err := probePairs(c, ctx, idx, rKeyVecs, lKeyVecs, right.NumRows())
-	if err != nil {
-		return nil, nil, err
-	}
-	// Budget the counting sort's scratch — the per-left-row prefix counts
-	// plus the two reordered pair lists — before it allocates.
-	if err := ctx.charge(c, int64(left.NumRows()+1+2*len(lSel))*8); err != nil {
-		return nil, nil, err
-	}
-	lSel, rSel = restoreJoinOrder(lSel, rSel, left.NumRows())
-	return lSel, rSel, nil
 }
 
 // probePairs probes the index with probeVecs and returns matching
@@ -278,30 +240,6 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 	return pSel, bSel, nil
 }
 
-// restoreJoinOrder stably reorders match pairs by ascending left row via a
-// counting sort — O(pairs + leftRows). The input arrives in right-major
-// order (right rows ascending, and within each right row ascending left
-// rows); stability therefore leaves right rows ascending within each left
-// row, which is exactly the canonical build-right output order.
-func restoreJoinOrder(lSel, rSel []int, leftRows int) ([]int, []int) {
-	counts := make([]int, leftRows+1)
-	for _, li := range lSel {
-		counts[li+1]++
-	}
-	for i := 1; i <= leftRows; i++ {
-		counts[i] += counts[i-1]
-	}
-	outL := make([]int, len(lSel))
-	outR := make([]int, len(rSel))
-	for k, li := range lSel {
-		pos := counts[li]
-		counts[li]++
-		outL[pos] = li
-		outR[pos] = rSel[k]
-	}
-	return outL, outR
-}
-
 // Fingerprint implements Node.
 func (j *HashJoin) Fingerprint() string {
 	return fmt.Sprintf("join[%s](%s=%s)(%s,%s)",
@@ -328,11 +266,7 @@ func (j *HashJoin) Children() []Node { return []Node{j.L, j.R} }
 
 // Label implements Node.
 func (j *HashJoin) Label() string {
-	build := ""
-	if j.BuildLeft {
-		build = " build=left"
-	}
-	return fmt.Sprintf("HashJoin[%s] %s=%s%s", j.PMode, j.lKeySpec(), j.rKeySpec(), build)
+	return fmt.Sprintf("HashJoin[%s] %s=%s", j.PMode, j.lKeySpec(), j.rKeySpec())
 }
 
 func checkPositions(r *relation.Relation, pos []int) ([]int, error) {
@@ -362,7 +296,9 @@ type joinIndex struct {
 // relation is not counted — it is cached, and weighed, separately.
 func (ix *joinIndex) EstimatedBytes() int64 { return ix.buckets.EstimatedBytes() }
 
-func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relation, keyIdx []int, sideNode Node, keySpec string) (*joinIndex, error) {
+// buildIndex hashes the build (right) side's key columns, sharing the
+// index through the aux cache when that side is a materialized sub-plan.
+func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relation, keyIdx []int) (*joinIndex, error) {
 	build := func(bc context.Context) (*joinIndex, error) {
 		idx := &joinIndex{seed: maphash.MakeSeed(), rel: side}
 		// The build side's own key vectors define the hash domain: a
@@ -386,16 +322,16 @@ func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relati
 		idx.buckets = buckets
 		return idx, nil
 	}
-	cacheable := ctx.UseCache && ctx.Cat != nil && (ctx.CacheAll || isMaterialize(sideNode))
+	cacheable := ctx.UseCache && ctx.Cat != nil && (ctx.CacheAll || isMaterialize(j.R))
 	if !cacheable {
 		return build(c)
 	}
 	// Single-flight the index build: concurrent joins probing the same
 	// materialized build side wait for one index instead of each building
 	// their own (the on-demand index tables of section 2.1).
-	key := "hashidx|" + sideNode.Fingerprint() + "|" + keySpec
+	key := "hashidx|" + j.R.Fingerprint() + "|" + j.rKeySpec()
 	for try := 0; try < 2; try++ {
-		v, _, err := ctx.Cat.Cache().GetOrComputeAuxDeps(c, key, ScanTables(sideNode), func(bc context.Context) (any, error) {
+		v, _, err := ctx.Cat.Cache().GetOrComputeAuxDeps(c, key, ScanTables(j.R), func(bc context.Context) (any, error) {
 			return build(bc)
 		})
 		if err != nil {

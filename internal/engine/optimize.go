@@ -8,9 +8,10 @@ import (
 )
 
 // Plan optimizer. Strategy compilation and the SpinQL compiler emit plans
-// exactly as written — selections above joins, full-width scans, build
-// sides chosen by syntax. Optimize rewrites such a plan into a cheaper
-// equivalent through a fixed pass pipeline:
+// exactly as written — selections above joins, full-width scans. Optimize
+// rewrites such a plan into a cheaper equivalent through three fixed rule
+// passes; no cost model is consulted, and every hash join keeps its
+// syntactic build side (the right input):
 //
 //  1. pushdownPass — merge adjacent Selects and sink predicates below
 //     joins, unions/concats, unites/distincts, extends and sorts, toward
@@ -22,10 +23,6 @@ import (
 //     materialize columns referenced downstream (scans narrow before
 //     gathers, join inputs narrow before the pair gather, materialized
 //     cache entries shrink).
-//  4. memoPass (memo.go) — group equivalent sub-plans by fingerprint,
-//     estimate cardinalities from catalog statistics, cost the build-side
-//     alternatives of every hash join, and extract the cheapest physical
-//     form (HashJoin.BuildLeft).
 //
 // Every rewrite preserves bit-identical results for valid plans at any
 // parallelism level — values, probabilities AND row order — because the
@@ -43,24 +40,20 @@ type OptInfo struct {
 	SelectsPushed int `json:"selects_pushed"`
 	EmptyRewrites int `json:"empty_rewrites"`
 	ColumnsPruned int `json:"columns_pruned"`
-	JoinsSwapped  int `json:"joins_swapped"`
-	GroupsCosted  int `json:"groups_costed"`
 }
 
 func (i OptInfo) changed() bool {
-	return i.SelectsMerged+i.SelectsPushed+i.EmptyRewrites+i.ColumnsPruned+i.JoinsSwapped > 0
+	return i.SelectsMerged+i.SelectsPushed+i.EmptyRewrites+i.ColumnsPruned > 0
 }
 
 // Optimize rewrites plan through the pass pipeline, using cat (which may
-// be nil) for schema resolution and cardinality statistics. The input plan
-// is never mutated; untouched sub-plans are shared between input and
-// output.
+// be nil) for schema resolution. The input plan is never mutated;
+// untouched sub-plans are shared between input and output.
 func Optimize(cat *catalog.Catalog, plan Node) (Node, OptInfo) {
 	var info OptInfo
 	plan = pushdownPass(cat, plan, &info)
 	plan = emptyPass(cat, plan, &info)
 	plan = prunePass(cat, plan, &info)
-	plan = memoPass(cat, plan, &info)
 	return plan, info
 }
 
@@ -74,8 +67,6 @@ func (c *Ctx) Optimize(plan Node) Node {
 	c.optSelectsPushed.Add(int64(info.SelectsPushed))
 	c.optEmptyRewrites.Add(int64(info.EmptyRewrites))
 	c.optColumnsPruned.Add(int64(info.ColumnsPruned))
-	c.optJoinsSwapped.Add(int64(info.JoinsSwapped))
-	c.optGroupsCosted.Add(int64(info.GroupsCosted))
 	if info.changed() {
 		c.optChanged.Add(1)
 	}
@@ -95,8 +86,6 @@ type OptInfoTotals struct {
 	SelectsPushed int64 `json:"selects_pushed"`
 	EmptyRewrites int64 `json:"empty_rewrites"`
 	ColumnsPruned int64 `json:"columns_pruned"`
-	JoinsSwapped  int64 `json:"joins_swapped"`
-	GroupsCosted  int64 `json:"groups_costed"`
 }
 
 // OptimizerStats returns the cumulative optimizer counters.
@@ -109,8 +98,6 @@ func (c *Ctx) OptimizerStats() OptimizerStats {
 			SelectsPushed: c.optSelectsPushed.Load(),
 			EmptyRewrites: c.optEmptyRewrites.Load(),
 			ColumnsPruned: c.optColumnsPruned.Load(),
-			JoinsSwapped:  c.optJoinsSwapped.Load(),
-			GroupsCosted:  c.optGroupsCosted.Load(),
 		},
 	}
 }
@@ -124,8 +111,6 @@ type optCounters struct {
 	optSelectsPushed atomic.Int64
 	optEmptyRewrites atomic.Int64
 	optColumnsPruned atomic.Int64
-	optJoinsSwapped  atomic.Int64
-	optGroupsCosted  atomic.Int64
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"irdb/internal/catalog"
@@ -14,10 +13,10 @@ import (
 	"irdb/internal/vector"
 )
 
-// The optimizer suite: each rewrite pass is pinned by golden Explain
-// output over hand-built plans, the memo's build-side choice is exercised
-// both ways, and a randomized differential proves optimized plans produce
-// bit-identical relations to their naive forms at parallelism 1, 2 and 8.
+// The optimizer suite: each of the three rewrite passes is pinned by
+// golden Explain output over hand-built plans, and a randomized
+// differential proves optimized plans produce bit-identical relations to
+// their naive forms at parallelism 1, 2 and 8.
 
 // eq builds the equality conjuncts the golden tests use.
 func eq(col, lit string) expr.Expr {
@@ -242,10 +241,9 @@ func TestPrunePassGolden(t *testing.T) {
 	})
 }
 
-// memoCatalog builds dict-encoded fact/dim tables whose dictionary
-// lengths give the memo usable distinct counts: fact(k,g,v) with nKeys
-// distinct keys, dim(k,w) with one row per key.
-func memoCatalog(t testing.TB, n, nKeys int) *catalog.Catalog {
+// factDimCatalog builds dict-encoded fact/dim tables: fact(k,g,v) with
+// nKeys distinct keys, dim(k,w) with one row per key.
+func factDimCatalog(t testing.TB, n, nKeys int) *catalog.Catalog {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	ks := make([]string, n)
@@ -287,67 +285,11 @@ func memoCatalog(t testing.TB, n, nKeys int) *catalog.Catalog {
 	return cat
 }
 
-func TestMemoPassJoinSideChoice(t *testing.T) {
-	cat := memoCatalog(t, 4096, 512)
-
-	t.Run("selective-probe-swaps-build-side", func(t *testing.T) {
-		// The filtered left side is estimated at ~8 rows against dim's
-		// 512: building left (plus the order restore over the tiny
-		// output) beats building the 512-row right side.
-		sel := NewSelect(NewScan("fact"), eq("k", "key000007"))
-		plan := NewHashJoin(sel, NewScan("dim"), []string{"k"}, []string{"k"}, JoinLeft)
-		var info OptInfo
-		out := memoPass(cat, plan, &info)
-		j, ok := out.(*HashJoin)
-		if !ok || !j.BuildLeft {
-			t.Fatalf("expected BuildLeft join, got:\n%s", Explain(out))
-		}
-		if info.JoinsSwapped != 1 {
-			t.Errorf("JoinsSwapped = %d, want 1", info.JoinsSwapped)
-		}
-		if !strings.Contains(j.Label(), "build=left") {
-			t.Errorf("label %q should advertise the build side", j.Label())
-		}
-		if j.Fingerprint() != plan.Fingerprint() {
-			t.Error("BuildLeft must not change the fingerprint (cache identity)")
-		}
-	})
-
-	t.Run("large-probe-keeps-default", func(t *testing.T) {
-		// Unfiltered fact (4096 rows) probing dim (512): the default
-		// build-right is already the cheap side.
-		plan := NewHashJoin(NewScan("fact"), NewScan("dim"), []string{"k"}, []string{"k"}, JoinLeft)
-		var info OptInfo
-		out := memoPass(cat, plan, &info)
-		if j, ok := out.(*HashJoin); !ok || j.BuildLeft {
-			t.Fatalf("expected default build-right join, got:\n%s", Explain(out))
-		}
-		if info.JoinsSwapped != 0 {
-			t.Errorf("JoinsSwapped = %d, want 0", info.JoinsSwapped)
-		}
-	})
-
-	t.Run("unknown-stats-never-swap", func(t *testing.T) {
-		// A Values input has no catalog statistics; without both sides
-		// known the memo must not guess.
-		vals := relation.MustFromColumns([]relation.Column{
-			{Name: "k", Vec: vector.FromStrings([]string{"key000007"})},
-		}, nil)
-		plan := NewHashJoin(NewValues("v1", vals), NewScan("dim"), []string{"k"}, []string{"k"}, JoinLeft)
-		var info OptInfo
-		// Values DOES know its row count; drop the catalog instead so the
-		// scan side is unknown.
-		out := memoPass(nil, plan, &info)
-		if j, ok := out.(*HashJoin); !ok || j.BuildLeft {
-			t.Fatalf("expected default join under unknown stats, got:\n%s", Explain(out))
-		}
-	})
-}
-
-// TestBuildLeftManyToMany executes the same duplicate-heavy join in both
-// physical forms at several parallelism settings and requires the exact
-// canonical output (build-right at parallelism 1) from each.
-func TestBuildLeftManyToMany(t *testing.T) {
+// TestJoinManyToMany executes a duplicate-heavy join, with right keys that
+// match nothing, at several parallelism settings and requires the exact
+// output of parallelism 1 from each: the per-morsel probe lists must merge
+// back into ascending left rows with ascending right rows per left row.
+func TestJoinManyToMany(t *testing.T) {
 	n := 3 * minMorsel
 	ks := make([]string, n)
 	vs := make([]int64, n)
@@ -387,17 +329,22 @@ func TestBuildLeftManyToMany(t *testing.T) {
 	if want.NumRows() == 0 {
 		t.Fatal("degenerate test: join produced no rows")
 	}
-	for _, par := range []int{1, 2, 8} {
-		for _, buildLeft := range []bool{false, true} {
-			j := NewHashJoin(NewScan("L"), NewScan("R"), []string{"k"}, []string{"k"}, JoinIndependent)
-			j.BuildLeft = buildLeft
-			ctx := &Ctx{Cat: cat, Parallelism: par}
-			got, err := ctx.Exec(context.Background(), j)
-			if err != nil {
-				t.Fatalf("par=%d buildLeft=%v: %v", par, buildLeft, err)
-			}
-			mustEqualRelations(t, fmt.Sprintf("par=%d buildLeft=%v", par, buildLeft), got, want)
+	// v is the left row number and w three times the right one: the
+	// canonical order sorts pairs by (v, w).
+	v := want.Col(want.ColIndex("v")).Vec.(*vector.Int64s).Values()
+	w := want.Col(want.ColIndex("w")).Vec.(*vector.Int64s).Values()
+	for i := 1; i < len(v); i++ {
+		if v[i] < v[i-1] || v[i] == v[i-1] && w[i] <= w[i-1] {
+			t.Fatalf("row %d: pair (%d,%d) after (%d,%d), want ascending left then right rows", i, v[i], w[i], v[i-1], w[i-1])
 		}
+	}
+	for _, par := range []int{1, 2, 8} {
+		ctx := &Ctx{Cat: cat, Parallelism: par}
+		got, err := ctx.Exec(context.Background(), canonical)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		mustEqualRelations(t, fmt.Sprintf("par=%d", par), got, want)
 	}
 }
 
@@ -458,7 +405,7 @@ func randomPlan(rng *rand.Rand, depth int) Node {
 // the naive plan at parallelism 1; the optimized plan must reproduce it
 // bit-identically (rows, order, probabilities) at parallelism 1, 2 and 8.
 func TestOptimizedEquivalenceRandom(t *testing.T) {
-	seedCat := memoCatalog(t, 3*minMorsel, 512)
+	seedCat := factDimCatalog(t, 3*minMorsel, 512)
 	fact, err := seedCat.Table("fact")
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +464,7 @@ func TestOptimizedEquivalenceRandom(t *testing.T) {
 // TestCtxOptimizeCounters: Ctx.Optimize accumulates per-plan pass
 // counters into the context's OptimizerStats.
 func TestCtxOptimizeCounters(t *testing.T) {
-	cat := memoCatalog(t, 4096, 512)
+	cat := factDimCatalog(t, 4096, 512)
 	ctx := &Ctx{Cat: cat, Parallelism: 1, UseCache: true}
 	plan := NewSelect(
 		NewHashJoin(NewScan("fact"), NewScan("dim"), []string{"k"}, []string{"k"}, JoinLeft),

@@ -17,13 +17,12 @@
 // lets buildBuckets charge 48 bytes/row once and have newOpenTable's
 // internal allocations ride under that umbrella without annotations.
 //
-// Plan-time files (bind.go, optimize.go, rewrite.go, memo.go, deps.go,
-// explain.go) are exempt wholesale: their allocations are O(plan) —
-// proportional to the query text, not the data — and the budget
-// governs data, not parse trees. Remaining legitimate exceptions
-// (O(parallelism) scratch, allocations sized by an earlier charge in a
-// different function the call graph cannot see) carry
-// //lint:allow chargedalloc <reason>.
+// Plan-time files (bind.go, optimize.go, rewrite.go, deps.go, explain.go)
+// are exempt wholesale: their allocations are O(plan) — proportional to
+// the query text, not the data — and the budget governs data, not parse
+// trees. Remaining legitimate exceptions (O(parallelism) scratch,
+// allocations sized by an earlier charge in a different function the
+// call graph cannot see) carry //lint:allow chargedalloc <reason>.
 package chargedalloc
 
 import (
@@ -58,7 +57,7 @@ var chargePkgFuncs = map[string]bool{"Charge": true, "Grow": true, "WithReservat
 // data; the memory budget does not govern them.
 var planTimeFiles = map[string]bool{
 	"bind.go": true, "optimize.go": true, "rewrite.go": true,
-	"memo.go": true, "deps.go": true, "explain.go": true,
+	"deps.go": true, "explain.go": true,
 }
 
 // funcInfo is the per-function summary the fixpoint runs over.

@@ -86,6 +86,21 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 }
 
+// TestSearchMatchingNothing: the toy strategy over auction data selects
+// no text at all; that is an empty ranking, not a server error.
+func TestSearchMatchingNothing(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if err := srv.Install(strategy.Toy()); err != nil {
+		t.Fatal(err)
+	}
+	v := workload.NewVocabulary(500, 7)
+	var resp SearchResponse
+	code := getJSON(t, fmt.Sprintf("%s/search?strategy=toy-products&q=%s&k=5", ts.URL, url.QueryEscape(v.Word(10))), &resp)
+	if code != http.StatusOK || len(resp.Results) != 0 {
+		t.Fatalf("status = %d, results = %+v; want 200 with no results", code, resp.Results)
+	}
+}
+
 func TestSearchValidation(t *testing.T) {
 	_, ts := newTestServer(t)
 	cases := []struct {

@@ -114,19 +114,25 @@ func init() {
 			return nil, fmt.Errorf("stem: want 2 arguments (term, stemmer name), got %d", len(args))
 		}
 		names, ok := vector.AsStringColumn(args[1])
-		if !ok || names.Len() == 0 {
+		if !ok {
 			return nil, fmt.Errorf("stem: second argument must be a string stemmer name")
 		}
-		s, err := Get(names.StringAt(0))
-		if err != nil {
-			return nil, err
+		// Zero rows carry no name to resolve and no term to stem; the
+		// empty term column still passes through the kind check below.
+		stemFn := identity{}.Stem
+		if names.Len() > 0 {
+			s, err := Get(names.StringAt(0))
+			if err != nil {
+				return nil, err
+			}
+			stemFn = s.Stem
 		}
 		// MapStrings stems a dict-encoded term column once per distinct
 		// token (stems that collide are re-interned so the output dict
 		// stays injective) — O(vocabulary) stemmer calls instead of
 		// O(tokens), and the output stays dict-encoded for the joins and
 		// group-bys downstream.
-		out, ok := vector.MapStrings(args[0], s.Stem)
+		out, ok := vector.MapStrings(args[0], stemFn)
 		if !ok {
 			return nil, fmt.Errorf("stem: first argument is %v, want string", args[0].Kind())
 		}

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"irdb/internal/expr"
+	"irdb/internal/vector"
 )
 
 func TestRegistry(t *testing.T) {
@@ -225,5 +228,39 @@ func TestEnglishApostrophes(t *testing.T) {
 	}
 	if got := s.Stem("'cause"); got != s.Stem("cause") {
 		t.Errorf("leading apostrophe not stripped: %q", got)
+	}
+}
+
+// TestStemUDFZeroRows: over zero rows there is no stemmer name to read,
+// so stem() returns an empty string column instead of failing, while the
+// argument kinds are still checked.
+func TestStemUDFZeroRows(t *testing.T) {
+	f, ok := expr.LookupFunc("stem")
+	if !ok {
+		t.Fatal("stem is not registered")
+	}
+	empty := vector.FromStrings(nil)
+	out, err := f.Eval([]vector.Vector{empty, vector.FromStrings(nil)}, 0)
+	if err != nil {
+		t.Fatalf("zero rows: %v", err)
+	}
+	if out.Kind() != vector.String || out.Len() != 0 {
+		t.Errorf("zero rows: got %v of length %d, want an empty string column", out.Kind(), out.Len())
+	}
+	if _, err := f.Eval([]vector.Vector{vector.FromInt64s(nil), vector.FromStrings(nil)}, 0); err == nil {
+		t.Error("zero rows, int64 terms: want a kind error")
+	}
+	if _, err := f.Eval([]vector.Vector{empty, vector.FromInt64s(nil)}, 0); err == nil {
+		t.Error("zero rows, int64 stemmer name: want a kind error")
+	}
+	if _, err := f.Eval([]vector.Vector{vector.FromStrings([]string{"runs"}), vector.FromStrings([]string{"sb-klingon"})}, 1); err == nil {
+		t.Error("one row, unknown stemmer: want an error")
+	}
+	got, err := f.Eval([]vector.Vector{vector.FromStrings([]string{"ponies"}), vector.FromStrings([]string{"s"})}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := vector.AsStringColumn(got); s.StringAt(0) != "pony" {
+		t.Errorf("one row: stem(ponies, s) = %q, want pony", s.StringAt(0))
 	}
 }

@@ -693,8 +693,10 @@ type OptimizerStats struct {
 	SelectsPushed int64
 	EmptyRewrites int64
 	ColumnsPruned int64
-	JoinsSwapped  int64
-	GroupsCosted  int64
+	// Deprecated: always 0. The optimizer has no cost-based memo, so no
+	// plan groups are costed; the field stays only because the benchmark
+	// (benchmark/facade.go) still reads it.
+	GroupsCosted int64
 }
 
 // StatementStats counts the query-processing front end: how many parses
@@ -853,8 +855,6 @@ func (db *DB) Stats() Stats {
 			SelectsPushed: os.SelectsPushed,
 			EmptyRewrites: os.EmptyRewrites,
 			ColumnsPruned: os.ColumnsPruned,
-			JoinsSwapped:  os.JoinsSwapped,
-			GroupsCosted:  os.GroupsCosted,
 		},
 		Statements: StatementStats{
 			Parses:   db.parses.Load(),

@@ -124,3 +124,41 @@ func TestSearchDocsCachesSearcher(t *testing.T) {
 		t.Fatalf("post-reload hits = %+v, want d2", hits)
 	}
 }
+
+// TestSearchMatchingNothing: a search with an empty text set — every
+// builtin strategy over triples none of its blocks select, auction-lots
+// over a lot with no auction, and SearchDocs over an empty corpus —
+// ranks what text there is and returns no error.
+func TestSearchMatchingNothing(t *testing.T) {
+	db := openT(t, WithParallelism(2))
+	t.Cleanup(func() { db.Close() })
+	if err := db.LoadTriples([]Triple{{Subject: "x1", Property: "colour", Object: "red", P: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadDocs([]Doc{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range db.InstallBuiltinStrategies() {
+		hits, err := db.Search(context.Background(), name, "wooden train", 10)
+		if err != nil || len(hits) != 0 {
+			t.Errorf("Search(%s) = %v, %v; want no hits and nil", name, hits, err)
+		}
+	}
+	hits, err := db.SearchDocs(context.Background(), "wooden train", 10)
+	if err != nil || len(hits) != 0 {
+		t.Errorf("SearchDocs on an empty corpus = %v, %v; want no hits and nil", hits, err)
+	}
+
+	// The auction branch of auction-lots has no text; the lot branch
+	// still ranks the lot.
+	if err := db.LoadTriples([]Triple{
+		{Subject: "lot1", Property: "type", Object: "lot", P: 1},
+		{Subject: "lot1", Property: "description", Object: "wooden train", P: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hits, err = db.Search(context.Background(), "auction-lots", "wooden train", 10)
+	if err != nil || len(hits) != 1 || hits[0].ID != "lot1" {
+		t.Errorf("auction-lots over a lot with no auction = %v, %v; want lot1 and nil", hits, err)
+	}
+}
