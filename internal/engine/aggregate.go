@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
-	"strings"
 
 	"irdb/internal/relation"
 	"irdb/internal/vector"
@@ -103,6 +102,7 @@ func (g GroupProb) String() string {
 // columns followed by one column per AggSpec; output order is first
 // appearance of each group, keeping results deterministic.
 type Aggregate struct {
+	ident
 	Child   Node
 	GroupBy []string
 	Aggs    []AggSpec
@@ -111,7 +111,16 @@ type Aggregate struct {
 
 // NewAggregate builds an aggregation node.
 func NewAggregate(child Node, groupBy []string, aggs []AggSpec, pmode GroupProb) *Aggregate {
-	return &Aggregate{Child: child, GroupBy: groupBy, Aggs: aggs, PMode: pmode}
+	h := newHasher("aggregate")
+	h.int(int(pmode))
+	h.strs(groupBy)
+	h.int(len(aggs))
+	for _, a := range aggs {
+		h.int(int(a.Op))
+		h.str(a.Col)
+		h.str(a.As)
+	}
+	return &Aggregate{ident: h.finish(child), Child: child, GroupBy: groupBy, Aggs: aggs, PMode: pmode}
 }
 
 // Execute implements Node.
@@ -685,26 +694,6 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 	return nil, fmt.Errorf("unknown aggregate op %v", spec.Op)
 }
 
-// Fingerprint implements Node.
-func (a *Aggregate) Fingerprint() string {
-	var b strings.Builder
-	b.WriteString("agg[")
-	b.WriteString(a.PMode.String())
-	b.WriteString("](")
-	b.WriteString(strings.Join(a.GroupBy, "|"))
-	b.WriteString(";")
-	for i, s := range a.Aggs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s:%s:%s", s.Op, s.Col, s.As)
-	}
-	b.WriteString(")(")
-	b.WriteString(a.Child.Fingerprint())
-	b.WriteString(")")
-	return b.String()
-}
-
 // Children implements Node.
 func (a *Aggregate) Children() []Node { return []Node{a.Child} }
 
@@ -720,6 +709,7 @@ func (a *Aggregate) Label() string {
 // the probabilities of collapsed duplicates according to PMode. This is
 // the probabilistic PROJECT of PRA once composed with a Project node.
 type Distinct struct {
+	ident
 	Child Node
 	PMode GroupProb
 }
@@ -727,7 +717,9 @@ type Distinct struct {
 // NewDistinct deduplicates child rows with the given probability combine
 // mode.
 func NewDistinct(child Node, pmode GroupProb) *Distinct {
-	return &Distinct{Child: child, PMode: pmode}
+	h := newHasher("distinct")
+	h.int(int(pmode))
+	return &Distinct{ident: h.finish(child), Child: child, PMode: pmode}
 }
 
 // Execute implements Node.
@@ -737,11 +729,6 @@ func (d *Distinct) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 		return nil, err
 	}
 	return aggregateRel(c, ctx, in, in.ColumnNames(), nil, d.PMode)
-}
-
-// Fingerprint implements Node.
-func (d *Distinct) Fingerprint() string {
-	return fmt.Sprintf("distinct[%s](%s)", d.PMode, d.Child.Fingerprint())
 }
 
 // Children implements Node.

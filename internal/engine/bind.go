@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"irdb/internal/expr"
 )
@@ -10,13 +11,15 @@ import (
 //
 // A prepared SpinQL statement compiles once into a plan that may contain
 // expr.Param placeholders (?name). Bind produces an executable plan from
-// it by substituting literals for the placeholders — a structural copy of
-// only the param-dependent spine of the tree. Subtrees without parameters
-// are returned as-is (pointer-shared with the prepared plan), so their
-// fingerprints — and therefore their materialization cache entries — are
-// shared across every binding. Binding does no parsing, no compilation
-// and no schema checking; it is the "bind literals per execution" step,
-// typically thousands of times cheaper than re-parsing the statement.
+// it by substituting literals for the placeholders — a rebuild, through
+// the node constructors, of only the param-dependent spine of the tree.
+// Subtrees without parameters are returned as-is (pointer-shared with the
+// prepared plan), so their digests — and therefore their materialization
+// cache entries — are shared across every binding, and binding hashes only
+// the nodes on a path from a parameter to the root. Binding does no
+// parsing, no compilation and no schema checking; it is the "bind literals
+// per execution" step, typically thousands of times cheaper than
+// re-parsing the statement.
 
 // Params returns the names of every parameter placeholder in the plan, in
 // first-appearance order (pre-order over the tree, expressions before
@@ -53,210 +56,56 @@ func nodeExprs(n Node) []expr.Expr {
 }
 
 // Bind returns plan with every expr.Param replaced by its binding.
-// Unbound parameters are an error, as is a plan containing an operator
+// Unbound parameters are an error, as is a parameter under an operator
 // type Bind does not know how to rebuild (none of the operators SpinQL
-// compiles to).
+// compiles to). A subtree without parameters comes back as the same Node.
 func Bind(plan Node, lookup func(name string) (expr.Lit, bool)) (Node, error) {
-	n, _, err := bindNode(plan, lookup)
-	return n, err
-}
-
-// bindNode rebuilds the subtree under n with parameters substituted,
-// returning n itself (and changed=false) when the subtree holds none.
-func bindNode(n Node, lookup func(name string) (expr.Lit, bool)) (Node, bool, error) {
-	switch x := n.(type) {
-	case *Scan, *Values:
-		return n, false, nil
+	kids := plan.Children()
+	bound := make([]Node, len(kids))
+	for i, c := range kids {
+		b, err := Bind(c, lookup)
+		if err != nil {
+			return nil, err
+		}
+		bound[i] = b
+	}
+	switch x := plan.(type) {
 	case *Select:
-		pred, pc, err := expr.Bind(x.Pred, lookup)
+		pred, changed, err := expr.Bind(x.Pred, lookup)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		child, cc, err := bindNode(x.Child, lookup)
-		if err != nil {
-			return nil, false, err
+		if changed {
+			return NewSelect(bound[0], pred), nil
 		}
-		if !pc && !cc {
-			return n, false, nil
-		}
-		return &Select{Child: child, Pred: pred}, true, nil
 	case *Project:
 		cols := make([]ProjCol, len(x.Cols))
 		changed := false
 		for i, pc := range x.Cols {
 			e, ec, err := expr.Bind(pc.E, lookup)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			cols[i] = ProjCol{Name: pc.Name, E: e}
 			changed = changed || ec
 		}
-		child, cc, err := bindNode(x.Child, lookup)
-		if err != nil {
-			return nil, false, err
+		if changed {
+			return NewProject(bound[0], cols...), nil
 		}
-		if !changed && !cc {
-			return n, false, nil
-		}
-		return &Project{Child: child, Cols: cols}, true, nil
 	case *Extend:
-		e, ec, err := expr.Bind(x.E, lookup)
+		e, changed, err := expr.Bind(x.E, lookup)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		child, cc, err := bindNode(x.Child, lookup)
-		if err != nil {
-			return nil, false, err
+		if changed {
+			return NewExtend(bound[0], x.Name, e), nil
 		}
-		if !ec && !cc {
-			return n, false, nil
-		}
-		return &Extend{Child: child, Name: x.Name, E: e}, true, nil
-	case *HashJoin:
-		l, lc, err := bindNode(x.L, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rc, err := bindNode(x.R, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		if !lc && !rc {
-			return n, false, nil
-		}
-		cp := *x
-		cp.L, cp.R = l, r
-		return &cp, true, nil
-	case *Union:
-		l, lc, err := bindNode(x.L, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rc, err := bindNode(x.R, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		if !lc && !rc {
-			return n, false, nil
-		}
-		return &Union{L: l, R: r}, true, nil
-	case *Unite:
-		l, lc, err := bindNode(x.L, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rc, err := bindNode(x.R, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		if !lc && !rc {
-			return n, false, nil
-		}
-		return &Unite{L: l, R: r, PMode: x.PMode}, true, nil
-	case *Subtract:
-		l, lc, err := bindNode(x.L, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rc, err := bindNode(x.R, lookup)
-		if err != nil {
-			return nil, false, err
-		}
-		if !lc && !rc {
-			return n, false, nil
-		}
-		return &Subtract{L: l, R: r, Boolean: x.Boolean}, true, nil
-	case *Concat:
-		inputs := make([]Node, len(x.Inputs))
-		changed := false
-		for i, in := range x.Inputs {
-			b, bc, err := bindNode(in, lookup)
-			if err != nil {
-				return nil, false, err
-			}
-			inputs[i] = b
-			changed = changed || bc
-		}
-		if !changed {
-			return n, false, nil
-		}
-		return &Concat{Inputs: inputs}, true, nil
-	case *Aggregate:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			cp := *x
-			cp.Child = ch
-			return &cp
-		})
-	case *Distinct:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &Distinct{Child: ch, PMode: x.PMode}
-		})
-	case *Sort:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &Sort{Child: ch, Keys: x.Keys}
-		})
-	case *TopN:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &TopN{Child: ch, Keys: x.Keys, N: x.N}
-		})
-	case *Limit:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &Limit{Child: ch, N: x.N}
-		})
-	case *Rename:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &Rename{Child: ch, Names: x.Names}
-		})
-	case *Materialize:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &Materialize{Child: ch}
-		})
-	case *Normalize:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &Normalize{Child: ch, KeyPos: x.KeyPos, Mode: x.Mode}
-		})
-	case *ScaleProb:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &ScaleProb{Child: ch, Factor: x.Factor}
-		})
-	case *ProbFromCol:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			cp := *x
-			cp.Child = ch
-			return &cp
-		})
-	case *ProbToCol:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &ProbToCol{Child: ch, Name: x.Name}
-		})
-	case *RowNumber:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			return &RowNumber{Child: ch, Name: x.Name}
-		})
-	case *Tokenize:
-		return bindSingleChild(n, x.Child, lookup, func(ch Node) Node {
-			cp := *x
-			cp.Child = ch
-			return &cp
-		})
 	}
-	// Unknown operator (a custom Node implementation): safe to keep only
-	// if nothing below it needs substitution.
-	if len(collectParams(n, nil)) > 0 {
-		return nil, false, fmt.Errorf("engine: cannot bind parameters under operator %T", n)
+	if slices.Equal(kids, bound) {
+		return plan, nil
 	}
-	return n, false, nil
-}
-
-// bindSingleChild handles the common single-child, no-expression node
-// shape: rebuild via mk only when the child changed.
-func bindSingleChild(n, child Node, lookup func(string) (expr.Lit, bool), mk func(Node) Node) (Node, bool, error) {
-	b, changed, err := bindNode(child, lookup)
-	if err != nil {
-		return nil, false, err
+	if out := rebuild(plan, bound); out != plan {
+		return out, nil
 	}
-	if !changed {
-		return n, false, nil
-	}
-	return mk(b), true, nil
+	return nil, fmt.Errorf("engine: cannot bind parameters under operator %T", plan)
 }

@@ -134,38 +134,69 @@ func TestCancelDuringNormalize(t *testing.T) {
 	runCancelled(t, ctx, plan)
 }
 
-// TestCancelledNeverCached: an execution aborted mid-plan must not leave
-// a partial relation in the materialization cache.
+// TestCancelledNeverCached: an execution cancelled mid-plan must not
+// leave a partial relation in the materialization cache. The cancellation
+// is deterministic — a cancelNode inside the cached subtree cancels the
+// query once its input is read — and the join is small (4 000 probe rows
+// × 20 matches), so the test never skips and stays cheap under -race.
 func TestCancelledNeverCached(t *testing.T) {
 	cat := catalog.New(0)
-	cat.Put("build", cancelRel(50_000, 100, 5))
-	cat.Put("probe", cancelRel(100_000, 100, 6))
+	cat.Put("build", cancelRel(2_000, 100, 5))
+	cat.Put("probe", cancelRel(4_000, 100, 6))
 	ctx := NewCtx(cat)
 	ctx.Parallelism = 2
-	plan := NewMaterialize(NewHashJoin(NewScan("probe"), NewScan("build"),
-		[]string{"k"}, []string{"k"}, JoinIndependent))
+	plan := func(cancel context.CancelFunc) Node {
+		return NewMaterialize(NewHashJoin(NewScan("probe"), newCancelNode(NewScan("build"), cancel),
+			[]string{"k"}, []string{"k"}, JoinIndependent))
+	}
 
 	c, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := ctx.Exec(c, plan); err != context.Canceled {
-		t.Skipf("plan finished before cancellation (%v); nothing to assert", err)
+	defer cancel()
+	if _, err := ctx.Exec(c, plan(cancel)); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := cat.Cache().Len(); n != 0 {
 		t.Fatalf("cache holds %d entries after a cancelled execution, want 0", n)
 	}
-	// The same plan must now compute cleanly and cache its full result.
-	want, err := ctx.Exec(context.Background(), plan)
+	// The same plan, left uncancelled, computes cleanly and caches its
+	// full result under the same digest.
+	clean := plan(nil)
+	want, err := ctx.Exec(context.Background(), clean)
 	if err != nil {
 		t.Fatalf("re-execution: %v", err)
 	}
-	cached, hit := cat.Cache().Get(plan.Fingerprint())
+	cached, hit := cat.Cache().Get(clean.Fingerprint())
 	if !hit || cached.NumRows() != want.NumRows() {
 		t.Fatalf("clean re-execution not cached correctly (hit=%v)", hit)
 	}
 }
+
+// cancelNode executes its child, then calls cancel, when set, and waits
+// until the cancellation reaches the context it runs under. Inside a cache
+// flight that context is cancelled once the last caller has detached, so
+// the flight always ends under a cancelled context. cancel is not part of
+// the node's identity.
+type cancelNode struct {
+	ident
+	Child  Node
+	cancel context.CancelFunc
+}
+
+func newCancelNode(child Node, cancel context.CancelFunc) *cancelNode {
+	h := newHasher("cancel")
+	return &cancelNode{ident: h.finish(child), Child: child, cancel: cancel}
+}
+
+func (n *cancelNode) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
+	rel, err := ctx.Exec(c, n.Child)
+	if n.cancel != nil {
+		n.cancel()
+		<-c.Done()
+	}
+	return rel, err
+}
+func (n *cancelNode) Children() []Node { return []Node{n.Child} }
+func (n *cancelNode) Label() string    { return "Cancel" }
 
 // flipCtx is a context whose Err() becomes context.Canceled after a
 // fixed number of Err() calls — a deterministic way to land cancellation

@@ -21,13 +21,17 @@ type Node interface {
 	// phases, so a cancelled query stops without waiting for plan
 	// completion.
 	Execute(c context.Context, ctx *Ctx) (*relation.Relation, error)
-	// Fingerprint returns a canonical structural identity for the subtree,
-	// used as the materialization cache key.
+	// Fingerprint returns the subtree's 16-byte plan digest (binary, not
+	// text), computed once by the node's constructor; it keys the
+	// materialization cache. See README.md "Plan identity".
 	Fingerprint() string
 	// Children returns the direct child plans.
 	Children() []Node
 	// Label returns a short operator description for EXPLAIN output.
 	Label() string
+	// identity returns the digest and scan set the constructor computed.
+	// It is unexported, so only this package's constructors make Nodes.
+	identity() *ident
 }
 
 // Ctx carries everything a plan needs to run: the catalog (base tables +
@@ -113,7 +117,7 @@ func (ctx *Ctx) Exec(c context.Context, n Node) (*relation.Relation, error) {
 	}
 	cacheable := ctx.UseCache && ctx.Cat != nil && (ctx.CacheAll || isMaterialize(n))
 	// Unwrap Materialize before executing: it shares its child's
-	// fingerprint, so executing through it would re-enter the same
+	// identity, so executing through it would re-enter the same
 	// single-flight key and deadlock on our own in-flight computation.
 	for {
 		if m, ok := n.(*Materialize); ok {
@@ -163,9 +167,13 @@ func (ctx *Ctx) Exec(c context.Context, n Node) (*relation.Relation, error) {
 	if !cacheable {
 		return execute(c)
 	}
-	// Declare the plan's scan set so live ingest evicts this entry only
-	// when a table it actually reads is republished (watermark rule).
-	r, hit, err := ctx.Cat.Cache().GetOrComputeDeps(c, n.Fingerprint(), ScanTables(n), execute)
+	// The digest keys the entry; the scan set lets live ingest evict it
+	// only when a table it actually reads is republished (watermark rule).
+	id := n.identity()
+	if len(id.digest) != digestLen {
+		return nil, fmt.Errorf("engine: %T was built without its constructor", n)
+	}
+	r, hit, err := ctx.Cat.Cache().GetOrComputeDeps(c, id.digest, id.scans, execute)
 	if hit {
 		ctx.cacheHits.Add(1)
 	}
@@ -181,10 +189,17 @@ func isMaterialize(n Node) bool {
 // Scan
 
 // Scan reads a base table from the catalog.
-type Scan struct{ Table string }
+type Scan struct {
+	ident
+	Table string
+}
 
 // NewScan returns a scan of the named base table.
-func NewScan(table string) *Scan { return &Scan{Table: table} }
+func NewScan(table string) *Scan {
+	h := newHasher("scan")
+	h.str(table)
+	return &Scan{ident: ident{digest: h.sum(), scans: []string{table}}, Table: table}
+}
 
 // Execute implements Node.
 func (s *Scan) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
@@ -193,9 +208,6 @@ func (s *Scan) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) 
 	}
 	return ctx.Cat.Table(s.Table)
 }
-
-// Fingerprint implements Node.
-func (s *Scan) Fingerprint() string { return "scan(" + s.Table + ")" }
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
@@ -211,18 +223,20 @@ func (s *Scan) Label() string { return "Scan " + s.Table }
 // if the node is ever cached; Values produced for ad-hoc queries should
 // use unique IDs (or caching should not wrap them).
 type Values struct {
+	ident
 	ID  string
 	Rel *relation.Relation
 }
 
 // NewValues wraps rel as a plan leaf identified by id.
-func NewValues(id string, rel *relation.Relation) *Values { return &Values{ID: id, Rel: rel} }
+func NewValues(id string, rel *relation.Relation) *Values {
+	h := newHasher("values")
+	h.str(id)
+	return &Values{ident: h.finish(), ID: id, Rel: rel}
+}
 
 // Execute implements Node.
 func (v *Values) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) { return v.Rel, nil }
-
-// Fingerprint implements Node.
-func (v *Values) Fingerprint() string { return "values(" + v.ID + ")" }
 
 // Children implements Node.
 func (v *Values) Children() []Node { return nil }
@@ -236,22 +250,24 @@ func (v *Values) Label() string {
 // Materialize
 
 // Materialize marks its subtree for on-demand materialization: the first
-// execution stores the result in the catalog cache under the subtree's
-// fingerprint, later executions are answered from the cache. It shares the
-// child's fingerprint so equivalent sub-plans in different queries hit the
-// same cache table.
-type Materialize struct{ Child Node }
+// execution stores the result in the catalog cache, later executions are
+// answered from the cache. The cache key is the child's digest —
+// Materialize takes its child's identity as its own — so equivalent
+// sub-plans in different queries hit the same cache table.
+type Materialize struct {
+	ident
+	Child Node
+}
 
 // NewMaterialize wraps child with a materialization point.
-func NewMaterialize(child Node) *Materialize { return &Materialize{Child: child} }
+func NewMaterialize(child Node) *Materialize {
+	return &Materialize{ident: *identOf(child), Child: child}
+}
 
 // Execute implements Node.
 func (m *Materialize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
 	return ctx.Exec(c, m.Child)
 }
-
-// Fingerprint implements Node.
-func (m *Materialize) Fingerprint() string { return m.Child.Fingerprint() }
 
 // Children implements Node.
 func (m *Materialize) Children() []Node { return []Node{m.Child} }
@@ -264,12 +280,17 @@ func (m *Materialize) Label() string { return "Materialize" }
 
 // Limit keeps the first N rows.
 type Limit struct {
+	ident
 	Child Node
 	N     int
 }
 
 // NewLimit returns a plan keeping the first n rows of child.
-func NewLimit(child Node, n int) *Limit { return &Limit{Child: child, N: n} }
+func NewLimit(child Node, n int) *Limit {
+	h := newHasher("limit")
+	h.int(n)
+	return &Limit{ident: h.finish(child), Child: child, N: n}
+}
 
 // Execute implements Node.
 func (l *Limit) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
@@ -293,11 +314,6 @@ func (l *Limit) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error)
 	return gatherParallel(c, ctx, in, sel)
 }
 
-// Fingerprint implements Node.
-func (l *Limit) Fingerprint() string {
-	return fmt.Sprintf("limit(%d)(%s)", l.N, l.Child.Fingerprint())
-}
-
 // Children implements Node.
 func (l *Limit) Children() []Node { return []Node{l.Child} }
 
@@ -306,12 +322,17 @@ func (l *Limit) Label() string { return fmt.Sprintf("Limit %d", l.N) }
 
 // Rename gives new names to all columns of its input, positionally.
 type Rename struct {
+	ident
 	Child Node
 	Names []string
 }
 
 // NewRename renames child's columns to names (arity-checked at execution).
-func NewRename(child Node, names ...string) *Rename { return &Rename{Child: child, Names: names} }
+func NewRename(child Node, names ...string) *Rename {
+	h := newHasher("rename")
+	h.strs(names)
+	return &Rename{ident: h.finish(child), Child: child, Names: names}
+}
 
 // Execute implements Node.
 func (r *Rename) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
@@ -320,11 +341,6 @@ func (r *Rename) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error
 		return nil, err
 	}
 	return in.Renamed(r.Names)
-}
-
-// Fingerprint implements Node.
-func (r *Rename) Fingerprint() string {
-	return fmt.Sprintf("rename(%v)(%s)", r.Names, r.Child.Fingerprint())
 }
 
 // Children implements Node.

@@ -403,7 +403,7 @@ func TestTokenizeNode(t *testing.T) {
 		AddP(0.5, 10, "the cake book").
 		Build())
 	ctx := NewCtx(cat)
-	r := mustExec(t, ctx, NewTokenize(NewScan("docs"), "docID", "data", text.Default()))
+	r := mustExec(t, ctx, NewTokenize(NewScan("docs"), "docID", "data", text.Default(), false))
 	if r.NumRows() != 7 {
 		t.Fatalf("token rows = %d, want 7", r.NumRows())
 	}
@@ -422,7 +422,7 @@ func TestTokenizeNode(t *testing.T) {
 		}
 	}
 	// wrong column kind
-	if _, err := ctx.Exec(context.Background(), NewTokenize(NewScan("docs"), "data", "docID", text.Default())); err == nil {
+	if _, err := ctx.Exec(context.Background(), NewTokenize(NewScan("docs"), "data", "docID", text.Default(), false)); err == nil {
 		t.Error("tokenize on int column should fail")
 	}
 }

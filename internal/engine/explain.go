@@ -27,9 +27,8 @@ func explain(b *strings.Builder, n Node, depth int) {
 // saying so.
 func ExplainChange(before, after Node) string {
 	b, a := Explain(before), Explain(after)
-	// Compare rendered trees, not fingerprints: a build-side swap changes
-	// the physical plan (and its Label) but deliberately not the
-	// fingerprint.
+	// Compare rendered trees, not digests: Materialize takes its child's
+	// digest, so a digest does not show whether a sub-plan is wrapped.
 	if b == a {
 		return "plan (optimizer made no changes):\n" + b
 	}

@@ -47,23 +47,40 @@ func (m JoinProb) String() string {
 // (LPos/RPos), the latter serving SpinQL's positional join conditions
 // such as JOIN INDEPENDENT [$1=$1].
 type HashJoin struct {
+	ident
 	L, R  Node
 	LKeys []string
 	RKeys []string
 	LPos  []int
 	RPos  []int
 	PMode JoinProb
+
+	// auxKey keys the build side's index in the aux cache: the build
+	// side's digest and its key spec.
+	auxKey string
 }
 
 // NewHashJoin joins l and r on pairwise equality of the named key columns.
 func NewHashJoin(l, r Node, lkeys, rkeys []string, mode JoinProb) *HashJoin {
-	return &HashJoin{L: l, R: r, LKeys: lkeys, RKeys: rkeys, PMode: mode}
+	return newHashJoin(l, r, lkeys, rkeys, nil, nil, mode)
 }
 
 // NewHashJoinPos joins l and r on pairwise equality of 0-based column
 // positions.
 func NewHashJoinPos(l, r Node, lpos, rpos []int, mode JoinProb) *HashJoin {
-	return &HashJoin{L: l, R: r, LPos: lpos, RPos: rpos, PMode: mode}
+	return newHashJoin(l, r, nil, nil, lpos, rpos, mode)
+}
+
+func newHashJoin(l, r Node, lkeys, rkeys []string, lpos, rpos []int, mode JoinProb) *HashJoin {
+	h := newHasher("join")
+	h.int(int(mode))
+	h.strs(lkeys)
+	h.strs(rkeys)
+	h.ints(lpos)
+	h.ints(rpos)
+	j := &HashJoin{ident: h.finish(l, r), L: l, R: r, LKeys: lkeys, RKeys: rkeys, LPos: lpos, RPos: rpos, PMode: mode}
+	j.auxKey = "hashidx|" + r.Fingerprint() + "|" + j.rKeySpec()
+	return j
 }
 
 func (j *HashJoin) positional() bool { return len(j.LPos) > 0 }
@@ -240,13 +257,6 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 	return pSel, bSel, nil
 }
 
-// Fingerprint implements Node.
-func (j *HashJoin) Fingerprint() string {
-	return fmt.Sprintf("join[%s](%s=%s)(%s,%s)",
-		j.PMode, j.lKeySpec(), j.rKeySpec(),
-		j.L.Fingerprint(), j.R.Fingerprint())
-}
-
 func (j *HashJoin) lKeySpec() string {
 	if j.positional() {
 		return fmt.Sprintf("#%v", j.LPos)
@@ -329,9 +339,8 @@ func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relati
 	// Single-flight the index build: concurrent joins probing the same
 	// materialized build side wait for one index instead of each building
 	// their own (the on-demand index tables of section 2.1).
-	key := "hashidx|" + j.R.Fingerprint() + "|" + j.rKeySpec()
 	for try := 0; try < 2; try++ {
-		v, _, err := ctx.Cat.Cache().GetOrComputeAuxDeps(c, key, ScanTables(j.R), func(bc context.Context) (any, error) {
+		v, _, err := ctx.Cat.Cache().GetOrComputeAuxDeps(c, j.auxKey, j.R.identity().scans, func(bc context.Context) (any, error) {
 			return build(bc)
 		})
 		if err != nil {
@@ -345,7 +354,7 @@ func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relati
 		// replaced mid-flight). Drop it and rebuild once; if it is still
 		// stale after that — two queries racing over different snapshots —
 		// fall through to a private, unshared build.
-		ctx.Cat.Cache().DropAux(key)
+		ctx.Cat.Cache().DropAux(j.auxKey)
 	}
 	return build(c)
 }

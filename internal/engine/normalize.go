@@ -33,6 +33,7 @@ func (m NormMode) String() string {
 // key list the whole relation forms one group. Groups whose denominator is
 // zero keep probability zero.
 type Normalize struct {
+	ident
 	Child  Node
 	KeyPos []int // 0-based evidence-key column positions; empty = global
 	Mode   NormMode
@@ -41,7 +42,10 @@ type Normalize struct {
 // NewNormalize normalizes child's probabilities within evidence-key
 // groups.
 func NewNormalize(child Node, keyPos []int, mode NormMode) *Normalize {
-	return &Normalize{Child: child, KeyPos: keyPos, Mode: mode}
+	h := newHasher("normalize")
+	h.int(int(mode))
+	h.ints(keyPos)
+	return &Normalize{ident: h.finish(child), Child: child, KeyPos: keyPos, Mode: mode}
 }
 
 // Execute implements Node.
@@ -121,11 +125,6 @@ func (n *Normalize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	cols := make([]relation.Column, in.NumCols())
 	copy(cols, in.Columns())
 	return relation.FromColumns(cols, p)
-}
-
-// Fingerprint implements Node.
-func (n *Normalize) Fingerprint() string {
-	return fmt.Sprintf("normalize[%s](#%v)(%s)", n.Mode, n.KeyPos, n.Child.Fingerprint())
 }
 
 // Children implements Node.

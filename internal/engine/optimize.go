@@ -154,22 +154,19 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 		// Adjacent filters fuse into one conjunction: one pass over the
 		// input, one gather of survivors instead of two.
 		info.SelectsMerged++
-		return pushSelect(cat, &Select{
-			Child: child.Child,
-			Pred:  expr.And{L: child.Pred, R: s.Pred},
-		}, info)
+		return pushSelect(cat, NewSelect(child.Child, expr.And{L: child.Pred, R: s.Pred}), info)
 
 	case *HashJoin:
 		return pushSelectJoin(cat, s, child, info)
 
 	case *Union:
 		if out := pushSelectBranches(cat, s, []Node{child.L, child.R}, false, info); out != nil {
-			return &Union{L: out[0], R: out[1]}
+			return NewUnion(out[0], out[1])
 		}
 
 	case *Concat:
 		if out := pushSelectBranches(cat, s, child.Inputs, false, info); out != nil {
-			return &Concat{Inputs: out}
+			return NewConcat(out...)
 		}
 
 	case *Unite:
@@ -178,7 +175,7 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 		// side of the grouping. Probability references do not commute —
 		// the grouping combines probabilities.
 		if out := pushSelectBranches(cat, s, []Node{child.L, child.R}, true, info); out != nil {
-			return &Unite{L: out[0], R: out[1], PMode: child.PMode}
+			return NewUnite(out[0], out[1], child.PMode)
 		}
 
 	case *Distinct:
@@ -186,8 +183,8 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 		refs := expr.RefsOf(s.Pred)
 		if !refs.Prob {
 			info.SelectsPushed++
-			inner := pushSelect(cat, &Select{Child: child.Child, Pred: s.Pred}, info)
-			return &Distinct{Child: inner, PMode: child.PMode}
+			inner := pushSelect(cat, NewSelect(child.Child, s.Pred), info)
+			return NewDistinct(inner, child.PMode)
 		}
 
 	case *Extend:
@@ -213,10 +210,10 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 		}
 		if len(push) > 0 {
 			info.SelectsPushed += len(push)
-			inner := pushSelect(cat, &Select{Child: child.Child, Pred: joinConjuncts(push)}, info)
-			var out Node = &Extend{Child: inner, Name: child.Name, E: child.E}
+			inner := pushSelect(cat, NewSelect(child.Child, joinConjuncts(push)), info)
+			var out Node = NewExtend(inner, child.Name, child.E)
 			if len(keep) > 0 {
-				out = &Select{Child: out, Pred: joinConjuncts(keep)}
+				out = NewSelect(out, joinConjuncts(keep))
 			}
 			return out
 		}
@@ -226,8 +223,8 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 		// their relative order whether filtered before or after sorting,
 		// and sorting fewer rows is strictly cheaper.
 		info.SelectsPushed++
-		inner := pushSelect(cat, &Select{Child: child.Child, Pred: s.Pred}, info)
-		return &Sort{Child: inner, Keys: child.Keys}
+		inner := pushSelect(cat, NewSelect(child.Child, s.Pred), info)
+		return NewSort(inner, child.Keys...)
 
 	case *ScaleProb:
 		// Scaling probabilities does not move rows; value predicates
@@ -235,8 +232,8 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 		refs := expr.RefsOf(s.Pred)
 		if !refs.Prob {
 			info.SelectsPushed++
-			inner := pushSelect(cat, &Select{Child: child.Child, Pred: s.Pred}, info)
-			return &ScaleProb{Child: inner, Factor: child.Factor}
+			inner := pushSelect(cat, NewSelect(child.Child, s.Pred), info)
+			return NewScaleProb(inner, child.Factor)
 		}
 	}
 	return s
@@ -287,7 +284,7 @@ func pushSelectBranches(cat *catalog.Catalog, s *Select, branches []Node, noProb
 		if renames != nil && renames[i] != nil {
 			pred = expr.RenameCols(pred, renames[i])
 		}
-		out[i] = pushSelect(cat, &Select{Child: b, Pred: pred}, info)
+		out[i] = pushSelect(cat, NewSelect(b, pred), info)
 	}
 	info.SelectsPushed += len(branches)
 	return out
@@ -373,17 +370,16 @@ func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo)
 	info.SelectsPushed += len(lPush) + len(rPush)
 	l, r := j.L, j.R
 	if len(lPush) > 0 {
-		l = pushSelect(cat, &Select{Child: l, Pred: joinConjuncts(lPush)}, info)
+		l = pushSelect(cat, NewSelect(l, joinConjuncts(lPush)), info)
 	}
 	if len(rPush) > 0 {
-		r = pushSelect(cat, &Select{Child: r, Pred: joinConjuncts(rPush)}, info)
+		r = pushSelect(cat, NewSelect(r, joinConjuncts(rPush)), info)
 	}
-	cp := *j
-	cp.L, cp.R = l, r
+	out := withChildren(j, l, r)
 	if len(keep) > 0 {
-		return &Select{Child: &cp, Pred: joinConjuncts(keep)}
+		return NewSelect(out, joinConjuncts(keep))
 	}
-	return &cp
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -423,11 +419,11 @@ func emptyPass(cat *catalog.Catalog, n Node, info *OptInfo) Node {
 	case *Unite:
 		if staticEmpty(x.R) && !staticEmpty(x.L) {
 			info.EmptyRewrites++
-			return &Distinct{Child: x.L, PMode: x.PMode}
+			return NewDistinct(x.L, x.PMode)
 		}
 		if staticEmpty(x.L) && !staticEmpty(x.R) && sameSchema(cat, x.L, x.R) {
 			info.EmptyRewrites++
-			return &Distinct{Child: x.R, PMode: x.PMode}
+			return NewDistinct(x.R, x.PMode)
 		}
 	case *Concat:
 		keep := make([]Node, 0, len(x.Inputs))
@@ -449,7 +445,7 @@ func emptyPass(cat *catalog.Catalog, n Node, info *OptInfo) Node {
 		}
 		if len(keep) < len(x.Inputs) {
 			info.EmptyRewrites++
-			return &Concat{Inputs: keep}
+			return NewConcat(keep...)
 		}
 	}
 	return n
@@ -600,6 +596,16 @@ func exprNeeds(s needSet, e expr.Expr) needSet {
 	return s.union(refs.Cols...)
 }
 
+// sortNeeds folds the named sort keys into a need set.
+func sortNeeds(s needSet, keys []SortSpec) needSet {
+	for _, k := range keys {
+		if k.Col != "" {
+			s = s.union(k.Col)
+		}
+	}
+	return s
+}
+
 // pruneNode rewrites n so it produces (at least) the columns in needs,
 // inserting projections where a subtree provably produces more.
 func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node {
@@ -628,43 +634,26 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 			return n
 		}
 		info.ColumnsPruned += len(schema) - len(keep)
-		return &Project{Child: n, Cols: ByName(keep...)}
+		return NewProject(n, ByName(keep...)...)
 
 	case *Values:
 		return n
 
 	case *Materialize:
 		// A materialized sub-plan is a shared cache entry: its identity
-		// (fingerprint) must not depend on which consumer's column needs
+		// (digest) must not depend on which consumer's column needs
 		// happened to optimize first, so downstream needs stop here.
 		// Pruning inside still fires from the sub-plan's own,
 		// context-independent requirements (tokenize and aggregate inputs,
 		// scans under selective projections), which every consumer derives
 		// identically.
-		if c := pruneNode(cat, x.Child, nil, info); c != x.Child {
-			return &Materialize{Child: c}
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
 
 	case *Limit:
-		if c := pruneNode(cat, x.Child, needs, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, needs, info))
 
 	case *Select:
-		childNeeds := exprNeeds(needs, x.Pred)
-		if needs == nil {
-			childNeeds = nil
-		}
-		if c := pruneNode(cat, x.Child, childNeeds, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, exprNeeds(needs, x.Pred), info))
 
 	case *Project:
 		childNeeds := needOf()
@@ -674,96 +663,33 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 				break
 			}
 		}
-		if c := pruneNode(cat, x.Child, childNeeds, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, childNeeds, info))
 
 	case *Extend:
-		childNeeds := exprNeeds(needs.without(x.Name), x.E)
-		if needs == nil {
-			childNeeds = nil
-		}
-		if c := pruneNode(cat, x.Child, childNeeds, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, exprNeeds(needs.without(x.Name), x.E), info))
 
 	case *Sort:
-		childNeeds := needs
-		for _, k := range x.Keys {
-			if k.Col != "" {
-				childNeeds = childNeeds.union(k.Col)
-			}
-		}
-		if c := pruneNode(cat, x.Child, childNeeds, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, sortNeeds(needs, x.Keys), info))
 
 	case *TopN:
-		childNeeds := needs
-		for _, k := range x.Keys {
-			if k.Col != "" {
-				childNeeds = childNeeds.union(k.Col)
-			}
-		}
-		if c := pruneNode(cat, x.Child, childNeeds, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, sortNeeds(needs, x.Keys), info))
 
 	case *ScaleProb:
-		if c := pruneNode(cat, x.Child, needs, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, needs, info))
 
 	case *ProbFromCol:
-		childNeeds := needs.union(x.Col)
-		if c := pruneNode(cat, x.Child, childNeeds, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, needs.union(x.Col), info))
 
 	case *ProbToCol:
-		if c := pruneNode(cat, x.Child, needs.without(x.Name), info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, needs.without(x.Name), info))
 
 	case *RowNumber:
-		if c := pruneNode(cat, x.Child, needs.without(x.Name), info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, needs.without(x.Name), info))
 
 	case *Tokenize:
 		// Tokenize reads exactly two columns regardless of input width —
 		// the strongest prune in the plan repertoire.
-		child := pruneConsumer(cat, x.Child, needOf(x.IDCol, x.DataCol), info)
-		if child != x.Child {
-			cp := *x
-			cp.Child = child
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneConsumer(cat, x.Child, needOf(x.IDCol, x.DataCol), info))
 
 	case *Aggregate:
 		req := needOf(x.GroupBy...)
@@ -776,33 +702,15 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 				req[a.Col] = true
 			}
 		}
-		child := pruneConsumer(cat, x.Child, req, info)
-		if child != x.Child {
-			cp := *x
-			cp.Child = child
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneConsumer(cat, x.Child, req, info))
 
 	case *Distinct:
 		// Grouping is over all visible columns: every column is
 		// semantically load-bearing.
-		if c := pruneNode(cat, x.Child, nil, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
 
 	case *Unite:
-		l := pruneNode(cat, x.L, nil, info)
-		r := pruneNode(cat, x.R, nil, info)
-		if l != x.L || r != x.R {
-			cp := *x
-			cp.L, cp.R = l, r
-			return &cp
-		}
-		return n
+		return withChildren(n, pruneNode(cat, x.L, nil, info), pruneNode(cat, x.R, nil, info))
 
 	case *Subtract:
 		// The left side's full width defines the match key; the right
@@ -814,49 +722,22 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 		} else {
 			r = pruneNode(cat, x.R, nil, info)
 		}
-		if l != x.L || r != x.R {
-			cp := *x
-			cp.L, cp.R = l, r
-			return &cp
-		}
-		return n
+		return withChildren(n, l, r)
 
 	case *Rename:
 		// Rename is positional and arity-checked; its child keeps every
 		// column.
-		if c := pruneNode(cat, x.Child, nil, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
 
 	case *Normalize:
 		// KeyPos is positional.
-		if c := pruneNode(cat, x.Child, nil, info); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
-		return n
+		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
 
 	case *Union:
-		branches := pruneBranches(cat, []Node{x.L, x.R}, needs, info)
-		if branches[0] != x.L || branches[1] != x.R {
-			return &Union{L: branches[0], R: branches[1]}
-		}
-		return n
+		return withChildren(n, pruneBranches(cat, []Node{x.L, x.R}, needs, info)...)
 
 	case *Concat:
-		branches := pruneBranches(cat, x.Inputs, needs, info)
-		changed := false
-		for i := range branches {
-			changed = changed || branches[i] != x.Inputs[i]
-		}
-		if changed {
-			return &Concat{Inputs: branches}
-		}
-		return n
+		return withChildren(n, pruneBranches(cat, x.Inputs, needs, info)...)
 
 	case *HashJoin:
 		return pruneJoin(cat, x, needs, info)
@@ -903,7 +784,7 @@ func pruneConsumer(cat *catalog.Catalog, child Node, req needSet, info *OptInfo)
 		return inner
 	}
 	info.ColumnsPruned += len(schema) - len(keep)
-	return &Project{Child: inner, Cols: ByName(keep...)}
+	return NewProject(inner, ByName(keep...)...)
 }
 
 // pruneBranches prunes the branches of a concatenation-shaped operator.
@@ -963,14 +844,7 @@ func pruneBranches(cat *catalog.Catalog, branches []Node, needs needSet, info *O
 // can un-rename a clashing right column).
 func pruneJoin(cat *catalog.Catalog, j *HashJoin, needs needSet, info *OptInfo) Node {
 	rebuildAll := func() Node {
-		l := pruneNode(cat, j.L, nil, info)
-		r := pruneNode(cat, j.R, nil, info)
-		if l != j.L || r != j.R {
-			cp := *j
-			cp.L, cp.R = l, r
-			return &cp
-		}
-		return j
+		return withChildren(j, pruneNode(cat, j.L, nil, info), pruneNode(cat, j.R, nil, info))
 	}
 	if needs == nil || j.positional() {
 		return rebuildAll()
@@ -1009,9 +883,7 @@ func pruneJoin(cat *catalog.Catalog, j *HashJoin, needs needSet, info *OptInfo) 
 	if !laok || !raok || !stableJoinNames(needs, lSchema, rSchema, lAfter, rAfter) {
 		return rebuildAll()
 	}
-	cp := *j
-	cp.L, cp.R = l, r
-	return &cp
+	return withChildren(j, l, r)
 }
 
 // stableJoinNames verifies that for every needed output column, the

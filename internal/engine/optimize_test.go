@@ -232,7 +232,7 @@ func TestPrunePassGolden(t *testing.T) {
 	})
 
 	t.Run("tokenize-reads-two-columns", func(t *testing.T) {
-		plan := NewTokenize(NewScan("triples"), "subject", "object", text.Tokenizer{})
+		plan := NewTokenize(NewScan("triples"), "subject", "object", text.Tokenizer{}, false)
 		got, _ := runPass(t, prunePass, cat, plan)
 		wantExplain(t, "tokenize-prune", got,
 			"Tokenize subject(object)\n"+
@@ -417,6 +417,10 @@ func TestOptimizedEquivalenceRandom(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(42))
 	const plans = 40
+	// Plan identity across every naive and optimized plan and all their
+	// sub-plans: distinct plans get distinct digests, equal plans equal
+	// ones, and no optimized node holds a stale digest.
+	ledger := newDigestLedger()
 	for i := 0; i < plans; i++ {
 		inner := randomPlan(rng, 3)
 		plan := NewAggregate(inner, []string{"g"},
@@ -444,6 +448,9 @@ func TestOptimizedEquivalenceRandom(t *testing.T) {
 		if oErr != nil {
 			t.Fatalf("plan %d: %v\n%s", i, oErr, Explain(plan))
 		}
+		ledger.add(t, plan)
+		ledger.add(t, optimized)
+		assertFresh(t, optimized)
 		for _, par := range []int{1, 2, 8} {
 			cat := catalog.New(0)
 			cat.Put("fact", fact)
@@ -458,6 +465,9 @@ func TestOptimizedEquivalenceRandom(t *testing.T) {
 				i, par, info, Explain(plan), Explain(optimized))
 			mustEqualRelations(t, label, got, want)
 		}
+	}
+	if len(ledger.byDigest) < plans {
+		t.Errorf("%d distinct digests over %d random plans", len(ledger.byDigest), plans)
 	}
 }
 

@@ -128,14 +128,18 @@ func TestPanicBeatsCancellation(t *testing.T) {
 
 // boomNode is a plan leaf whose execution panics, for exercising the
 // subtree-goroutine containment in execPair/execAll.
-type boomNode struct{}
+type boomNode struct{ ident }
+
+func newBoomNode() *boomNode {
+	h := newHasher("boom")
+	return &boomNode{ident: h.finish()}
+}
 
 func (b *boomNode) Execute(context.Context, *Ctx) (*relation.Relation, error) {
 	panic("child boom")
 }
-func (b *boomNode) Fingerprint() string { return "boom()" }
-func (b *boomNode) Children() []Node    { return nil }
-func (b *boomNode) Label() string       { return "Boom" }
+func (b *boomNode) Children() []Node { return nil }
+func (b *boomNode) Label() string    { return "Boom" }
 
 // TestJoinChildPanicContained: a panicking join input — evaluated on an
 // execPair worker goroutine at parallelism > 1, inline at 1 — fails the
@@ -145,7 +149,7 @@ func TestJoinChildPanicContained(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			ctx := ctxAt(par, map[string]*relation.Relation{"t": panicRel()})
-			plan := NewHashJoin(NewScan("t"), &boomNode{}, []string{"a"}, []string{"a"}, JoinIndependent)
+			plan := NewHashJoin(NewScan("t"), newBoomNode(), []string{"a"}, []string{"a"}, JoinIndependent)
 			_, err := ctx.Exec(context.Background(), plan)
 			pe, ok := AsPanicError(err)
 			if !ok {
@@ -168,7 +172,7 @@ func TestConcatChildPanicContained(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			ctx := ctxAt(par, map[string]*relation.Relation{"t": panicRel()})
-			plan := NewConcat(NewScan("t"), &boomNode{}, NewScan("t"))
+			plan := NewConcat(NewScan("t"), newBoomNode(), NewScan("t"))
 			_, err := ctx.Exec(context.Background(), plan)
 			if _, ok := AsPanicError(err); !ok {
 				t.Fatalf("err = %v, want *PanicError", err)

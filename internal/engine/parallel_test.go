@@ -297,20 +297,26 @@ func TestEquivalenceUnderCacheAll(t *testing.T) {
 }
 
 // slowNode wraps a child and sleeps before executing, widening the window
-// in which concurrent executions of the same fingerprint can stampede.
+// in which concurrent executions of the same digest can stampede.
 type slowNode struct {
+	ident
 	Child Node
 	ID    string
 	Delay time.Duration
+}
+
+func newSlowNode(child Node, id string, delay time.Duration) *slowNode {
+	h := newHasher("slow")
+	h.str(id)
+	return &slowNode{ident: h.finish(child), Child: child, ID: id, Delay: delay}
 }
 
 func (s *slowNode) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
 	time.Sleep(s.Delay)
 	return ctx.Exec(context.Background(), s.Child)
 }
-func (s *slowNode) Fingerprint() string { return "slow(" + s.ID + ")(" + s.Child.Fingerprint() + ")" }
-func (s *slowNode) Children() []Node    { return []Node{s.Child} }
-func (s *slowNode) Label() string       { return "Slow " + s.ID }
+func (s *slowNode) Children() []Node { return []Node{s.Child} }
+func (s *slowNode) Label() string    { return "Slow " + s.ID }
 
 // TestSingleFlightNodeExecs is the cache-stampede regression test: many
 // goroutines executing the same Materialize'd plan against a cold cache
@@ -319,11 +325,9 @@ func TestSingleFlightNodeExecs(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	tables := map[string]*relation.Relation{"L": randRel(r, 4000, 100)}
 	ctx := ctxAt(8, tables)
-	plan := NewMaterialize(&slowNode{
-		Child: NewSelect(NewScan("L"), expr.Cmp{Op: expr.Lt, L: expr.Column("a"), R: expr.Int(50)}),
-		ID:    "stampede",
-		Delay: 20 * time.Millisecond,
-	})
+	plan := NewMaterialize(newSlowNode(
+		NewSelect(NewScan("L"), expr.Cmp{Op: expr.Lt, L: expr.Column("a"), R: expr.Int(50)}),
+		"stampede", 20*time.Millisecond))
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -362,7 +366,7 @@ func TestSingleFlightNodeExecs(t *testing.T) {
 // error to every waiter and must not leave a poisoned cache entry.
 func TestSingleFlightErrorNotCached(t *testing.T) {
 	ctx := ctxAt(4, map[string]*relation.Relation{})
-	bad := NewMaterialize(&slowNode{Child: NewScan("missing"), ID: "err", Delay: 5 * time.Millisecond})
+	bad := NewMaterialize(newSlowNode(NewScan("missing"), "err", 5*time.Millisecond))
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for g := range errs {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"irdb/internal/catalog"
@@ -13,8 +12,8 @@ import (
 )
 
 // All node types must provide consistent plumbing: a non-empty Label, a
-// Fingerprint that embeds their children's fingerprints, and Children
-// matching the constructor inputs.
+// 16-byte digest distinct from every other node's and from its children's,
+// and Children matching the constructor inputs.
 func TestNodePlumbing(t *testing.T) {
 	scan := NewScan("t")
 	scan2 := NewScan("u")
@@ -44,7 +43,7 @@ func TestNodePlumbing(t *testing.T) {
 		NewProbToCol(scan, "p_out"),
 		NewNormalize(scan, []int{0}, NormMax),
 		NewRowNumber(scan, "id"),
-		NewTokenize(scan, "x", "y", text.Default()),
+		NewTokenize(scan, "x", "y", text.Default(), false),
 	}
 	seen := map[string]bool{}
 	for _, n := range nodes {
@@ -52,29 +51,26 @@ func TestNodePlumbing(t *testing.T) {
 			t.Errorf("%T: empty label", n)
 		}
 		fp := n.Fingerprint()
-		if fp == "" {
-			t.Errorf("%T: empty fingerprint", n)
+		if len(fp) != digestLen {
+			t.Errorf("%T: digest has %d bytes", n, len(fp))
 		}
-		if _, isMat := n.(*Materialize); !isMat {
-			// Materialize deliberately shares its child's fingerprint.
-			if seen[fp] {
-				t.Errorf("%T: fingerprint %q collides with another node", n, fp)
-			}
+		if _, isMat := n.(*Materialize); isMat {
+			continue // Materialize takes its child's digest by design
+		}
+		if seen[fp] {
+			t.Errorf("%T: digest %x collides with another node", n, fp)
 		}
 		seen[fp] = true
 		for _, c := range n.Children() {
-			if _, isMat := n.(*Materialize); isMat {
-				continue // Materialize shares its child's fingerprint by design
-			}
-			if !strings.Contains(fp, c.Fingerprint()) {
-				t.Errorf("%T: fingerprint %q does not embed child %q", n, fp, c.Fingerprint())
+			if c.Fingerprint() == fp {
+				t.Errorf("%T: digest equals its child's", n)
 			}
 		}
 	}
-	// Materialize must share its child's fingerprint (cache-table reuse
-	// across plans).
+	// Materialize must share its child's digest (cache-table reuse across
+	// plans).
 	if NewMaterialize(scan).Fingerprint() != scan.Fingerprint() {
-		t.Error("Materialize fingerprint differs from child")
+		t.Error("Materialize digest differs from child")
 	}
 }
 
@@ -141,10 +137,10 @@ func TestErrorPaths(t *testing.T) {
 		t.Error("Scan without catalog should fail")
 	}
 	// Tokenize with missing columns
-	if _, err := ctx.Exec(context.Background(), NewTokenize(NewScan("t"), "nope", "x", text.Default())); err == nil {
+	if _, err := ctx.Exec(context.Background(), NewTokenize(NewScan("t"), "nope", "x", text.Default(), false)); err == nil {
 		t.Error("Tokenize missing id column should fail")
 	}
-	if _, err := ctx.Exec(context.Background(), NewTokenize(NewScan("t"), "x", "nope", text.Default())); err == nil {
+	if _, err := ctx.Exec(context.Background(), NewTokenize(NewScan("t"), "x", "nope", text.Default(), false)); err == nil {
 		t.Error("Tokenize missing data column should fail")
 	}
 	// TopN with bad sort column

@@ -13,13 +13,16 @@ import (
 // mixing of strategies (section 3, step 4: "mixed via linear combination,
 // with the given weights").
 type ScaleProb struct {
+	ident
 	Child  Node
 	Factor float64
 }
 
 // NewScaleProb scales child's probabilities by factor.
 func NewScaleProb(child Node, factor float64) *ScaleProb {
-	return &ScaleProb{Child: child, Factor: factor}
+	h := newHasher("weight")
+	h.float(factor)
+	return &ScaleProb{ident: h.finish(child), Child: child, Factor: factor}
 }
 
 // Execute implements Node.
@@ -50,11 +53,6 @@ func (s *ScaleProb) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	return relation.FromColumns(cols, p)
 }
 
-// Fingerprint implements Node.
-func (s *ScaleProb) Fingerprint() string {
-	return fmt.Sprintf("weight(%g)(%s)", s.Factor, s.Child.Fingerprint())
-}
-
 // Children implements Node.
 func (s *ScaleProb) Children() []Node { return []Node{s.Child} }
 
@@ -69,6 +67,7 @@ func (s *ScaleProb) Label() string { return fmt.Sprintf("Weight %g", s.Factor) }
 // Retrieval models use it to turn a computed score column into the ranked
 // (probabilistic) result relation.
 type ProbFromCol struct {
+	ident
 	Child Node
 	Col   string
 	Clamp bool
@@ -77,7 +76,11 @@ type ProbFromCol struct {
 
 // NewProbFromCol moves column col into the tuple probability.
 func NewProbFromCol(child Node, col string, clamp, drop bool) *ProbFromCol {
-	return &ProbFromCol{Child: child, Col: col, Clamp: clamp, Drop: drop}
+	h := newHasher("probfromcol")
+	h.str(col)
+	h.bool(clamp)
+	h.bool(drop)
+	return &ProbFromCol{ident: h.finish(child), Child: child, Col: col, Clamp: clamp, Drop: drop}
 }
 
 // Execute implements Node.
@@ -131,11 +134,6 @@ func (n *ProbFromCol) Execute(c context.Context, ctx *Ctx) (*relation.Relation, 
 	return relation.FromColumns(cols, prob)
 }
 
-// Fingerprint implements Node.
-func (n *ProbFromCol) Fingerprint() string {
-	return fmt.Sprintf("probfromcol(%s,clamp=%v,drop=%v)(%s)", n.Col, n.Clamp, n.Drop, n.Child.Fingerprint())
-}
-
 // Children implements Node.
 func (n *ProbFromCol) Children() []Node { return []Node{n.Child} }
 
@@ -149,13 +147,16 @@ func (n *ProbFromCol) Label() string { return "ProbFromCol " + n.Col }
 // Name, leaving probabilities in place. Needed when a score must feed a
 // further computation (e.g. the relational Bayes normalizer).
 type ProbToCol struct {
+	ident
 	Child Node
 	Name  string
 }
 
 // NewProbToCol appends the probability column under the given name.
 func NewProbToCol(child Node, name string) *ProbToCol {
-	return &ProbToCol{Child: child, Name: name}
+	h := newHasher("probtocol")
+	h.str(name)
+	return &ProbToCol{ident: h.finish(child), Child: child, Name: name}
 }
 
 // Execute implements Node.
@@ -177,11 +178,6 @@ func (n *ProbToCol) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	cols = append(cols, in.Columns()...)
 	cols = append(cols, relation.Column{Name: n.Name, Vec: vector.FromFloat64s(vals)})
 	return relation.FromColumns(cols, prob)
-}
-
-// Fingerprint implements Node.
-func (n *ProbToCol) Fingerprint() string {
-	return fmt.Sprintf("probtocol(%s)(%s)", n.Name, n.Child.Fingerprint())
 }
 
 // Children implements Node.

@@ -1,146 +1,98 @@
 package engine
 
-// rewriteChildren applies f to every direct child of n and, when any child
-// changed, returns a shallow copy of n pointing at the new children.
-// Unchanged nodes are returned as-is, so rewrite passes share the
-// untouched spine of a plan with its original — the same sharing contract
-// Bind uses, which keeps fingerprints (and cache entries) of unmodified
-// sub-plans stable. Unknown node types are returned unchanged: a pass can
-// never corrupt an operator it does not understand.
+import "slices"
+
+// Plan passes (Optimize, Bind) never copy or modify a node. They derive
+// every new node through its constructor, so each identity is computed
+// from the node's own parameters and children (identity.go).
+
+// rewriteChildren applies f to every direct child of n and rebuilds n
+// over the results when any child changed. Unchanged nodes are returned
+// as-is, so rewrite passes share the untouched spine of a plan with its
+// original — the same sharing contract Bind uses, which keeps the digests
+// (and cache entries) of unmodified sub-plans stable.
 func rewriteChildren(n Node, f func(Node) Node) Node {
-	switch x := n.(type) {
-	case *Scan, *Values:
+	old := n.Children()
+	var kids []Node
+	for i, c := range old {
+		if nc := f(c); nc != c {
+			if kids == nil {
+				kids = slices.Clone(old)
+			}
+			kids[i] = nc
+		}
+	}
+	if kids == nil {
 		return n
+	}
+	return rebuild(n, kids)
+}
+
+// withChild returns n when c is its current only child old, and n rebuilt
+// over c otherwise.
+func withChild(n, old, c Node) Node {
+	if c == old {
+		return n
+	}
+	return rebuild(n, []Node{c})
+}
+
+// withChildren returns n when kids are its current children, and n
+// rebuilt over kids otherwise.
+func withChildren(n Node, kids ...Node) Node {
+	if slices.Equal(n.Children(), kids) {
+		return n
+	}
+	return rebuild(n, kids)
+}
+
+// rebuild constructs a node with n's operator and parameters over kids.
+// Leaves and unknown node types are returned unchanged: a pass can never
+// corrupt an operator it does not understand.
+func rebuild(n Node, kids []Node) Node {
+	switch x := n.(type) {
 	case *Materialize:
-		if c := f(x.Child); c != x.Child {
-			return &Materialize{Child: c}
-		}
+		return NewMaterialize(kids[0])
 	case *Limit:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewLimit(kids[0], x.N)
 	case *Rename:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewRename(kids[0], x.Names...)
 	case *Select:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewSelect(kids[0], x.Pred)
 	case *Project:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewProject(kids[0], x.Cols...)
 	case *Extend:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewExtend(kids[0], x.Name, x.E)
 	case *HashJoin:
-		l, r := f(x.L), f(x.R)
-		if l != x.L || r != x.R {
-			cp := *x
-			cp.L, cp.R = l, r
-			return &cp
-		}
+		return newHashJoin(kids[0], kids[1], x.LKeys, x.RKeys, x.LPos, x.RPos, x.PMode)
 	case *Union:
-		l, r := f(x.L), f(x.R)
-		if l != x.L || r != x.R {
-			return &Union{L: l, R: r}
-		}
+		return NewUnion(kids[0], kids[1])
 	case *Concat:
-		changed := false
-		inputs := make([]Node, len(x.Inputs))
-		for i, in := range x.Inputs {
-			inputs[i] = f(in)
-			changed = changed || inputs[i] != in
-		}
-		if changed {
-			return &Concat{Inputs: inputs}
-		}
+		return NewConcat(kids...)
 	case *Unite:
-		l, r := f(x.L), f(x.R)
-		if l != x.L || r != x.R {
-			cp := *x
-			cp.L, cp.R = l, r
-			return &cp
-		}
+		return NewUnite(kids[0], kids[1], x.PMode)
 	case *Subtract:
-		l, r := f(x.L), f(x.R)
-		if l != x.L || r != x.R {
-			cp := *x
-			cp.L, cp.R = l, r
-			return &cp
-		}
+		return NewSubtract(kids[0], kids[1], x.Boolean)
 	case *Aggregate:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewAggregate(kids[0], x.GroupBy, x.Aggs, x.PMode)
 	case *Distinct:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewDistinct(kids[0], x.PMode)
 	case *Sort:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewSort(kids[0], x.Keys...)
 	case *TopN:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewTopN(kids[0], x.N, x.Keys...)
 	case *Normalize:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewNormalize(kids[0], x.KeyPos, x.Mode)
 	case *ScaleProb:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewScaleProb(kids[0], x.Factor)
 	case *ProbFromCol:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewProbFromCol(kids[0], x.Col, x.Clamp, x.Drop)
 	case *ProbToCol:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewProbToCol(kids[0], x.Name)
 	case *RowNumber:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewRowNumber(kids[0], x.Name)
 	case *Tokenize:
-		if c := f(x.Child); c != x.Child {
-			cp := *x
-			cp.Child = c
-			return &cp
-		}
+		return NewTokenize(kids[0], x.IDCol, x.DataCol, x.Tok, x.WithCompounds)
 	}
 	return n
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"irdb/internal/relation"
 	"irdb/internal/vector"
@@ -12,13 +11,16 @@ import (
 // equivalent of the paper's "row_number() over() as termID" used to build
 // the term dictionary (section 2.1).
 type RowNumber struct {
+	ident
 	Child Node
 	Name  string
 }
 
 // NewRowNumber appends a 1..n column called name.
 func NewRowNumber(child Node, name string) *RowNumber {
-	return &RowNumber{Child: child, Name: name}
+	h := newHasher("rownumber")
+	h.str(name)
+	return &RowNumber{ident: h.finish(child), Child: child, Name: name}
 }
 
 // Execute implements Node.
@@ -43,11 +45,6 @@ func (r *RowNumber) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	prob := make([]float64, n)
 	copy(prob, in.Prob())
 	return relation.FromColumns(cols, prob)
-}
-
-// Fingerprint implements Node.
-func (r *RowNumber) Fingerprint() string {
-	return fmt.Sprintf("rownumber(%s)(%s)", r.Name, r.Child.Fingerprint())
 }
 
 // Children implements Node.

@@ -13,12 +13,17 @@ import (
 // untouched (PRA selection leaves probabilities unchanged; it only removes
 // tuples whose condition is false).
 type Select struct {
+	ident
 	Child Node
 	Pred  expr.Expr
 }
 
 // NewSelect filters child by pred.
-func NewSelect(child Node, pred expr.Expr) *Select { return &Select{Child: child, Pred: pred} }
+func NewSelect(child Node, pred expr.Expr) *Select {
+	h := newHasher("select")
+	h.expr(pred)
+	return &Select{ident: h.finish(child), Child: child, Pred: pred}
+}
 
 // Execute implements Node.
 //
@@ -90,11 +95,6 @@ func (s *Select) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error
 	return in.Gather(sel), nil
 }
 
-// Fingerprint implements Node.
-func (s *Select) Fingerprint() string {
-	return fmt.Sprintf("select(%s)(%s)", s.Pred.String(), s.Child.Fingerprint())
-}
-
 // Children implements Node.
 func (s *Select) Children() []Node { return []Node{s.Child} }
 
@@ -115,12 +115,21 @@ type ProjCol struct {
 // unchanged; duplicate elimination (the probabilistic PROJECT of PRA) is a
 // separate operator, Distinct.
 type Project struct {
+	ident
 	Child Node
 	Cols  []ProjCol
 }
 
 // NewProject projects child onto the given output columns.
-func NewProject(child Node, cols ...ProjCol) *Project { return &Project{Child: child, Cols: cols} }
+func NewProject(child Node, cols ...ProjCol) *Project {
+	h := newHasher("project")
+	h.int(len(cols))
+	for _, pc := range cols {
+		h.str(pc.Name)
+		h.expr(pc.E)
+	}
+	return &Project{ident: h.finish(child), Child: child, Cols: cols}
+}
 
 // ByName is a convenience constructor for pass-through projection columns.
 func ByName(names ...string) []ProjCol {
@@ -156,18 +165,6 @@ func (p *Project) Execute(c context.Context, ctx *Ctx) (*relation.Relation, erro
 	return relation.FromColumns(cols, prob)
 }
 
-// Fingerprint implements Node.
-func (p *Project) Fingerprint() string {
-	s := "project("
-	for i, pc := range p.Cols {
-		if i > 0 {
-			s += ","
-		}
-		s += pc.Name + "=" + pc.E.String()
-	}
-	return s + ")(" + p.Child.Fingerprint() + ")"
-}
-
 // Children implements Node.
 func (p *Project) Children() []Node { return []Node{p.Child} }
 
@@ -189,6 +186,7 @@ func (p *Project) Label() string {
 // Extend appends one computed column to its input, keeping all existing
 // columns. It is the engine's equivalent of SELECT *, expr AS name.
 type Extend struct {
+	ident
 	Child Node
 	Name  string
 	E     expr.Expr
@@ -196,7 +194,10 @@ type Extend struct {
 
 // NewExtend appends column name computed by e.
 func NewExtend(child Node, name string, e expr.Expr) *Extend {
-	return &Extend{Child: child, Name: name, E: e}
+	h := newHasher("extend")
+	h.str(name)
+	h.expr(e)
+	return &Extend{ident: h.finish(child), Child: child, Name: name, E: e}
 }
 
 // Execute implements Node.
@@ -219,11 +220,6 @@ func (x *Extend) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error
 	prob := make([]float64, in.NumRows())
 	copy(prob, in.Prob())
 	return relation.FromColumns(cols, prob)
-}
-
-// Fingerprint implements Node.
-func (x *Extend) Fingerprint() string {
-	return fmt.Sprintf("extend(%s=%s)(%s)", x.Name, x.E.String(), x.Child.Fingerprint())
 }
 
 // Children implements Node.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
-	"strings"
 
 	"irdb/internal/relation"
 	"irdb/internal/vector"
@@ -13,10 +12,16 @@ import (
 // Union concatenates two schema-compatible inputs (bag semantics, no
 // dedup). Column names are taken from the left input. Both branches are
 // evaluated concurrently when worker slots are free.
-type Union struct{ L, R Node }
+type Union struct {
+	ident
+	L, R Node
+}
 
 // NewUnion concatenates l and r.
-func NewUnion(l, r Node) *Union { return &Union{L: l, R: r} }
+func NewUnion(l, r Node) *Union {
+	h := newHasher("union")
+	return &Union{ident: h.finish(l, r), L: l, R: r}
+}
 
 // Execute implements Node.
 func (u *Union) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
@@ -116,11 +121,6 @@ func taskRanges(nTasks int) [][2]int {
 	return out
 }
 
-// Fingerprint implements Node.
-func (u *Union) Fingerprint() string {
-	return fmt.Sprintf("union(%s,%s)", u.L.Fingerprint(), u.R.Fingerprint())
-}
-
 // Children implements Node.
 func (u *Union) Children() []Node { return []Node{u.L, u.R} }
 
@@ -135,10 +135,17 @@ func (u *Union) Label() string { return "Union" }
 // e.g. the production strategy's five parallel keyword-search branches.
 // All children are evaluated concurrently when worker slots are free;
 // output rows keep child order.
-type Concat struct{ Inputs []Node }
+type Concat struct {
+	ident
+	Inputs []Node
+}
 
 // NewConcat concatenates the given inputs in order.
-func NewConcat(inputs ...Node) *Concat { return &Concat{Inputs: inputs} }
+func NewConcat(inputs ...Node) *Concat {
+	h := newHasher("concat")
+	h.int(len(inputs))
+	return &Concat{ident: h.finish(inputs...), Inputs: inputs}
+}
 
 // Execute implements Node.
 func (cc *Concat) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
@@ -155,15 +162,6 @@ func (cc *Concat) Execute(c context.Context, ctx *Ctx) (*relation.Relation, erro
 	return concatAll(c, ctx, rels)
 }
 
-// Fingerprint implements Node.
-func (c *Concat) Fingerprint() string {
-	parts := make([]string, len(c.Inputs)) //lint:allow chargedalloc O(#plan inputs) fingerprint scratch
-	for i, in := range c.Inputs {
-		parts[i] = in.Fingerprint()
-	}
-	return "concat(" + strings.Join(parts, ",") + ")"
-}
-
 // Children implements Node.
 func (c *Concat) Children() []Node { return c.Inputs }
 
@@ -177,12 +175,17 @@ func (c *Concat) Label() string { return fmt.Sprintf("Concat %d", len(c.Inputs))
 // inputs are collapsed and their probabilities combined under the given
 // assumption (independent → noisy-or, disjoint → clamped sum, max → max).
 type Unite struct {
+	ident
 	L, R  Node
 	PMode GroupProb
 }
 
 // NewUnite unions l and r collapsing duplicates under pmode.
-func NewUnite(l, r Node, pmode GroupProb) *Unite { return &Unite{L: l, R: r, PMode: pmode} }
+func NewUnite(l, r Node, pmode GroupProb) *Unite {
+	h := newHasher("unite")
+	h.int(int(pmode))
+	return &Unite{ident: h.finish(l, r), L: l, R: r, PMode: pmode}
+}
 
 // Execute implements Node.
 func (u *Unite) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
@@ -195,11 +198,6 @@ func (u *Unite) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error)
 		return nil, err
 	}
 	return aggregateRel(c, ctx, all, all.ColumnNames(), nil, u.PMode)
-}
-
-// Fingerprint implements Node.
-func (u *Unite) Fingerprint() string {
-	return fmt.Sprintf("unite[%s](%s,%s)", u.PMode, u.L.Fingerprint(), u.R.Fingerprint())
 }
 
 // Children implements Node.
@@ -219,13 +217,16 @@ func (u *Unite) Label() string { return fmt.Sprintf("Unite[%s]", u.PMode) }
 // matches, pL for non-matches. With Boolean = true it behaves like SQL
 // EXCEPT: matching rows are removed regardless of probability.
 type Subtract struct {
+	ident
 	L, R    Node
 	Boolean bool
 }
 
 // NewSubtract returns probabilistic difference of l and r.
 func NewSubtract(l, r Node, boolean bool) *Subtract {
-	return &Subtract{L: l, R: r, Boolean: boolean}
+	h := newHasher("subtract")
+	h.bool(boolean)
+	return &Subtract{ident: h.finish(l, r), L: l, R: r, Boolean: boolean}
 }
 
 // Execute implements Node.
@@ -322,11 +323,6 @@ func (s *Subtract) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	}
 	out.SetProb(prob)
 	return out, nil
-}
-
-// Fingerprint implements Node.
-func (s *Subtract) Fingerprint() string {
-	return fmt.Sprintf("subtract[boolean=%v](%s,%s)", s.Boolean, s.L.Fingerprint(), s.R.Fingerprint())
 }
 
 // Children implements Node.

@@ -44,12 +44,17 @@ func resolveSortKeys(in *relation.Relation, specs []SortSpec) ([]relation.SortKe
 
 // Sort orders its input by the given keys (stable).
 type Sort struct {
+	ident
 	Child Node
 	Keys  []SortSpec
 }
 
 // NewSort sorts child by keys.
-func NewSort(child Node, keys ...SortSpec) *Sort { return &Sort{Child: child, Keys: keys} }
+func NewSort(child Node, keys ...SortSpec) *Sort {
+	h := newHasher("sort")
+	h.sortSpecs(keys)
+	return &Sort{ident: h.finish(child), Child: child, Keys: keys}
+}
 
 // Execute implements Node.
 //
@@ -77,11 +82,6 @@ func (s *Sort) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) 
 	return gatherParallel(c, ctx, in, sel)
 }
 
-// Fingerprint implements Node.
-func (s *Sort) Fingerprint() string {
-	return fmt.Sprintf("sort(%s)(%s)", specString(s.Keys), s.Child.Fingerprint())
-}
-
 // Children implements Node.
 func (s *Sort) Children() []Node { return []Node{s.Child} }
 
@@ -99,6 +99,7 @@ func specString(keys []SortSpec) string {
 // TopN returns the first N rows under the given ordering — the ranked
 // result list of a retrieval run.
 type TopN struct {
+	ident
 	Child Node
 	Keys  []SortSpec
 	N     int
@@ -106,7 +107,10 @@ type TopN struct {
 
 // NewTopN returns the top n rows of child under keys.
 func NewTopN(child Node, n int, keys ...SortSpec) *TopN {
-	return &TopN{Child: child, Keys: keys, N: n}
+	h := newHasher("topn")
+	h.int(n)
+	h.sortSpecs(keys)
+	return &TopN{ident: h.finish(child), Child: child, Keys: keys, N: n}
 }
 
 // Execute implements Node.
@@ -132,11 +136,6 @@ func (t *TopN) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) 
 		return nil, err
 	}
 	return gatherParallel(c, ctx, in, sel)
-}
-
-// Fingerprint implements Node.
-func (t *TopN) Fingerprint() string {
-	return fmt.Sprintf("topn(%d;%s)(%s)", t.N, specString(t.Keys), t.Child.Fingerprint())
 }
 
 // Children implements Node.

@@ -20,6 +20,7 @@ import (
 // compound query terms can match (used by the production strategy of
 // section 3).
 type Tokenize struct {
+	ident
 	Child         Node
 	IDCol         string
 	DataCol       string
@@ -27,9 +28,15 @@ type Tokenize struct {
 	WithCompounds bool
 }
 
-// NewTokenize tokenizes child's dataCol per row of idCol.
-func NewTokenize(child Node, idCol, dataCol string, tok text.Tokenizer) *Tokenize {
-	return &Tokenize{Child: child, IDCol: idCol, DataCol: dataCol, Tok: tok}
+// NewTokenize tokenizes child's dataCol per row of idCol; withCompounds
+// also emits joined adjacent-pair tokens.
+func NewTokenize(child Node, idCol, dataCol string, tok text.Tokenizer, withCompounds bool) *Tokenize {
+	h := newHasher("tokenize")
+	h.str(idCol)
+	h.str(dataCol)
+	h.str(tok.Spec())
+	h.bool(withCompounds)
+	return &Tokenize{ident: h.finish(child), Child: child, IDCol: idCol, DataCol: dataCol, Tok: tok, WithCompounds: withCompounds}
 }
 
 // Execute implements Node.
@@ -79,12 +86,6 @@ func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 		{Name: "pos", Vec: positions},
 	}
 	return relation.FromColumns(cols, prob)
-}
-
-// Fingerprint implements Node.
-func (t *Tokenize) Fingerprint() string {
-	return fmt.Sprintf("tokenize(%s,%s,%s,compounds=%v)(%s)",
-		t.IDCol, t.DataCol, t.Tok.Spec(), t.WithCompounds, t.Child.Fingerprint())
 }
 
 // Children implements Node.

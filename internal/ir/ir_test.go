@@ -3,6 +3,7 @@ package ir
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"irdb/internal/catalog"
@@ -456,6 +457,41 @@ func TestCompoundIndexing(t *testing.T) {
 	}
 	if len(hits) != 1 || hits[0].DocID != "1" {
 		t.Errorf("compound search = %v, want doc 1", hits)
+	}
+}
+
+// TestCustomStopwordsNeverShareCache: searchers over the same documents
+// that differ only in their custom stop-word lists build separate indexes,
+// so a catalog another list already warmed scores like a fresh one.
+func TestCustomStopwordsNeverShareCache(t *testing.T) {
+	docs := relation.NewBuilder([]string{ColDocID, ColData}, []vector.Kind{vector.Int64, vector.String}).
+		Add(int64(1), "red toy toy toy train").
+		Add(int64(2), "red car").
+		Add(int64(3), "blue boat").
+		Build()
+	newCtx := func() *engine.Ctx {
+		cat := catalog.New(0)
+		cat.Put("docs", docs)
+		return engine.NewCtx(cat)
+	}
+	search := func(ctx *engine.Ctx, stopword string) []Hit {
+		t.Helper()
+		p := DefaultParams()
+		p.Tokenizer = text.Tokenizer{Lower: true, DropStopwords: true, Stopwords: map[string]bool{stopword: true}}
+		s, err := NewSearcher(ctx, engine.NewScan("docs"), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, err := s.Search(context.Background(), "red", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hits
+	}
+	warm := newCtx()
+	search(warm, "car")
+	if got, want := search(warm, "toy"), search(newCtx(), "toy"); !reflect.DeepEqual(got, want) {
+		t.Errorf("after a {car} searcher: %v; on a fresh catalog: %v", got, want)
 	}
 }
 

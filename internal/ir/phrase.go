@@ -19,10 +19,7 @@ import (
 // TermDocPosPlan is TermDocPlan keeping token positions:
 // (term, docID, pos), materialized.
 func TermDocPosPlan(docs engine.Node, p Params) engine.Node {
-	tok := &engine.Tokenize{
-		Child: docs, IDCol: ColDocID, DataCol: ColData,
-		Tok: p.Tokenizer,
-	}
+	tok := engine.NewTokenize(docs, ColDocID, ColData, p.Tokenizer, false)
 	proj := engine.NewProject(tok,
 		engine.ProjCol{Name: ColTerm, E: termExpr(p)},
 		engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},

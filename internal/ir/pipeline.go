@@ -36,10 +36,7 @@ func termExpr(p Params) expr.Expr {
 //
 // The result is materialized — it is query-independent.
 func TermDocPlan(docs engine.Node, p Params) engine.Node {
-	tok := &engine.Tokenize{
-		Child: docs, IDCol: ColDocID, DataCol: ColData,
-		Tok: p.Tokenizer, WithCompounds: p.WithCompounds,
-	}
+	tok := engine.NewTokenize(docs, ColDocID, ColData, p.Tokenizer, p.WithCompounds)
 	proj := engine.NewProject(tok,
 		engine.ProjCol{Name: ColTerm, E: termExpr(p)},
 		engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
@@ -284,7 +281,7 @@ func QueryRelation(query string) *relation.Relation {
 // terms drop out in the join, as in the paper's SQL.
 func QTermsPlan(docs engine.Node, p Params, query string) engine.Node {
 	qvals := engine.NewValues("q:"+p.spec()+":"+query, QueryRelation(query))
-	tok := &engine.Tokenize{Child: qvals, IDCol: ColDocID, DataCol: ColData, Tok: p.Tokenizer}
+	tok := engine.NewTokenize(qvals, ColDocID, ColData, p.Tokenizer, false)
 	qterms := engine.NewProject(tok, engine.ProjCol{Name: ColTerm, E: termExpr(p)})
 	// Probe the (small) query against the materialized dictionary.
 	join := engine.NewHashJoin(qterms, TermDictPlan(docs, p),

@@ -17,7 +17,7 @@
 // lets buildBuckets charge 48 bytes/row once and have newOpenTable's
 // internal allocations ride under that umbrella without annotations.
 //
-// Plan-time files (bind.go, optimize.go, rewrite.go, deps.go, explain.go)
+// Plan-time files (bind.go, optimize.go, rewrite.go, identity.go, explain.go)
 // are exempt wholesale: their allocations are O(plan) — proportional to
 // the query text, not the data — and the budget governs data, not parse
 // trees. Remaining legitimate exceptions (O(parallelism) scratch,
@@ -57,7 +57,7 @@ var chargePkgFuncs = map[string]bool{"Charge": true, "Grow": true, "WithReservat
 // data; the memory budget does not govern them.
 var planTimeFiles = map[string]bool{
 	"bind.go": true, "optimize.go": true, "rewrite.go": true,
-	"deps.go": true, "explain.go": true,
+	"identity.go": true, "explain.go": true,
 }
 
 // funcInfo is the per-function summary the fixpoint runs over.

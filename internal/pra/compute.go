@@ -243,7 +243,7 @@ func (t *TokenizeOp) Compile() (engine.Node, error) {
 	if t.DataCol < 1 || t.DataCol > len(in) {
 		return nil, fmt.Errorf("pra: TOKENIZE data $%d out of range (input has %d columns)", t.DataCol, len(in))
 	}
-	return engine.NewTokenize(child, in[t.IDCol-1], in[t.DataCol-1], t.Tok), nil
+	return engine.NewTokenize(child, in[t.IDCol-1], in[t.DataCol-1], t.Tok, false), nil
 }
 
 // String implements Node.

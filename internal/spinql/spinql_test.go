@@ -8,6 +8,7 @@ import (
 
 	"irdb/internal/catalog"
 	"irdb/internal/engine"
+	"irdb/internal/expr"
 	"irdb/internal/pra"
 	"irdb/internal/relation"
 	"irdb/internal/triple"
@@ -320,9 +321,33 @@ func TestParamPlaceholders(t *testing.T) {
 	if got := engine.Params(plan); len(got) != 2 || got[0] != "prop" || got[1] != "min" {
 		t.Fatalf("Params = %v", got)
 	}
-	// Placeholders render canonically in the fingerprint.
-	if fp := plan.Fingerprint(); !strings.Contains(fp, "?prop") || !strings.Contains(fp, "?min") {
-		t.Fatalf("fingerprint = %s", fp)
+	// Binding yields another plan than the prepared one: exactly the plan
+	// compiled with the literals written in.
+	bound, err := engine.Bind(plan, func(name string) (expr.Lit, bool) {
+		switch name {
+		case "prop":
+			return expr.Str("price"), true
+		case "min":
+			return expr.Int(10), true
+		}
+		return expr.Lit{}, false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	litProg, err := Parse(`SELECT [$2 = "price" and $3 > 10] (triples_int);`, TriplesEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal, err := litProg.Result().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound.Fingerprint() == plan.Fingerprint() {
+		t.Error("bound plan shares the prepared plan's digest")
+	}
+	if bound.Fingerprint() != literal.Fingerprint() {
+		t.Errorf("bound plan differs from the literal plan:\n%s\n%s", engine.Explain(bound), engine.Explain(literal))
 	}
 	// A bare '?' or '?1' is a lex error.
 	for _, bad := range []string{`SELECT [$2 = ?] (triples);`, `SELECT [$2 = ?1] (triples);`} {

@@ -88,8 +88,10 @@ func TestSpecDistinguishesConfigs(t *testing.T) {
 	a := Tokenizer{Lower: true}.Spec()
 	b := Tokenizer{Lower: true, DropStopwords: true}.Spec()
 	c := Tokenizer{Lower: true, MinLen: 2}.Spec()
-	if a == b || a == c || b == c {
-		t.Errorf("Specs collide: %q %q %q", a, b, c)
+	d := Tokenizer{Lower: true, DropStopwords: true, Stopwords: map[string]bool{"toy": true}}.Spec()
+	e := Tokenizer{Lower: true, DropStopwords: true, Stopwords: map[string]bool{"car": true}}.Spec()
+	if a == b || a == c || b == c || b == d || d == e {
+		t.Errorf("Specs collide: %q %q %q %q %q", a, b, c, d, e)
 	}
 }
 

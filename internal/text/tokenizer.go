@@ -11,6 +11,7 @@ package text
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"unicode"
 )
@@ -43,10 +44,21 @@ type Tokenizer struct {
 func Default() Tokenizer { return Tokenizer{Lower: true} }
 
 // Spec returns a canonical description of the configuration, used in plan
-// fingerprints so differently-configured tokenizations never share a cache
-// entry.
+// digests so differently-configured tokenizations never share a cache
+// entry. A custom stop-word list is part of it, as a sorted set.
 func (t Tokenizer) Spec() string {
-	return fmt.Sprintf("tok{lower=%v,nostop=%v,minlen=%d}", t.Lower, t.DropStopwords, t.MinLen)
+	spec := fmt.Sprintf("tok{lower=%v,nostop=%v,minlen=%d", t.Lower, t.DropStopwords, t.MinLen)
+	if t.DropStopwords && t.Stopwords != nil {
+		words := make([]string, 0, len(t.Stopwords))
+		for w, stop := range t.Stopwords {
+			if stop {
+				words = append(words, w)
+			}
+		}
+		sort.Strings(words)
+		spec += fmt.Sprintf(",stop=%q", words)
+	}
+	return spec + "}"
 }
 
 // Tokens returns the terms of s in order, applying the configured folding
