@@ -55,13 +55,19 @@
 // without blocking — saturated plans simply fall back to inline, serial
 // evaluation — so arbitrarily nested parallel operators cannot deadlock.
 //
-// Plans are immutable trees of Node values. Every node has a canonical
-// Fingerprint; together with catalog.Cache this gives the paper's
-// on-demand materialization — wrap any sub-plan in Materialize and its
-// result becomes an adaptive "cache table" reused across queries
-// (sections 2.1 and 2.2). Concurrent queries that miss on the same
-// fingerprint share one single-flight computation, detached from the
-// callers so no caller's cancellation can kill work others wait on.
+// Plans are immutable trees of Node values. Plan identity: each node's
+// constructor computes, once, a 128-bit digest of its operator, its
+// parameters and its children's digests, and the sorted set of base
+// tables its subtree scans, and stores both in the node. Only
+// constructors build or derive nodes, so a stored digest is never stale
+// (README.md "Plan identity" covers what the digest covers, the
+// Materialize key rule and the collision odds). Together with
+// catalog.Cache this gives the paper's on-demand materialization — wrap
+// any sub-plan in Materialize and its result becomes an adaptive "cache
+// table", keyed by the sub-plan's digest and reused across queries
+// (sections 2.1 and 2.2). Concurrent queries that miss on the same digest
+// share one single-flight computation, detached from the callers so no
+// caller's cancellation can kill work others wait on.
 //
 // Relations flowing between operators are treated as immutable; operators
 // may share column vectors of their inputs but never modify them.

@@ -4,8 +4,8 @@
 // expressions of the paper's SQL examples (lcase, stem, log, arithmetic on
 // term frequencies, ...).
 //
-// Every expression has a canonical String form; the engine uses it to build
-// stable plan fingerprints for the on-demand materialization cache.
+// Every expression has a canonical String form for EXPLAIN output and
+// error messages; plan digests hash expressions structurally instead.
 package expr
 
 import (
@@ -24,7 +24,7 @@ type Expr interface {
 	// Eval computes the expression over all rows of r.
 	Eval(r *relation.Relation) (vector.Vector, error)
 	// String returns the canonical, parseable-looking rendering used in
-	// plan fingerprints and EXPLAIN output.
+	// EXPLAIN output and error messages.
 	String() string
 }
 

@@ -4,7 +4,7 @@ package expr
 // statement: it parses and type-checks like any operand, but carries no
 // value. Binding replaces Params with Lit values via Bind, producing a new
 // expression tree; sub-expressions without parameters are shared, so a
-// bound plan's fingerprints stay canonical and the materialization cache
+// bound plan's digests stay canonical and the materialization cache
 // is shared across bindings wherever a sub-plan does not depend on the
 // parameters.
 
@@ -25,10 +25,9 @@ func (p Param) Eval(r *relation.Relation) (vector.Vector, error) {
 	return nil, fmt.Errorf("expr: unbound parameter ?%s (execute through a prepared statement and bind it)", p.Name)
 }
 
-// String implements Expr. The rendering is canonical — two plans built
-// from the same statement text share fingerprints — but plans containing
-// a Param are never cached: binding replaces the Param with the literal
-// first, and only the bound tree executes.
+// String implements Expr. Plans containing a Param are never cached:
+// binding replaces the Param with the literal first, and only the bound
+// tree executes.
 func (p Param) String() string { return "?" + p.Name }
 
 // Bind returns e with every Param replaced by the literal lookup returns
