@@ -20,9 +20,30 @@ import (
 	"irdb/internal/workload"
 )
 
+// benchSeed generates every root benchmark's data and its queries. The
+// seed picks the vocabulary's words, so queries drawn under another seed
+// than their data's would mostly match nothing (TestBenchQueriesHit).
+const benchSeed = 42
+
+// Keyword-search benchmarks (E1, E5, E6) run over docs of ~80 tokens from
+// a docVocab-word vocabulary, and the strategy benchmarks (E4, E7) over
+// the default auction graph, whose vocabulary has auctionVocab words.
+const (
+	docVocab     = 30000
+	auctionVocab = 20000
+)
+
+func docQueries() []string     { return workload.Queries(50, 3, docVocab, benchSeed) }
+func auctionQueries() []string { return workload.Queries(20, 3, auctionVocab, benchSeed) }
+
+// auctionSynonyms drives the production strategy's query expansion (E7).
+func auctionSynonyms() text.SynonymDict {
+	return text.SynonymDict(workload.Synonyms(auctionVocab, 200, 2, benchSeed))
+}
+
 func newSearcher(b *testing.B, nDocs int) (*ir.Searcher, []string) {
 	b.Helper()
-	docs := workload.GenDocs(nDocs, 80, 30000, 42)
+	docs := workload.GenDocs(nDocs, 80, docVocab, benchSeed)
 	cat := catalog.New(0)
 	cat.Put("docs", workload.DocsRelation(docs))
 	ctx := engine.NewCtx(cat)
@@ -33,7 +54,7 @@ func newSearcher(b *testing.B, nDocs int) (*ir.Searcher, []string) {
 	if err := s.BuildIndex(context.Background()); err != nil {
 		b.Fatal(err)
 	}
-	queries := workload.Queries(50, 3, 30000, 43)
+	queries := docQueries()
 	if _, err := s.Search(context.Background(), queries[0], 10); err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +79,7 @@ func BenchmarkE1KeywordSearchHot(b *testing.B) {
 
 // BenchmarkE1IndexBuild measures cold on-demand index construction.
 func BenchmarkE1IndexBuild(b *testing.B) {
-	docs := workload.GenDocs(2000, 80, 30000, 42)
+	docs := workload.GenDocs(2000, 80, docVocab, benchSeed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -78,7 +99,7 @@ func BenchmarkE1IndexBuild(b *testing.B) {
 
 func wideCtx(b *testing.B, useCache bool) *engine.Ctx {
 	b.Helper()
-	graph := workload.WidePropertyGraph(5000, 32, 5000, 42)
+	graph := workload.WidePropertyGraph(5000, 32, 5000, benchSeed)
 	cat := catalog.New(0)
 	triple.NewStore(cat).Load(graph)
 	ctx := engine.NewCtx(cat)
@@ -117,9 +138,10 @@ func BenchmarkE2OnDemandHot(b *testing.B) {
 	}
 }
 
-func auctionCtx(b *testing.B, lots int) *engine.Ctx {
-	b.Helper()
+func auctionCtx(tb testing.TB, lots int) *engine.Ctx {
+	tb.Helper()
 	cfg := workload.DefaultAuctionConfig()
+	cfg.VocabSize, cfg.Seed = auctionVocab, benchSeed
 	cfg.Lots = lots
 	cfg.Auctions = lots / 320
 	if cfg.Auctions < 1 {
@@ -176,7 +198,7 @@ func BenchmarkE3Boolean(b *testing.B) {
 // compile, optimize, top-k and exec that /search and DB.Search run.
 func BenchmarkE4AuctionStrategyHot(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
-	queries := workload.Queries(20, 3, 20000, 44)
+	queries := auctionQueries()
 	strat := strategy.Auction(0.7, 0.3)
 	run := func(q string) error {
 		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q}, 50)
@@ -196,7 +218,7 @@ func BenchmarkE4AuctionStrategyHot(b *testing.B) {
 // BenchmarkE5SharedRebuild: a second searcher with identical parameters
 // must "build" instantly from the shared materialization cache.
 func BenchmarkE5SharedRebuild(b *testing.B) {
-	docs := workload.GenDocs(2000, 80, 30000, 42)
+	docs := workload.GenDocs(2000, 80, docVocab, benchSeed)
 	cat := catalog.New(0)
 	cat.Put("docs", workload.DocsRelation(docs))
 	ctx := engine.NewCtx(cat)
@@ -232,7 +254,7 @@ func BenchmarkE6RelationalHot(b *testing.B) {
 }
 
 func BenchmarkE6InvertedIndexHot(b *testing.B) {
-	gen := workload.GenDocs(5000, 80, 30000, 42)
+	gen := workload.GenDocs(5000, 80, docVocab, benchSeed)
 	ivDocs := make([]invidx.Doc, len(gen))
 	for i, d := range gen {
 		ivDocs[i] = invidx.Doc{ID: d.ID, Data: d.Data}
@@ -241,7 +263,7 @@ func BenchmarkE6InvertedIndexHot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := workload.Queries(50, 3, 30000, 43)
+	queries := docQueries()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Search(queries[i%len(queries)], 10)
@@ -252,8 +274,8 @@ func BenchmarkE6InvertedIndexHot(b *testing.B) {
 // strategy (section 3), through the same Strategy.Rank as E4.
 func BenchmarkE7ProductionStrategyHot(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
-	queries := workload.Queries(20, 3, 20000, 45)
-	synonyms := text.SynonymDict(workload.Synonyms(20000, 200, 2, 42))
+	queries := auctionQueries()
+	synonyms := auctionSynonyms()
 	strat := strategy.Production()
 	run := func(q string) error {
 		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q, Synonyms: synonyms}, 10)
@@ -266,6 +288,48 @@ func BenchmarkE7ProductionStrategyHot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := run(queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBenchQueriesHit guards the benchmarks' inputs: every query of every
+// query set above matches at least one document of the data it runs
+// against, so no benchmark times empty answers.
+func TestBenchQueriesHit(t *testing.T) {
+	queries := docQueries()
+	for _, n := range []int{2000, 5000, 10000} { // E1, E6
+		gen := workload.GenDocs(n, 80, docVocab, benchSeed)
+		docs := make([]invidx.Doc, len(gen))
+		for i, d := range gen {
+			docs[i] = invidx.Doc{ID: d.ID, Data: d.Data}
+		}
+		idx, err := invidx.Build(docs, ir.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if len(idx.Search(q, 1)) == 0 {
+				t.Errorf("%d docs: query %q matches nothing", n, q)
+			}
+		}
+	}
+
+	ctx := auctionCtx(t, 4000)
+	for _, run := range []struct {
+		strat    *strategy.Strategy
+		synonyms text.SynonymDict
+	}{
+		{strategy.Auction(0.7, 0.3), nil},          // E4
+		{strategy.Production(), auctionSynonyms()}, // E7
+	} {
+		for _, q := range auctionQueries() {
+			top, err := run.strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q, Synonyms: run.synonyms}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if top.NumRows() == 0 {
+				t.Errorf("%s over 4000 lots: query %q matches nothing", run.strat.Name, q)
+			}
 		}
 	}
 }

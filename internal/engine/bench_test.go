@@ -174,12 +174,12 @@ func BenchmarkTopNFullSort(b *testing.B) {
 	}
 }
 
-// BenchmarkTopNSerialFallback measures topNSel at parallelism 1, which
-// takes the single-morsel fallback (a full SortedSel) — it should match
-// BenchmarkTopNFullSort, not the heap-and-merge path that TopNMerge8
-// exercises.
+// BenchmarkTopNSerialFallback measures topNSel at parallelism 1 over one
+// sort run (sortRunRows rows): a single bounded heap and no merge. Larger
+// inputs split into several runs even serially and take the merge path
+// that TopNMerge8 exercises.
 func BenchmarkTopNSerialFallback(b *testing.B) {
-	rel := matRel(matRows, 20000)
+	rel := matRel(sortRunRows, 20000)
 	ctx := &Ctx{Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,8 @@
 //     output columns are allocated once at full size and concurrent
 //     morsels fill disjoint row ranges in place (gather, concat), TopN
 //     selects per-morsel survivors with a bounded heap and k-way-merges
-//     them (stable-sort-equivalent, the input is never fully sorted),
+//     them (stable-sort-equivalent, the input is never fully sorted, at
+//     any parallelism and input size),
 //     full Sort merge-sorts per-morsel stable runs through the same
 //     merge, the hash-join build partitions flat open-addressing tables
 //     by hash bits, grouping deduplicates morsels locally before a
@@ -39,12 +40,13 @@
 //
 // Compiled plans pass through an optimizer (Optimize / Ctx.Optimize)
 // before execution: three rule passes — selection pushdown below joins
-// and set operators, statically-empty branch elimination, and column
-// pruning ahead of materialization. There is no cost model; a hash join
-// always builds on its right input. Every rewrite preserves bit-identical
-// results — values, probabilities and row order — at any parallelism,
-// and every pass is conservative: a rewrite whose legality cannot be
-// proven is skipped. ExplainChange renders the before/after plans;
+// and set operators together with fusing a Limit over a Sort into a TopN,
+// statically-empty branch elimination, and column pruning ahead of
+// materialization. There is no cost model; a hash join always builds on
+// its right input. Every rewrite preserves bit-identical results —
+// values, probabilities and row order — at any parallelism, and every
+// pass is conservative: a rewrite whose legality cannot be proven is
+// skipped. ExplainChange renders the before/after plans;
 // Ctx.OptimizerStats counts what the passes did.
 //
 // See README.md in this package for the materialization model, the

@@ -292,13 +292,13 @@ func NewLimit(child Node, n int) *Limit {
 	return &Limit{ident: h.finish(child), Child: child, N: n}
 }
 
-// Execute implements Node.
+// Execute implements Node. N ≤ 0 keeps no rows, as TopN does.
 func (l *Limit) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
 	in, err := ctx.Exec(c, l.Child)
 	if err != nil {
 		return nil, err
 	}
-	n := l.N
+	n := max(l.N, 0)
 	if n >= in.NumRows() {
 		return in, nil
 	}

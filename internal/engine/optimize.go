@@ -15,7 +15,8 @@ import (
 //
 //  1. pushdownPass — merge adjacent Selects and sink predicates below
 //     joins, unions/concats, unites/distincts, extends and sorts, toward
-//     the scans that produce their columns.
+//     the scans that produce their columns; fuse Limit(n, Sort(keys, x))
+//     into TopN(n, keys, x), which keeps n rows instead of sorting all.
 //  2. emptyPass — remove statically-empty branches (constant-false
 //     selections, zero-row Values, zero limits) from set operations and
 //     drop always-true selections.
@@ -40,10 +41,11 @@ type OptInfo struct {
 	SelectsPushed int `json:"selects_pushed"`
 	EmptyRewrites int `json:"empty_rewrites"`
 	ColumnsPruned int `json:"columns_pruned"`
+	SortsFused    int `json:"sorts_fused"`
 }
 
 func (i OptInfo) changed() bool {
-	return i.SelectsMerged+i.SelectsPushed+i.EmptyRewrites+i.ColumnsPruned > 0
+	return i.SelectsMerged+i.SelectsPushed+i.EmptyRewrites+i.ColumnsPruned+i.SortsFused > 0
 }
 
 // Optimize rewrites plan through the pass pipeline, using cat (which may
@@ -67,6 +69,7 @@ func (c *Ctx) Optimize(plan Node) Node {
 	c.optSelectsPushed.Add(int64(info.SelectsPushed))
 	c.optEmptyRewrites.Add(int64(info.EmptyRewrites))
 	c.optColumnsPruned.Add(int64(info.ColumnsPruned))
+	c.optSortsFused.Add(int64(info.SortsFused))
 	if info.changed() {
 		c.optChanged.Add(1)
 	}
@@ -86,6 +89,7 @@ type OptInfoTotals struct {
 	SelectsPushed int64 `json:"selects_pushed"`
 	EmptyRewrites int64 `json:"empty_rewrites"`
 	ColumnsPruned int64 `json:"columns_pruned"`
+	SortsFused    int64 `json:"sorts_fused"`
 }
 
 // OptimizerStats returns the cumulative optimizer counters.
@@ -98,6 +102,7 @@ func (c *Ctx) OptimizerStats() OptimizerStats {
 			SelectsPushed: c.optSelectsPushed.Load(),
 			EmptyRewrites: c.optEmptyRewrites.Load(),
 			ColumnsPruned: c.optColumnsPruned.Load(),
+			SortsFused:    c.optSortsFused.Load(),
 		},
 	}
 }
@@ -111,17 +116,30 @@ type optCounters struct {
 	optSelectsPushed atomic.Int64
 	optEmptyRewrites atomic.Int64
 	optColumnsPruned atomic.Int64
+	optSortsFused    atomic.Int64
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: predicate pushdown
+// Pass 1: predicate pushdown and Limit∘Sort fusion
 
 // pushdownPass rewrites bottom-up, then sinks every Select it finds as far
-// toward the leaves as legality allows.
+// toward the leaves as legality allows, and fuses every Limit directly
+// over a Sort into one TopN.
 func pushdownPass(cat *catalog.Catalog, n Node, info *OptInfo) Node {
 	n = rewriteChildren(n, func(c Node) Node { return pushdownPass(cat, c, info) })
-	if s, ok := n.(*Select); ok {
-		return pushSelect(cat, s, info)
+	switch x := n.(type) {
+	case *Select:
+		return pushSelect(cat, x, info)
+	case *Limit:
+		// Both sides are the first N entries of the stable sort
+		// permutation (relation.SortedSel), N ≤ 0 meaning none, so the
+		// fusion is bit-identical; TopN just never sorts the rows it
+		// drops. Children run bottom-up first, so a Select pushed below
+		// the Sort does not block it.
+		if s, ok := x.Child.(*Sort); ok {
+			info.SortsFused++
+			return NewTopN(s.Child, x.N, s.Keys...)
+		}
 	}
 	return n
 }

@@ -126,6 +126,48 @@ func TestPushdownPassGolden(t *testing.T) {
 				"    Scan triples\n")
 	})
 
+	t.Run("limit-over-sort-fuses", func(t *testing.T) {
+		plan := NewLimit(NewSort(NewScan("triples"), SortSpec{Col: "", Desc: true}, SortSpec{Col: "subject"}), 5)
+		got, info := runPass(t, pushdownPass, cat, plan)
+		wantExplain(t, "fuse", got,
+			"TopN 5 by p desc,subject\n"+
+				"  Scan triples\n")
+		if info.SortsFused != 1 {
+			t.Errorf("SortsFused = %d, want 1", info.SortsFused)
+		}
+	})
+
+	t.Run("limit-over-select-over-sort-fuses", func(t *testing.T) {
+		plan := NewLimit(NewSelect(NewSort(NewScan("triples"), SortSpec{Col: "subject"}), eq("object", "toy")), 3)
+		got, info := runPass(t, pushdownPass, cat, plan)
+		wantExplain(t, "select-then-fuse", got,
+			"TopN 3 by subject\n"+
+				"  Select (object = \"toy\")\n"+
+				"    Scan triples\n")
+		if info.SortsFused != 1 || info.SelectsPushed != 1 {
+			t.Errorf("SortsFused/SelectsPushed = %d/%d, want 1/1", info.SortsFused, info.SelectsPushed)
+		}
+	})
+
+	for _, tc := range []struct {
+		name    string
+		between func(Node) Node
+	}{
+		{"materialize", func(n Node) Node { return NewMaterialize(n) }},
+		{"project", func(n Node) Node {
+			return NewProject(n, ProjCol{Name: "subject", E: expr.Column("subject")})
+		}},
+	} {
+		t.Run("limit-over-"+tc.name+"-over-sort-stays", func(t *testing.T) {
+			plan := NewLimit(tc.between(NewSort(NewScan("triples"), SortSpec{Col: "subject"})), 2)
+			got, info := runPass(t, pushdownPass, cat, plan)
+			wantExplain(t, tc.name, got, Explain(plan))
+			if info.SortsFused != 0 {
+				t.Errorf("SortsFused = %d, want 0", info.SortsFused)
+			}
+		})
+	}
+
 	t.Run("sort-always-passes", func(t *testing.T) {
 		plan := NewSelect(NewSort(NewScan("triples"), SortSpec{Col: "subject"}), eq("object", "toy"))
 		got, _ := runPass(t, pushdownPass, cat, plan)
@@ -381,7 +423,9 @@ func randomPlan(rng *rand.Rand, depth int) Node {
 			ProjCol{Name: "g", E: expr.Column("g")},
 			ProjCol{Name: "v", E: expr.Column("v")})
 	}
-	switch rng.Intn(8) {
+	// Limits take sizes from "none" through "more than any input".
+	limit := func() int { return []int{-1, 0, 1, 7, 500, 1 << 20}[rng.Intn(6)] }
+	switch rng.Intn(11) {
 	case 0, 1:
 		return NewSelect(sub(), pred())
 	case 2:
@@ -396,6 +440,22 @@ func randomPlan(rng *rand.Rand, depth int) Node {
 		return NewSort(sub(), SortSpec{Col: "v", Desc: true}, SortSpec{Col: "k"})
 	case 6:
 		return NewSelect(NewSelect(sub(), pred()), pred())
+	case 7:
+		// Limit over Sort fuses into TopN; the probability key ties
+		// often, so the stable tie-break decides which rows survive.
+		keys := [][]SortSpec{
+			{{Col: "v", Desc: true}, {Col: "k"}},
+			{{Col: "", Desc: true}},
+			{{Col: "g"}},
+		}[rng.Intn(3)]
+		return NewLimit(NewSort(sub(), keys...), limit())
+	case 8:
+		// Limit over anything else stays a Limit.
+		return NewLimit(sub(), limit())
+	case 9:
+		// A Select between Limit and Sort sinks below the Sort first,
+		// after which the pair fuses.
+		return NewLimit(NewSelect(NewSort(sub(), SortSpec{Col: "", Desc: true}, SortSpec{Col: "k"}), pred()), limit())
 	default:
 		return NewMaterialize(sub())
 	}
@@ -417,6 +477,7 @@ func TestOptimizedEquivalenceRandom(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(42))
 	const plans = 40
+	fused := 0
 	// Plan identity across every naive and optimized plan and all their
 	// sub-plans: distinct plans get distinct digests, equal plans equal
 	// ones, and no optimized node holds a stale digest.
@@ -448,6 +509,7 @@ func TestOptimizedEquivalenceRandom(t *testing.T) {
 		if oErr != nil {
 			t.Fatalf("plan %d: %v\n%s", i, oErr, Explain(plan))
 		}
+		fused += info.SortsFused
 		ledger.add(t, plan)
 		ledger.add(t, optimized)
 		assertFresh(t, optimized)
@@ -468,6 +530,9 @@ func TestOptimizedEquivalenceRandom(t *testing.T) {
 	}
 	if len(ledger.byDigest) < plans {
 		t.Errorf("%d distinct digests over %d random plans", len(ledger.byDigest), plans)
+	}
+	if fused == 0 {
+		t.Errorf("no random plan fused a Limit over a Sort; the rule went unchecked")
 	}
 }
 

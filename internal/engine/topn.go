@@ -86,8 +86,9 @@ func sortSel(c context.Context, ctx *Ctx, in *relation.Relation, keys []relation
 }
 
 // topNSel returns the first n entries of in.SortedSel(keys), computed with
-// per-morsel partial selection plus a k-way merge when worker slots allow.
-// The returned permutation prefix is bit-identical at every parallelism.
+// a bounded heap per sort run plus a k-way merge of the runs, so the input
+// is never fully sorted and at most n row ids per run are held. The
+// returned permutation prefix is bit-identical at every parallelism.
 func topNSel(c context.Context, ctx *Ctx, in *relation.Relation, keys []relation.SortKey, n int) ([]int, error) {
 	total := in.NumRows()
 	if n > total {
@@ -104,11 +105,11 @@ func topNSel(c context.Context, ctx *Ctx, in *relation.Relation, keys []relation
 	}
 	ranges := ctx.sortRanges(total)
 	if len(ranges) <= 1 {
-		// The single-run path sorts the full permutation (8 bytes/row).
-		if err := ctx.charge(c, int64(total)*8); err != nil {
+		// One run needs no merge: its bounded heap is the answer.
+		if err := ctx.charge(c, int64(n)*8); err != nil {
 			return nil, err
 		}
-		return in.SortedSel(keys)[:n:n], nil
+		return topOfRange(less, 0, total, n), nil
 	}
 	// Each run's bounded heap keeps at most n rows; budget the runs plus
 	// the merged prefix before dispatch.

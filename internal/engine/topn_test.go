@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"irdb/internal/catalog"
+	"irdb/internal/memory"
 	"irdb/internal/relation"
 	"irdb/internal/vector"
 )
@@ -148,5 +150,108 @@ func TestGatherParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqualRel(t, want, got, fmt.Sprintf("gatherParallel par=%d", par))
+	}
+}
+
+// TestLimitNonPositive: a Limit of zero or fewer rows returns no rows and
+// keeps its input's schema, both as written and after the optimizer fused
+// a Limit over a Sort into a TopN.
+func TestLimitNonPositive(t *testing.T) {
+	in := randRel(rand.New(rand.NewSource(25)), 3*minMorsel, 400)
+	cat := catalog.New(0)
+	cat.Put("t", in)
+	for _, n := range []int{0, -1} {
+		for _, naive := range []Node{
+			NewLimit(NewScan("t"), n),
+			NewLimit(NewSort(NewScan("t"), SortSpec{Col: "", Desc: true}, SortSpec{Col: "a"}), n),
+		} {
+			optimized, _ := Optimize(cat, naive)
+			for _, par := range []int{1, 2, 8} {
+				for _, plan := range []Node{naive, optimized} {
+					label := fmt.Sprintf("n=%d par=%d %s over %s", n, par, plan.Label(), plan.Children()[0].Label())
+					got, err := (&Ctx{Cat: cat, Parallelism: par}).Exec(context.Background(), plan)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					mustEqualRel(t, in.Gather(nil), got, label)
+				}
+			}
+		}
+	}
+}
+
+// TestFusedTopNKeepsDocIDOrderOnTies ranks documents whose scores tie in
+// large blocks by (score desc, docID): the fused TopN must return the
+// naive Limit-over-Sort rows at every parallelism, with tied scores in
+// ascending docID order.
+func TestFusedTopNKeepsDocIDOrderOnTies(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	rows := 3*minMorsel + 5
+	ids := make([]int64, rows)
+	for i, id := range r.Perm(rows) {
+		ids[i] = int64(id)
+	}
+	scores := make([]float64, rows)
+	for i := range scores {
+		scores[i] = float64(r.Intn(4)) / 4
+	}
+	cat := catalog.New(0)
+	cat.Put("scored", relation.MustFromColumns([]relation.Column{
+		{Name: "docID", Vec: vector.FromInt64s(ids)},
+	}, scores))
+	for _, n := range []int{1, 10, 1000, rows} {
+		naive := NewLimit(NewSort(NewScan("scored"), SortSpec{Col: "", Desc: true}, SortSpec{Col: "docID"}), n)
+		optimized, info := Optimize(cat, naive)
+		if _, ok := optimized.(*TopN); !ok || info.SortsFused != 1 {
+			t.Fatalf("n=%d: optimized to %s (SortsFused %d), want one TopN", n, optimized.Label(), info.SortsFused)
+		}
+		want, err := (&Ctx{Cat: cat, Parallelism: 1}).Exec(context.Background(), naive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2, 8} {
+			got, err := (&Ctx{Cat: cat, Parallelism: par}).Exec(context.Background(), optimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("n=%d par=%d", n, par)
+			mustEqualRel(t, want, got, label)
+			doc := got.Col(0).Vec.(*vector.Int64s).Values()
+			p := got.Prob()
+			for i := 1; i < len(doc); i++ {
+				if p[i] > p[i-1] || p[i] == p[i-1] && doc[i] <= doc[i-1] {
+					t.Fatalf("%s: row %d (%v, doc %d) after (%v, doc %d)", label, i, p[i], doc[i], p[i-1], doc[i-1])
+				}
+			}
+		}
+	}
+}
+
+// TestTopNSingleRunBudget: a TopN over one sort run holds only its n row
+// ids, so at parallelism 1 it runs under a budget far smaller than the
+// 8 bytes per input row a full sort permutation would take.
+func TestTopNSingleRunBudget(t *testing.T) {
+	const rows, n = 50000, 10
+	cat := catalog.New(0)
+	cat.Put("t", randRel(rand.New(rand.NewSource(27)), rows, 400))
+	ctx := &Ctx{Cat: cat, Parallelism: 1}
+	if runs := len(ctx.sortRanges(rows)); runs != 1 {
+		t.Fatalf("%d sort runs at parallelism 1, want the single-run path", runs)
+	}
+	keys := []SortSpec{{Col: "", Desc: true}, {Col: "a"}}
+	want, err := ctx.Exec(context.Background(), NewLimit(NewSort(NewScan("t"), keys...), n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := memory.NewPool(0)
+	res := pool.Reserve(rows * 8 / 4)
+	defer res.Release()
+	got, err := ctx.Exec(memory.WithReservation(context.Background(), res), NewTopN(NewScan("t"), n, keys...))
+	if err != nil {
+		t.Fatalf("TopN %d over %d rows under a %d-byte budget: %v", n, rows, rows*8/4, err)
+	}
+	mustEqualRel(t, want, got, "budgeted TopN")
+	if peak := res.Peak(); peak == 0 || peak >= rows*8 {
+		t.Fatalf("reservation peak %d bytes, want in (0, %d)", peak, rows*8)
 	}
 }
