@@ -122,7 +122,8 @@
 //	spinql.Explain / pra.ToSQL                      -> db.Explain / db.ToSQL
 //
 // At the engine layer, engine.Ctx.Exec and engine.Node.Execute now take
-// a context.Context first; catalog.Cache.GetOrCompute(Aux) does too, and
+// a context.Context first; catalog.Cache.GetOrComputeDeps and
+// GetOrComputeAuxDeps (the cache's two entry points) do too, and
 // a waiter whose context is cancelled detaches from a single-flight
 // computation without killing it for everyone else.
 //

@@ -17,8 +17,11 @@ import (
 // pays the scan; every later query touching the same sub-plan reads the
 // materialized "cache table".
 //
-// Concurrent misses on the same fingerprint are single-flighted: the first
-// caller of GetOrCompute runs the computation, later callers block on that
+// Entries are of two kinds with separate key spaces: relations (the cache
+// tables, through GetOrComputeDeps) and auxiliary structures (join
+// indexes, through GetOrComputeAuxDeps). Both enter through one
+// single-flighted path: on a miss the first caller starts the
+// computation, and later callers missing on the same key block on that
 // in-flight result instead of recomputing it. This is what keeps a shared
 // cache useful under the paper's deployment load (one VM, 150k requests a
 // day) — without it, every popular cold sub-plan would be rebuilt once per
@@ -30,27 +33,24 @@ import (
 // cache tables) resident when one huge materialization arrives: an entry
 // larger than the whole budget is never admitted at all, and admitted
 // entries evict only as many LRU bytes as they actually need. Auxiliary
-// entries (join indexes) share the same LRU order and byte budget:
-// values implementing Sized are weighed by their reported footprint,
-// others count as zero bytes but remain evictable. Statistics feed /stats
-// and the catalog.cache_* benchmark metrics.
+// entries share the same LRU order and byte budget: values implementing
+// Sized are weighed by their reported footprint, others count as zero
+// bytes but remain evictable. Statistics feed /stats and the
+// catalog.cache_* benchmark metrics.
 type Cache struct {
 	mu       sync.Mutex
-	capacity int   // <= 0 means unbounded; bounds relation entries only
-	maxBytes int64 // <= 0 means unbounded; bounds relation + aux bytes
-	bytes    int64 // estimated bytes of all cached relations
-	auxBytes int64 // estimated bytes of all auxiliary entries
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used; holds relation AND aux entries
-	aux      map[string]*list.Element
+	capacity int             // <= 0 means unbounded; bounds relation entries only
+	maxBytes int64           // <= 0 means unbounded; bounds relation + aux bytes
+	bytes    [numKinds]int64 // estimated bytes of the cached entries, per kind
+	entries  [numKinds]map[string]*list.Element
+	order    *list.List // front = most recently used; holds entries of both kinds
 
-	// In-flight computations by key, for GetOrCompute/GetOrComputeAux.
-	// gen invalidates flights started before the last Clear: their result
-	// is still handed to callers that joined them, but is not inserted
-	// into the (now newer) cache.
-	flights    map[string]*flight
-	auxFlights map[string]*flight
-	gen        uint64
+	// In-flight computations by kind and key. gen invalidates flights
+	// started before the last Clear: their result is still handed to
+	// callers that joined them, but is not inserted into the (now newer)
+	// cache.
+	flights [numKinds]map[string]*flight
+	gen     uint64
 
 	hits       uint64
 	misses     uint64
@@ -76,6 +76,15 @@ type Cache struct {
 	curWM func() uint64
 }
 
+// entryKind selects one of the cache's two key spaces.
+type entryKind uint8
+
+const (
+	kindRel entryKind = iota // materialized relations, keyed by plan fingerprint
+	kindAux                  // auxiliary structures (join indexes)
+	numKinds
+)
+
 // flight is one in-progress computation that concurrent callers share.
 // The computation runs on its own goroutine under a flight-owned context,
 // detached from every caller: the leader starting the flight can be
@@ -85,8 +94,7 @@ type Cache struct {
 // computation.
 type flight struct {
 	done chan struct{}
-	rel  *relation.Relation
-	aux  any
+	val  any
 	err  error
 
 	cancel  context.CancelFunc // cancels the flight's own context
@@ -100,11 +108,10 @@ type Sized interface {
 }
 
 type cacheEntry struct {
+	kind  entryKind
 	key   string
-	rel   *relation.Relation // nil for auxiliary entries
-	aux   any                // nil for relation entries
-	isAux bool
-	bytes int64 // EstimatedBytes at insertion, so accounting stays consistent
+	val   any   // *relation.Relation for kindRel
+	bytes int64 // estimated bytes at insertion, so accounting stays consistent
 	// deps is the set of base tables the entry was computed from, and wm
 	// the ingest watermark at which its computation started. A delta
 	// publish to table T evicts exactly the entries with T in deps (nil
@@ -115,43 +122,58 @@ type cacheEntry struct {
 	wm   uint64
 }
 
-// sizeOfRel weighs a relation entry through the configured weigher.
-func (c *Cache) sizeOfRel(r *relation.Relation) int64 {
-	if c.weigh != nil {
-		return c.weigh(r)
+// sizeOf weighs a value of the given kind. Relations go through the
+// configured weigher; auxiliary values report their own estimate when they
+// can, and weigh zero otherwise (unweighable values stay admissible and
+// evictable, they just never trigger eviction themselves).
+func (c *Cache) sizeOf(kind entryKind, v any) int64 {
+	if kind == kindRel {
+		r := v.(*relation.Relation)
+		if c.weigh != nil {
+			return c.weigh(r)
+		}
+		return r.EstimatedBytes()
 	}
-	return r.EstimatedBytes()
-}
-
-// sizeOfAux weighs an auxiliary value: its own estimate when it can report
-// one, zero otherwise (unweighable values stay admissible and evictable,
-// they just never trigger eviction themselves).
-func sizeOfAux(v any) int64 {
 	if s, ok := v.(Sized); ok {
 		return s.EstimatedBytes()
 	}
 	return 0
 }
 
-// NewCache returns a cache holding at most capacity entries (<= 0 for
-// unbounded).
+// NewCache returns a cache holding at most capacity relation entries
+// (<= 0 for unbounded).
 func NewCache(capacity int) *Cache {
-	return &Cache{
-		capacity:   capacity,
-		entries:    make(map[string]*list.Element),
-		order:      list.New(),
-		aux:        make(map[string]*list.Element),
-		flights:    make(map[string]*flight),
-		auxFlights: make(map[string]*flight),
-	}
+	c := &Cache{capacity: capacity, order: list.New()}
+	c.resetMapsLocked()
+	return c
 }
 
-// GetOrCompute returns the cached relation for key, computing and caching
-// it on a miss. Concurrent callers missing on the same key share one
-// computation: exactly one flight runs compute, every caller blocks until
-// it finishes and receives the same result (or the same error; errors are
-// not cached). The second return value reports whether the caller was
-// served without starting the computation itself.
+// GetOrComputeDeps returns the cached relation for key, computing and
+// caching it on a miss; deps names the base tables the computation reads
+// (nil for unknown). The second return value reports whether the caller
+// was served without starting the computation itself. See getOrCompute
+// for the single-flight, cancellation and watermark rules.
+func (c *Cache) GetOrComputeDeps(ctx context.Context, key string, deps []string, compute func(context.Context) (*relation.Relation, error)) (*relation.Relation, bool, error) {
+	v, hit, err := c.getOrCompute(ctx, kindRel, key, deps, func(fc context.Context) (any, error) {
+		return compute(fc)
+	})
+	rel, _ := v.(*relation.Relation)
+	return rel, hit, err
+}
+
+// GetOrComputeAuxDeps is GetOrComputeDeps for auxiliary structures (e.g. a
+// hash index built over a materialized relation — the column-store pattern
+// of reusing join indexes across queries on hot data). Aux keys live in
+// their own key space, and aux lookups count toward Stats().Shared but
+// not Hits or Misses.
+func (c *Cache) GetOrComputeAuxDeps(ctx context.Context, key string, deps []string, compute func(context.Context) (any, error)) (any, bool, error) {
+	return c.getOrCompute(ctx, kindAux, key, deps, compute)
+}
+
+// getOrCompute is the one entry path into the cache. Concurrent callers
+// missing on the same (kind, key) share one computation: exactly one
+// flight runs compute, every caller blocks until it finishes and receives
+// the same result (or the same error; errors are not cached).
 //
 // The computation is detached from every caller: it runs on its own
 // goroutine under a flight-owned context, and compute receives that
@@ -163,34 +185,26 @@ func NewCache(capacity int) *Cache {
 // cancelled, stopping the computation nobody wants anymore.
 //
 // compute runs without the cache lock held, so it may use the cache for
-// other keys — but it must not call GetOrCompute for its own key, which
-// would deadlock on the in-flight entry.
+// other keys — but it must not look up its own key, which would deadlock
+// on the in-flight entry.
 //
-// The entry is stored with an unknown dependency set, so any live-ingest
-// publish evicts it; callers that know which base tables the computation
-// scans should use GetOrComputeDeps to keep the entry resident across
-// appends to unrelated tables.
-func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(context.Context) (*relation.Relation, error)) (*relation.Relation, bool, error) {
-	return c.GetOrComputeDeps(ctx, key, nil, compute)
-}
-
-// GetOrComputeDeps is GetOrCompute with a declared dependency set: deps
-// names the base tables the computation reads. The entry is tagged with
-// deps and the ingest watermark captured when the flight starts, so a
-// delta publish evicts it only if a dependency actually changed — and a
-// result whose dependencies changed while it was computing is handed to
-// its waiters but never cached (counted as a stale drop).
-func (c *Cache) GetOrComputeDeps(ctx context.Context, key string, deps []string, compute func(context.Context) (*relation.Relation, error)) (*relation.Relation, bool, error) {
+// The entry is tagged with deps and the ingest watermark captured when
+// the flight starts, so a delta publish evicts it only if a dependency
+// actually changed — and a result whose dependencies changed while it was
+// computing is handed to its waiters but never cached (a stale drop).
+func (c *Cache) getOrCompute(ctx context.Context, kind entryKind, key string, deps []string, compute func(context.Context) (any, error)) (any, bool, error) {
 	c.mu.Lock()
 	for {
-		if el, ok := c.entries[key]; ok {
-			c.hits++
+		if el, ok := c.entries[kind][key]; ok {
+			if kind == kindRel {
+				c.hits++
+			}
 			c.order.MoveToFront(el)
-			rel := el.Value.(*cacheEntry).rel
+			v := el.Value.(*cacheEntry).val
 			c.mu.Unlock()
-			return rel, true, nil
+			return v, true, nil
 		}
-		f, ok := c.flights[key]
+		f, ok := c.flights[kind][key]
 		if !ok {
 			break
 		}
@@ -203,16 +217,24 @@ func (c *Cache) GetOrComputeDeps(ctx context.Context, key string, deps []string,
 				c.mu.Lock()
 				continue
 			}
-			return f.rel, f.err == nil, f.err
+			return f.val, f.err == nil, f.err
 		case <-ctx.Done():
-			c.detach(false, key, f)
+			c.detach(kind, key, f)
 			return nil, false, ctx.Err()
 		}
 	}
-	c.misses++
+	if kind == kindRel {
+		c.misses++
+	}
 	gen := c.gen
 	wm := c.curWMLocked() // watermark BEFORE compute reads any table
-	f, fctx := c.startFlight(false, key, ctx)
+	// The flight's context keeps the starting caller's values but drops
+	// its cancellation and deadline, so the computation outlives any
+	// individual caller.
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
+	c.flights[kind][key] = f
+	c.mu.Unlock()
 
 	go func() {
 		// The flight goroutine is detached from every caller; a panic in
@@ -234,17 +256,17 @@ func (c *Cache) GetOrComputeDeps(ctx context.Context, key string, deps []string,
 			if f.err = faultpoint.Inject(faultpoint.SiteCacheCompute); f.err != nil {
 				return
 			}
-			f.rel, f.err = compute(fctx)
+			f.val, f.err = compute(fctx)
 		}()
 		var b int64
 		if f.err == nil {
 			// Size the result before taking the lock: EstimatedBytes walks
-			// every string payload, which must not stall concurrent Gets.
-			b = c.sizeOfRel(f.rel)
+			// every string payload, which must not stall concurrent lookups.
+			b = c.sizeOf(kind, f.val)
 		}
 		c.mu.Lock()
-		if c.flights[key] == f {
-			delete(c.flights, key)
+		if c.flights[kind][key] == f {
+			delete(c.flights[kind], key)
 		}
 		if f.err == nil && c.gen == gen {
 			if c.isStaleLocked(deps, wm) {
@@ -253,7 +275,7 @@ func (c *Cache) GetOrComputeDeps(ctx context.Context, key string, deps []string,
 				// query began before the append), but it must not be cached.
 				c.staleDrops++
 			} else {
-				c.putLocked(key, f.rel, b, deps, wm)
+				c.putLocked(kind, key, f.val, b, deps, wm)
 			}
 		}
 		c.mu.Unlock()
@@ -263,45 +285,24 @@ func (c *Cache) GetOrComputeDeps(ctx context.Context, key string, deps []string,
 
 	select {
 	case <-f.done:
-		return f.rel, false, f.err
+		return f.val, false, f.err
 	case <-ctx.Done():
-		c.detach(false, key, f)
+		c.detach(kind, key, f)
 		return nil, false, ctx.Err()
 	}
-}
-
-// flightMapLocked selects the relation or auxiliary flight map. The field
-// must be read under c.mu: Clear replaces both maps wholesale.
-func (c *Cache) flightMapLocked(aux bool) map[string]*flight {
-	if aux {
-		return c.auxFlights
-	}
-	return c.flights
-}
-
-// startFlight registers a new flight for key and returns it with its
-// detached context: cancellation and deadline of the starting caller's
-// ctx are stripped (its values are kept), so the computation outlives any
-// individual caller. Callers must hold c.mu; startFlight releases it.
-func (c *Cache) startFlight(aux bool, key string, ctx context.Context) (*flight, context.Context) {
-	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
-	c.flightMapLocked(aux)[key] = f
-	c.mu.Unlock()
-	return f, fctx
 }
 
 // detach unregisters one caller from a flight. The last caller to detach
 // cancels the flight's context — the computation has no audience left —
 // and removes it from the flight map so later arrivals start fresh
 // instead of joining a dying flight.
-func (c *Cache) detach(aux bool, key string, f *flight) {
+func (c *Cache) detach(kind entryKind, key string, f *flight) {
 	c.mu.Lock()
 	f.waiters--
 	if f.waiters == 0 {
 		f.cancel()
-		if m := c.flightMapLocked(aux); m[key] == f {
-			delete(m, key)
+		if c.flights[kind][key] == f {
+			delete(c.flights[kind], key)
 		}
 	}
 	c.mu.Unlock()
@@ -318,150 +319,12 @@ func abandonedFlight(flightErr error, ctx context.Context) bool {
 		(errors.Is(flightErr, context.Canceled) || errors.Is(flightErr, context.DeadlineExceeded))
 }
 
-// GetOrComputeAux is GetOrCompute for auxiliary structures (join indexes):
-// one detached flight per key, result weighed into the shared LRU like any
-// other entry. Callers detach on their own ctx's cancellation without
-// killing the flight, exactly like GetOrCompute.
-func (c *Cache) GetOrComputeAux(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, bool, error) {
-	return c.GetOrComputeAuxDeps(ctx, key, nil, compute)
-}
-
-// GetOrComputeAuxDeps is GetOrComputeAux with a declared dependency set;
-// see GetOrComputeDeps for the watermark-tagging rules.
-func (c *Cache) GetOrComputeAuxDeps(ctx context.Context, key string, deps []string, compute func(context.Context) (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	for {
-		if el, ok := c.aux[key]; ok {
-			c.order.MoveToFront(el)
-			v := el.Value.(*cacheEntry).aux
-			c.mu.Unlock()
-			return v, true, nil
-		}
-		f, ok := c.auxFlights[key]
-		if !ok {
-			break
-		}
-		c.shared++
-		f.waiters++
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			if abandonedFlight(f.err, ctx) {
-				c.mu.Lock()
-				continue
-			}
-			return f.aux, f.err == nil, f.err
-		case <-ctx.Done():
-			c.detach(true, key, f)
-			return nil, false, ctx.Err()
-		}
-	}
-	gen := c.gen
-	wm := c.curWMLocked()
-	f, fctx := c.startFlight(true, key, ctx)
-
-	go func() {
-		// Same containment as GetOrCompute's flight: a panicking index
-		// build must fail the waiters, not the process.
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					f.err = fault.Capture("cache compute "+key, r)
-					c.mu.Lock()
-					c.panics++
-					c.mu.Unlock()
-				}
-			}()
-			//lint:allow faultsite the relation and aux flights share one site so the fault matrix fails whichever flight runs
-			if f.err = faultpoint.Inject(faultpoint.SiteCacheCompute); f.err != nil {
-				return
-			}
-			f.aux, f.err = compute(fctx)
-		}()
-		var b int64
-		if f.err == nil {
-			b = sizeOfAux(f.aux) // sized before taking the lock, like GetOrCompute
-		}
-		c.mu.Lock()
-		if c.auxFlights[key] == f {
-			delete(c.auxFlights, key)
-		}
-		if f.err == nil && c.gen == gen {
-			if c.isStaleLocked(deps, wm) {
-				c.staleDrops++
-			} else {
-				c.putAuxLocked(key, f.aux, b, deps, wm)
-			}
-		}
-		c.mu.Unlock()
-		f.cancel()
-		close(f.done)
-	}()
-
-	select {
-	case <-f.done:
-		return f.aux, false, f.err
-	case <-ctx.Done():
-		c.detach(true, key, f)
-		return nil, false, ctx.Err()
-	}
-}
-
-// GetAux returns an auxiliary cached structure (e.g. a hash index built
-// over a materialized relation — the column-store pattern of reusing join
-// indexes across queries on hot data).
-func (c *Cache) GetAux(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.aux[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).aux, true
-}
-
-// PutAux stores an auxiliary structure. Aux entries share the relation
-// entries' LRU order and byte budget (weighed via Sized when implemented),
-// so a flood of join indexes can no longer grow without bound: they are
-// evicted like any cold entry, and one larger than the whole budget is
-// refused admission.
-func (c *Cache) PutAux(key string, v any) {
-	b := sizeOfAux(v) // sized outside the lock; see GetOrCompute
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putAuxLocked(key, v, b, nil, c.curWMLocked())
-}
-
-// putAuxLocked inserts aux value v weighing b bytes, mirroring putLocked's
-// admission and eviction rules.
-func (c *Cache) putAuxLocked(key string, v any, b int64, deps []string, wm uint64) {
-	if c.maxBytes > 0 && b > c.maxBytes {
-		c.oversize++
-		if el, ok := c.aux[key]; ok {
-			c.removeLocked(el)
-		}
-		return
-	}
-	if el, ok := c.aux[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.auxBytes += b - e.bytes
-		e.aux, e.bytes, e.deps, e.wm = v, b, deps, wm
-		c.order.MoveToFront(el)
-	} else {
-		el = c.order.PushFront(&cacheEntry{key: key, aux: v, isAux: true, bytes: b, deps: deps, wm: wm})
-		c.aux[key] = el
-		c.auxBytes += b
-	}
-	c.evictLocked()
-}
-
 // DropAux removes one auxiliary entry, e.g. an index discovered to be
 // stale by its owner.
 func (c *Cache) DropAux(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.aux[key]; ok {
+	if el, ok := c.entries[kindAux][key]; ok {
 		c.removeLocked(el)
 	}
 }
@@ -470,47 +333,38 @@ func (c *Cache) DropAux(key string) {
 func (c *Cache) Get(key string) (*relation.Relation, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[kindRel][key]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).rel, true
+	return el.Value.(*cacheEntry).val.(*relation.Relation), true
 }
 
-// Put stores a materialized relation under the fingerprint, evicting the
-// least recently used entry if the cache is full.
-func (c *Cache) Put(key string, r *relation.Relation) {
-	b := c.sizeOfRel(r) // sized outside the lock; see GetOrCompute
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, r, b, nil, c.curWMLocked())
-}
-
-// putLocked inserts r, whose EstimatedBytes the caller computed as b
+// putLocked inserts v under (kind, key); the caller weighed it as b bytes
 // before taking the lock (the walk over string payloads is too slow to
 // run under c.mu).
-func (c *Cache) putLocked(key string, r *relation.Relation, b int64, deps []string, wm uint64) {
+func (c *Cache) putLocked(kind entryKind, key string, v any, b int64, deps []string, wm uint64) {
+	el, ok := c.entries[kind][key]
 	if c.maxBytes > 0 && b > c.maxBytes {
 		// An entry larger than the whole budget would evict everything and
 		// then thrash; refuse it instead so the small hot entries survive.
 		c.oversize++
-		if el, ok := c.entries[key]; ok {
+		if ok {
 			c.removeLocked(el)
 		}
 		return
 	}
-	if el, ok := c.entries[key]; ok {
+	if ok {
 		e := el.Value.(*cacheEntry)
-		c.bytes += b - e.bytes
-		e.rel, e.bytes, e.deps, e.wm = r, b, deps, wm
+		c.bytes[kind] += b - e.bytes
+		e.val, e.bytes, e.deps, e.wm = v, b, deps, wm
 		c.order.MoveToFront(el)
 	} else {
-		el = c.order.PushFront(&cacheEntry{key: key, rel: r, bytes: b, deps: deps, wm: wm})
-		c.entries[key] = el
-		c.bytes += b
+		c.entries[kind][key] = c.order.PushFront(&cacheEntry{kind: kind, key: key, val: v, bytes: b, deps: deps, wm: wm})
+		c.bytes[kind] += b
 	}
 	c.evictLocked()
 }
@@ -575,13 +429,13 @@ func (c *Cache) InvalidateDeps(names []string, wm uint64) {
 // keeps a count-capped cache from collaterally flushing every join index
 // colder than the LRU relation. The MRU entry is never evicted.
 func (c *Cache) evictLocked() {
-	for c.order.Len() > 1 && c.maxBytes > 0 && c.bytes+c.auxBytes > c.maxBytes {
+	for c.order.Len() > 1 && c.maxBytes > 0 && c.bytes[kindRel]+c.bytes[kindAux] > c.maxBytes {
 		c.removeLocked(c.order.Back())
 		c.evictions++
 	}
-	for c.capacity > 0 && len(c.entries) > c.capacity {
+	for c.capacity > 0 && len(c.entries[kindRel]) > c.capacity {
 		el := c.order.Back()
-		for el != nil && el.Value.(*cacheEntry).isAux {
+		for el != nil && el.Value.(*cacheEntry).kind != kindRel {
 			el = el.Prev()
 		}
 		if el == nil {
@@ -595,13 +449,8 @@ func (c *Cache) evictLocked() {
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	c.order.Remove(el)
-	if e.isAux {
-		delete(c.aux, e.key)
-		c.auxBytes -= e.bytes
-	} else {
-		delete(c.entries, e.key)
-		c.bytes -= e.bytes
-	}
+	delete(c.entries[e.kind], e.key)
+	c.bytes[e.kind] -= e.bytes
 }
 
 // SetMaxBytes sets the byte budget for cached relations plus auxiliary
@@ -611,7 +460,7 @@ func (c *Cache) SetMaxBytes(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.maxBytes = n
-	for c.order.Len() > 0 && c.maxBytes > 0 && c.bytes+c.auxBytes > c.maxBytes {
+	for c.order.Len() > 0 && c.maxBytes > 0 && c.bytes[kindRel]+c.bytes[kindAux] > c.maxBytes {
 		c.removeLocked(c.order.Back())
 		c.evictions++
 	}
@@ -625,31 +474,30 @@ func (c *Cache) SetMaxBytes(n int64) {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*list.Element)
 	c.order.Init()
-	c.bytes = 0
-	c.auxBytes = 0
-	c.aux = make(map[string]*list.Element)
-	c.flights = make(map[string]*flight)
-	c.auxFlights = make(map[string]*flight)
+	c.resetMapsLocked()
 	c.gen++
 }
 
-// Len reports the number of cached relation entries (auxiliary entries are
-// reported separately via Stats).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// resetMapsLocked empties the entry and flight maps of both kinds and
+// zeroes the byte gauges.
+func (c *Cache) resetMapsLocked() {
+	for k := range c.entries {
+		c.entries[k] = make(map[string]*list.Element)
+		c.flights[k] = make(map[string]*flight)
+		c.bytes[k] = 0
+	}
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness. Shared counts
-// callers that joined another caller's in-flight computation instead of
-// recomputing — the stampedes avoided by single-flight. Bytes is the
-// estimated footprint of all cached relations and AuxBytes of all
-// auxiliary entries (join indexes); both count toward the one MaxBytes
-// budget. Oversize counts results refused admission because they alone
-// exceeded the byte budget.
+// Stats is a point-in-time snapshot of cache effectiveness. Hits and
+// Misses count relation lookups only (GetOrComputeDeps and Get); auxiliary
+// lookups (GetOrComputeAuxDeps) count toward nothing but Shared. Shared
+// counts callers, of either kind, that joined another caller's in-flight
+// computation instead of recomputing — the stampedes avoided by
+// single-flight. Bytes is the estimated footprint of all cached relations
+// and AuxBytes of all auxiliary entries (join indexes); both count toward
+// the one MaxBytes budget. Oversize counts results refused admission
+// because they alone exceeded the byte budget.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
@@ -682,15 +530,7 @@ func (c *Cache) Stats() Stats {
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Shared: c.shared, Oversize: c.oversize, Panics: c.panics,
 		StaleDrops: c.staleDrops, DepInvalidations: c.depInvals,
-		Entries: len(c.entries), AuxEntries: len(c.aux),
-		Bytes: c.bytes, AuxBytes: c.auxBytes, MaxBytes: c.maxBytes,
+		Entries: len(c.entries[kindRel]), AuxEntries: len(c.entries[kindAux]),
+		Bytes: c.bytes[kindRel], AuxBytes: c.bytes[kindAux], MaxBytes: c.maxBytes,
 	}
-}
-
-// ResetStats zeroes the counters (entries are kept). Benchmarks call this
-// between phases.
-func (c *Cache) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.misses, c.evictions, c.shared, c.oversize = 0, 0, 0, 0, 0
 }

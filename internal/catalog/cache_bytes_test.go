@@ -18,7 +18,7 @@ func TestByteWeightedEviction(t *testing.T) {
 	perEntry := small.EstimatedBytes()
 	c.SetMaxBytes(perEntry * 8)
 	for i := 0; i < 8; i++ {
-		c.Put(fmt.Sprintf("small%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("small%d", i), rel(10))
 	}
 	st := c.Stats()
 	if st.Entries != 8 || st.Evictions != 0 {
@@ -29,7 +29,7 @@ func TestByteWeightedEviction(t *testing.T) {
 	}
 
 	// A relation bigger than the whole budget must not be admitted.
-	c.Put("huge", rel(1000))
+	seed(c, kindRel, "huge", rel(1000))
 	st = c.Stats()
 	if st.Entries != 8 {
 		t.Errorf("huge insert evicted smalls: entries = %d, want 8", st.Entries)
@@ -42,7 +42,7 @@ func TestByteWeightedEviction(t *testing.T) {
 	}
 
 	// A fitting entry evicts only as many LRU bytes as it needs.
-	c.Put("medium", rel(20)) // 2 small entries' worth
+	seed(c, kindRel, "medium", rel(20)) // 2 small entries' worth
 	st = c.Stats()
 	if st.Bytes > perEntry*8 {
 		t.Errorf("bytes = %d over budget %d", st.Bytes, perEntry*8)
@@ -65,9 +65,9 @@ func TestByteWeightedEviction(t *testing.T) {
 // across entry replacement and Clear.
 func TestByteAccountingOnReplaceAndClear(t *testing.T) {
 	c := NewCache(0)
-	c.Put("k", rel(10))
+	seed(c, kindRel, "k", rel(10))
 	b10 := c.Stats().Bytes
-	c.Put("k", rel(30))
+	seed(c, kindRel, "k", rel(30))
 	if got := c.Stats().Bytes; got != 3*b10 {
 		t.Errorf("bytes after replace = %d, want %d", got, 3*b10)
 	}
@@ -90,11 +90,11 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 	per := rel(10).EstimatedBytes()
 	c.SetMaxBytes(per * 4)
 	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("rel%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("rel%d", i), rel(10))
 	}
 
 	// An aux entry worth two relations must evict the two LRU relations.
-	c.PutAux("idx", sizedAux{bytes: per * 2})
+	seed(c, kindAux, "idx", sizedAux{bytes: per * 2})
 	st := c.Stats()
 	if st.Entries != 2 || st.AuxEntries != 1 {
 		t.Fatalf("entries=%d aux=%d, want 2, 1", st.Entries, st.AuxEntries)
@@ -113,9 +113,9 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 
 	// Relations arriving later evict the now-LRU aux entry in turn.
 	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("new%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("new%d", i), rel(10))
 	}
-	if _, ok := c.GetAux("idx"); ok {
+	if _, ok := peek(c, kindAux, "idx"); ok {
 		t.Error("aux entry survived a full budget of newer relations")
 	}
 	if st := c.Stats(); st.AuxBytes != 0 || st.AuxEntries != 0 {
@@ -124,8 +124,8 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 
 	// An aux entry bigger than the whole budget is refused admission.
 	before := c.Stats().Oversize
-	c.PutAux("huge", sizedAux{bytes: per * 100})
-	if _, ok := c.GetAux("huge"); ok {
+	seed(c, kindAux, "huge", sizedAux{bytes: per * 100})
+	if _, ok := peek(c, kindAux, "huge"); ok {
 		t.Error("oversize aux entry was cached")
 	}
 	if got := c.Stats().Oversize; got != before+1 {
@@ -134,8 +134,8 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 
 	// Unweighable aux values (no EstimatedBytes) stay admissible at zero
 	// weight — the pre-Sized behaviour.
-	c.PutAux("opaque", 42)
-	if v, ok := c.GetAux("opaque"); !ok || v != 42 {
+	seed(c, kindAux, "opaque", 42)
+	if v, ok := peek(c, kindAux, "opaque"); !ok || v != 42 {
 		t.Error("unweighable aux entry not stored")
 	}
 	if st := c.Stats(); st.AuxBytes != 0 {
@@ -149,15 +149,15 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 // join indexes.
 func TestCapacityEvictionSkipsAuxEntries(t *testing.T) {
 	c := NewCache(2)
-	c.PutAux("idx", sizedAux{bytes: 1000})
+	seed(c, kindAux, "idx", sizedAux{bytes: 1000})
 	for i := 0; i < 6; i++ {
-		c.Put(fmt.Sprintf("rel%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("rel%d", i), rel(10))
 	}
 	st := c.Stats()
 	if st.Entries != 2 {
 		t.Errorf("entries = %d, want 2 (capacity)", st.Entries)
 	}
-	if _, ok := c.GetAux("idx"); !ok {
+	if _, ok := peek(c, kindAux, "idx"); !ok {
 		t.Error("aux entry evicted by capacity pressure, want resident")
 	}
 	if st.AuxEntries != 1 {
@@ -165,7 +165,7 @@ func TestCapacityEvictionSkipsAuxEntries(t *testing.T) {
 	}
 	// Byte pressure, by contrast, still evicts the (now cold) aux entry.
 	c.SetMaxBytes(rel(10).EstimatedBytes() * 2)
-	if _, ok := c.GetAux("idx"); ok {
+	if _, ok := peek(c, kindAux, "idx"); ok {
 		t.Error("aux entry survived byte pressure it no longer fits under")
 	}
 }
@@ -174,12 +174,12 @@ func TestCapacityEvictionSkipsAuxEntries(t *testing.T) {
 // consistent across replacement, DropAux and Clear.
 func TestAuxBytesAccountingOnReplaceDropClear(t *testing.T) {
 	c := NewCache(0)
-	c.PutAux("a", sizedAux{bytes: 100})
-	c.PutAux("a", sizedAux{bytes: 300})
+	seed(c, kindAux, "a", sizedAux{bytes: 100})
+	seed(c, kindAux, "a", sizedAux{bytes: 300})
 	if got := c.Stats().AuxBytes; got != 300 {
 		t.Errorf("aux bytes after replace = %d, want 300", got)
 	}
-	c.PutAux("b", sizedAux{bytes: 50})
+	seed(c, kindAux, "b", sizedAux{bytes: 50})
 	c.DropAux("a")
 	if got := c.Stats().AuxBytes; got != 50 {
 		t.Errorf("aux bytes after drop = %d, want 50", got)
@@ -195,7 +195,7 @@ func TestAuxBytesAccountingOnReplaceDropClear(t *testing.T) {
 func TestSetMaxBytesShrinkEvicts(t *testing.T) {
 	c := NewCache(0)
 	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("k%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("k%d", i), rel(10))
 	}
 	per := rel(10).EstimatedBytes()
 	c.SetMaxBytes(2 * per)
@@ -242,7 +242,7 @@ func TestCacheWeighsBaseDictsAsMarginal(t *testing.T) {
 
 	// A tiny slice of the base table: marginal weight ≈ 10 codes + probs.
 	derived := base.Gather([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	if _, _, err := cat.Cache().GetOrCompute(context.Background(), "tiny", func(context.Context) (*relation.Relation, error) {
+	if _, _, err := cat.Cache().GetOrComputeDeps(context.Background(), "tiny", nil, func(context.Context) (*relation.Relation, error) {
 		return derived, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestCacheWeighsBaseDictsAsMarginal(t *testing.T) {
 		{Name: "s", Vec: vector.EncodeStrings(vector.FromStrings(big[:500]))},
 	}, nil)
 	before := cat.Cache().Stats().Bytes
-	if _, _, err := cat.Cache().GetOrCompute(context.Background(), "fresh", func(context.Context) (*relation.Relation, error) {
+	if _, _, err := cat.Cache().GetOrComputeDeps(context.Background(), "fresh", nil, func(context.Context) (*relation.Relation, error) {
 		return fresh, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -21,57 +21,59 @@ func flightRel(n int) *relation.Relation {
 // TestCancelDuringSingleFlightWait: a waiter joining another caller's
 // in-flight computation detaches as soon as its own context is cancelled,
 // while the computation keeps running, completes, and is cached for
-// everyone else.
+// everyone else — for relation and join index flights alike.
 func TestCancelDuringSingleFlightWait(t *testing.T) {
-	cache := NewCache(0)
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	want := flightRel(64)
+	for _, k := range kindCases {
+		t.Run(k.name, func(t *testing.T) {
+			cache := NewCache(0)
+			started := make(chan struct{})
+			unblock := make(chan struct{})
+			want := k.val(64)
 
-	computerDone := make(chan error, 1)
-	go func() {
-		_, _, err := cache.GetOrCompute(context.Background(), "k", func(context.Context) (*relation.Relation, error) {
-			close(started)
-			<-unblock
-			return want, nil
+			computerDone := make(chan error, 1)
+			go func() {
+				_, _, err := cache.getOrCompute(context.Background(), k.kind, "k", nil, func(context.Context) (any, error) {
+					close(started)
+					<-unblock
+					return want, nil
+				})
+				computerDone <- err
+			}()
+			<-started
+
+			// The waiter joins the in-flight computation, then gives up.
+			c, cancel := context.WithCancel(context.Background())
+			waiterDone := make(chan error, 1)
+			go func() {
+				_, _, err := cache.getOrCompute(c, k.kind, "k", nil, func(context.Context) (any, error) {
+					t.Error("waiter must join the flight, not start its own computation")
+					return nil, nil
+				})
+				waiterDone <- err
+			}()
+			time.Sleep(10 * time.Millisecond) // let the waiter block on the flight
+			cancel()
+			select {
+			case err := <-waiterDone:
+				if err != context.Canceled {
+					t.Fatalf("waiter returned %v, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("cancelled waiter did not detach from the in-flight computation")
+			}
+
+			// The computation was not killed by the waiter's departure.
+			close(unblock)
+			if err := <-computerDone; err != nil {
+				t.Fatalf("computer failed: %v", err)
+			}
+			if got, ok := peek(cache, k.kind, "k"); !ok || got != want {
+				t.Fatalf("flight result not cached after waiter cancellation (ok=%v)", ok)
+			}
+			if st := cache.Stats(); st.Shared != 1 {
+				t.Errorf("Shared = %d, want 1 (the cancelled waiter joined the flight)", st.Shared)
+			}
 		})
-		computerDone <- err
-	}()
-	<-started
-
-	// The waiter joins the in-flight computation, then gives up.
-	c, cancel := context.WithCancel(context.Background())
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, _, err := cache.GetOrCompute(c, "k", func(context.Context) (*relation.Relation, error) {
-			t.Error("waiter must join the flight, not start its own computation")
-			return nil, nil
-		})
-		waiterDone <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter block on the flight
-	cancel()
-	select {
-	case err := <-waiterDone:
-		if err != context.Canceled {
-			t.Fatalf("waiter returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled waiter did not detach from the in-flight computation")
-	}
-
-	// The computation was not killed by the waiter's departure.
-	close(unblock)
-	if err := <-computerDone; err != nil {
-		t.Fatalf("computer failed: %v", err)
-	}
-	got, hit := cache.Get("k")
-	if !hit || got != want {
-		t.Fatalf("flight result not cached after waiter cancellation (hit=%v)", hit)
-	}
-	st := cache.Stats()
-	if st.Shared != 1 {
-		t.Errorf("Shared = %d, want 1 (the cancelled waiter joined the flight)", st.Shared)
 	}
 }
 
@@ -88,7 +90,7 @@ func TestWaiterSurvivesCancelledLeader(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := cache.GetOrCompute(context.Background(), "k", func(context.Context) (*relation.Relation, error) {
+		_, _, err := cache.GetOrComputeDeps(context.Background(), "k", nil, func(context.Context) (*relation.Relation, error) {
 			close(leaderStarted)
 			<-leaderAbort
 			return nil, context.Canceled // the engine surfaces the leader's ctx error
@@ -100,7 +102,7 @@ func TestWaiterSurvivesCancelledLeader(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var got *relation.Relation
 	go func() {
-		rel, _, err := cache.GetOrCompute(context.Background(), "k", func(context.Context) (*relation.Relation, error) {
+		rel, _, err := cache.GetOrComputeDeps(context.Background(), "k", nil, func(context.Context) (*relation.Relation, error) {
 			return want, nil // the waiter's retry computes for real
 		})
 		got = rel
@@ -128,57 +130,6 @@ func TestWaiterSurvivesCancelledLeader(t *testing.T) {
 	}
 }
 
-// TestCancelDuringAuxSingleFlightWait mirrors the relation test for
-// auxiliary (join index) flights.
-func TestCancelDuringAuxSingleFlightWait(t *testing.T) {
-	cache := NewCache(0)
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-
-	go func() {
-		_, _, _ = cache.GetOrComputeAux(context.Background(), "a", func(context.Context) (any, error) {
-			close(started)
-			<-unblock
-			return "index", nil
-		})
-	}()
-	<-started
-
-	c, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := cache.GetOrComputeAux(c, "a", func(context.Context) (any, error) {
-			t.Error("waiter must join the aux flight")
-			return nil, nil
-		})
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("aux waiter returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled aux waiter did not detach")
-	}
-	close(unblock)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if v, ok := cache.GetAux("a"); ok {
-			if v != "index" {
-				t.Fatalf("aux value = %v", v)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("aux flight result never cached")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestFlightSurvivesLeaderCancellation: the computation is detached from
 // the caller that started it. Cancelling the leader returns the leader's
 // context error promptly while the flight keeps running under its own
@@ -194,7 +145,7 @@ func TestFlightSurvivesLeaderCancellation(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := cache.GetOrCompute(leaderCtx, "k", func(fc context.Context) (*relation.Relation, error) {
+		_, _, err := cache.GetOrComputeDeps(leaderCtx, "k", nil, func(fc context.Context) (*relation.Relation, error) {
 			close(started)
 			<-unblock
 			flightCtxErr <- fc.Err()
@@ -208,7 +159,7 @@ func TestFlightSurvivesLeaderCancellation(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var got *relation.Relation
 	go func() {
-		rel, shared, err := cache.GetOrCompute(context.Background(), "k", func(context.Context) (*relation.Relation, error) {
+		rel, shared, err := cache.GetOrComputeDeps(context.Background(), "k", nil, func(context.Context) (*relation.Relation, error) {
 			t.Error("waiter must join the flight, not start a new one")
 			return nil, nil
 		})
@@ -261,7 +212,7 @@ func TestAbandonedFlightIsCancelled(t *testing.T) {
 	leaderDone := make(chan error, 1)
 	computeDone := make(chan error, 1)
 	go func() {
-		_, _, err := cache.GetOrCompute(leaderCtx, "k", func(fc context.Context) (*relation.Relation, error) {
+		_, _, err := cache.GetOrComputeDeps(leaderCtx, "k", nil, func(fc context.Context) (*relation.Relation, error) {
 			close(started)
 			<-fc.Done() // simulate an operator noticing cancellation
 			computeDone <- fc.Err()

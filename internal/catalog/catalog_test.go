@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,6 +16,47 @@ func rel(n int) *relation.Relation {
 		b.Add(i)
 	}
 	return b.Build()
+}
+
+// seed stores v under (kind, key) the way a completed flight does, with
+// unknown deps, for tests that arrange cache contents directly.
+func seed(c *Cache, kind entryKind, key string, v any) {
+	b := c.sizeOf(kind, v)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(kind, key, v, b, nil, c.curWMLocked())
+}
+
+// peek returns the value under (kind, key) without touching the LRU order
+// or the counters.
+func peek(c *Cache, kind entryKind, key string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[kind][key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheEntry).val, true
+}
+
+// kindCases runs a cache test over both entry kinds; val builds a fresh,
+// distinct value of the kind.
+var kindCases = []struct {
+	name string
+	kind entryKind
+	val  func(n int) any
+}{
+	{"rel", kindRel, func(n int) any { return rel(n) }},
+	{"aux", kindAux, func(n int) any { return &sizedAux{bytes: int64(n)} }},
+}
+
+// entriesOf reports the number of cached entries of one kind.
+func entriesOf(c *Cache, kind entryKind) int {
+	st := c.Stats()
+	if kind == kindAux {
+		return st.AuxEntries
+	}
+	return st.Entries
 }
 
 func TestCatalogPutGetDrop(t *testing.T) {
@@ -49,12 +91,12 @@ func TestCatalogTableNamesSorted(t *testing.T) {
 func TestPutInvalidatesCache(t *testing.T) {
 	c := New(0)
 	c.Put("t", rel(1))
-	c.Cache().Put("fp1", rel(5))
-	if c.Cache().Len() != 1 {
+	seed(c.Cache(), kindRel, "fp1", rel(5))
+	if c.Cache().Stats().Entries != 1 {
 		t.Fatal("cache put failed")
 	}
 	c.Put("t", rel(2))
-	if c.Cache().Len() != 0 {
+	if c.Cache().Stats().Entries != 0 {
 		t.Error("cache survived table replacement")
 	}
 }
@@ -64,13 +106,13 @@ func TestCacheHitMissEvict(t *testing.T) {
 	if _, ok := cache.Get("a"); ok {
 		t.Error("empty cache returned a hit")
 	}
-	cache.Put("a", rel(1))
-	cache.Put("b", rel(2))
+	seed(cache, kindRel, "a", rel(1))
+	seed(cache, kindRel, "b", rel(2))
 	if r, ok := cache.Get("a"); !ok || r.NumRows() != 1 {
 		t.Error("Get(a) failed")
 	}
 	// "b" is now LRU; inserting "c" must evict it.
-	cache.Put("c", rel(3))
+	seed(cache, kindRel, "c", rel(3))
 	if _, ok := cache.Get("b"); ok {
 		t.Error("LRU entry not evicted")
 	}
@@ -89,12 +131,37 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 }
 
+// TestKindsHaveSeparateKeySpaces: a relation and a join index stored
+// under the same key string are two entries, and DropAux and Get each
+// reach only their own kind.
+func TestKindsHaveSeparateKeySpaces(t *testing.T) {
+	cache := NewCache(0)
+	ctx := context.Background()
+	r := rel(1)
+	if _, _, err := cache.GetOrComputeDeps(ctx, "k", nil, func(context.Context) (*relation.Relation, error) { return r, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := cache.GetOrComputeAuxDeps(ctx, "k", nil, func(context.Context) (any, error) { return &sizedAux{bytes: 8}, nil }); err != nil || hit {
+		t.Fatalf("aux lookup under a relation's key: hit=%v err=%v", hit, err)
+	}
+	if st := cache.Stats(); st.Entries != 1 || st.AuxEntries != 1 {
+		t.Fatalf("entries=%d aux=%d, want 1, 1", st.Entries, st.AuxEntries)
+	}
+	cache.DropAux("k")
+	if st := cache.Stats(); st.Entries != 1 || st.AuxEntries != 0 {
+		t.Errorf("after DropAux: entries=%d aux=%d, want 1, 0", st.Entries, st.AuxEntries)
+	}
+	if got, ok := cache.Get("k"); !ok || got != r {
+		t.Error("DropAux removed the relation entry")
+	}
+}
+
 func TestCacheUpdateExisting(t *testing.T) {
 	cache := NewCache(0)
-	cache.Put("k", rel(1))
-	cache.Put("k", rel(9))
-	if cache.Len() != 1 {
-		t.Errorf("Len = %d, want 1", cache.Len())
+	seed(cache, kindRel, "k", rel(1))
+	seed(cache, kindRel, "k", rel(9))
+	if n := cache.Stats().Entries; n != 1 {
+		t.Errorf("Entries = %d, want 1", n)
 	}
 	r, _ := cache.Get("k")
 	if r.NumRows() != 9 {
@@ -102,20 +169,15 @@ func TestCacheUpdateExisting(t *testing.T) {
 	}
 }
 
-func TestCacheClearAndResetStats(t *testing.T) {
+func TestCacheClearKeepsStats(t *testing.T) {
 	cache := NewCache(0)
-	cache.Put("k", rel(1))
+	seed(cache, kindRel, "k", rel(1))
 	cache.Get("k")
 	cache.Clear()
-	if cache.Len() != 0 {
+	if s := cache.Stats(); s.Entries != 0 {
 		t.Error("Clear left entries")
-	}
-	if cache.Stats().Hits != 1 {
+	} else if s.Hits != 1 {
 		t.Error("Clear should keep counters")
-	}
-	cache.ResetStats()
-	if s := cache.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Error("ResetStats did not zero counters")
 	}
 }
 
@@ -132,7 +194,7 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 				case 0:
 					c.Table("t")
 				case 1:
-					c.Cache().Put(fmt.Sprintf("k%d-%d", g, i), rel(1))
+					seed(c.Cache(), kindRel, fmt.Sprintf("k%d-%d", g, i), rel(1))
 				case 2:
 					c.Cache().Get(fmt.Sprintf("k%d-%d", g, i-1))
 				case 3:

@@ -96,32 +96,36 @@ func TestCrashMidSnapshotWriteKeepsOldSnapshot(t *testing.T) {
 }
 
 // TestInjectedCacheComputeFault: the cache compute fault point fails the
-// flight with the injected error (or contains the injected panic) and
-// caches nothing; disarming restores normal operation.
+// flight of either kind with the injected error (or contains the injected
+// panic) and caches nothing; disarming restores normal operation.
 func TestInjectedCacheComputeFault(t *testing.T) {
-	rel := relation.New([]string{"x"}, []vector.Kind{vector.Int64})
-	compute := func(context.Context) (*relation.Relation, error) { return rel, nil }
+	for _, k := range kindCases {
+		t.Run(k.name, func(t *testing.T) {
+			want := k.val(1)
+			compute := func(context.Context) (any, error) { return want, nil }
 
-	c := NewCache(0)
-	boom := errors.New("injected compute error")
-	faultpoint.Arm(faultpoint.SiteCacheCompute, faultpoint.Spec{Err: boom, Count: 1})
-	t.Cleanup(faultpoint.Reset)
-	if _, _, err := c.GetOrCompute(context.Background(), "k", compute); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want injected error", err)
-	}
-	if c.Len() != 0 {
-		t.Error("errored flight cached a result")
-	}
-	if got, _, err := c.GetOrCompute(context.Background(), "k", compute); err != nil || got != rel {
-		t.Fatalf("compute after fired-out fault: rel=%v err=%v", got, err)
-	}
+			c := NewCache(0)
+			boom := errors.New("injected compute error")
+			faultpoint.Arm(faultpoint.SiteCacheCompute, faultpoint.Spec{Err: boom, Count: 1})
+			t.Cleanup(faultpoint.Reset)
+			if _, _, err := c.getOrCompute(context.Background(), k.kind, "k", nil, compute); !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want injected error", err)
+			}
+			if entriesOf(c, k.kind) != 0 {
+				t.Error("errored flight cached a result")
+			}
+			if got, _, err := c.getOrCompute(context.Background(), k.kind, "k", nil, compute); err != nil || got != want {
+				t.Fatalf("compute after fired-out fault: v=%v err=%v", got, err)
+			}
 
-	faultpoint.Arm(faultpoint.SiteCacheCompute, faultpoint.Spec{Panic: "injected compute panic", Count: 1})
-	_, _, err := c.GetOrCompute(context.Background(), "k2", compute)
-	if _, ok := fault.AsPanicError(err); !ok {
-		t.Fatalf("err = %v, want *fault.PanicError", err)
-	}
-	if st := c.Stats(); st.Panics == 0 {
-		t.Error("contained injected panic not counted")
+			faultpoint.Arm(faultpoint.SiteCacheCompute, faultpoint.Spec{Panic: "injected compute panic", Count: 1})
+			_, _, err := c.getOrCompute(context.Background(), k.kind, "k2", nil, compute)
+			if _, ok := fault.AsPanicError(err); !ok {
+				t.Fatalf("err = %v, want *fault.PanicError", err)
+			}
+			if st := c.Stats(); st.Panics == 0 {
+				t.Error("contained injected panic not counted")
+			}
+		})
 	}
 }

@@ -71,11 +71,11 @@ func TestLoadSnapshotClearsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New(0)
-	dst.Cache().Put("stale", relation.New([]string{"x"}, []vector.Kind{vector.Int64}))
+	seed(dst.Cache(), kindRel, "stale", relation.New([]string{"x"}, []vector.Kind{vector.Int64}))
 	if err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Cache().Len() != 0 {
+	if dst.Cache().Stats().Entries != 0 {
 		t.Error("cache not cleared on snapshot load")
 	}
 }

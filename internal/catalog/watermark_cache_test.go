@@ -14,68 +14,74 @@ func oneRow(v int64) *relation.Relation {
 
 // TestPutDeltaInvalidatesSelectively is the watermark invalidation rule of
 // the durability model: an append to table b evicts only the cache entries
-// depending on b (or with unknown deps); entries over a stay resident.
+// (relations and join indexes alike) depending on b or with unknown deps;
+// entries over a stay resident.
 func TestPutDeltaInvalidatesSelectively(t *testing.T) {
-	ctx := context.Background()
-	c := New(0)
-	c.Put("a", oneRow(1))
-	c.Put("b", oneRow(2))
+	for _, k := range kindCases {
+		t.Run(k.name, func(t *testing.T) {
+			ctx := context.Background()
+			c := New(0)
+			c.Put("a", oneRow(1))
+			c.Put("b", oneRow(2))
 
-	compute := func(v int64) func(context.Context) (*relation.Relation, error) {
-		return func(context.Context) (*relation.Relation, error) { return oneRow(v), nil }
-	}
-	if _, hit, err := c.Cache().GetOrComputeDeps(ctx, "qa", []string{"a"}, compute(10)); err != nil || hit {
-		t.Fatalf("qa first compute: hit=%v err=%v", hit, err)
-	}
-	if _, hit, err := c.Cache().GetOrComputeDeps(ctx, "qb", []string{"b"}, compute(20)); err != nil || hit {
-		t.Fatalf("qb first compute: hit=%v err=%v", hit, err)
-	}
-	// An entry whose dependency set is unknown must be treated
-	// conservatively: any publish evicts it.
-	if _, hit, err := c.Cache().GetOrCompute(ctx, "qnil", compute(30)); err != nil || hit {
-		t.Fatalf("qnil first compute: hit=%v err=%v", hit, err)
-	}
+			compute := func(n int) func(context.Context) (any, error) {
+				return func(context.Context) (any, error) { return k.val(n), nil }
+			}
+			for _, q := range []struct {
+				key  string
+				deps []string // nil: unknown, so any publish must evict it
+			}{{"qa", []string{"a"}}, {"qb", []string{"b"}}, {"qnil", nil}} {
+				if _, hit, err := c.Cache().getOrCompute(ctx, k.kind, q.key, q.deps, compute(10)); err != nil || hit {
+					t.Fatalf("%s first compute: hit=%v err=%v", q.key, hit, err)
+				}
+			}
 
-	c.PutDelta("b", oneRow(3))
+			c.PutDelta("b", oneRow(3))
 
-	if _, ok := c.Cache().Get("qa"); !ok {
-		t.Error("entry over table a evicted by an append to table b")
-	}
-	if _, ok := c.Cache().Get("qb"); ok {
-		t.Error("entry over table b survived an append to table b")
-	}
-	if _, ok := c.Cache().Get("qnil"); ok {
-		t.Error("unknown-deps entry survived a publish")
-	}
-	if st := c.Cache().Stats(); st.DepInvalidations != 2 {
-		t.Errorf("DepInvalidations = %d, want 2 (qb + qnil)", st.DepInvalidations)
-	}
+			if _, ok := peek(c.Cache(), k.kind, "qa"); !ok {
+				t.Error("entry over table a evicted by an append to table b")
+			}
+			if _, ok := peek(c.Cache(), k.kind, "qb"); ok {
+				t.Error("entry over table b survived an append to table b")
+			}
+			if _, ok := peek(c.Cache(), k.kind, "qnil"); ok {
+				t.Error("unknown-deps entry survived a publish")
+			}
+			if st := c.Cache().Stats(); st.DepInvalidations != 2 {
+				t.Errorf("DepInvalidations = %d, want 2 (qb + qnil)", st.DepInvalidations)
+			}
 
-	// The surviving entry is a real hit, not a recompute.
-	if _, hit, err := c.Cache().GetOrComputeDeps(ctx, "qa", []string{"a"}, compute(99)); err != nil || !hit {
-		t.Fatalf("qa after unrelated append: hit=%v err=%v", hit, err)
+			// The surviving entry is a real hit, not a recompute.
+			if _, hit, err := c.Cache().getOrCompute(ctx, k.kind, "qa", []string{"a"}, compute(99)); err != nil || !hit {
+				t.Fatalf("qa after unrelated append: hit=%v err=%v", hit, err)
+			}
+		})
 	}
 }
 
 // TestStaleFlightResultIsDropped: a result computed while its dependency
-// was republished mid-flight must not be inserted — the next lookup
-// recomputes against the new table version.
+// was republished mid-flight reaches its waiter but must not be inserted
+// — the next lookup recomputes against the new table version.
 func TestStaleFlightResultIsDropped(t *testing.T) {
-	ctx := context.Background()
-	c := New(0)
-	c.Put("a", oneRow(1))
-	rel, hit, err := c.Cache().GetOrComputeDeps(ctx, "q", []string{"a"}, func(context.Context) (*relation.Relation, error) {
-		// The append lands while the query is computing.
-		c.PutDelta("a", oneRow(2))
-		return oneRow(10), nil
-	})
-	if err != nil || hit || rel == nil {
-		t.Fatalf("in-flight compute: hit=%v err=%v", hit, err)
-	}
-	if _, ok := c.Cache().Get("q"); ok {
-		t.Error("stale flight result was cached")
-	}
-	if st := c.Cache().Stats(); st.StaleDrops != 1 {
-		t.Errorf("StaleDrops = %d, want 1", st.StaleDrops)
+	for _, k := range kindCases {
+		t.Run(k.name, func(t *testing.T) {
+			ctx := context.Background()
+			c := New(0)
+			c.Put("a", oneRow(1))
+			v, hit, err := c.Cache().getOrCompute(ctx, k.kind, "q", []string{"a"}, func(context.Context) (any, error) {
+				// The append lands while the query is computing.
+				c.PutDelta("a", oneRow(2))
+				return k.val(10), nil
+			})
+			if err != nil || hit || v == nil {
+				t.Fatalf("in-flight compute: hit=%v err=%v", hit, err)
+			}
+			if _, ok := peek(c.Cache(), k.kind, "q"); ok {
+				t.Error("stale flight result was cached")
+			}
+			if st := c.Cache().Stats(); st.StaleDrops != 1 {
+				t.Errorf("StaleDrops = %d, want 1", st.StaleDrops)
+			}
+		})
 	}
 }

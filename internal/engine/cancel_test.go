@@ -155,7 +155,7 @@ func TestCancelledNeverCached(t *testing.T) {
 	if _, err := ctx.Exec(c, plan(cancel)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := cat.Cache().Len(); n != 0 {
+	if n := cat.Cache().Stats().Entries; n != 0 {
 		t.Fatalf("cache holds %d entries after a cancelled execution, want 0", n)
 	}
 	// The same plan, left uncancelled, computes cleanly and caches its

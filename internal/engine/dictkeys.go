@@ -42,17 +42,12 @@ func colVecs(r *relation.Relation, idx []int) []vector.Vector {
 
 // alignProbeVecs returns the probe-side key vectors adapted to the build
 // side's hash domains, per the rules above. Non-string columns and
-// already-aligned columns are returned as-is.
-//
-// Re-encodings are memoized per (probe vector, build dict) pair on the
-// Ctx: repeated executions probing an encoded build side with the same
-// plain column — a base-table or cached-materialization probe re-run per
-// request, the ROADMAP's "repeated probes of uncached build sides" shape
-// — reuse one EncodeLookup result instead of re-walking the probe
-// strings every execution. Both the probe vector and the frozen dict are
-// immutable, so a hit is always valid.
-func alignProbeVecs(ctx *Ctx, probe, build []vector.Vector) []vector.Vector {
-	out := make([]vector.Vector, len(probe)) //lint:allow chargedalloc O(#key columns) headers; re-encodings are capped by the memo byte bound
+// already-aligned columns are returned as-is. Re-encodings are not
+// memoized: the probes that need one are typically built per query (the
+// tokenized query terms, say), so a memo keyed on the probe vector does
+// not hit.
+func alignProbeVecs(probe, build []vector.Vector) []vector.Vector {
+	out := make([]vector.Vector, len(probe)) //lint:allow chargedalloc O(#key columns) headers; vectors are shared or re-encoded, not copied here
 	for k, pv := range probe {
 		out[k] = pv
 		if bd, ok := build[k].(*vector.DictStrings); ok {
@@ -60,7 +55,7 @@ func alignProbeVecs(ctx *Ctx, probe, build []vector.Vector) []vector.Vector {
 				continue // already in the build side's code space
 			}
 			if sc, ok := pv.(vector.StringColumn); ok {
-				out[k] = ctx.encodeLookupMemo(bd.Dict(), pv, sc)
+				out[k] = vector.EncodeLookup(bd.Dict(), sc)
 			}
 			continue
 		}
@@ -69,59 +64,6 @@ func alignProbeVecs(ctx *Ctx, probe, build []vector.Vector) []vector.Vector {
 		}
 	}
 	return out
-}
-
-// encodeMemoKey identifies one memoized probe re-encoding: the probe
-// vector (by identity — vectors are immutable) and the target dictionary.
-// Identity keying means only stable probe vectors — base-table columns
-// and cached materializations re-probing an encoded build side of a
-// different dict — ever hit; a probe allocated fresh per query misses by
-// construction (it is a different vector) and only costs one map insert.
-type encodeMemoKey struct {
-	probe vector.Vector
-	dict  *vector.FrozenDict
-}
-
-const (
-	// encodeMemoCap bounds the memo's entry count.
-	encodeMemoCap = 256
-	// encodeMemoMaxEntryBytes skips memoizing huge one-shot probes:
-	// entries pin their probe vector (and its encoding) on the long-lived
-	// Ctx, outside the catalog cache's byte budget, so only modest
-	// vectors are worth keeping.
-	encodeMemoMaxEntryBytes = 1 << 20
-	// encodeMemoMaxBytes bounds the memo's total pinned footprint; the
-	// memo resets wholesale when an insert would exceed it, releasing
-	// every pinned vector to the GC.
-	encodeMemoMaxBytes = 8 << 20
-)
-
-// encodeLookupMemo returns vector.EncodeLookup(dict, sc), reusing a prior
-// result for the same (probe vector, dict) pair when available.
-func (ctx *Ctx) encodeLookupMemo(dict *vector.FrozenDict, pv vector.Vector, sc vector.StringColumn) *vector.DictStrings {
-	key := encodeMemoKey{probe: pv, dict: dict}
-	ctx.encMu.Lock()
-	if enc, ok := ctx.encMemo[key]; ok {
-		ctx.encMu.Unlock()
-		return enc
-	}
-	ctx.encMu.Unlock()
-	enc := vector.EncodeLookup(dict, sc)
-	bytes := pv.EstimatedBytes() + int64(enc.Len())*4
-	if bytes > encodeMemoMaxEntryBytes {
-		return enc
-	}
-	ctx.encMu.Lock()
-	if ctx.encMemo == nil || len(ctx.encMemo) >= encodeMemoCap || ctx.encBytes+bytes > encodeMemoMaxBytes {
-		ctx.encMemo = make(map[encodeMemoKey]*vector.DictStrings, 64)
-		ctx.encBytes = 0
-	}
-	if _, dup := ctx.encMemo[key]; !dup {
-		ctx.encMemo[key] = enc
-		ctx.encBytes += bytes
-	}
-	ctx.encMu.Unlock()
-	return enc
 }
 
 // vecsEqual reports whether row i of the left key vectors equals row j of

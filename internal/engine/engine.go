@@ -9,7 +9,6 @@ import (
 	"irdb/internal/catalog"
 	"irdb/internal/fault"
 	"irdb/internal/relation"
-	"irdb/internal/vector"
 )
 
 // Node is one operator of a query plan.
@@ -62,12 +61,6 @@ type Ctx struct {
 
 	// optCounters accumulates per-plan optimizer work; see optimize.go.
 	optCounters
-
-	// encMemo caches probe-side dictionary re-encodings per (probe vector,
-	// build dict) pair, bounded by entries and bytes; see dictkeys.go.
-	encMu    sync.Mutex
-	encMemo  map[encodeMemoKey]*vector.DictStrings
-	encBytes int64
 }
 
 // NewCtx returns an execution context over the given catalog with

@@ -451,7 +451,7 @@ func TestMaterializeCaching(t *testing.T) {
 	ctx.Cat.Put("triples", relation.NewBuilder(
 		[]string{"subject", "property", "object"},
 		[]vector.Kind{vector.String, vector.String, vector.String}).Build())
-	if ctx.Cat.Cache().Len() != 0 {
+	if ctx.Cat.Cache().Stats().Entries != 0 {
 		t.Error("cache not invalidated on table replacement")
 	}
 }

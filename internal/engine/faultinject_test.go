@@ -52,7 +52,7 @@ func TestInjectedPanicMidJoinProbe(t *testing.T) {
 			if faultpoint.Hits(faultpoint.SiteEngineMorsel) <= 2 {
 				t.Fatalf("fault site hit %d times; the query never reached it mid-stream", faultpoint.Hits(faultpoint.SiteEngineMorsel))
 			}
-			if n := ctx.Cat.Cache().Len(); n != 0 {
+			if n := ctx.Cat.Cache().Stats().Entries; n != 0 {
 				t.Errorf("cache holds %d relations after a failed query", n)
 			}
 

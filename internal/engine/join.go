@@ -189,7 +189,7 @@ func (j *HashJoin) match(c context.Context, ctx *Ctx, left, right *relation.Rela
 	// re-encode dict columns as needed; see dictkeys.go), then hash the
 	// aligned vectors with the index's seed.
 	rKeyVecs := colVecs(right, rIdx)
-	lKeyVecs := alignProbeVecs(ctx, colVecs(left, lIdx), rKeyVecs)
+	lKeyVecs := alignProbeVecs(colVecs(left, lIdx), rKeyVecs)
 	return probePairs(c, ctx, idx, lKeyVecs, rKeyVecs, left.NumRows())
 }
 

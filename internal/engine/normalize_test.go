@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -190,7 +191,9 @@ func TestJoinIndexReuse(t *testing.T) {
 	}
 	// The aux cache must now hold a hash index for the build side.
 	key := "hashidx|" + right.Fingerprint() + "|subject"
-	if _, ok := ctx.Cat.Cache().GetAux(key); !ok {
+	if _, hit, _ := ctx.Cat.Cache().GetOrComputeAuxDeps(context.Background(), key, nil, func(context.Context) (any, error) {
+		return nil, errors.New("index missing")
+	}); !hit {
 		t.Error("join index not cached for materialized build side")
 	}
 	// And a second evaluation reuses it (no way to observe directly other

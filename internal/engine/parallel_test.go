@@ -382,7 +382,7 @@ func TestSingleFlightErrorNotCached(t *testing.T) {
 			t.Fatalf("goroutine %d: want error", g)
 		}
 	}
-	if n := ctx.Cat.Cache().Len(); n != 0 {
+	if n := ctx.Cat.Cache().Stats().Entries; n != 0 {
 		t.Errorf("cache holds %d entries after failed flights, want 0", n)
 	}
 	// The table appearing later must make the plan succeed (no poisoning).

@@ -248,7 +248,7 @@ func (s *Subtract) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	// dict-encoded columns hash codes, so mixed representations must be
 	// decoded or re-encoded before hashes are comparable (see dictkeys.go).
 	rKeyVecs := colVecs(right, rIdx)
-	lKeyVecs := alignProbeVecs(ctx, colVecs(left, lIdx), rKeyVecs)
+	lKeyVecs := alignProbeVecs(colVecs(left, lIdx), rKeyVecs)
 	seed := maphash.MakeSeed()
 	rHash, err := hashVecsParallel(c, ctx, rKeyVecs, right.NumRows(), seed)
 	if err != nil {

@@ -657,7 +657,9 @@ func (db *DB) SearchDocs(ctx context.Context, query string, k int) ([]Hit, error
 // ---------------------------------------------------------------------------
 // Statistics
 
-// CacheStats describes the materialization cache.
+// CacheStats describes the materialization cache. Hits and Misses count
+// lookups of materialized relations only; join index lookups count toward
+// Shared (callers that joined an in-flight computation) and nothing else.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
