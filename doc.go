@@ -134,8 +134,8 @@
 // morsels, and materialization itself is morsel-parallel: output columns
 // are pre-sized and written at offset, TopN and full Sort k-way-merge
 // bounded per-run selections, the join build fills partitioned
-// open-addressing tables, grouping deduplicates per morsel before a
-// re-rank, and aggregation folds per-chunk partial accumulators in a
+// open-addressing tables, grouping finds each row's group leader in that
+// same hash index, and aggregation folds per-chunk partial accumulators in a
 // fixed merge order — while guaranteeing results bit-identical to serial
 // execution. String data is dictionary-encoded end-to-end
 // (vector.DictStrings), so hashes, comparisons, sorts, group-bys and

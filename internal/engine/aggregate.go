@@ -132,8 +132,9 @@ func (a *Aggregate) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	return aggregateRel(c, ctx, in, a.GroupBy, a.Aggs, a.PMode)
 }
 
-// aggregateRel is the operator core, shared with Distinct and Unite. Row
-// hashing and grouping are morsel-parallel (groupRows), and accumulation —
+// aggregateRel is the operator core, shared with Distinct and Unite.
+// groupRows hashes the rows, builds the join's bucket index and finds each
+// row's group morsel-parallel, charging its own scaffolding; accumulation —
 // the aggregate columns and the probability combine — folds per-chunk
 // partials merged in fixed chunk order (foldGroups), so the whole operator
 // scales with workers while staying bit-identical at every parallelism.
@@ -142,15 +143,8 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 	if err != nil {
 		return nil, err
 	}
-	// Budget the grouping scaffolding up front: the per-row hash array
-	// plus the row→group array (8 bytes each per row).
-	if err := ctx.charge(c, int64(in.NumRows())*16); err != nil {
-		return nil, err
-	}
-	groupOf, firstRow := groupRows(c, ctx, in, gIdx)
-	if err := c.Err(); err != nil {
-		// A cancelled grouping leaves groupOf/firstRow inconsistent; the
-		// accumulators below would index past them.
+	groupOf, firstRow, err := groupRows(c, ctx, in, gIdx)
+	if err != nil {
 		return nil, err
 	}
 
@@ -235,213 +229,107 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 // ids are assigned in first-appearance order). With no group columns all
 // rows (even zero) form a single group, matching SQL's global aggregate.
 //
-// Large inputs group in two parallel phases: every morsel deduplicates its
-// own rows against a local table (phase 1), then a serial re-rank pass
-// walks only the per-morsel representatives — in morsel order, so global
-// ids come out in exactly the first-appearance order the serial loop
-// assigns — and a final parallel sweep rewrites local ids to global ones.
-// The serial stage therefore costs O(distinct groups), not O(rows).
-func groupRows(c context.Context, ctx *Ctx, in *relation.Relation, gIdx []int) (groupOf []int, firstRow []int) {
+// Each row is first mapped to its leader, the first row of its group, and
+// numberGroups turns leaders into ids. One dict-encoded column finds its
+// leaders through a dense code→first-row array (codeLeaders); any other
+// key through the join's bucket index (hashLeaders).
+func groupRows(c context.Context, ctx *Ctx, in *relation.Relation, gIdx []int) (groupOf, firstRow []int, err error) {
 	n := in.NumRows()
+	// Leaders are int32 row ids, like the bucket index's.
+	if err := checkBuildRows(n); err != nil {
+		return nil, nil, err
+	}
+	// Budget the row→group array and the row→leader array (8 + 4 bytes
+	// per row); the hashed path's hashes and table charge themselves.
+	if err := ctx.charge(c, int64(n)*12); err != nil {
+		return nil, nil, err
+	}
+	groupOf = make([]int, n)
 	if len(gIdx) == 0 {
-		groupOf = make([]int, n)
-		return groupOf, []int{0}
+		return groupOf, []int{0}, nil
 	}
-	// Grouping by one dict-encoded column needs no hashing at all: codes
-	// are dense ints, so a code→group array replaces the hash table. The
-	// same morsel/re-rank structure keeps ids in first-appearance order,
-	// so the result is bit-identical to the generic path.
-	if len(gIdx) == 1 {
-		if dv, ok := in.Col(gIdx[0]).Vec.(*vector.DictStrings); ok && dv.Dict().DenseIn(n) {
-			return groupRowsCodes(c, ctx, dv, n)
+	leader := make([]int32, n)
+	if dv, ok := in.Col(gIdx[0]).Vec.(*vector.DictStrings); ok && len(gIdx) == 1 && dv.Dict().DenseIn(n) {
+		err = codeLeaders(c, ctx, dv, leader)
+	} else {
+		vecs := colVecs(in, gIdx)
+		var hashes []uint64
+		if hashes, err = hashVecsParallel(c, ctx, vecs, n, maphash.MakeSeed()); err == nil {
+			err = hashLeaders(c, ctx, vecs, hashes, leader)
 		}
 	}
-	seed := maphash.MakeSeed()
-	hashes := hashRowsParallel(c, ctx, in, seed, gIdx)
-	groupOf = make([]int, n)
-	ranges := ctx.morselRanges(n)
-	if len(ranges) <= 1 {
-		return groupOf, dedupRange(c, in, gIdx, hashes, 0, n, groupOf)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// Phase 1: per-morsel local dedup. groupOf temporarily holds ids local
-	// to the row's morsel; localFirst[m] lists each local group's first row
-	// in local first-appearance order.
-	localFirst := make([][]int, len(ranges))
-	ctx.runRanges(c, ranges, func(m, lo, hi int) {
-		localFirst[m] = dedupRange(c, in, gIdx, hashes, lo, hi, groupOf)
-	})
-
-	// Phase 2: re-rank. Morsels are visited in order and their local groups
-	// in local first-appearance order, so a group's global id is assigned
-	// when its earliest representative — its true global first row — is
-	// seen. remap[m][localID] = globalID.
-	remap := make([][]int, len(ranges))
-	gFirst := make(map[uint64]int, 1024)
-	var gSpill map[uint64][]int
-	for m, firsts := range localFirst {
-		if c.Err() != nil {
-			// The re-rank is serial and O(distinct groups); bail between
-			// morsels so a cancelled high-cardinality group-by stops here.
-			return groupOf, firstRow
-		}
-		mr := make([]int, len(firsts))
-		for lg, row := range firsts {
-			h := hashes[row]
-			gid := -1
-			if g, ok := gFirst[h]; ok {
-				if in.RowsEqual(row, gIdx, in, firstRow[g], gIdx) {
-					gid = g
-				} else {
-					for _, g2 := range gSpill[h] {
-						if in.RowsEqual(row, gIdx, in, firstRow[g2], gIdx) {
-							gid = g2
-							break
-						}
-					}
-				}
-			}
-			if gid < 0 {
-				gid = len(firstRow)
-				firstRow = append(firstRow, row)
-				if _, ok := gFirst[h]; !ok {
-					gFirst[h] = gid
-				} else {
-					if gSpill == nil {
-						gSpill = make(map[uint64][]int)
-					}
-					gSpill[h] = append(gSpill[h], gid)
-				}
-			}
-			mr[lg] = gid
-		}
-		remap[m] = mr
-	}
-
-	// Phase 3: rewrite local ids to global ids, one morsel per worker.
-	ctx.runRanges(c, ranges, func(m, lo, hi int) {
-		mr := remap[m]
-		for i := lo; i < hi; i++ {
-			groupOf[i] = mr[groupOf[i]]
-		}
-	})
-	return groupOf, firstRow
+	return groupOf, numberGroups(leader, groupOf), nil
 }
 
-// groupRowsCodes groups rows by a single dict-encoded column through
-// dense code→group arrays: no hashing, no map, no string bytes. The
-// three-phase shape mirrors groupRows (per-morsel local dedup, serial
-// re-rank of representatives in morsel order, parallel rewrite), so group
-// ids come out in exactly the same first-appearance order.
-func groupRowsCodes(c context.Context, ctx *Ctx, dv *vector.DictStrings, n int) (groupOf []int, firstRow []int) {
-	codes := dv.Codes()
-	d := dv.Dict().Len()
-	groupOf = make([]int, n)
-	ranges := ctx.morselRanges(n)
-	dedup := func(lo, hi int) []int {
-		table := make([]int32, d)
-		for i := range table {
-			table[i] = -1
-		}
-		var firsts []int
-		for i := lo; i < hi; i++ {
-			c := codes[i]
-			g := table[c]
-			if g < 0 {
-				g = int32(len(firsts))
-				table[c] = g
-				firsts = append(firsts, i)
-			}
-			groupOf[i] = int(g)
-		}
-		return firsts
+// codeLeaders sets leader[i] for one dict-encoded column: codes are dense
+// ints, so one code→first-row array, filled in row order, replaces the
+// hash table.
+func codeLeaders(c context.Context, ctx *Ctx, dv *vector.DictStrings, leader []int32) error {
+	if err := ctx.charge(c, int64(dv.Dict().Len())*4); err != nil {
+		return err
 	}
-	if len(ranges) <= 1 {
-		if n == 0 {
-			return groupOf, nil
-		}
-		return groupOf, dedup(0, n)
+	first := make([]int32, dv.Dict().Len())
+	for i := range first {
+		first[i] = -1
 	}
-	localFirst := make([][]int, len(ranges))
-	ctx.runRanges(c, ranges, func(m, lo, hi int) {
-		localFirst[m] = dedup(lo, hi)
-	})
-	global := make([]int32, d)
-	for i := range global {
-		global[i] = -1
-	}
-	remap := make([][]int, len(ranges))
-	for m, firsts := range localFirst {
-		mr := make([]int, len(firsts))
-		for lg, row := range firsts {
-			c := codes[row]
-			g := global[c]
-			if g < 0 {
-				g = int32(len(firstRow))
-				global[c] = g
-				firstRow = append(firstRow, row)
-			}
-			mr[lg] = int(g)
+	for i, code := range dv.Codes() {
+		if first[code] < 0 {
+			first[code] = int32(i)
 		}
-		remap[m] = mr
+		leader[i] = first[code]
 	}
-	ctx.runRanges(c, ranges, func(m, lo, hi int) {
-		mr := remap[m]
-		for i := lo; i < hi; i++ {
-			groupOf[i] = mr[groupOf[i]]
-		}
-	})
-	return groupOf, firstRow
+	return nil
 }
 
-// dedupRange assigns rows [lo, hi) to groups keyed by hash plus row
-// equality, writing ids (0-based within this range, in first-appearance
-// order) into groupOf[lo:hi] and returning each group's first row index.
-// The single map insert per distinct group (plus a rare spill map for
-// 64-bit hash collisions between distinct keys) keeps high-cardinality
-// group-bys — the tf view has one group per (term, document) pair —
-// allocation-light. Cancellation is checked every few thousand rows; a
-// cut-short range leaves partial state the caller discards.
-func dedupRange(c context.Context, in *relation.Relation, gIdx []int, hashes []uint64, lo, hi int, groupOf []int) (firsts []int) {
-	first := make(map[uint64]int, 1024)
-	var spill map[uint64][]int
-	for i := lo; i < hi; i++ {
-		if i&0x1fff == 0x1fff && c.Err() != nil {
-			return firsts
-		}
-		h := hashes[i]
-		gid := -1
-		if g, ok := first[h]; ok {
-			if in.RowsEqual(i, gIdx, in, firsts[g], gIdx) {
-				gid = g
-			} else {
-				for _, g2 := range spill[h] {
-					if in.RowsEqual(i, gIdx, in, firsts[g2], gIdx) {
-						gid = g2
-						break
-					}
+// hashLeaders sets leader[i] to the first row whose key (vecs) equals row
+// i's, looking rows up in a bucketIndex over the given per-row hashes.
+// Each hash's rows ascend, so the first equal row is the group's first
+// appearance, and distinct keys that share a hash just scan on. Morsels
+// write disjoint leader slots.
+func hashLeaders(c context.Context, ctx *Ctx, vecs []vector.Vector, hashes []uint64, leader []int32) error {
+	idx, err := buildBuckets(c, ctx, hashes)
+	if err != nil {
+		return err
+	}
+	ctx.parallelRanges(c, len(hashes), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for _, l := range idx.lookup(hashes[i]) {
+				if int(l) == i || vecsEqual(vecs, i, vecs, int(l)) {
+					leader[i] = l
+					break
 				}
 			}
 		}
-		if gid < 0 {
-			gid = len(firsts)
-			firsts = append(firsts, i)
-			if _, ok := first[h]; !ok {
-				first[h] = gid
-			} else {
-				if spill == nil {
-					spill = make(map[uint64][]int)
-				}
-				spill[h] = append(spill[h], gid)
-			}
-		}
-		groupOf[i] = gid
-	}
-	return firsts
+	})
+	// A cancelled sweep leaves some leaders unset: the grouping is void.
+	return c.Err()
 }
 
-// aggChunk is the row-range granule for partial aggregation.
-const aggChunk = 4 * minMorsel
+// numberGroups turns leaders into group ids in one pass in row order: a
+// row that leads its group takes the next id, any other row its leader's,
+// which is already set because a leader precedes its members. It returns
+// each group's first row.
+func numberGroups(leader []int32, groupOf []int) (firstRow []int) {
+	for i, l := range leader {
+		if int(l) == i {
+			groupOf[i] = len(firstRow)
+			firstRow = append(firstRow, i)
+		} else {
+			groupOf[i] = groupOf[l]
+		}
+	}
+	return firstRow
+}
+
+// aggChunk is the row-range granule for partial aggregation, and
+// maxAggChunks caps how many chunks one fold splits into.
+const (
+	aggChunk     = 4 * minMorsel
+	maxAggChunks = 16
+)
 
 // aggRanges splits [0, n) into the chunks partial aggregation folds over.
 // Unlike morselRanges, the decomposition depends only on n and nGroups —
@@ -456,8 +344,8 @@ const aggChunk = 4 * minMorsel
 // the partial footprint O(n) even for near-distinct groupings.
 func aggRanges(n, nGroups int) [][2]int {
 	chunks := n / aggChunk
-	if chunks > 16 {
-		chunks = 16
+	if chunks > maxAggChunks {
+		chunks = maxAggChunks
 	}
 	if nGroups > 0 && chunks > 1 {
 		if m := 8 * n / nGroups; chunks > m {
@@ -468,7 +356,7 @@ func aggRanges(n, nGroups int) [][2]int {
 		return [][2]int{{0, n}}
 	}
 	size := (n + chunks - 1) / chunks
-	out := make([][2]int, 0, chunks)
+	out := make([][2]int, 0, maxAggChunks)
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
 		if hi > n {

@@ -62,40 +62,60 @@ func TestBudgetEquivalence(t *testing.T) {
 
 // TestBudgetExceeded pins the failure mode: a tiny budget aborts with
 // ErrBudgetExceeded (matchable through the operator-label wrapping), the
-// error is never cached, and the reservation leaks nothing.
+// error is never cached, and the reservation leaks nothing. The grouping
+// inputs get a reservation that admits the input scan (which charges
+// nothing) and groupRows' own 12 bytes per row, but not the row hashes
+// it charges next, so the denial comes from inside the grouping.
 func TestBudgetExceeded(t *testing.T) {
-	for _, par := range []int{1, 2, 8} {
-		ctx := &Ctx{Cat: budgetCatalog(), Parallelism: par, UseCache: true, CacheAll: true}
-		pool := memory.NewPool(0)
-		res := pool.Reserve(512) // far below any gather output
-		c := memory.WithReservation(context.Background(), res)
-		_, err := ctx.Exec(c, budgetPlan())
-		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("par=%d: err = %v, want ErrBudgetExceeded", par, err)
-		}
-		var be *memory.BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("par=%d: err %v carries no *memory.BudgetError", par, err)
-		}
-		if ctx.BudgetDenials() == 0 {
-			t.Fatalf("par=%d: denial not counted", par)
-		}
-		res.Release()
-		if used := pool.Used(); used != 0 {
-			t.Fatalf("par=%d: pool holds %d bytes after failed query", par, used)
-		}
+	groupBudget := int64(3*minMorsel) * 16 // fact's rows
+	for _, in := range []struct {
+		name   string
+		plan   func() Node
+		budget int64
+	}{
+		{"composite", budgetPlan, 512}, // far below any gather output
+		{"aggregate", func() Node {
+			return NewAggregate(NewScan("fact"), []string{"b"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupCertain)
+		}, groupBudget},
+		{"normalize", func() Node { return NewNormalize(NewScan("fact"), []int{1}, NormSum) }, groupBudget},
+	} {
+		for _, par := range []int{1, 2, 8} {
+			cat := budgetCatalog()
+			ctx := &Ctx{Cat: cat, Parallelism: par, UseCache: true, CacheAll: true}
+			pool := memory.NewPool(0)
+			res := pool.Reserve(in.budget)
+			c := memory.WithReservation(context.Background(), res)
+			_, err := ctx.Exec(c, in.plan())
+			if !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("%s par=%d: err = %v, want ErrBudgetExceeded", in.name, par, err)
+			}
+			var be *memory.BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("%s par=%d: err %v carries no *memory.BudgetError", in.name, par, err)
+			}
+			if ctx.BudgetDenials() == 0 {
+				t.Fatalf("%s par=%d: denial not counted", in.name, par)
+			}
+			res.Release()
+			if used := pool.Used(); used != 0 {
+				t.Fatalf("%s par=%d: pool holds %d bytes after failed query", in.name, par, used)
+			}
+			if _, ok := cat.Cache().Get(in.plan().Fingerprint()); ok {
+				t.Fatalf("%s par=%d: failed plan root found in cache", in.name, par)
+			}
 
-		// The failure must not have been cached: the same plan under no
-		// budget must execute cleanly and match the reference.
-		want, err := (&Ctx{Cat: budgetCatalog(), Parallelism: 1}).Exec(context.Background(), budgetPlan())
-		if err != nil {
-			t.Fatal(err)
+			// The failure must not have been cached: the same plan under no
+			// budget must execute cleanly and match the reference.
+			want, err := (&Ctx{Cat: budgetCatalog(), Parallelism: 1}).Exec(context.Background(), in.plan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ctx.Exec(context.Background(), in.plan())
+			if err != nil {
+				t.Fatalf("%s par=%d: unbudgeted rerun after budget failure: %v", in.name, par, err)
+			}
+			mustEqualRel(t, want, got, fmt.Sprintf("%s rerun par=%d", in.name, par))
 		}
-		got, err := ctx.Exec(context.Background(), budgetPlan())
-		if err != nil {
-			t.Fatalf("par=%d: unbudgeted rerun after budget failure: %v", par, err)
-		}
-		mustEqualRel(t, want, got, fmt.Sprintf("rerun par=%d", par))
 	}
 }
 

@@ -78,9 +78,8 @@ func vecsEqual(l []vector.Vector, i int, r []vector.Vector, j int) bool {
 }
 
 // hashVecsParallel hashes n rows of the given key vectors into one sum per
-// row, split over morsels like hashRowsParallel. The hash array (8 bytes
-// per row) is charged against the query's memory budget before it is
-// allocated.
+// row, split over morsels. The hash array (8 bytes per row) is charged
+// against the query's memory budget before it is allocated.
 func hashVecsParallel(c context.Context, ctx *Ctx, vecs []vector.Vector, n int, seed maphash.Seed) ([]uint64, error) {
 	if err := ctx.charge(c, int64(n)*8); err != nil {
 		return nil, err

@@ -65,16 +65,9 @@ func (n *Normalize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	groupOf := []int(nil)
 	nGroups := 1
 	if len(n.KeyPos) > 0 {
-		// Budget the grouping scaffolding up front, exactly as aggregateRel
-		// does: the per-row hash array plus the row→group array.
-		if err := ctx.charge(c, int64(in.NumRows())*16); err != nil {
-			return nil, err
-		}
 		var firstRow []int
-		groupOf, firstRow = groupRows(c, ctx, in, n.KeyPos)
-		if err := c.Err(); err != nil {
-			// A cancelled grouping leaves groupOf holding per-morsel local
-			// ids; the fold below would index past the accumulators.
+		groupOf, firstRow, err = groupRows(c, ctx, in, n.KeyPos)
+		if err != nil {
 			return nil, err
 		}
 		nGroups = len(firstRow)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"runtime"
 	"sync"
@@ -266,15 +265,6 @@ func gatherParallel(c context.Context, ctx *Ctx, r *relation.Relation, sel []int
 		r.GatherRangeInto(out, sel, lo, hi)
 	})
 	return out, nil
-}
-
-// hashRowsParallel is relation.HashRows with the rows split over morsels.
-func hashRowsParallel(c context.Context, ctx *Ctx, r *relation.Relation, seed maphash.Seed, colIdx []int) []uint64 {
-	sums := make([]uint64, r.NumRows())
-	ctx.parallelRanges(c, r.NumRows(), func(lo, hi int) {
-		r.HashRowsRange(seed, colIdx, sums, lo, hi)
-	})
-	return sums
 }
 
 // bucketIndex maps 64-bit row hashes to ascending runs of row indexes,

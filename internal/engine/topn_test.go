@@ -102,32 +102,120 @@ func TestBuildBucketsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGroupRowsParallelMatchesSerial checks the two-phase grouping hands
-// out identical group ids and first rows as the serial first-appearance
-// loop.
+// distinctRel is dupRel's shape with a near-distinct string column: keys
+// are drawn from ten times as many values as there are rows.
+func distinctRel(r *rand.Rand, n int) *relation.Relation {
+	a := make([]int64, n)
+	b := make([]string, n)
+	for i := 0; i < n; i++ {
+		a[i] = int64(r.Intn(5))
+		b[i] = fmt.Sprintf("k%d", r.Intn(10*n+1))
+	}
+	return relation.MustFromColumns([]relation.Column{
+		{Name: "a", Vec: vector.FromInt64s(a)},
+		{Name: "b", Vec: vector.FromStrings(b)},
+	}, nil)
+}
+
+// refGroupRows is the naive first-appearance grouping groupRows must
+// match: one map keyed on the row's values.
+func refGroupRows(in *relation.Relation, gIdx []int) (groupOf, firstRow []int) {
+	groupOf = make([]int, in.NumRows())
+	if len(gIdx) == 0 {
+		return groupOf, []int{0}
+	}
+	ids := map[string]int{}
+	for i := range groupOf {
+		var key []string
+		for _, ci := range gIdx {
+			key = append(key, in.Col(ci).Vec.Format(i))
+		}
+		k := fmt.Sprintf("%q", key)
+		g, ok := ids[k]
+		if !ok {
+			g = len(firstRow)
+			ids[k] = g
+			firstRow = append(firstRow, i)
+		}
+		groupOf[i] = g
+	}
+	return groupOf, firstRow
+}
+
+func checkGroups(t *testing.T, label string, gotOf, gotFirst, wantOf, wantFirst []int) {
+	t.Helper()
+	if len(gotFirst) != len(wantFirst) {
+		t.Fatalf("%s: %d groups, want %d", label, len(gotFirst), len(wantFirst))
+	}
+	for g := range wantFirst {
+		if gotFirst[g] != wantFirst[g] {
+			t.Fatalf("%s: group %d first row %d, want %d", label, g, gotFirst[g], wantFirst[g])
+		}
+	}
+	if len(gotOf) != len(wantOf) {
+		t.Fatalf("%s: %d row ids, want %d", label, len(gotOf), len(wantOf))
+	}
+	for i := range wantOf {
+		if gotOf[i] != wantOf[i] {
+			t.Fatalf("%s: row %d group %d, want %d", label, i, gotOf[i], wantOf[i])
+		}
+	}
+}
+
+// TestGroupRowsParallelMatchesSerial checks groupRows against the naive
+// first-appearance reference at parallelism 1, 2 and 8: duplicate-heavy
+// and near-distinct keys, plain and dict-encoded (column b alone takes the
+// dense code path; with a it hashes codes).
 func TestGroupRowsParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 50, 2*minMorsel + 11, 25000} {
-		in := dupRel(r, n)
-		for _, gIdx := range [][]int{{0}, {0, 1}, {}} {
-			wantOf, wantFirst := groupRows(context.Background(), &Ctx{Parallelism: 1}, in, gIdx)
-			for _, par := range []int{2, 8} {
-				gotOf, gotFirst := groupRows(context.Background(), &Ctx{Parallelism: par}, in, gIdx)
-				if len(gotFirst) != len(wantFirst) {
-					t.Fatalf("n=%d gIdx=%v par=%d: %d groups, want %d",
-						n, gIdx, par, len(gotFirst), len(wantFirst))
-				}
-				for g := range wantFirst {
-					if gotFirst[g] != wantFirst[g] {
-						t.Fatalf("n=%d gIdx=%v par=%d: group %d first row %d, want %d",
-							n, gIdx, par, g, gotFirst[g], wantFirst[g])
+		for _, shape := range []struct {
+			name string
+			rel  func(*rand.Rand, int) *relation.Relation
+		}{{"dup", dupRel}, {"distinct", distinctRel}} {
+			plain := shape.rel(r, n)
+			dict, err := relation.EncodeStringCols(plain, "b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range []struct {
+				name string
+				rel  *relation.Relation
+			}{{"plain", plain}, {"dict", dict}} {
+				for _, gIdx := range [][]int{{0}, {1}, {0, 1}, {}} {
+					wantOf, wantFirst := refGroupRows(in.rel, gIdx)
+					for _, par := range []int{1, 2, 8} {
+						gotOf, gotFirst, err := groupRows(context.Background(), &Ctx{Parallelism: par}, in.rel, gIdx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkGroups(t, fmt.Sprintf("n=%d %s/%s gIdx=%v par=%d", n, shape.name, in.name, gIdx, par),
+							gotOf, gotFirst, wantOf, wantFirst)
 					}
 				}
-				for i := range wantOf {
-					if gotOf[i] != wantOf[i] {
-						t.Fatalf("n=%d gIdx=%v par=%d: row %d group %d, want %d",
-							n, gIdx, par, i, gotOf[i], wantOf[i])
+			}
+		}
+	}
+}
+
+// TestHashLeadersSplitsCollisions gives every row the same hash, so one
+// bucket segment holds all the distinct keys: each must still get its own
+// group, in first-appearance order, as in the reference.
+func TestHashLeadersSplitsCollisions(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for _, n := range []int{50, 2*minMorsel + 11} {
+		for _, in := range []*relation.Relation{dupRel(r, n), distinctRel(r, n)} {
+			for _, gIdx := range [][]int{{0}, {1}, {0, 1}} {
+				wantOf, wantFirst := refGroupRows(in, gIdx)
+				for _, par := range []int{1, 2, 8} {
+					leader := make([]int32, n)
+					err := hashLeaders(context.Background(), &Ctx{Parallelism: par}, colVecs(in, gIdx), make([]uint64, n), leader)
+					if err != nil {
+						t.Fatal(err)
 					}
+					gotOf := make([]int, n)
+					checkGroups(t, fmt.Sprintf("n=%d gIdx=%v par=%d", n, gIdx, par),
+						gotOf, numberGroups(leader, gotOf), wantOf, wantFirst)
 				}
 			}
 		}

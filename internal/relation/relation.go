@@ -11,7 +11,6 @@ package relation
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"strings"
 
@@ -305,24 +304,6 @@ func (r *Relation) Renamed(names []string) (*Relation, error) {
 	return &Relation{cols: cols, prob: r.Prob()}, nil
 }
 
-// HashRows computes one hash per row over the given column positions.
-// Used by hash join, group-by and distinct.
-func (r *Relation) HashRows(seed maphash.Seed, colIdx []int) []uint64 {
-	sums := make([]uint64, r.NumRows())
-	r.HashRowsRange(seed, colIdx, sums, 0, r.NumRows())
-	return sums
-}
-
-// HashRowsRange hashes rows [lo, hi) over the given column positions into
-// sums[lo:hi]. Disjoint ranges touch disjoint slots, so the engine can
-// split the rows of one relation over several workers and obtain exactly
-// the sums HashRows would produce.
-func (r *Relation) HashRowsRange(seed maphash.Seed, colIdx []int, sums []uint64, lo, hi int) {
-	for _, ci := range colIdx {
-		r.cols[ci].Vec.HashRangeInto(seed, sums, lo, hi)
-	}
-}
-
 // Slice returns a view of rows [lo, hi) sharing this relation's column
 // storage and probability values. The view must be treated as read-only.
 func (r *Relation) Slice(lo, hi int) *Relation {
@@ -331,17 +312,6 @@ func (r *Relation) Slice(lo, hi int) *Relation {
 		cols[i] = Column{Name: c.Name, Vec: c.Vec.Slice(lo, hi)}
 	}
 	return &Relation{cols: cols, prob: r.Prob()[lo:hi:hi]}
-}
-
-// RowsEqual reports whether row i of r equals row j of other on the given
-// column positions (pairwise: cols[k] of r against otherCols[k] of other).
-func (r *Relation) RowsEqual(i int, cols []int, other *Relation, j int, otherCols []int) bool {
-	for k := range cols {
-		if !r.cols[cols[k]].Vec.EqualAt(i, other.cols[otherCols[k]].Vec, j) {
-			return false
-		}
-	}
-	return true
 }
 
 // SortKey describes one ordering criterion.

@@ -131,19 +131,34 @@ func TestSortedIsStable(t *testing.T) {
 	}
 }
 
+// The engine hashes and compares a relation's rows through its column
+// vectors (HashRangeInto, EqualAt); rows equal on a key column must hash
+// alike, also when hashed in separate row ranges or through a Slice view.
 func TestHashRowsMatchesRowsEqual(t *testing.T) {
 	r := triples()
 	seed := maphash.MakeSeed()
-	h := r.HashRows(seed, []int{0})
+	subj := r.Col(0).Vec
+	h := make([]uint64, r.NumRows())
+	subj.HashRangeInto(seed, h, 0, 1)
+	subj.HashRangeInto(seed, h, 1, r.NumRows())
 	// p1 appears at rows 0 and 1; p2 at rows 2 and 3.
 	if h[0] != h[1] || h[2] != h[3] {
 		t.Error("equal keys hashed differently")
 	}
-	if !r.RowsEqual(0, []int{0}, r, 1, []int{0}) {
-		t.Error("RowsEqual(0,1) on subject = false")
+	if !subj.EqualAt(0, subj, 1) {
+		t.Error("EqualAt(0,1) on subject = false")
 	}
-	if r.RowsEqual(0, []int{0}, r, 2, []int{0}) {
-		t.Error("RowsEqual(0,2) on subject = true")
+	if subj.EqualAt(0, subj, 2) {
+		t.Error("EqualAt(0,2) on subject = true")
+	}
+	tail := r.Slice(2, 4).Col(0).Vec
+	th := make([]uint64, 2)
+	tail.HashRangeInto(seed, th, 0, 2)
+	if th[0] != h[2] || th[1] != h[3] {
+		t.Error("Slice view hashed its rows differently from the full relation")
+	}
+	if !tail.EqualAt(0, subj, 3) {
+		t.Error("EqualAt across a Slice view = false on equal keys")
 	}
 }
 

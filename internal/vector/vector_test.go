@@ -119,6 +119,22 @@ func TestHashIntoConsistency(t *testing.T) {
 	if isums[0] != isums[1] {
 		t.Error("equal ints hashed differently")
 	}
+
+	// Hashed in two ranges, as the engine's morsels do, equal plain strings
+	// still get equal sums, and EqualAt agrees with the hashes.
+	s := FromStrings([]string{"p1", "p1", "p2", "p2"})
+	ssums := make([]uint64, 4)
+	s.HashRangeInto(seed, ssums, 0, 1)
+	s.HashRangeInto(seed, ssums, 1, 4)
+	if ssums[0] != ssums[1] || ssums[2] != ssums[3] {
+		t.Error("equal strings hashed differently across ranges")
+	}
+	if !s.EqualAt(0, s, 1) {
+		t.Error("EqualAt(0,1) = false on equal strings")
+	}
+	if s.EqualAt(0, s, 2) {
+		t.Error("EqualAt(0,2) = true on distinct strings")
+	}
 }
 
 // HashInto must compose across columns: rows equal on all columns get equal
