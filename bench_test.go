@@ -14,9 +14,11 @@ import (
 	"irdb/internal/expr"
 	"irdb/internal/invidx"
 	"irdb/internal/ir"
+	"irdb/internal/relation"
 	"irdb/internal/strategy"
 	"irdb/internal/text"
 	"irdb/internal/triple"
+	"irdb/internal/vector"
 	"irdb/internal/workload"
 )
 
@@ -24,6 +26,22 @@ import (
 // seed picks the vocabulary's words, so queries drawn under another seed
 // than their data's would mostly match nothing (TestBenchQueriesHit).
 const benchSeed = 42
+
+// docsRelation loads generated docs into the (docID, data) relation the
+// relational searcher scans. The data column stays plain strings: every
+// payload is unique, so dictionary encoding would buy no dedup.
+func docsRelation(docs []workload.Doc) *relation.Relation {
+	ids := make([]int64, len(docs))
+	data := make([]string, len(docs))
+	for i, d := range docs {
+		ids[i] = d.ID
+		data[i] = d.Data
+	}
+	return relation.MustFromColumns([]relation.Column{
+		{Name: "docID", Vec: vector.FromInt64s(ids)},
+		{Name: "data", Vec: vector.FromStrings(data)},
+	}, nil)
+}
 
 // Keyword-search benchmarks (E1, E5, E6) run over docs of ~80 tokens from
 // a docVocab-word vocabulary, and the strategy benchmarks (E4, E7) over
@@ -45,7 +63,7 @@ func newSearcher(b *testing.B, nDocs int) (*ir.Searcher, []string) {
 	b.Helper()
 	docs := workload.GenDocs(nDocs, 80, docVocab, benchSeed)
 	cat := catalog.New(0)
-	cat.Put("docs", workload.DocsRelation(docs))
+	cat.Put("docs", docsRelation(docs))
 	ctx := engine.NewCtx(cat)
 	s, err := ir.NewSearcher(ctx, engine.NewScan("docs"), ir.DefaultParams())
 	if err != nil {
@@ -84,7 +102,7 @@ func BenchmarkE1IndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cat := catalog.New(0)
-		cat.Put("docs", workload.DocsRelation(docs))
+		cat.Put("docs", docsRelation(docs))
 		ctx := engine.NewCtx(cat)
 		s, err := ir.NewSearcher(ctx, engine.NewScan("docs"), ir.DefaultParams())
 		if err != nil {
@@ -220,7 +238,7 @@ func BenchmarkE4AuctionStrategyHot(b *testing.B) {
 func BenchmarkE5SharedRebuild(b *testing.B) {
 	docs := workload.GenDocs(2000, 80, docVocab, benchSeed)
 	cat := catalog.New(0)
-	cat.Put("docs", workload.DocsRelation(docs))
+	cat.Put("docs", docsRelation(docs))
 	ctx := engine.NewCtx(cat)
 	first, err := ir.NewSearcher(ctx, engine.NewScan("docs"), ir.DefaultParams())
 	if err != nil {

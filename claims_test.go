@@ -2,10 +2,14 @@ package irdb
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -138,4 +142,115 @@ func testFuncs(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	return funcs
+}
+
+// testOnlyAllowed names the exported internal functions that no non-test
+// file calls and that stay anyway, keyed "pkg.Func" or "pkg.Type.Method"
+// (pkg is the directory under internal/), each with its reason.
+var testOnlyAllowed = map[string]string{
+	"catalog.CorruptError.Unwrap": "errors.Is calls it through the error-unwrap interface",
+	"memory.BudgetError.Unwrap":   "errors.Is calls it through the error-unwrap interface",
+	"wal.CorruptError.Unwrap":     "errors.Is calls it through the error-unwrap interface",
+	"invidx.hitHeap.Less":         "container/heap calls it through heap.Interface",
+	"faultpoint.Arm":              "the faultinject build's tests arm fault sites through it",
+	"faultpoint.Disarm":           "the faultinject build's tests disarm fault sites through it",
+	"ir.Searcher.BuildIndex":      "BenchmarkE1IndexBuild and BenchmarkE5SharedRebuild measure it (CLAIMS.md E1, E5)",
+	"relation.EncodeStringCols":   "builds the dict-encoded inputs of the encoded-equals-raw suites in other packages",
+	"vector.EncodeStrings":        "builds the dict-encoded inputs of the encoded-equals-raw suites in other packages",
+}
+
+// TestNoTestOnlyInternalAPI keeps code that only tests call from piling up
+// under internal/: every exported function or method declared in a
+// non-test file there must have its name used as an identifier in some
+// non-test file of the module, unless testOnlyAllowed lists it. An
+// allowlist entry that is no longer test-only fails too, so the list
+// cannot go stale.
+func TestNoTestOnlyInternalAPI(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	declared := map[string]string{} // key -> position
+	names := map[string]string{}    // key -> function name
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, walkErr error) error {
+		if walkErr != nil {
+			return walkErr
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg, inInternal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		decls := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			decls[fd.Name] = true
+			if !inInternal || !fd.Name.IsExported() {
+				continue
+			}
+			key := pkg + "." + fd.Name.Name
+			if fd.Recv != nil {
+				key = pkg + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			}
+			declared[key] = fset.Position(fd.Pos()).String()
+			names[key] = fd.Name.Name
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !decls[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) < 100 {
+		t.Fatalf("found only %d exported internal functions; the walk is broken", len(declared))
+	}
+	var unused []string
+	for key, name := range names {
+		_, allowed := testOnlyAllowed[key]
+		switch {
+		case !used[name] && !allowed:
+			unused = append(unused, declared[key]+": "+key)
+		case used[name] && allowed:
+			t.Errorf("testOnlyAllowed lists %s, which non-test code now uses; drop the entry", key)
+		}
+	}
+	for key := range testOnlyAllowed {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("testOnlyAllowed lists %s, which is not declared under internal/", key)
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s is called only by tests: delete it, or move it into a _test.go file", u)
+	}
+}
+
+// recvType returns the type name of a method receiver.
+func recvType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return recvType(x.X)
+	case *ast.IndexExpr:
+		return recvType(x.X)
+	case *ast.IndexListExpr:
+		return recvType(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
 }

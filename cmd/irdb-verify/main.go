@@ -51,7 +51,7 @@ func main() {
 // every section checksum, the trailer seal, the packed code columns and
 // the dictionary bounds of every code.
 func verifySnapshot(path string) (catalog.SnapshotMeta, bool) {
-	meta, err := catalog.New(0).LoadFileMeta(path)
+	meta, err := catalog.New(0).LoadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "irdb-verify: snapshot %s: %v\n", path, err)
 		return meta, false

@@ -197,14 +197,6 @@ func (c *Catalog) Table(name string) (*relation.Relation, error) {
 	return r, nil
 }
 
-// Has reports whether a base table exists.
-func (c *Catalog) Has(name string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.tables[name]
-	return ok
-}
-
 // Drop removes a base table and invalidates the cache.
 func (c *Catalog) Drop(name string) {
 	c.mu.Lock()

@@ -27,7 +27,7 @@ func TestCrashMidSnapshotWriteKeepsOldSnapshot(t *testing.T) {
 	v1 := New(0)
 	v1.Put("t", relation.NewBuilder([]string{"s"}, []vector.Kind{vector.String}).
 		Add("old-row-1").Add("old-row-2").Build())
-	if err := v1.SaveFile(path); err != nil {
+	if err := v1.SaveFile(path, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,7 +47,7 @@ func TestCrashMidSnapshotWriteKeepsOldSnapshot(t *testing.T) {
 		t.Run(tc.site, func(t *testing.T) {
 			faultpoint.Arm(tc.site, tc.spec)
 			defer faultpoint.Reset()
-			if err := v1.SaveFile(path); err == nil {
+			if err := v1.SaveFile(path, SnapshotMeta{}); err == nil {
 				t.Fatal("SaveFile succeeded with an armed crash site")
 			}
 			if faultpoint.Hits(tc.site) == 0 {
@@ -56,7 +56,7 @@ func TestCrashMidSnapshotWriteKeepsOldSnapshot(t *testing.T) {
 
 			// The old snapshot survives, checksums and all.
 			dst := New(0)
-			if err := dst.LoadFile(path); err != nil {
+			if _, err := dst.LoadFile(path); err != nil {
 				t.Fatalf("old snapshot unreadable after crashed save: %v", err)
 			}
 			if names := dst.TableNames(); len(names) != 1 || names[0] != "t" {
@@ -83,11 +83,11 @@ func TestCrashMidSnapshotWriteKeepsOldSnapshot(t *testing.T) {
 	}
 
 	// With all faults cleared the new state persists fine.
-	if err := v1.SaveFile(path); err != nil {
+	if err := v1.SaveFile(path, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	dst := New(0)
-	if err := dst.LoadFile(path); err != nil {
+	if _, err := dst.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if names := dst.TableNames(); len(names) != 2 {

@@ -189,16 +189,11 @@ func writeSection(w io.Writer, name string, payload []byte, crcs *[]uint32) erro
 	return binary.Write(w, binary.LittleEndian, crc)
 }
 
-// Save writes every base table to w in the framed, checksummed format
-// (zero watermark). The cache is not included.
-func (c *Catalog) Save(w io.Writer) error {
-	return c.SaveMeta(w, SnapshotMeta{})
-}
-
-// SaveMeta is Save with an explicit metadata section — the ingest
-// watermark a checkpoint records so recovery knows where WAL replay
-// resumes.
-func (c *Catalog) SaveMeta(w io.Writer, meta SnapshotMeta) error {
+// Save writes every base table to w in the framed, checksummed format,
+// with meta as its metadata section: the ingest watermark a checkpoint
+// records so recovery knows where WAL replay resumes (zero outside
+// checkpoints). The cache is not included.
+func (c *Catalog) Save(w io.Writer, meta SnapshotMeta) error {
 	file, err := c.snapshot()
 	if err != nil {
 		return err
@@ -263,17 +258,13 @@ func crcBytes(crcs []uint32) []byte {
 	return b
 }
 
-// SaveFile durably writes the catalog snapshot to path: the bytes go to a
-// temp file in the same directory, are fsynced, and the temp file is
-// atomically renamed over path. A crash (or injected fault) at any point
-// leaves the previous snapshot at path intact and loadable.
-func (c *Catalog) SaveFile(path string) error {
-	return c.SaveFileMeta(path, SnapshotMeta{})
-}
-
-// SaveFileMeta is SaveFile with an explicit metadata section; checkpoints
-// record the WAL watermark the snapshot covers here.
-func (c *Catalog) SaveFileMeta(path string, meta SnapshotMeta) (err error) {
+// SaveFile durably writes the catalog snapshot, with meta as its metadata
+// section, to path: the bytes go to a temp file in the same directory, are
+// fsynced, and the temp file is atomically renamed over path. A crash (or
+// injected fault) at any point leaves the previous snapshot at path intact
+// and loadable. Checkpoints record the WAL watermark the snapshot covers
+// in meta.
+func (c *Catalog) SaveFile(path string, meta SnapshotMeta) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -285,7 +276,7 @@ func (c *Catalog) SaveFileMeta(path string, meta SnapshotMeta) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if err = c.SaveMeta(tmp, meta); err != nil {
+	if err = c.Save(tmp, meta); err != nil {
 		return err
 	}
 	if err = faultpoint.Inject(faultpoint.SiteSnapshotFsync); err != nil {
@@ -316,24 +307,18 @@ func (c *Catalog) SaveFileMeta(path string, meta SnapshotMeta) (err error) {
 	return nil
 }
 
-// LoadFile loads the snapshot at path into the catalog. Corruption —
-// truncation, bit flips, out-of-range dictionary codes — is reported as a
-// *CorruptError (errors.Is ErrCorruptSnapshot) and leaves the catalog
-// unchanged.
-func (c *Catalog) LoadFile(path string) error {
-	_, err := c.LoadFileMeta(path)
-	return err
-}
-
-// LoadFileMeta is LoadFile returning the snapshot's metadata section —
-// recovery reads the watermark here to know where WAL replay resumes.
-func (c *Catalog) LoadFileMeta(path string) (SnapshotMeta, error) {
+// LoadFile loads the snapshot at path into the catalog and returns its
+// metadata section; recovery reads the watermark there to know where WAL
+// replay resumes. Corruption — truncation, bit flips, out-of-range
+// dictionary codes — is reported as a *CorruptError (errors.Is
+// ErrCorruptSnapshot) and leaves the catalog unchanged.
+func (c *Catalog) LoadFile(path string) (SnapshotMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return SnapshotMeta{}, err
 	}
 	defer f.Close()
-	return c.LoadSnapshotMeta(f)
+	return c.LoadSnapshot(f)
 }
 
 // countReader tracks how many bytes have been consumed, so corruption
@@ -350,15 +335,9 @@ func (cr *countReader) Read(p []byte) (int, error) {
 }
 
 // LoadSnapshot replaces the catalog's base tables with the snapshot
-// contents and clears the cache. The file is fully validated before the
-// catalog is touched.
-func (c *Catalog) LoadSnapshot(r io.Reader) error {
-	_, err := c.LoadSnapshotMeta(r)
-	return err
-}
-
-// LoadSnapshotMeta is LoadSnapshot returning the metadata section.
-func (c *Catalog) LoadSnapshotMeta(r io.Reader) (SnapshotMeta, error) {
+// contents, clears the cache and returns the snapshot's metadata section.
+// The file is fully validated before the catalog is touched.
+func (c *Catalog) LoadSnapshot(r io.Reader) (SnapshotMeta, error) {
 	meta, err := c.loadSnapshot(r)
 	if errors.Is(err, ErrCorruptSnapshot) {
 		c.snapCorrupt.Add(1)

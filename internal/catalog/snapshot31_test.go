@@ -17,15 +17,15 @@ import (
 )
 
 // TestSnapshotMetaWatermarkRoundTrip: the checkpoint watermark written by
-// SaveMeta/SaveFileMeta comes back from the load, both in-memory and
+// Save/SaveFile comes back from the load, both in-memory and
 // through the durable file path.
 func TestSnapshotMetaWatermarkRoundTrip(t *testing.T) {
 	src := snapshotCatalog()
 	var buf bytes.Buffer
-	if err := src.SaveMeta(&buf, SnapshotMeta{Watermark: 42}); err != nil {
+	if err := src.Save(&buf, SnapshotMeta{Watermark: 42}); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := New(0).LoadSnapshotMeta(&buf)
+	meta, err := New(0).LoadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +34,10 @@ func TestSnapshotMetaWatermarkRoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "snap.irdb")
-	if err := src.SaveFileMeta(path, SnapshotMeta{Watermark: 7}); err != nil {
+	if err := src.SaveFile(path, SnapshotMeta{Watermark: 7}); err != nil {
 		t.Fatal(err)
 	}
-	meta, err = New(0).LoadFileMeta(path)
+	meta, err = New(0).LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestVersion3SnapshotRefused(t *testing.T) {
 	})
 	c := snapshotCatalog()
 	before := c.TableNames()
-	if err := c.LoadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := c.LoadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("version 3 file: err = %v, want ErrCorruptSnapshot", err)
 	}
 	if after := c.TableNames(); !slices.Equal(before, after) {
@@ -190,7 +190,7 @@ func TestPackedCodeCorruptionIsCorruptError(t *testing.T) {
 			{dictsSection, [][]string{{"only"}}},
 			{"table:t", snapshotTable{Name: "t", Cols: []snapshotColumn{col}, Prob: []float64{1}}},
 		})
-		err := New(0).LoadSnapshot(bytes.NewReader(data))
+		_, err := New(0).LoadSnapshot(bytes.NewReader(data))
 		if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("case %d: err = %v, want ErrCorruptSnapshot", i, err)
 		}
@@ -218,11 +218,11 @@ func TestSnapshot31DictColumnsStayPacked(t *testing.T) {
 		t.Fatalf("writer emitted unpacked column: %+v", col)
 	}
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := src.Save(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	dst := New(0)
-	if err := dst.LoadSnapshot(&buf); err != nil {
+	if _, err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := dst.Table("t")

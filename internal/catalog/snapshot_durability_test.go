@@ -15,14 +15,14 @@ import (
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	src := snapshotCatalog()
 	path := filepath.Join(t.TempDir(), "cat.snap")
-	if err := src.SaveFile(path); err != nil {
+	if err := src.SaveFile(path, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := src.SnapshotStats(); st.Saves != 1 {
 		t.Errorf("saves = %d, want 1", st.Saves)
 	}
 	dst := New(0)
-	if err := dst.LoadFile(path); err != nil {
+	if _, err := dst.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if st := dst.SnapshotStats(); st.Loads != 1 || st.CorruptLoads != 0 {
@@ -39,14 +39,14 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 // and leaves the catalog untouched.
 func TestLoadTruncatedSnapshot(t *testing.T) {
 	var buf bytes.Buffer
-	if err := snapshotCatalog().Save(&buf); err != nil {
+	if err := snapshotCatalog().Save(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, n := range []int{3, 8, 12, 20, len(full) / 2, len(full) - 12, len(full) - 1} {
 		dst := snapshotCatalog()
 		before := dst.TableNames()
-		err := dst.LoadSnapshot(bytes.NewReader(full[:n]))
+		_, err := dst.LoadSnapshot(bytes.NewReader(full[:n]))
 		if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("truncated at %d/%d: err = %v, want ErrCorruptSnapshot", n, len(full), err)
 		}
@@ -64,7 +64,7 @@ func TestLoadTruncatedSnapshot(t *testing.T) {
 // never accepted, never a panic.
 func TestLoadBitFlippedSnapshot(t *testing.T) {
 	var buf bytes.Buffer
-	if err := snapshotCatalog().Save(&buf); err != nil {
+	if err := snapshotCatalog().Save(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -72,7 +72,7 @@ func TestLoadBitFlippedSnapshot(t *testing.T) {
 		damaged := append([]byte(nil), full...)
 		damaged[pos] ^= 0x10
 		dst := New(0)
-		err := dst.LoadSnapshot(bytes.NewReader(damaged))
+		_, err := dst.LoadSnapshot(bytes.NewReader(damaged))
 		if !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("bit flip at %d: err = %v, want ErrCorruptSnapshot", pos, err)
 		}
@@ -144,7 +144,7 @@ func TestLegacyGobSnapshotRefused(t *testing.T) {
 	}
 	dst := New(0)
 	dst.Put("keep", relation.NewBuilder([]string{"x"}, []vector.Kind{vector.Int64}).Add(int64(1)).Build())
-	if err := dst.LoadSnapshot(&buf); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := dst.LoadSnapshot(&buf); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("legacy snapshot: err = %v, want ErrCorruptSnapshot", err)
 	}
 	if names := dst.TableNames(); len(names) != 1 || names[0] != "keep" {
@@ -159,7 +159,7 @@ func TestLegacyGobSnapshotRefused(t *testing.T) {
 // not left beside the snapshot.
 func TestSaveFileLeavesNoTempOnSuccess(t *testing.T) {
 	dir := t.TempDir()
-	if err := snapshotCatalog().SaveFile(filepath.Join(dir, "cat.snap")); err != nil {
+	if err := snapshotCatalog().SaveFile(filepath.Join(dir, "cat.snap"), SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)

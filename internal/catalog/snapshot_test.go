@@ -23,17 +23,17 @@ func snapshotCatalog() *Catalog {
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := snapshotCatalog()
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := src.Save(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := New(0)
 	dst.Put("leftover", relation.New([]string{"y"}, []vector.Kind{vector.Int64}))
-	if err := dst.LoadSnapshot(&buf); err != nil {
+	if _, err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// pre-existing tables are replaced wholesale
-	if dst.Has("leftover") {
+	if _, err := dst.Table("leftover"); err == nil {
 		t.Error("LoadSnapshot kept pre-existing table")
 	}
 	names := dst.TableNames()
@@ -67,12 +67,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestLoadSnapshotClearsCache(t *testing.T) {
 	src := snapshotCatalog()
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := src.Save(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	dst := New(0)
 	seed(dst.Cache(), kindRel, "stale", relation.New([]string{"x"}, []vector.Kind{vector.Int64}))
-	if err := dst.LoadSnapshot(&buf); err != nil {
+	if _, err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Cache().Stats().Entries != 0 {
@@ -83,7 +83,7 @@ func TestLoadSnapshotClearsCache(t *testing.T) {
 func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 	dst := snapshotCatalog()
 	before := dst.TableNames()
-	if err := dst.LoadSnapshot(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	if _, err := dst.LoadSnapshot(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage accepted")
 	}
 	// failed load must not clobber existing tables
@@ -115,11 +115,11 @@ func TestSnapshotDictColumnsRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := src.Save(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	dst := New(0)
-	if err := dst.LoadSnapshot(&buf); err != nil {
+	if _, err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 

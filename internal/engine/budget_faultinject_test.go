@@ -26,7 +26,7 @@ func TestInjectedBudgetPressure(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ctx := &Ctx{Cat: budgetCatalog(), Parallelism: par, UseCache: true, CacheAll: true}
+			ctx := &Ctx{Cat: budgetCatalog(), Parallelism: par, UseCache: true}
 			pool := memory.NewPool(0)
 			res := pool.Reserve(1 << 30) // generous: only the injected denial can fail it
 			c := memory.WithReservation(context.Background(), res)

@@ -13,7 +13,8 @@ import (
 
 // budgetPlan is a composite plan hitting every budget charge site: join
 // (hashes, build table, pair lists, gathers), selection gather via
-// sort/topn, concat prefix sums, and aggregation accumulators.
+// sort/topn, concat prefix sums, and aggregation accumulators. Its root
+// is a Materialize, so a context with UseCache may cache it.
 func budgetPlan() Node {
 	join := NewHashJoin(NewScan("fact"), NewMaterialize(NewScan("dim")), []string{"a"}, []string{"a"}, JoinIndependent)
 	agg := NewAggregate(join, []string{"b"}, []AggSpec{
@@ -21,7 +22,7 @@ func budgetPlan() Node {
 		{Op: Sum, Col: "x", As: "sx"},
 	}, GroupIndependent)
 	u := NewUnion(agg, agg)
-	return NewSort(u, SortSpec{Col: "b"}, SortSpec{Col: "n", Desc: true})
+	return NewMaterialize(NewSort(u, SortSpec{Col: "b"}, SortSpec{Col: "n", Desc: true}))
 }
 
 func budgetCatalog() *catalog.Catalog {
@@ -41,7 +42,7 @@ func TestBudgetEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 8} {
-		ctx := &Ctx{Cat: budgetCatalog(), Parallelism: par, UseCache: true, CacheAll: true}
+		ctx := &Ctx{Cat: budgetCatalog(), Parallelism: par, UseCache: true}
 		pool := memory.NewPool(0)
 		res := pool.Reserve(1 << 30)
 		c := memory.WithReservation(context.Background(), res)
@@ -75,13 +76,13 @@ func TestBudgetExceeded(t *testing.T) {
 	}{
 		{"composite", budgetPlan, 512}, // far below any gather output
 		{"aggregate", func() Node {
-			return NewAggregate(NewScan("fact"), []string{"b"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupCertain)
+			return NewMaterialize(NewAggregate(NewScan("fact"), []string{"b"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupCertain))
 		}, groupBudget},
-		{"normalize", func() Node { return NewNormalize(NewScan("fact"), []int{1}, NormSum) }, groupBudget},
+		{"normalize", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []int{1}, NormSum)) }, groupBudget},
 	} {
 		for _, par := range []int{1, 2, 8} {
 			cat := budgetCatalog()
-			ctx := &Ctx{Cat: cat, Parallelism: par, UseCache: true, CacheAll: true}
+			ctx := &Ctx{Cat: cat, Parallelism: par, UseCache: true}
 			pool := memory.NewPool(0)
 			res := pool.Reserve(in.budget)
 			c := memory.WithReservation(context.Background(), res)
@@ -124,7 +125,7 @@ func TestBudgetExceeded(t *testing.T) {
 // fingerprint of the failed plan.
 func TestBudgetExceededNotCached(t *testing.T) {
 	cat := budgetCatalog()
-	ctx := &Ctx{Cat: cat, Parallelism: 2, UseCache: true, CacheAll: true}
+	ctx := &Ctx{Cat: cat, Parallelism: 2, UseCache: true}
 	pool := memory.NewPool(0)
 	res := pool.Reserve(512)
 	c := memory.WithReservation(context.Background(), res)

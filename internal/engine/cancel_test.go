@@ -243,36 +243,48 @@ func TestBuildBucketsCancelledMidBuild(t *testing.T) {
 }
 
 // TestCancelNeverPoisonsJoinIndex: cancelling a join whose build-side
-// index is aux-cacheable (CacheAll) must never cache a partially built
-// index — later live queries would panic probing its zero-valued
-// partitions. Cancellation is raced at varying delays to sweep the
-// build/probe phases.
+// index is aux-cacheable (its build side is a Materialize) must never
+// cache a partially built index — later live queries would panic probing
+// its zero-valued partitions. The probe side is small, so building the
+// index is most of a cold run, and cancellation is raced at delays spread
+// over one cold run, so some of them land inside the build on any machine.
 func TestCancelNeverPoisonsJoinIndex(t *testing.T) {
 	cat := catalog.New(0)
 	cat.Put("build", cancelRel(120_000, 60_000, 11))
-	cat.Put("probe", cancelRel(120_000, 60_000, 12))
+	cat.Put("probe", cancelRel(2_000, 60_000, 12))
 	ctx := NewCtx(cat)
-	ctx.CacheAll = true
 	ctx.Parallelism = 4
-	plan := NewHashJoin(NewScan("probe"), NewScan("build"),
+	plan := NewHashJoin(NewScan("probe"), NewMaterialize(NewScan("build")),
 		[]string{"k"}, []string{"k"}, JoinIndependent)
 
-	want, err := ctx.Exec(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, delay := range []time.Duration{
-		50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond,
-		3 * time.Millisecond, 10 * time.Millisecond,
-	} {
+	// The fastest of three cold runs: the first one also pays for warm-up.
+	var want *relation.Relation
+	cold := time.Hour
+	for i := 0; i < 3; i++ {
 		cat.Cache().Clear()
-		ctx.ResetStats()
+		start := time.Now()
+		got, err := ctx.Exec(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, want = min(cold, time.Since(start)), got
+	}
+	const steps = 16
+	for i := 0; i < steps; i++ {
+		delay := cold * time.Duration(i) / steps
+		cat.Cache().Clear()
 		c, cancel := context.WithTimeout(context.Background(), delay)
 		_, _ = ctx.Exec(c, plan)
 		cancel()
-		// Whatever phase the cancellation hit, a clean re-run must work
-		// and match the reference — a poisoned cached index would panic
-		// in the probe or drop matches.
+		// The abandoned build ends at its next cancellation check, after
+		// Exec has returned. No event marks that end, so wait a cold run's
+		// time for it: a re-run that started earlier would build its own
+		// index and hide whatever the abandoned build left in the cache.
+		// The wait cannot fail a correct run.
+		time.Sleep(cold)
+		// Whatever phase the cancellation hit, a clean re-run must work and
+		// match the reference — a poisoned cached index would panic in the
+		// probe or drop matches.
 		got, err := ctx.Exec(context.Background(), plan)
 		if err != nil {
 			t.Fatalf("delay %v: re-run: %v", delay, err)

@@ -39,12 +39,10 @@ type Node interface {
 // all of its state is safe for concurrent use.
 type Ctx struct {
 	Cat *catalog.Catalog
-	// UseCache enables the materialization cache for Materialize nodes.
+	// UseCache enables the materialization cache. Only Materialize nodes
+	// (and a hash join's index over a Materialize build side) are cached;
+	// every other node is recomputed on each Exec.
 	UseCache bool
-	// CacheAll additionally caches every intermediate node, emulating
-	// "cache tables for any intermediate result" (section 2.2). Only tests
-	// set it.
-	CacheAll bool
 	// Parallelism bounds the worker goroutines this context may run at
 	// once, across all concurrent queries sharing it. 0 (the default)
 	// means GOMAXPROCS; 1 forces fully serial execution. Results are
@@ -83,12 +81,6 @@ func (ctx *Ctx) CacheHits() int64 { return ctx.cacheHits.Load() }
 // signal to go find the bug.
 func (ctx *Ctx) RecoveredPanics() int64 { return ctx.panics.Load() }
 
-// ResetStats zeroes the per-context counters.
-func (ctx *Ctx) ResetStats() {
-	ctx.nodeExecs.Store(0)
-	ctx.cacheHits.Store(0)
-}
-
 // Exec evaluates a plan node, consulting the materialization cache when
 // enabled. This is the only correct way to evaluate a plan or child plan.
 //
@@ -108,7 +100,7 @@ func (ctx *Ctx) Exec(c context.Context, n Node) (*relation.Relation, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	cacheable := ctx.UseCache && ctx.Cat != nil && (ctx.CacheAll || isMaterialize(n))
+	cacheable := ctx.UseCache && ctx.Cat != nil && isMaterialize(n)
 	// Unwrap Materialize before executing: it shares its child's
 	// identity, so executing through it would re-enter the same
 	// single-flight key and deadlock on our own in-flight computation.

@@ -456,26 +456,6 @@ func TestMaterializeCaching(t *testing.T) {
 	}
 }
 
-func TestCacheAllMode(t *testing.T) {
-	ctx := newTestCtx()
-	ctx.CacheAll = true
-	plan := NewSelect(NewScan("triples"),
-		expr.Cmp{Op: expr.Eq, L: expr.Column("property"), R: expr.Str("category")})
-	mustExec(t, ctx, plan)
-	execs := ctx.NodeExecs()
-	mustExec(t, ctx, plan)
-	if ctx.NodeExecs() != execs {
-		t.Error("CacheAll re-executed a cached plan")
-	}
-	if ctx.CacheHits() == 0 {
-		t.Error("no cache hits recorded")
-	}
-	ctx.ResetStats()
-	if ctx.NodeExecs() != 0 || ctx.CacheHits() != 0 {
-		t.Error("ResetStats did not zero counters")
-	}
-}
-
 func TestExplainAndCountNodes(t *testing.T) {
 	plan := docsPlan()
 	out := Explain(plan)

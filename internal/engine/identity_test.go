@@ -138,8 +138,7 @@ func TestScanSets(t *testing.T) {
 // where a zero digest would make every such node share one cache entry.
 func TestLiteralNodeRefused(t *testing.T) {
 	ctx := NewCtx(catalog.New(0))
-	ctx.CacheAll = true
-	if _, err := ctx.Exec(context.Background(), &Scan{Table: "t"}); err == nil || !strings.Contains(err.Error(), "constructor") {
+	if _, err := ctx.Exec(context.Background(), &Materialize{Child: &Scan{Table: "t"}}); err == nil || !strings.Contains(err.Error(), "constructor") {
 		t.Errorf("Exec of a literal node: err = %v, want a constructor error", err)
 	}
 	defer func() {

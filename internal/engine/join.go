@@ -332,7 +332,7 @@ func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relati
 		idx.buckets = buckets
 		return idx, nil
 	}
-	cacheable := ctx.UseCache && ctx.Cat != nil && (ctx.CacheAll || isMaterialize(j.R))
+	cacheable := ctx.UseCache && ctx.Cat != nil && isMaterialize(j.R)
 	if !cacheable {
 		return build(c)
 	}

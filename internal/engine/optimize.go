@@ -565,8 +565,6 @@ func prunePass(cat *catalog.Catalog, n Node, info *OptInfo) Node {
 // needSet is the set of column names a parent requires; nil means "all".
 type needSet map[string]bool
 
-func needAll() needSet { return nil }
-
 func needOf(names ...string) needSet {
 	s := make(needSet, len(names))
 	for _, n := range names {

@@ -59,10 +59,9 @@ func TestSelectPanicContained(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			ctx := ctxAt(par, map[string]*relation.Relation{"t": panicRel()})
-			ctx.CacheAll = true
 			setPanicHook(t, func() { panic("kaboom") })
 
-			plan := hookedSelect()
+			plan := NewMaterialize(hookedSelect())
 			_, err := ctx.Exec(context.Background(), plan)
 			pe, ok := AsPanicError(err)
 			if !ok {
@@ -81,7 +80,7 @@ func TestSelectPanicContained(t *testing.T) {
 			// The pool drained and the process survived: the same query runs
 			// clean once the fault is gone.
 			panicHook.Store(nil)
-			rel, err := ctx.Exec(context.Background(), hookedSelect())
+			rel, err := ctx.Exec(context.Background(), plan)
 			if err != nil {
 				t.Fatalf("query after contained panic: %v", err)
 			}

@@ -263,22 +263,21 @@ func TestAggregationChunkedEquivalence(t *testing.T) {
 	}
 }
 
-// TestEquivalenceUnderCacheAll re-runs a composite plan with every
-// intermediate cached, twice per context, at each parallelism level: the
-// cold run, the hot (all-hits) run and the serial baseline must agree.
-func TestEquivalenceUnderCacheAll(t *testing.T) {
+// TestEquivalenceUnderMaterialize re-runs a top-k over a materialized
+// join twice per context, at each parallelism level: the cold run, the hot
+// run (answered from the cache) and the serial baseline must agree.
+func TestEquivalenceUnderMaterialize(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	tables := map[string]*relation.Relation{
 		"L": randRel(r, 6000, 500),
 		"R": randRel(r, 5000, 500),
 	}
-	plan := NewTopN(
-		NewHashJoin(NewScan("L"), NewScan("R"), []string{"a", "b"}, []string{"a", "b"}, JoinIndependent),
+	plan := NewTopN(NewMaterialize(
+		NewHashJoin(NewScan("L"), NewScan("R"), []string{"a", "b"}, []string{"a", "b"}, JoinIndependent)),
 		300, SortSpec{Col: "", Desc: true}, SortSpec{Col: "a"})
 	var want *relation.Relation
 	for _, par := range []int{1, 2, 8} {
 		ctx := ctxAt(par, tables)
-		ctx.CacheAll = true
 		cold, err := ctx.Exec(context.Background(), plan)
 		if err != nil {
 			t.Fatalf("parallelism %d cold: %v", par, err)
@@ -286,6 +285,9 @@ func TestEquivalenceUnderCacheAll(t *testing.T) {
 		hot, err := ctx.Exec(context.Background(), plan)
 		if err != nil {
 			t.Fatalf("parallelism %d hot: %v", par, err)
+		}
+		if ctx.CacheHits() != 1 {
+			t.Fatalf("parallelism %d: hot run had %d cache hits, want 1", par, ctx.CacheHits())
 		}
 		mustEqualRel(t, cold, hot, fmt.Sprintf("parallelism %d hot-vs-cold", par))
 		if want == nil {
@@ -400,7 +402,6 @@ func TestNestedMaterializeNoDeadlock(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tables := map[string]*relation.Relation{"L": randRel(r, 100, 10)}
 	ctx := ctxAt(4, tables)
-	ctx.CacheAll = true // every node cacheable: Materialize and child share a key
 	plan := NewMaterialize(NewMaterialize(NewSelect(NewScan("L"),
 		expr.Cmp{Op: expr.Lt, L: expr.Column("a"), R: expr.Int(5)})))
 	done := make(chan error, 1)

@@ -110,7 +110,7 @@ func (m *Manager) OpenDurable(dir string, opt wal.Options) error {
 	m.walDir = filepath.Join(dir, WALDir)
 	var after uint64
 	if _, err := os.Stat(m.snapPath); err == nil {
-		meta, err := m.cat.LoadFileMeta(m.snapPath)
+		meta, err := m.cat.LoadFile(m.snapPath)
 		if err != nil {
 			return err
 		}
@@ -132,13 +132,6 @@ func (m *Manager) OpenDurable(dir string, opt wal.Options) error {
 	}
 	m.log = log
 	return nil
-}
-
-// Durable reports whether a durability directory is attached.
-func (m *Manager) Durable() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log != nil
 }
 
 // applyLocked applies one replayed WAL record to the in-memory state.
@@ -298,7 +291,7 @@ func (m *Manager) ReplaceTable(name string, rel *relation.Relation) error {
 func (m *Manager) LoadSnapshotFile(path string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.cat.LoadFileMeta(path); err != nil {
+	if _, err := m.cat.LoadFile(path); err != nil {
 		return err
 	}
 	if err := m.store.AdoptCatalog(); err != nil {
@@ -327,7 +320,7 @@ func (m *Manager) checkpointLocked() error {
 		return ErrNotDurable
 	}
 	wm := m.log.LastSeq()
-	if err := m.cat.SaveFileMeta(m.snapPath, catalog.SnapshotMeta{Watermark: wm}); err != nil {
+	if err := m.cat.SaveFile(m.snapPath, catalog.SnapshotMeta{Watermark: wm}); err != nil {
 		return err
 	}
 	if err := m.log.Rotate(wm); err != nil {

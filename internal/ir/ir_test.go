@@ -53,14 +53,14 @@ func TestTermDocPlanMirrorsPaper(t *testing.T) {
 	}
 	// stemmed: "toys" and "toy" must conflate
 	// the term column is dict-encoded by the tokenize/stem pipeline
-	termCol, ok := vector.AsStrings(rel.Col(0).Vec)
+	termCol, ok := vector.AsStringColumn(rel.Col(0).Vec)
 	if !ok {
 		t.Fatalf("term column is %T, want a string column", rel.Col(0).Vec)
 	}
-	terms := termCol.Values()
 	ids := rel.Col(1).Vec.(*vector.Int64s).Values()
 	sawToy2, sawToy4 := false, false
-	for i, term := range terms {
+	for i := range ids {
+		term := termCol.StringAt(i)
 		if term == "toy" && ids[i] == 2 {
 			sawToy2 = true
 		}
@@ -99,11 +99,14 @@ func TestDocLenAndDictAndTF(t *testing.T) {
 		t.Fatal(err)
 	}
 	// termIDs must be dense, 1-based, sorted by term
-	termVec, ok := vector.AsStrings(dict.Col(0).Vec)
+	termCol, ok := vector.AsStringColumn(dict.Col(0).Vec)
 	if !ok {
 		t.Fatalf("term column is %T, want a string column", dict.Col(0).Vec)
 	}
-	terms := termVec.Values()
+	terms := make([]string, dict.NumRows())
+	for i := range terms {
+		terms[i] = termCol.StringAt(i)
+	}
 	tids := dict.Col(1).Vec.(*vector.Int64s).Values()
 	for i := range terms {
 		if tids[i] != int64(i+1) {
@@ -329,7 +332,6 @@ func TestHotSearchUsesCache(t *testing.T) {
 	if err := s.BuildIndex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ctx.ResetStats()
 	hitsBefore := ctx.Cat.Cache().Stats().Hits
 	if _, err := s.Search(context.Background(), "history book", 10); err != nil {
 		t.Fatal(err)

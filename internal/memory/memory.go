@@ -211,14 +211,6 @@ func (r *Reservation) Peak() int64 {
 	return r.peak
 }
 
-// Budget returns the per-query byte budget (0 = unbounded).
-func (r *Reservation) Budget() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.budget
-}
-
 // Release returns all charged bytes to the pool and closes the
 // reservation. Idempotent; later Grow calls no-op.
 func (r *Reservation) Release() {

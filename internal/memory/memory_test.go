@@ -104,7 +104,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil reservation Grow: %v", err)
 	}
 	nr.Release()
-	if nr.Used() != 0 || nr.Budget() != 0 {
+	if nr.Used() != 0 {
 		t.Fatal("nil reservation accessors")
 	}
 	if p.Used() != 0 || p.Capacity() != 0 || p.Peak() != 0 || p.Denied() != 0 || p.Active() != 0 {

@@ -89,7 +89,6 @@ func TestPaperDocsPlan(t *testing.T) {
 func TestPaperDocsSQLTranslation(t *testing.T) {
 	cat := catalog.New(0)
 	base := triplesBase(cat)
-	ResetSQLAliases()
 	sql, err := ToSQL(paperDocsPlan(base))
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // matching the paper's example translation. Deduplicating projections,
 // unions, subtraction and Bayes emit nested sub-selects.
 func ToSQL(n Node) (string, error) {
-	q, err := emit(n)
+	q, err := (&emitter{}).emit(n)
 	if err != nil {
 		return "", err
 	}
@@ -26,10 +26,9 @@ func ToSQL(n Node) (string, error) {
 
 // query is a single flattened SELECT block.
 type query struct {
-	selectCols []string // "t2.subject as docID"
-	from       []string // "triples t1"
-	where      []string
-	probExpr   string // "t1.p * t2.p"
+	from     []string // "triples t1"
+	where    []string
+	probExpr string // "t1.p * t2.p"
 	// cols maps output position (0-based) to the SQL expression
 	// addressing that column, and names holds output column names.
 	cols  []string
@@ -58,13 +57,18 @@ func (q *query) sql() string {
 	return b.String()
 }
 
-var aliasCounter int
+// emitter renders one plan. It numbers table and subquery aliases per
+// call, so equal plans render to equal SQL and concurrent calls share no
+// state.
+type emitter struct {
+	aliases int
+}
 
-func emit(n Node) (*query, error) {
+func (e *emitter) emit(n Node) (*query, error) {
 	switch x := n.(type) {
 	case *Base:
-		aliasCounter++
-		alias := fmt.Sprintf("t%d", aliasCounter)
+		e.aliases++
+		alias := fmt.Sprintf("t%d", e.aliases)
 		q := &query{from: []string{x.Name + " " + alias}, probExpr: alias + ".p"}
 		for _, c := range x.Cols {
 			q.cols = append(q.cols, alias+"."+c)
@@ -73,7 +77,7 @@ func emit(n Node) (*query, error) {
 		return q, nil
 
 	case *Select:
-		q, err := emit(x.Child)
+		q, err := e.emit(x.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -85,11 +89,11 @@ func emit(n Node) (*query, error) {
 		return q, nil
 
 	case *Join:
-		lq, err := emit(x.L)
+		lq, err := e.emit(x.L)
 		if err != nil {
 			return nil, err
 		}
-		rq, err := emit(x.R)
+		rq, err := e.emit(x.R)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +117,7 @@ func emit(n Node) (*query, error) {
 		return out, nil
 
 	case *Project:
-		q, err := emit(x.Child)
+		q, err := e.emit(x.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -144,10 +148,10 @@ func emit(n Node) (*query, error) {
 		}
 		sub.where = nil
 		q2 := sub.sql() + "\nGROUP BY " + strings.Join(groupCols, ", ")
-		return opaque(q2, out.names), nil
+		return e.opaque(q2, out.names), nil
 
 	case *Weight:
-		q, err := emit(x.Child)
+		q, err := e.emit(x.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -155,11 +159,11 @@ func emit(n Node) (*query, error) {
 		return q, nil
 
 	case *Unite:
-		lq, err := emit(x.L)
+		lq, err := e.emit(x.L)
 		if err != nil {
 			return nil, err
 		}
-		rq, err := emit(x.R)
+		rq, err := e.emit(x.R)
 		if err != nil {
 			return nil, err
 		}
@@ -167,19 +171,19 @@ func emit(n Node) (*query, error) {
 		rqAligned.names = lq.names
 		union := "(\n" + indent(lq.sql()) + "\nUNION ALL\n" + indent(rqAligned.sql()) + "\n) u"
 		if x.Assumption == None {
-			return opaque("SELECT * FROM "+union, lq.names), nil
+			return e.opaque("SELECT * FROM "+union, lq.names), nil
 		}
 		sel := append(append([]string{}, lq.names...), probAggSQL(x.Assumption)+" as p")
 		q2 := "SELECT " + strings.Join(sel, ", ") + "\nFROM " + union +
 			"\nGROUP BY " + strings.Join(lq.names, ", ")
-		return opaque(q2, lq.names), nil
+		return e.opaque(q2, lq.names), nil
 
 	case *Subtract:
-		lq, err := emit(x.L)
+		lq, err := e.emit(x.L)
 		if err != nil {
 			return nil, err
 		}
-		rq, err := emit(x.R)
+		rq, err := e.emit(x.R)
 		if err != nil {
 			return nil, err
 		}
@@ -191,10 +195,10 @@ func emit(n Node) (*query, error) {
 		}
 		q2 := fmt.Sprintf("SELECT %s, l.p * (1 - coalesce(r.p, 0)) as p\nFROM (\n%s\n) l LEFT JOIN (\n%s\n) r ON %s",
 			prefixAll("l.", lq.names), indent(lq.sql()), indent(rqAligned.sql()), strings.Join(conds, " AND "))
-		return opaque(q2, lq.names), nil
+		return e.opaque(q2, lq.names), nil
 
 	case *Bayes:
-		q, err := emit(x.Child)
+		q, err := e.emit(x.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +220,7 @@ func emit(n Node) (*query, error) {
 		}
 		q2 := fmt.Sprintf("SELECT %s, p / %s(p) OVER (%s) as p\nFROM (\n%s\n) sub",
 			strings.Join(q.names, ", "), aggFn, strings.TrimSpace(part), indent(inner))
-		return opaque(q2, q.names), nil
+		return e.opaque(q2, q.names), nil
 
 	default:
 		return nil, fmt.Errorf("pra: no SQL translation for %T", n)
@@ -224,9 +228,9 @@ func emit(n Node) (*query, error) {
 }
 
 // opaque wraps fully rendered SQL so parents treat it as a subquery.
-func opaque(sql string, names []string) *query {
-	aliasCounter++
-	alias := fmt.Sprintf("q%d", aliasCounter)
+func (e *emitter) opaque(sql string, names []string) *query {
+	e.aliases++
+	alias := fmt.Sprintf("q%d", e.aliases)
 	q := &query{
 		from:     []string{"(\n" + indent(sql) + "\n) " + alias},
 		probExpr: alias + ".p",
@@ -365,6 +369,3 @@ func sqlExpr(e expr.Expr, cols []string) (string, error) {
 		return "", fmt.Errorf("pra: no SQL rendering for expression %T", e)
 	}
 }
-
-// ResetSQLAliases resets the alias counter so tests produce stable output.
-func ResetSQLAliases() { aliasCounter = 0 }

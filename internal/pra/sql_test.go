@@ -14,7 +14,6 @@ func sqlBase() *Base {
 
 func mustSQL(t *testing.T, n Node) string {
 	t.Helper()
-	ResetSQLAliases()
 	sql, err := ToSQL(n)
 	if err != nil {
 		t.Fatalf("ToSQL(%s): %v", n.String(), err)
@@ -84,7 +83,6 @@ func TestSQLBayes(t *testing.T) {
 	if !strings.Contains(sqlG, "p / max(p) OVER ()") {
 		t.Errorf("global bayes wrong:\n%s", sqlG)
 	}
-	ResetSQLAliases()
 	if _, err := ToSQL(NewBayes(base, Disjoint, 9)); err == nil {
 		t.Error("BAYES $9 should fail in SQL emitter")
 	}
@@ -106,21 +104,17 @@ func TestSQLWeightAndConditions(t *testing.T) {
 
 func TestSQLErrors(t *testing.T) {
 	base := sqlBase()
-	ResetSQLAliases()
 	if _, err := ToSQL(NewProject(base, None, 9)); err == nil {
 		t.Error("PROJECT $9 should fail in SQL emitter")
 	}
-	ResetSQLAliases()
 	if _, err := ToSQL(NewJoin(base, base, Independent, JoinCond{9, 1})); err == nil {
 		t.Error("JOIN $9 should fail in SQL emitter")
 	}
-	ResetSQLAliases()
 	if _, err := ToSQL(NewSelect(base, expr.Cmp{Op: expr.Eq, L: expr.ColumnAt(9), R: expr.Str("x")})); err == nil {
 		t.Error("condition $9 should fail in SQL emitter")
 	}
 	// compute operators have no SQL translation (the paper renders only
 	// the core algebra); they must report that cleanly.
-	ResetSQLAliases()
 	if _, err := ToSQL(NewMap(base, MapCol{As: "x", E: expr.ColumnAt(1)})); err == nil {
 		t.Error("MAP should report missing SQL translation")
 	}

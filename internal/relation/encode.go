@@ -74,13 +74,3 @@ func EncodeStringCols(r *Relation, names ...string) (*Relation, error) {
 	}
 	return out[0], nil
 }
-
-// MustEncodeStringCols is EncodeStringCols that panics on error, for
-// loaders whose schemas are static.
-func MustEncodeStringCols(r *Relation, names ...string) *Relation {
-	out, err := EncodeStringCols(r, names...)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}

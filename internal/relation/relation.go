@@ -132,15 +132,6 @@ func (r *Relation) ColumnNames() []string {
 	return out
 }
 
-// Kinds returns the column kinds in order.
-func (r *Relation) Kinds() []vector.Kind {
-	out := make([]vector.Kind, len(r.cols))
-	for i, c := range r.cols {
-		out[i] = c.Vec.Kind()
-	}
-	return out
-}
-
 // Prob returns the probability column. Callers must treat it as read-only.
 func (r *Relation) Prob() []float64 {
 	if r.prob == nil {
@@ -277,20 +268,6 @@ func (r *Relation) ApproxRowBytes() int64 {
 	return per
 }
 
-// WithColumns returns a relation sharing this relation's probability column
-// but exposing only the named columns, in the given order.
-func (r *Relation) WithColumns(names ...string) (*Relation, error) {
-	cols := make([]Column, len(names))
-	for i, name := range names {
-		c, err := r.ColByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	return &Relation{cols: cols, prob: r.Prob()}, nil
-}
-
 // Renamed returns a relation with the same columns and probabilities but
 // new column names.
 func (r *Relation) Renamed(names []string) (*Relation, error) {
@@ -322,13 +299,6 @@ type SortKey struct {
 
 // ProbCol is the SortKey.Col value addressing the probability column.
 const ProbCol = -1
-
-// Sorted returns a new relation with rows reordered by the given keys.
-// The sort is stable so equal rows keep their input order, which keeps
-// query results deterministic.
-func (r *Relation) Sorted(keys []SortKey) *Relation {
-	return r.Gather(r.SortedSel(keys))
-}
 
 // SortedSel returns the row permutation a stable sort by the given keys
 // would apply, without materializing the sorted relation. TopN uses it to

@@ -39,8 +39,8 @@ func TestBuilderAndAccessors(t *testing.T) {
 	if p[0] != 1.0 || p[3] != 0.8 {
 		t.Errorf("Prob = %v", p)
 	}
-	if r.Kinds()[0] != vector.String {
-		t.Error("Kinds wrong")
+	if r.Col(0).Vec.Kind() != vector.String {
+		t.Error("Kind wrong")
 	}
 }
 
@@ -78,38 +78,28 @@ func TestGatherRows(t *testing.T) {
 
 func TestWithColumnsAndRenamed(t *testing.T) {
 	r := triples()
-	w, err := r.WithColumns("object", "subject")
+	rn, err := r.Renamed([]string{"s", "p", "o"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.NumCols() != 2 || w.Col(0).Name != "object" {
-		t.Errorf("WithColumns shape wrong: %v", w.ColumnNames())
-	}
-	if _, err := r.WithColumns("missing"); err == nil {
-		t.Error("WithColumns(missing) should fail")
-	}
-	rn, err := w.Renamed([]string{"data", "docID"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn.Col(1).Name != "docID" {
+	if rn.Col(2).Name != "o" || rn.Col(2).Vec != r.Col(2).Vec {
 		t.Errorf("Renamed = %v", rn.ColumnNames())
 	}
-	if _, err := w.Renamed([]string{"one"}); err == nil {
+	if _, err := r.Renamed([]string{"one"}); err == nil {
 		t.Error("Renamed with wrong arity should fail")
 	}
 }
 
 func TestSortedByColumnAndProb(t *testing.T) {
 	r := triples()
-	s := r.Sorted([]SortKey{{Col: ProbCol, Desc: true}, {Col: 0}})
+	s := r.Gather(r.SortedSel([]SortKey{{Col: ProbCol, Desc: true}, {Col: 0}}))
 	p := s.Prob()
 	for i := 1; i < len(p); i++ {
 		if p[i] > p[i-1] {
 			t.Fatalf("prob not descending: %v", p)
 		}
 	}
-	s2 := r.Sorted([]SortKey{{Col: 1}, {Col: 0}})
+	s2 := r.Gather(r.SortedSel([]SortKey{{Col: 1}, {Col: 0}}))
 	props := s2.Col(1).Vec.(*vector.Strings).Values()
 	for i := 1; i < len(props); i++ {
 		if props[i] < props[i-1] {
@@ -121,7 +111,7 @@ func TestSortedByColumnAndProb(t *testing.T) {
 func TestSortedIsStable(t *testing.T) {
 	r := NewBuilder([]string{"k", "v"}, []vector.Kind{vector.Int64, vector.Int64}).
 		Add(1, 10).Add(1, 20).Add(0, 30).Add(1, 40).Build()
-	s := r.Sorted([]SortKey{{Col: 0}})
+	s := r.Gather(r.SortedSel([]SortKey{{Col: 0}}))
 	vs := s.Col(1).Vec.(*vector.Int64s).Values()
 	want := []int64{30, 10, 20, 40}
 	for i := range want {
@@ -185,14 +175,14 @@ func TestFormatContainsHeaderAndCap(t *testing.T) {
 	}
 }
 
-// Property: Sorted is a permutation — same multiset of values.
+// Property: SortedSel is a permutation — same multiset of values.
 func TestSortedIsPermutationProperty(t *testing.T) {
 	f := func(vals []int64) bool {
 		if len(vals) == 0 {
 			return true
 		}
 		r := MustFromColumns([]Column{{Name: "x", Vec: vector.FromInt64s(vals)}}, nil)
-		s := r.Sorted([]SortKey{{Col: 0}})
+		s := r.Gather(r.SortedSel([]SortKey{{Col: 0}}))
 		count := map[int64]int{}
 		for _, v := range vals {
 			count[v]++

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -198,7 +199,7 @@ func TestStrategyInstallGatedByAdmission(t *testing.T) {
 }
 
 func strategyJSON() (string, error) {
-	b, err := strategy.Production().ToJSON()
+	b, err := json.Marshal(strategy.Production())
 	if err != nil {
 		return "", err
 	}

@@ -126,7 +126,7 @@ func TestSearchValidation(t *testing.T) {
 func TestInstallAndListStrategies(t *testing.T) {
 	_, ts := newTestServer(t)
 	prod := strategy.Production()
-	body, _ := prod.ToJSON()
+	body, _ := json.Marshal(prod)
 	resp, err := http.Post(ts.URL+"/strategies", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)

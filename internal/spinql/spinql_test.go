@@ -200,7 +200,6 @@ func TestExplainAndToSQL(t *testing.T) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
 	}
-	pra.ResetSQLAliases()
 	sql, err := ToSQL(paperProgram, env)
 	if err != nil {
 		t.Fatal(err)

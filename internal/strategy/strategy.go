@@ -210,8 +210,3 @@ func FromJSON(data []byte) (*Strategy, error) {
 	}
 	return &s, nil
 }
-
-// ToJSON encodes the strategy, indented for readability.
-func (s *Strategy) ToJSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}

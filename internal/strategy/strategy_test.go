@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -296,7 +297,7 @@ func TestValidateCatchesStructuralErrors(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	s := Auction(0.7, 0.3)
-	data, err := s.ToJSON()
+	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}

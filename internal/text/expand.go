@@ -1,9 +1,6 @@
 package text
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // SynonymDict maps a term to its synonyms. The production strategy of
 // section 3 uses "query expansion with synonyms and compound terms";
@@ -71,10 +68,4 @@ func CompoundVariants(tokens []Token) []Token {
 		}
 	}
 	return out
-}
-
-// NormalizeQuery lower-cases and collapses whitespace in a raw query
-// string, the minimal cleaning applied before tokenization.
-func NormalizeQuery(q string) string {
-	return strings.Join(strings.Fields(strings.ToLower(q)), " ")
 }

@@ -155,9 +155,3 @@ func TestCompoundVariants(t *testing.T) {
 		t.Errorf("CompoundVariants = %v, want %v", got, want)
 	}
 }
-
-func TestNormalizeQuery(t *testing.T) {
-	if got := NormalizeQuery("  Wooden   TRAIN "); got != "wooden train" {
-		t.Errorf("NormalizeQuery = %q", got)
-	}
-}

@@ -464,17 +464,6 @@ func Property(name string) engine.Node {
 	return engine.NewMaterialize(proj)
 }
 
-// PropertyInt is Property for the integer-object partition.
-func PropertyInt(name string) engine.Node {
-	sel := engine.NewSelect(engine.NewScan(TableInt),
-		expr.Cmp{Op: expr.Eq, L: expr.Column(ColProperty), R: expr.Str(name)})
-	proj := engine.NewProject(sel,
-		engine.ProjCol{Name: ColSubject, E: expr.Column(ColSubject)},
-		engine.ProjCol{Name: ColObject, E: expr.Column(ColObject)},
-	)
-	return engine.NewMaterialize(proj)
-}
-
 // SubjectsOfType returns subjects s with a (s, "type", typeName) triple —
 // the strategy entry point "select nodes of type lot" of section 3.
 // Output column: subject.

@@ -60,13 +60,6 @@ func (d *Dict) Strings() []string {
 	return out
 }
 
-// SortedStrings returns all interned strings in lexicographic order.
-func (d *Dict) SortedStrings() []string {
-	out := d.Strings()
-	sort.Strings(out)
-	return out
-}
-
 // Encode interns every value of the string vector and returns the ID column.
 func (d *Dict) Encode(v *Strings) *Int64s {
 	out := make([]int64, v.Len())

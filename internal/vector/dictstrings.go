@@ -68,9 +68,6 @@ func (v *DictStrings) At(i int) string { return v.dict.strs[v.codes[i]] }
 // StringAt implements StringColumn.
 func (v *DictStrings) StringAt(i int) string { return v.dict.strs[v.codes[i]] }
 
-// AppendCode adds a code (which must be valid for the shared dict).
-func (v *DictStrings) AppendCode(c int32) { v.codes = append(v.codes, c) }
-
 // Gather implements Vector: codes are copied, the dict is shared.
 func (v *DictStrings) Gather(sel []int) Vector {
 	out := make([]int32, len(sel))
@@ -240,24 +237,6 @@ func AsStringColumn(v Vector) (StringColumn, bool) {
 	}
 	sc, ok := v.(StringColumn)
 	return sc, ok
-}
-
-// AsStrings returns v as a plain Strings column, decoding when v is
-// dict-encoded. The second result is false when v is not a string column.
-func AsStrings(v Vector) (*Strings, bool) {
-	switch x := v.(type) {
-	case *Strings:
-		return x, true
-	case *DictStrings:
-		return x.Decode(), true
-	case *Const:
-		if x.Kind() == String {
-			return x.Materialize().(*Strings), true
-		}
-		return nil, false
-	default:
-		return nil, false
-	}
 }
 
 // SameDict reports whether a and b are both dict-encoded over the same

@@ -31,11 +31,7 @@ func TestEncodeStringsRoundTrip(t *testing.T) {
 			t.Fatalf("row %d decodes to %q, want %q", i, dv.At(i), sv.At(i))
 		}
 	}
-	back, ok := AsStrings(dv)
-	if !ok {
-		t.Fatal("AsStrings failed")
-	}
-	for i, s := range back.Values() {
+	for i, s := range dv.Decode().Values() {
 		if s != sv.At(i) {
 			t.Fatalf("decoded row %d = %q, want %q", i, s, sv.At(i))
 		}

@@ -14,9 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-
-	"irdb/internal/relation"
-	"irdb/internal/vector"
 )
 
 // Vocabulary is a deterministic synthetic vocabulary with a Zipfian
@@ -118,28 +115,6 @@ func GenDocs(n, meanLen, vocabSize int, seed int64) []Doc {
 		docs[i] = Doc{ID: int64(i + 1), Data: v.Text(meanLen)}
 	}
 	return docs
-}
-
-// DocsRelation loads generated docs into the (docID, data) relation shape
-// the relational searcher scans — the single ingest point for synthetic
-// document collections (benches, tests, servers).
-//
-// The data column stays a plain string column on purpose: document
-// payloads are unique per row, so dictionary-encoding them would buy no
-// dedup and cost a map entry per document. Dictionary encoding pays on
-// the columns derived from it (the tokenized/stemmed term columns, which
-// the engine's Tokenize operator interns automatically).
-func DocsRelation(docs []Doc) *relation.Relation {
-	ids := make([]int64, len(docs))
-	data := make([]string, len(docs))
-	for i, d := range docs {
-		ids[i] = d.ID
-		data[i] = d.Data
-	}
-	return relation.MustFromColumns([]relation.Column{
-		{Name: "docID", Vec: vector.FromInt64s(ids)},
-		{Name: "data", Vec: vector.FromStrings(data)},
-	}, nil)
 }
 
 // Queries samples n keyword queries of termsPer terms each. Terms are

@@ -450,7 +450,7 @@ func (db *DB) SaveSnapshot(path string) error {
 		return ErrClosed
 	}
 	defer release()
-	return db.cat.SaveFile(path)
+	return db.cat.SaveFile(path, catalog.SnapshotMeta{})
 }
 
 // LoadSnapshot replaces the base tables with the contents of a snapshot

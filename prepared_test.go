@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"irdb/internal/vector"
@@ -295,6 +296,40 @@ func TestFacadeSearchAndDocs(t *testing.T) {
 	}
 	if err := db.Close(); err != ErrClosed {
 		t.Fatalf("double Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestToSQLDeterministic: DB.ToSQL renders one program to the same SQL on
+// every call, also when several goroutines call it at once (a DB is safe
+// for concurrent use). Table aliases are numbered within each rendering.
+func TestToSQLDeterministic(t *testing.T) {
+	db := openT(t)
+	defer db.Close()
+	const prog = `docs = PROJECT [$1,$6] (JOIN INDEPENDENT [$1=$1] (
+  SELECT [$2="category" and $3="toy"] (triples),
+  SELECT [$2="description"] (triples)));`
+	want, err := db.ToSQL(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want, "FROM triples t1, triples t2") {
+		t.Fatalf("aliases not numbered from t1:\n%s", want)
+	}
+	got := make([]string, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = db.ToSQL(prog)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("call %d: err = %v, SQL differs from the first call:\n%s", i, errs[i], got[i])
+		}
 	}
 }
 
