@@ -310,6 +310,40 @@ func BenchmarkE7ProductionStrategyHot(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeStrategy times engine.Ctx.Optimize alone on a hot
+// context (every view already optimized once) for a distinct query each
+// iteration; compiling the plan is left out of the timing.
+func BenchmarkOptimizeStrategy(b *testing.B) {
+	ctx := auctionCtx(b, 4000)
+	queries := auctionQueries()
+	for _, run := range []struct {
+		name     string
+		strat    *strategy.Strategy
+		synonyms text.SynonymDict
+	}{
+		{"auction-lots", strategy.Auction(0.7, 0.3), nil},
+		{"production", strategy.Production(), auctionSynonyms()},
+	} {
+		b.Run(run.name, func(b *testing.B) {
+			compile := func(q string) engine.Node {
+				plan, err := run.strat.Compile(&strategy.Compiler{Query: q, Synonyms: run.synonyms})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return plan
+			}
+			ctx.Optimize(compile(queries[0]))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				plan := compile(fmt.Sprintf("%s %d", queries[i%len(queries)], i))
+				b.StartTimer()
+				ctx.Optimize(plan)
+			}
+		})
+	}
+}
+
 // TestBenchQueriesHit guards the benchmarks' inputs: every query of every
 // query set above matches at least one document of the data it runs
 // against, so no benchmark times empty answers.

@@ -10,6 +10,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,13 @@ type Catalog struct {
 	// is charged only its marginal bytes, never a dictionary the base
 	// data keeps alive anyway.
 	baseDicts atomic.Value
+	// schemaEpoch ticks whenever a base table's column names may have
+	// changed: on Put, Drop and snapshot install, and on PutDeltas only
+	// when a published table is new or renames its columns. It is ticked
+	// under mu after the table map changes, so a reader that observes an
+	// epoch sees at least the tables it stamps. Plan-shape caches (the
+	// engine's optimized-view memo) compare it instead of watching tables.
+	schemaEpoch atomic.Uint64
 
 	// Snapshot durability counters, surfaced in /stats "faults": how many
 	// durable saves and loads succeeded, and how many loads were refused
@@ -94,6 +102,11 @@ func (c *Catalog) Watermark() uint64 {
 	defer c.verMu.RUnlock()
 	return c.watermark
 }
+
+// SchemaEpoch returns the schema clock: it changes whenever the column
+// names of some base table may have changed, and stays put across appends
+// that republish tables with the same column names.
+func (c *Catalog) SchemaEpoch() uint64 { return c.schemaEpoch.Load() }
 
 // bumpVersions ticks the watermark and stamps the named tables with the
 // new value, returning it.
@@ -153,6 +166,7 @@ func (c *Catalog) Put(name string, r *relation.Relation) {
 	c.mu.Lock()
 	c.tables[name] = r
 	c.refreshBaseDictsLocked()
+	c.schemaEpoch.Add(1)
 	c.mu.Unlock()
 	c.bumpVersions(name)
 	c.cache.Clear()
@@ -170,15 +184,23 @@ func (c *Catalog) PutDelta(name string, r *relation.Relation) uint64 {
 
 // PutDeltas atomically publishes new versions of several tables (one
 // ingest batch can touch up to three triple partitions) under a single
-// watermark tick and one selective invalidation pass.
+// watermark tick and one selective invalidation pass. The schema epoch
+// ticks only when a table is new or its column names changed.
 func (c *Catalog) PutDeltas(tables map[string]*relation.Relation) uint64 {
 	names := make([]string, 0, len(tables))
+	renamed := false
 	c.mu.Lock()
 	for name, r := range tables {
+		if old, ok := c.tables[name]; !ok || !slices.Equal(old.ColumnNames(), r.ColumnNames()) {
+			renamed = true
+		}
 		c.tables[name] = r
 		names = append(names, name)
 	}
 	c.refreshBaseDictsLocked()
+	if renamed {
+		c.schemaEpoch.Add(1)
+	}
 	c.mu.Unlock()
 	sort.Strings(names)
 	wm := c.bumpVersions(names...)
@@ -202,6 +224,7 @@ func (c *Catalog) Drop(name string) {
 	c.mu.Lock()
 	delete(c.tables, name)
 	c.refreshBaseDictsLocked()
+	c.schemaEpoch.Add(1)
 	c.mu.Unlock()
 	c.bumpVersions(name)
 	c.cache.Clear()

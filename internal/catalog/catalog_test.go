@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -201,4 +202,36 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSchemaEpoch: the schema epoch moves on every change that may rename
+// a column — Put, Drop, snapshot install, and deltas that add a table or
+// change its column names — and stays put across same-named appends.
+func TestSchemaEpoch(t *testing.T) {
+	c := New(0)
+	step := func(what string, moves bool, f func()) {
+		t.Helper()
+		before := c.SchemaEpoch()
+		f()
+		if got := c.SchemaEpoch() != before; got != moves {
+			t.Errorf("%s: epoch moved = %v, want %v", what, got, moves)
+		}
+	}
+	renamed := relation.NewBuilder([]string{"y"}, []vector.Kind{vector.Int64}).Add(1).Build()
+	step("Put", true, func() { c.Put("a", rel(2)) })
+	step("append", false, func() { c.PutDelta("a", rel(5)) })
+	step("append to two tables, one new", true, func() {
+		c.PutDeltas(map[string]*relation.Relation{"a": rel(6), "b": rel(1)})
+	})
+	step("renaming delta", true, func() { c.PutDelta("b", renamed) })
+	step("Drop", true, func() { c.Drop("b") })
+	var buf bytes.Buffer
+	if err := c.Save(&buf, SnapshotMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	step("snapshot load", true, func() {
+		if _, err := c.LoadSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

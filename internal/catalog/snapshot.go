@@ -582,6 +582,7 @@ func (c *Catalog) install(file *snapshotFile) error {
 		c.tables[name] = rel
 	}
 	c.refreshBaseDictsLocked()
+	c.schemaEpoch.Add(1)
 	c.cache.Clear()
 	c.mu.Unlock()
 	return nil

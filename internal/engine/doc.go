@@ -46,8 +46,11 @@
 // its right input. Every rewrite preserves bit-identical results —
 // values, probabilities and row order — at any parallelism, and every
 // pass is conservative: a rewrite whose legality cannot be proven is
-// skipped. ExplainChange renders the before/after plans;
-// Ctx.OptimizerStats counts what the passes did.
+// skipped. Every Materialize sub-plan (a view) is a barrier to the passes
+// and is optimized on its own first; Ctx.Optimize memoizes each view's
+// optimized form per catalog schema epoch, so a hot request re-plans
+// only the operators above its views. ExplainChange renders the
+// before/after plans; Ctx.OptimizerStats counts what the passes did.
 //
 // See README.md in this package for the materialization model, the
 // optimizer pass pipeline and the determinism contracts in detail.

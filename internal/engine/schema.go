@@ -21,7 +21,10 @@ import (
 // (LoadTriples, LoadDocs) guarantee. Replacing a table with differently
 // named columns invalidates prepared statements in the unoptimized engine
 // too (by-name lookups fail at run time), so optimization does not widen
-// that contract.
+// that contract. Ctx.Optimize's view memo rests on the same contract, and
+// the catalog enforces it there: every change that may rename a column
+// ticks catalog.Catalog.SchemaEpoch, and the memo empties itself when the
+// epoch moves.
 
 // staticSchema returns the output column names of the subtree rooted at n,
 // or !ok when they cannot be derived.
