@@ -170,6 +170,50 @@ func auctionCtx(tb testing.TB, lots int) *engine.Ctx {
 	return engine.NewCtx(cat)
 }
 
+// evictSearch is the evict_search workload's shape in-process: 2 000 lots
+// (6 auctions, 12 sellers) generated under seed, the materialization
+// cache bounded to budget bytes, and a k=10 auction-lots search. It
+// returns the cache, the search, and the seed's 256 queries.
+func evictSearch(tb testing.TB, seed, budget int64) (*catalog.Cache, func(q string) error, []string) {
+	tb.Helper()
+	cfg := workload.DefaultAuctionConfig()
+	cfg.Lots, cfg.Auctions, cfg.Sellers = 2000, 6, 12
+	cfg.VocabSize, cfg.Seed = auctionVocab, seed
+	cat := catalog.New(0)
+	cat.Cache().SetMaxBytes(budget)
+	triple.NewStore(cat).Load(workload.AuctionGraph(cfg))
+	ctx := engine.NewCtx(cat)
+	strat := strategy.Auction(0.7, 0.3)
+	search := func(q string) error {
+		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q}, 10)
+		return err
+	}
+	return cat.Cache(), search, workload.Queries(256, 3, auctionVocab, seed)
+}
+
+// BenchmarkEvictBudget: hot searches of the evict_search shape (dataset
+// seed 127) under byte budgets on both sides of the ~3.7 MB of cached
+// entries a warm query reads (2.2 MB of join indexes, 1.5 MB of
+// relations), after a 16-query warm-up.
+func BenchmarkEvictBudget(b *testing.B) {
+	for _, mib := range []int64{1, 2, 3, 4, 6} {
+		b.Run(fmt.Sprintf("%dMiB", mib), func(b *testing.B) {
+			_, search, queries := evictSearch(b, 127, mib<<20)
+			for _, q := range queries[:16] {
+				if err := search(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := search(queries[16+i%(len(queries)-16)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func traversePipeline(mode engine.JoinProb, dedup engine.GroupProb) engine.Node {
 	lots := triple.SubjectsOfType("lot")
 	fwd := engine.NewHashJoin(lots, triple.Property("hasAuction"),

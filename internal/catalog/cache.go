@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"irdb/internal/fault"
 	"irdb/internal/faultpoint"
@@ -27,16 +29,23 @@ import (
 // day) — without it, every popular cold sub-plan would be rebuilt once per
 // concurrent request (a cache stampede).
 //
-// Eviction is LRU, weighted by estimated materialized bytes when a byte
-// budget is set (SetMaxBytes) and optionally bounded by entry count. Byte
-// weighting is what keeps many small hot entries (join indexes, tiny
-// cache tables) resident when one huge materialization arrives: an entry
-// larger than the whole budget is never admitted at all, and admitted
-// entries evict only as many LRU bytes as they actually need. Auxiliary
-// entries share the same LRU order and byte budget: values implementing
-// Sized are weighed by their reported footprint, others count as zero
-// bytes but remain evictable. Statistics feed /stats and the
-// catalog.cache_* benchmark metrics.
+// Eviction is GreedyDual-Size (Cao & Irani, "Cost-Aware WWW Proxy Caching
+// Algorithms", USITS 1997) when a byte budget is set (SetMaxBytes) or the
+// entry count is bounded. Every entry records its rebuild cost — the wall
+// time of the computation that produced it, nested cache misses included,
+// plus the recorded costs of the cached entries it read (see readCost) —
+// and carries the priority clock + cost/bytes, set on insertion and on
+// every hit. Pressure evicts the lowest priority, the least recently used
+// among equals, and advances the clock to the victim's priority, so an
+// entry that stops being read ages out once the clock passes it. Under a
+// budget this keeps the expensive-per-byte indexes queries read and lets
+// the cheap bulky intermediates that rebuild them go; with equal costs
+// per byte the order is plain LRU. An entry larger than the whole budget
+// is never admitted at all, and admitted entries evict only as many bytes
+// as they need. Auxiliary entries share the same order and byte budget:
+// values implementing Sized are weighed by their reported footprint,
+// others count as zero bytes but remain evictable. Statistics feed
+// /stats and the catalog.cache_* benchmark metrics.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int             // <= 0 means unbounded; bounds relation entries only
@@ -44,6 +53,7 @@ type Cache struct {
 	bytes    [numKinds]int64 // estimated bytes of the cached entries, per kind
 	entries  [numKinds]map[string]*list.Element
 	order    *list.List // front = most recently used; holds entries of both kinds
+	clock    float64    // GreedyDual-Size inflation: the highest victim priority so far
 
 	// In-flight computations by kind and key. gen invalidates flights
 	// started before the last Clear: their result is still handed to
@@ -110,8 +120,10 @@ type Sized interface {
 type cacheEntry struct {
 	kind  entryKind
 	key   string
-	val   any   // *relation.Relation for kindRel
-	bytes int64 // estimated bytes at insertion, so accounting stays consistent
+	val   any           // *relation.Relation for kindRel
+	bytes int64         // estimated bytes at insertion, so accounting stays consistent
+	cost  time.Duration // rebuild cost of val: compute wall time plus cached inputs' costs
+	pri   float64       // eviction priority: clock + cost/bytes at the last use
 	// deps is the set of base tables the entry was computed from, and wm
 	// the ingest watermark at which its computation started. A delta
 	// publish to table T evicts exactly the entries with T in deps (nil
@@ -199,9 +211,11 @@ func (c *Cache) getOrCompute(ctx context.Context, kind entryKind, key string, de
 			if kind == kindRel {
 				c.hits++
 			}
-			c.order.MoveToFront(el)
-			v := el.Value.(*cacheEntry).val
+			c.touchLocked(el)
+			e := el.Value.(*cacheEntry)
+			v, cost := e.val, e.cost
 			c.mu.Unlock()
+			chargeHit(ctx, cost)
 			return v, true, nil
 		}
 		f, ok := c.flights[kind][key]
@@ -230,13 +244,16 @@ func (c *Cache) getOrCompute(ctx context.Context, kind entryKind, key string, de
 	wm := c.curWMLocked() // watermark BEFORE compute reads any table
 	// The flight's context keeps the starting caller's values but drops
 	// its cancellation and deadline, so the computation outlives any
-	// individual caller.
-	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	// individual caller. It carries the flight's readCost, which every
+	// cache hit below it is charged to.
+	read := &readCost{outer: readCostOf(ctx)}
+	fctx, cancel := context.WithCancel(context.WithValue(context.WithoutCancel(ctx), readCostKey{}, read))
 	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
 	c.flights[kind][key] = f
 	c.mu.Unlock()
 
 	go func() {
+		var cost time.Duration
 		// The flight goroutine is detached from every caller; a panic in
 		// compute would otherwise kill the process AND leave f.done
 		// unclosed, deadlocking every waiter. Contain it: the panic becomes
@@ -256,7 +273,9 @@ func (c *Cache) getOrCompute(ctx context.Context, kind entryKind, key string, de
 			if f.err = faultpoint.Inject(faultpoint.SiteCacheCompute); f.err != nil {
 				return
 			}
+			start := time.Now()
 			f.val, f.err = compute(fctx)
+			cost = time.Since(start) + time.Duration(read.ns.Load())
 		}()
 		var b int64
 		if f.err == nil {
@@ -275,7 +294,7 @@ func (c *Cache) getOrCompute(ctx context.Context, kind entryKind, key string, de
 				// query began before the append), but it must not be cached.
 				c.staleDrops++
 			} else {
-				c.putLocked(kind, key, f.val, b, deps, wm)
+				c.putLocked(kind, key, f.val, b, cost, deps, wm)
 			}
 		}
 		c.mu.Unlock()
@@ -289,6 +308,32 @@ func (c *Cache) getOrCompute(ctx context.Context, kind entryKind, key string, de
 	case <-ctx.Done():
 		c.detach(kind, key, f)
 		return nil, false, ctx.Err()
+	}
+}
+
+// readCost sums the recorded costs of the cache entries a flight's
+// computation read instead of computing. It rides the flight's context, so
+// a hit anywhere below the flight, in nested flights too, charges it and
+// every enclosing flight (outer). A flight's cost is its wall time plus
+// this sum: what rebuilding the entry costs once its inputs are gone too,
+// whether or not they were cached when it was built.
+type readCost struct {
+	outer *readCost
+	ns    atomic.Int64
+}
+
+type readCostKey struct{}
+
+func readCostOf(ctx context.Context) *readCost {
+	r, _ := ctx.Value(readCostKey{}).(*readCost)
+	return r
+}
+
+// chargeHit charges a hit on an entry that cost cost to build to every
+// flight enclosing ctx.
+func chargeHit(ctx context.Context, cost time.Duration) {
+	for r := readCostOf(ctx); r != nil; r = r.outer {
+		r.ns.Add(int64(cost))
 	}
 }
 
@@ -339,14 +384,14 @@ func (c *Cache) Get(key string) (*relation.Relation, bool) {
 		return nil, false
 	}
 	c.hits++
-	c.order.MoveToFront(el)
+	c.touchLocked(el)
 	return el.Value.(*cacheEntry).val.(*relation.Relation), true
 }
 
 // putLocked inserts v under (kind, key); the caller weighed it as b bytes
 // before taking the lock (the walk over string payloads is too slow to
-// run under c.mu).
-func (c *Cache) putLocked(kind entryKind, key string, v any, b int64, deps []string, wm uint64) {
+// run under c.mu) and timed its computation as cost.
+func (c *Cache) putLocked(kind entryKind, key string, v any, b int64, cost time.Duration, deps []string, wm uint64) {
 	el, ok := c.entries[kind][key]
 	if c.maxBytes > 0 && b > c.maxBytes {
 		// An entry larger than the whole budget would evict everything and
@@ -360,13 +405,24 @@ func (c *Cache) putLocked(kind entryKind, key string, v any, b int64, deps []str
 	if ok {
 		e := el.Value.(*cacheEntry)
 		c.bytes[kind] += b - e.bytes
-		e.val, e.bytes, e.deps, e.wm = v, b, deps, wm
-		c.order.MoveToFront(el)
+		e.val, e.bytes, e.cost, e.deps, e.wm = v, b, cost, deps, wm
 	} else {
-		c.entries[kind][key] = c.order.PushFront(&cacheEntry{kind: kind, key: key, val: v, bytes: b, deps: deps, wm: wm})
+		el = c.order.PushFront(&cacheEntry{kind: kind, key: key, val: v, bytes: b, cost: cost, deps: deps, wm: wm})
+		c.entries[kind][key] = el
 		c.bytes[kind] += b
 	}
-	c.evictLocked()
+	// The priority is set after the evictions the entry caused, from the
+	// clock they advanced, so it never starts below the clock.
+	c.evictLocked(el)
+	c.touchLocked(el)
+}
+
+// touchLocked marks el used now: most recently used, and its priority
+// re-set to the clock plus its rebuild cost per byte.
+func (c *Cache) touchLocked(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	e.pri = c.clock + float64(e.cost)/float64(max(e.bytes, 1))
+	c.order.MoveToFront(el)
 }
 
 // curWMLocked reads the ingest watermark through the catalog's hook (lock
@@ -421,29 +477,50 @@ func (c *Cache) InvalidateDeps(names []string, wm uint64) {
 	}
 }
 
-// evictLocked drops LRU entries until the capacity bound (relation
-// entries only) and the byte budget (relation + aux bytes) both hold.
-// Byte pressure evicts relation and auxiliary entries alike — both count
-// toward the budget. Capacity pressure evicts only relation entries:
-// auxiliary entries do not count toward capacity, so walking past them
-// keeps a count-capped cache from collaterally flushing every join index
-// colder than the LRU relation. The MRU entry is never evicted.
-func (c *Cache) evictLocked() {
-	for c.order.Len() > 1 && c.maxBytes > 0 && c.bytes[kindRel]+c.bytes[kindAux] > c.maxBytes {
-		c.removeLocked(c.order.Back())
-		c.evictions++
+// evictLocked drops lowest-priority entries (see Cache) until the byte
+// budget (relation + aux bytes) and the capacity bound (relation entries
+// only) both hold; keep, the entry just inserted, is never evicted (nil
+// protects nothing). Byte pressure evicts relation and auxiliary entries
+// alike — both count toward the budget. Capacity pressure evicts only
+// relation entries: auxiliary entries do not count toward capacity, so
+// skipping them keeps a count-capped cache from collaterally flushing its
+// join indexes.
+func (c *Cache) evictLocked(keep *list.Element) {
+	for c.maxBytes > 0 && c.bytes[kindRel]+c.bytes[kindAux] > c.maxBytes {
+		if !c.evictVictimLocked(keep, false) {
+			break
+		}
 	}
 	for c.capacity > 0 && len(c.entries[kindRel]) > c.capacity {
-		el := c.order.Back()
-		for el != nil && el.Value.(*cacheEntry).kind != kindRel {
-			el = el.Prev()
-		}
-		if el == nil {
+		if !c.evictVictimLocked(keep, true) {
 			return
 		}
-		c.removeLocked(el)
-		c.evictions++
 	}
+}
+
+// evictVictimLocked evicts the entry with the lowest priority, the least
+// recently used among equals, other than keep and, if relOnly, other than
+// auxiliary entries. It advances the clock to the victim's priority unless
+// that lies below it, as an aux entry passed over by capacity pressure
+// can. It reports false when there is no such entry. The scan is linear:
+// it runs only after a computation that cost far more than walking the
+// entries.
+func (c *Cache) evictVictimLocked(keep *list.Element, relOnly bool) bool {
+	var victim *cacheEntry
+	var vel *list.Element
+	for el := c.order.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*cacheEntry)
+		if el != keep && (!relOnly || e.kind == kindRel) && (victim == nil || e.pri < victim.pri) {
+			victim, vel = e, el
+		}
+	}
+	if victim == nil {
+		return false
+	}
+	c.clock = max(c.clock, victim.pri)
+	c.removeLocked(vel)
+	c.evictions++
+	return true
 }
 
 func (c *Cache) removeLocked(el *list.Element) {
@@ -454,16 +531,14 @@ func (c *Cache) removeLocked(el *list.Element) {
 }
 
 // SetMaxBytes sets the byte budget for cached relations plus auxiliary
-// entries (<= 0 means unbounded). Shrinking the budget evicts LRU entries
-// immediately.
+// entries (<= 0 means unbounded). Shrinking the budget immediately evicts
+// the lowest-priority entries, the same choice as insertion pressure, and
+// may evict every entry.
 func (c *Cache) SetMaxBytes(n int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.maxBytes = n
-	for c.order.Len() > 0 && c.maxBytes > 0 && c.bytes[kindRel]+c.bytes[kindAux] > c.maxBytes {
-		c.removeLocked(c.order.Back())
-		c.evictions++
-	}
+	c.evictLocked(nil)
 }
 
 // Clear drops every entry (including auxiliary structures) but keeps the

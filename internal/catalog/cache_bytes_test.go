@@ -18,7 +18,7 @@ func TestByteWeightedEviction(t *testing.T) {
 	perEntry := small.EstimatedBytes()
 	c.SetMaxBytes(perEntry * 8)
 	for i := 0; i < 8; i++ {
-		seed(c, kindRel, fmt.Sprintf("small%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("small%d", i), rel(10), 0)
 	}
 	st := c.Stats()
 	if st.Entries != 8 || st.Evictions != 0 {
@@ -29,7 +29,7 @@ func TestByteWeightedEviction(t *testing.T) {
 	}
 
 	// A relation bigger than the whole budget must not be admitted.
-	seed(c, kindRel, "huge", rel(1000))
+	seed(c, kindRel, "huge", rel(1000), 0)
 	st = c.Stats()
 	if st.Entries != 8 {
 		t.Errorf("huge insert evicted smalls: entries = %d, want 8", st.Entries)
@@ -42,7 +42,7 @@ func TestByteWeightedEviction(t *testing.T) {
 	}
 
 	// A fitting entry evicts only as many LRU bytes as it needs.
-	seed(c, kindRel, "medium", rel(20)) // 2 small entries' worth
+	seed(c, kindRel, "medium", rel(20), 0) // 2 small entries' worth
 	st = c.Stats()
 	if st.Bytes > perEntry*8 {
 		t.Errorf("bytes = %d over budget %d", st.Bytes, perEntry*8)
@@ -65,9 +65,9 @@ func TestByteWeightedEviction(t *testing.T) {
 // across entry replacement and Clear.
 func TestByteAccountingOnReplaceAndClear(t *testing.T) {
 	c := NewCache(0)
-	seed(c, kindRel, "k", rel(10))
+	seed(c, kindRel, "k", rel(10), 0)
 	b10 := c.Stats().Bytes
-	seed(c, kindRel, "k", rel(30))
+	seed(c, kindRel, "k", rel(30), 0)
 	if got := c.Stats().Bytes; got != 3*b10 {
 		t.Errorf("bytes after replace = %d, want %d", got, 3*b10)
 	}
@@ -90,11 +90,11 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 	per := rel(10).EstimatedBytes()
 	c.SetMaxBytes(per * 4)
 	for i := 0; i < 4; i++ {
-		seed(c, kindRel, fmt.Sprintf("rel%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("rel%d", i), rel(10), 0)
 	}
 
 	// An aux entry worth two relations must evict the two LRU relations.
-	seed(c, kindAux, "idx", sizedAux{bytes: per * 2})
+	seed(c, kindAux, "idx", sizedAux{bytes: per * 2}, 0)
 	st := c.Stats()
 	if st.Entries != 2 || st.AuxEntries != 1 {
 		t.Fatalf("entries=%d aux=%d, want 2, 1", st.Entries, st.AuxEntries)
@@ -113,7 +113,7 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 
 	// Relations arriving later evict the now-LRU aux entry in turn.
 	for i := 0; i < 4; i++ {
-		seed(c, kindRel, fmt.Sprintf("new%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("new%d", i), rel(10), 0)
 	}
 	if _, ok := peek(c, kindAux, "idx"); ok {
 		t.Error("aux entry survived a full budget of newer relations")
@@ -124,7 +124,7 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 
 	// An aux entry bigger than the whole budget is refused admission.
 	before := c.Stats().Oversize
-	seed(c, kindAux, "huge", sizedAux{bytes: per * 100})
+	seed(c, kindAux, "huge", sizedAux{bytes: per * 100}, 0)
 	if _, ok := peek(c, kindAux, "huge"); ok {
 		t.Error("oversize aux entry was cached")
 	}
@@ -134,7 +134,7 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 
 	// Unweighable aux values (no EstimatedBytes) stay admissible at zero
 	// weight — the pre-Sized behaviour.
-	seed(c, kindAux, "opaque", 42)
+	seed(c, kindAux, "opaque", 42, 0)
 	if v, ok := peek(c, kindAux, "opaque"); !ok || v != 42 {
 		t.Error("unweighable aux entry not stored")
 	}
@@ -149,9 +149,9 @@ func TestAuxEntriesCountTowardByteBudget(t *testing.T) {
 // join indexes.
 func TestCapacityEvictionSkipsAuxEntries(t *testing.T) {
 	c := NewCache(2)
-	seed(c, kindAux, "idx", sizedAux{bytes: 1000})
+	seed(c, kindAux, "idx", sizedAux{bytes: 1000}, 0)
 	for i := 0; i < 6; i++ {
-		seed(c, kindRel, fmt.Sprintf("rel%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("rel%d", i), rel(10), 0)
 	}
 	st := c.Stats()
 	if st.Entries != 2 {
@@ -174,12 +174,12 @@ func TestCapacityEvictionSkipsAuxEntries(t *testing.T) {
 // consistent across replacement, DropAux and Clear.
 func TestAuxBytesAccountingOnReplaceDropClear(t *testing.T) {
 	c := NewCache(0)
-	seed(c, kindAux, "a", sizedAux{bytes: 100})
-	seed(c, kindAux, "a", sizedAux{bytes: 300})
+	seed(c, kindAux, "a", sizedAux{bytes: 100}, 0)
+	seed(c, kindAux, "a", sizedAux{bytes: 300}, 0)
 	if got := c.Stats().AuxBytes; got != 300 {
 		t.Errorf("aux bytes after replace = %d, want 300", got)
 	}
-	seed(c, kindAux, "b", sizedAux{bytes: 50})
+	seed(c, kindAux, "b", sizedAux{bytes: 50}, 0)
 	c.DropAux("a")
 	if got := c.Stats().AuxBytes; got != 50 {
 		t.Errorf("aux bytes after drop = %d, want 50", got)
@@ -195,7 +195,7 @@ func TestAuxBytesAccountingOnReplaceDropClear(t *testing.T) {
 func TestSetMaxBytesShrinkEvicts(t *testing.T) {
 	c := NewCache(0)
 	for i := 0; i < 4; i++ {
-		seed(c, kindRel, fmt.Sprintf("k%d", i), rel(10))
+		seed(c, kindRel, fmt.Sprintf("k%d", i), rel(10), 0)
 	}
 	per := rel(10).EstimatedBytes()
 	c.SetMaxBytes(2 * per)

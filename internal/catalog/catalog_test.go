@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"irdb/internal/relation"
 	"irdb/internal/vector"
@@ -19,17 +20,18 @@ func rel(n int) *relation.Relation {
 	return b.Build()
 }
 
-// seed stores v under (kind, key) the way a completed flight does, with
-// unknown deps, for tests that arrange cache contents directly.
-func seed(c *Cache, kind entryKind, key string, v any) {
+// seed stores v under (kind, key) the way a completed flight whose
+// computation took cost does, with unknown deps, for tests that arrange
+// cache contents directly.
+func seed(c *Cache, kind entryKind, key string, v any, cost time.Duration) {
 	b := c.sizeOf(kind, v)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(kind, key, v, b, nil, c.curWMLocked())
+	c.putLocked(kind, key, v, b, cost, nil, c.curWMLocked())
 }
 
-// peek returns the value under (kind, key) without touching the LRU order
-// or the counters.
+// peek returns the value under (kind, key) without touching the recency
+// order, the priorities or the counters.
 func peek(c *Cache, kind entryKind, key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -89,7 +91,7 @@ func TestCatalogTableNamesSorted(t *testing.T) {
 func TestPutInvalidatesCache(t *testing.T) {
 	c := New(0)
 	c.Put("t", rel(1))
-	seed(c.Cache(), kindRel, "fp1", rel(5))
+	seed(c.Cache(), kindRel, "fp1", rel(5), 0)
 	if c.Cache().Stats().Entries != 1 {
 		t.Fatal("cache put failed")
 	}
@@ -104,13 +106,13 @@ func TestCacheHitMissEvict(t *testing.T) {
 	if _, ok := cache.Get("a"); ok {
 		t.Error("empty cache returned a hit")
 	}
-	seed(cache, kindRel, "a", rel(1))
-	seed(cache, kindRel, "b", rel(2))
+	seed(cache, kindRel, "a", rel(1), 0)
+	seed(cache, kindRel, "b", rel(2), 0)
 	if r, ok := cache.Get("a"); !ok || r.NumRows() != 1 {
 		t.Error("Get(a) failed")
 	}
 	// "b" is now LRU; inserting "c" must evict it.
-	seed(cache, kindRel, "c", rel(3))
+	seed(cache, kindRel, "c", rel(3), 0)
 	if _, ok := cache.Get("b"); ok {
 		t.Error("LRU entry not evicted")
 	}
@@ -156,8 +158,8 @@ func TestKindsHaveSeparateKeySpaces(t *testing.T) {
 
 func TestCacheUpdateExisting(t *testing.T) {
 	cache := NewCache(0)
-	seed(cache, kindRel, "k", rel(1))
-	seed(cache, kindRel, "k", rel(9))
+	seed(cache, kindRel, "k", rel(1), 0)
+	seed(cache, kindRel, "k", rel(9), 0)
 	if n := cache.Stats().Entries; n != 1 {
 		t.Errorf("Entries = %d, want 1", n)
 	}
@@ -169,7 +171,7 @@ func TestCacheUpdateExisting(t *testing.T) {
 
 func TestCacheClearKeepsStats(t *testing.T) {
 	cache := NewCache(0)
-	seed(cache, kindRel, "k", rel(1))
+	seed(cache, kindRel, "k", rel(1), 0)
 	cache.Get("k")
 	cache.Clear()
 	if s := cache.Stats(); s.Entries != 0 {
@@ -192,7 +194,7 @@ func TestCatalogConcurrentAccess(t *testing.T) {
 				case 0:
 					c.Table("t")
 				case 1:
-					seed(c.Cache(), kindRel, fmt.Sprintf("k%d-%d", g, i), rel(1))
+					seed(c.Cache(), kindRel, fmt.Sprintf("k%d-%d", g, i), rel(1), 0)
 				case 2:
 					c.Cache().Get(fmt.Sprintf("k%d-%d", g, i-1))
 				case 3:

@@ -71,7 +71,7 @@ func TestLoadSnapshotClearsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New(0)
-	seed(dst.Cache(), kindRel, "stale", relation.New([]string{"x"}, []vector.Kind{vector.Int64}))
+	seed(dst.Cache(), kindRel, "stale", relation.New([]string{"x"}, []vector.Kind{vector.Int64}), 0)
 	if _, err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,10 @@ type config struct {
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithCacheBytes sets the byte budget of the materialization cache
-// (relations plus auxiliary join indexes). <= 0 means unbounded.
+// (relations plus auxiliary join indexes). <= 0 means unbounded. Under
+// pressure the cache keeps the entries that are costliest to rebuild per
+// byte and still being read (GreedyDual-Size): the indexes queries read
+// stay, the bulky intermediates that built them are evicted first.
 func WithCacheBytes(n int64) Option { return func(c *config) { c.cacheBytes = n } }
 
 // WithCacheEntries bounds the number of cached relation entries.
