@@ -133,8 +133,8 @@ func (a *Aggregate) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 }
 
 // aggregateRel is the operator core, shared with Distinct and Unite.
-// groupRows hashes the rows, builds the join's bucket index and finds each
-// row's group morsel-parallel, charging its own scaffolding; accumulation —
+// groupRows hashes the rows and finds each row's group in per-partition
+// leader tables, charging its own scaffolding; accumulation —
 // the aggregate columns and the probability combine — folds per-chunk
 // partials merged in fixed chunk order (foldGroups), so the whole operator
 // scales with workers while staying bit-identical at every parallelism.
@@ -232,15 +232,15 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 // Each row is first mapped to its leader, the first row of its group, and
 // numberGroups turns leaders into ids. One dict-encoded column finds its
 // leaders through a dense code→first-row array (codeLeaders); any other
-// key through the join's bucket index (hashLeaders).
+// key through a one-pass leader table over the row hashes (hashLeaders).
 func groupRows(c context.Context, ctx *Ctx, in *relation.Relation, gIdx []int) (groupOf, firstRow []int, err error) {
 	n := in.NumRows()
-	// Leaders are int32 row ids, like the bucket index's.
+	// Leaders are int32 row ids, like the join's bucket index's.
 	if err := checkBuildRows(n); err != nil {
 		return nil, nil, err
 	}
 	// Budget the row→group array and the row→leader array (8 + 4 bytes
-	// per row); the hashed path's hashes and table charge themselves.
+	// per row); the hashed path's hashes and leader table charge themselves.
 	if err := ctx.charge(c, int64(n)*12); err != nil {
 		return nil, nil, err
 	}
@@ -285,26 +285,50 @@ func codeLeaders(c context.Context, ctx *Ctx, dv *vector.DictStrings, leader []i
 }
 
 // hashLeaders sets leader[i] to the first row whose key (vecs) equals row
-// i's, looking rows up in a bucketIndex over the given per-row hashes.
-// Each hash's rows ascend, so the first equal row is the group's first
-// appearance, and distinct keys that share a hash just scan on. Morsels
-// write disjoint leader slots.
+// i's, in one pass per hash partition (partitionRows) over an
+// open-addressing table probed linearly at load <= 0.5. A slot holds a
+// hash and its key's leader row + 1, so zeroed memory is empty. A
+// partition's rows come in ascending order, so the row that claims an
+// empty slot is its key's first appearance; a row whose hash matches a
+// slot and whose key equals that slot's leader's joins it; any other row
+// probes on, so distinct keys that share a 64-bit hash stay apart.
+// Partitions write disjoint leader slots.
 func hashLeaders(c context.Context, ctx *Ctx, vecs []vector.Vector, hashes []uint64, leader []int32) error {
-	idx, err := buildBuckets(c, ctx, hashes)
+	// Budget the partition lists (4 B/row) before they are cut, and the
+	// tables (12 B/slot) once the partition sizes are known.
+	if err := ctx.charge(c, int64(len(hashes))*4); err != nil {
+		return err
+	}
+	lists, err := partitionRows(c, ctx, hashes)
 	if err != nil {
 		return err
 	}
-	ctx.parallelRanges(c, len(hashes), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for _, l := range idx.lookup(hashes[i]) {
-				if int(l) == i || vecsEqual(vecs, i, vecs, int(l)) {
-					leader[i] = l
-					break
+	var slots int64
+	for _, l := range lists {
+		slots += int64(tableSlots(listsLen(l)))
+	}
+	if err := ctx.charge(c, slots*12); err != nil {
+		return err
+	}
+	ctx.runRanges(c, taskRanges(len(lists)), func(_, q, _ int) {
+		size := tableSlots(listsLen(lists[q]))
+		mask := uint64(size - 1)
+		hash, lead := make([]uint64, size), make([]int32, size)
+		for _, l := range lists[q] {
+			for _, r := range l {
+				h := hashes[r]
+				i := (h >> 6) & mask
+				for lead[i] != 0 && (hash[i] != h || !vecsEqual(vecs, int(r), vecs, int(lead[i]-1))) {
+					i = (i + 1) & mask
 				}
+				if lead[i] == 0 {
+					hash[i], lead[i] = h, r+1
+				}
+				leader[r] = lead[i] - 1
 			}
 		}
 	})
-	// A cancelled sweep leaves some leaders unset: the grouping is void.
+	// A cancelled build leaves some leaders unset: the grouping is void.
 	return c.Err()
 }
 

@@ -248,6 +248,10 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 	if err := ctx.charge(c, int64(total)*16); err != nil {
 		return nil, nil, err
 	}
+	if len(pParts) == 1 {
+		// One morsel: its lists already are the result.
+		return pParts[0], bParts[0], nil
+	}
 	pSel := make([]int, 0, total)
 	bSel := make([]int, 0, total)
 	for m := range pParts {

@@ -340,16 +340,14 @@ func (t *openTable) findSlot(h uint64) uint64 {
 	return i
 }
 
-// newOpenTable builds the table over total rows supplied as ordered lists
-// of ascending row indexes (the per-morsel partition lists, in morsel
-// order). Two passes: the first counts occurrences per distinct hash, the
-// second places each row into its hash's contiguous segment — in input
-// order, so every segment ends up ascending.
-func newOpenTable(hashes []uint64, lists [][]int32, total int) openTable {
-	size := 8
-	for size < 2*total {
-		size <<= 1
-	}
+// newOpenTable builds the table over rows supplied as ordered lists of
+// ascending row indexes (the per-morsel partition lists, in morsel order).
+// Two passes: the first counts occurrences per distinct hash, the second
+// places each row into its hash's contiguous segment — in input order, so
+// every segment ends up ascending.
+func newOpenTable(hashes []uint64, lists [][]int32) openTable {
+	total := listsLen(lists)
+	size := tableSlots(total)
 	t := openTable{
 		mask:  uint64(size - 1),
 		hash:  make([]uint64, size),
@@ -382,6 +380,25 @@ func newOpenTable(hashes []uint64, lists [][]int32, total int) openTable {
 	return t
 }
 
+// tableSlots sizes a linear-probing table over rows entries: the next power
+// of two at or past 2*rows (at least 8), keeping the load factor <= 0.5.
+func tableSlots(rows int) int {
+	size := 8
+	for size < 2*rows {
+		size <<= 1
+	}
+	return size
+}
+
+// listsLen counts the rows of one partition's per-morsel lists.
+func listsLen(lists [][]int32) int {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	return n
+}
+
 // checkBuildRows guards the open-addressing table's int32 row indexes: a
 // build side past 2^31-1 rows would silently wrap and corrupt the index,
 // so it is rejected explicitly. Factored out of buildBuckets so the guard
@@ -393,11 +410,10 @@ func checkBuildRows(n int) error {
 	return nil
 }
 
-// buildBuckets builds the hash → rows index over the given per-row hashes.
-// Large inputs build in two parallel phases: each morsel splits its rows by
-// partition, then one worker per partition builds that partition's open
-// table from the morsel lists — in morsel order, so every hash's rows stay
-// ascending. Small inputs build one table serially.
+// buildBuckets builds the hash → rows index over the given per-row hashes:
+// partitionRows splits the rows by partition, then one worker per
+// partition builds that partition's open table from its lists — in morsel
+// order, so every hash's rows stay ascending.
 func buildBuckets(c context.Context, ctx *Ctx, hashes []uint64) (*bucketIndex, error) {
 	if err := checkBuildRows(len(hashes)); err != nil {
 		return nil, err
@@ -412,50 +428,13 @@ func buildBuckets(c context.Context, ctx *Ctx, hashes []uint64) (*bucketIndex, e
 	if err := ctx.charge(c, int64(len(hashes))*48); err != nil {
 		return nil, err
 	}
-	n := len(hashes)
-	ranges := ctx.morselRanges(n)
-	if len(ranges) <= 1 {
-		all := make([]int32, n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		return &bucketIndex{mask: 0, parts: []openTable{newOpenTable(hashes, [][]int32{all}, n)}}, nil
-	}
-	nParts := 1
-	for nParts < ctx.parallelism() {
-		nParts <<= 1
-	}
-	if nParts > 64 {
-		nParts = 64
-	}
-	mask := uint64(nParts - 1)
-	byMorsel := make([][][]int32, len(ranges))
-	ctx.runRanges(c, ranges, func(m, lo, hi int) {
-		parts := make([][]int32, nParts)
-		est := (hi-lo)/nParts + 1
-		for i := lo; i < hi; i++ {
-			q := hashes[i] & mask
-			if parts[q] == nil {
-				parts[q] = make([]int32, 0, est)
-			}
-			parts[q] = append(parts[q], int32(i))
-		}
-		byMorsel[m] = parts
-	})
-	if err := c.Err(); err != nil {
-		// Partition lists are partial; building tables over them would read
-		// inconsistent state for nothing.
+	lists, err := partitionRows(c, ctx, hashes)
+	if err != nil {
 		return nil, err
 	}
-	parts := make([]openTable, nParts)
-	ctx.runRanges(c, taskRanges(nParts), func(_, q, _ int) {
-		lists := make([][]int32, 0, len(byMorsel))
-		total := 0
-		for _, mp := range byMorsel {
-			lists = append(lists, mp[q])
-			total += len(mp[q])
-		}
-		parts[q] = newOpenTable(hashes, lists, total)
+	parts := make([]openTable, len(lists))
+	ctx.runRanges(c, taskRanges(len(lists)), func(_, q, _ int) {
+		parts[q] = newOpenTable(hashes, lists[q])
 	})
 	if err := c.Err(); err != nil {
 		// Cancellation mid-build leaves zero-valued partitions whose
@@ -463,5 +442,53 @@ func buildBuckets(c context.Context, ctx *Ctx, hashes []uint64) (*bucketIndex, e
 		// otherwise cache it as a valid aux entry).
 		return nil, err
 	}
-	return &bucketIndex{mask: mask, parts: parts}, nil
+	return &bucketIndex{mask: uint64(len(lists) - 1), parts: parts}, nil
+}
+
+// partitionRows is the first phase of the hash builds (buildBuckets,
+// hashLeaders). It splits the rows by the low bits of their hash into one
+// partition per worker, rounded up to a power of two and at most 64
+// (tables index slots by the hash bits above the low 6); inputs of one
+// morsel form one partition. Each morsel, in parallel, counts its rows per
+// partition and cuts one ascending list per partition from one array of
+// its row count, so the lists take 4 bytes per row, which the caller
+// charges. lists[q] holds partition q's lists in morsel order, so its rows
+// ascend across them.
+func partitionRows(c context.Context, ctx *Ctx, hashes []uint64) ([][][]int32, error) {
+	ranges := ctx.morselRanges(len(hashes))
+	nParts := 1
+	for len(ranges) > 1 && nParts < ctx.parallelism() && nParts < 64 {
+		nParts <<= 1
+	}
+	mask := uint64(nParts - 1)
+	lists := make([][][]int32, nParts)
+	for q := range lists {
+		lists[q] = make([][]int32, len(ranges))
+	}
+	ctx.runRanges(c, ranges, func(m, lo, hi int) {
+		count := make([]int, nParts)
+		for _, h := range hashes[lo:hi] {
+			count[h&mask]++
+		}
+		rows := make([]int32, hi-lo)
+		parts := make([][]int32, nParts)
+		off := 0
+		for q, k := range count {
+			parts[q] = rows[off : off : off+k]
+			off += k
+		}
+		for i := lo; i < hi; i++ {
+			q := hashes[i] & mask
+			parts[q] = append(parts[q], int32(i))
+		}
+		for q, p := range parts {
+			lists[q][m] = p
+		}
+	})
+	if err := c.Err(); err != nil {
+		// Partition lists are partial; building tables over them would read
+		// inconsistent state for nothing.
+		return nil, err
+	}
+	return lists, nil
 }

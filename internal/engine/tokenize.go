@@ -63,7 +63,7 @@ func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	// downstream lcase/stem runs once per distinct token and every hash,
 	// group and join over terms operates on int32 codes.
 	ids := idCol.Vec.New(0)
-	dict := vector.NewDict(1024)
+	dict := vector.NewDict(min(data.Len(), 1024))
 	var codes []int32
 	positions := vector.NewInt64s(0)
 	var prob []float64

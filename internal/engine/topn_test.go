@@ -198,24 +198,46 @@ func TestGroupRowsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestHashLeadersSplitsCollisions gives every row the same hash, so one
-// bucket segment holds all the distinct keys: each must still get its own
-// group, in first-appearance order, as in the reference.
-func TestHashLeadersSplitsCollisions(t *testing.T) {
+// TestHashLeadersCollisions forces the hashes hashLeaders sees: every row
+// on one hash, and two hashes alternating by key (different partitions,
+// one home slot), so distinct keys share probe chains. Over repeated and
+// distinct keys, below and above the 2*minMorsel partition threshold, at
+// parallelism 1, 2 and 8, the leaders must number into the naive
+// first-appearance grouping, and a cancelled context must fail.
+func TestHashLeadersCollisions(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
+	forced := []struct {
+		name string
+		hash func(group int) uint64
+	}{
+		{"one", func(int) uint64 { return 0x9e3779b97f4a7c15 }},
+		{"alternating", func(g int) uint64 { return uint64(g % 2) }},
+	}
 	for _, n := range []int{50, 2*minMorsel + 11} {
 		for _, in := range []*relation.Relation{dupRel(r, n), distinctRel(r, n)} {
-			for _, gIdx := range [][]int{{0}, {1}, {0, 1}} {
-				wantOf, wantFirst := refGroupRows(in, gIdx)
-				for _, par := range []int{1, 2, 8} {
-					leader := make([]int32, n)
-					err := hashLeaders(context.Background(), &Ctx{Parallelism: par}, colVecs(in, gIdx), make([]uint64, n), leader)
-					if err != nil {
-						t.Fatal(err)
+			for _, f := range forced {
+				for _, gIdx := range [][]int{{0}, {1}, {0, 1}} {
+					wantOf, wantFirst := refGroupRows(in, gIdx)
+					hashes := make([]uint64, n)
+					for i, g := range wantOf {
+						hashes[i] = f.hash(g)
 					}
-					gotOf := make([]int, n)
-					checkGroups(t, fmt.Sprintf("n=%d gIdx=%v par=%d", n, gIdx, par),
-						gotOf, numberGroups(leader, gotOf), wantOf, wantFirst)
+					for _, par := range []int{1, 2, 8} {
+						ctx := &Ctx{Parallelism: par}
+						leader := make([]int32, n)
+						if err := hashLeaders(context.Background(), ctx, colVecs(in, gIdx), hashes, leader); err != nil {
+							t.Fatal(err)
+						}
+						gotOf := make([]int, n)
+						checkGroups(t, fmt.Sprintf("n=%d %s gIdx=%v par=%d", n, f.name, gIdx, par),
+							gotOf, numberGroups(leader, gotOf), wantOf, wantFirst)
+
+						c, cancel := context.WithCancel(context.Background())
+						cancel()
+						if err := hashLeaders(c, ctx, colVecs(in, gIdx), hashes, leader); err == nil {
+							t.Fatalf("n=%d %s gIdx=%v par=%d: cancelled grouping returned no error", n, f.name, gIdx, par)
+						}
+					}
 				}
 			}
 		}

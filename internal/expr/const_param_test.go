@@ -156,8 +156,8 @@ func TestConstHashMatchesMaterialized(t *testing.T) {
 		seed := maphash.MakeSeed()
 		a := make([]uint64, v.Len())
 		b := make([]uint64, v.Len())
-		v.HashInto(seed, a)
-		v.(*vector.Const).Materialize().HashInto(seed, b)
+		v.HashRangeInto(seed, a, 0, len(a))
+		v.(*vector.Const).Materialize().HashRangeInto(seed, b, 0, len(b))
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("kind %v row %d: const hash %x != materialized %x", v.Kind(), i, a[i], b[i])

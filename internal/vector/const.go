@@ -115,22 +115,13 @@ func (v *Const) AppendFrom(src Vector, i int) {
 	panic("vector: AppendFrom on Const")
 }
 
-// HashInto implements Vector.
-func (v *Const) HashInto(seed maphash.Seed, sums []uint64) {
-	v.HashRangeInto(seed, sums, 0, v.n)
-}
-
-// HashRangeInto implements Vector. Every row hashes the same value, so the
-// element hash is computed once via the dense type's own hashing (one
-// scratch row), keeping Const hashes identical to the materialized
-// column's.
+// HashRangeInto implements Vector. Every row hashes the same value through
+// a one-row materialized column, keeping Const hashes identical to the
+// materialized column's.
 func (v *Const) HashRangeInto(seed maphash.Seed, sums []uint64, lo, hi int) {
 	one := v.Gather([]int{0}).(*Const).Materialize()
-	scratch := []uint64{0}
 	for i := lo; i < hi; i++ {
-		scratch[0] = sums[i]
-		one.HashRangeInto(seed, scratch, 0, 1)
-		sums[i] = scratch[0]
+		one.HashRangeInto(seed, sums[i:i+1], 0, 1)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // they fall back to comparing the underlying strings, so correctness never
 // depends on dict sharing — only speed does.
 //
-// HashRangeInto hashes the code bytes, NOT the underlying string. Hashes
+// HashRangeInto hashes the codes, NOT the underlying strings. Hashes
 // of a DictStrings are therefore only comparable with hashes of vectors
 // sharing the same dict; the engine aligns representations (decoding or
 // re-encoding one side) before it cross-compares hashes of two relations.
@@ -95,23 +95,13 @@ func (v *DictStrings) AppendFrom(src Vector, i int) {
 	v.codes = append(v.codes, code)
 }
 
-// HashInto implements Vector.
-func (v *DictStrings) HashInto(seed maphash.Seed, sums []uint64) {
-	v.HashRangeInto(seed, sums, 0, len(v.codes))
-}
-
-// HashRangeInto implements Vector: the 4 code bytes are hashed, never the
-// string payload, so hashing cost is independent of string length. See the
-// type comment for the cross-representation caveat.
+// HashRangeInto implements Vector: each code is hashed as one word
+// (hashWord), never the string payload, so hashing cost is independent of
+// string length. See the type comment for the cross-representation caveat.
 func (v *DictStrings) HashRangeInto(seed maphash.Seed, sums []uint64, lo, hi int) {
-	var buf [4]byte
+	k := wordKey(seed)
 	for i := lo; i < hi; i++ {
-		u := uint32(v.codes[i])
-		buf[0] = byte(u)
-		buf[1] = byte(u >> 8)
-		buf[2] = byte(u >> 16)
-		buf[3] = byte(u >> 24)
-		sums[i] = mix(sums[i], maphash.Bytes(seed, buf[:]))
+		sums[i] = mix(sums[i], hashWord(uint64(uint32(v.codes[i])), k))
 	}
 }
 

@@ -139,7 +139,7 @@ func TestDictStringsHashSelfConsistent(t *testing.T) {
 	dv := EncodeStrings(sv)
 	seed := maphash.MakeSeed()
 	hs := make([]uint64, dv.Len())
-	dv.HashInto(seed, hs)
+	dv.HashRangeInto(seed, hs, 0, len(hs))
 	// also via ranges, must agree with the full pass
 	hr := make([]uint64, dv.Len())
 	dv.HashRangeInto(seed, hr, 0, 150)

@@ -62,12 +62,10 @@ type Vector interface {
 	// AppendFrom appends the value at row i of src (which must have the
 	// same Kind) to this vector.
 	AppendFrom(src Vector, i int)
-	// HashInto mixes the value at each row into the corresponding slot of
-	// sums using the supplied seed. len(sums) must equal Len().
-	HashInto(seed maphash.Seed, sums []uint64)
-	// HashRangeInto is HashInto restricted to rows [lo, hi), writing only
-	// sums[lo:hi]. It lets the engine hash row morsels on separate workers
-	// while still producing the exact sums HashInto would.
+	// HashRangeInto mixes the value at each row in [lo, hi) into the
+	// corresponding slot of sums using the supplied seed, writing only
+	// sums[lo:hi], so the engine can hash row morsels on separate workers
+	// and still get the sums of one whole-column pass.
 	HashRangeInto(seed maphash.Seed, sums []uint64, lo, hi int)
 	// Slice returns a view of rows [lo, hi) sharing this vector's storage.
 	// The view must be treated as read-only.
@@ -165,25 +163,11 @@ func (v *Int64s) Gather(sel []int) Vector {
 // AppendFrom implements Vector.
 func (v *Int64s) AppendFrom(src Vector, i int) { v.vals = append(v.vals, src.(*Int64s).vals[i]) }
 
-// HashInto implements Vector.
-func (v *Int64s) HashInto(seed maphash.Seed, sums []uint64) {
-	v.HashRangeInto(seed, sums, 0, len(v.vals))
-}
-
 // HashRangeInto implements Vector.
 func (v *Int64s) HashRangeInto(seed maphash.Seed, sums []uint64, lo, hi int) {
-	var buf [8]byte
+	k := wordKey(seed)
 	for i := lo; i < hi; i++ {
-		u := uint64(v.vals[i])
-		buf[0] = byte(u)
-		buf[1] = byte(u >> 8)
-		buf[2] = byte(u >> 16)
-		buf[3] = byte(u >> 24)
-		buf[4] = byte(u >> 32)
-		buf[5] = byte(u >> 40)
-		buf[6] = byte(u >> 48)
-		buf[7] = byte(u >> 56)
-		sums[i] = mix(sums[i], maphash.Bytes(seed, buf[:]))
+		sums[i] = mix(sums[i], hashWord(uint64(v.vals[i]), k))
 	}
 }
 
@@ -269,25 +253,11 @@ func (v *Float64s) AppendFrom(src Vector, i int) {
 	v.vals = append(v.vals, src.(*Float64s).vals[i])
 }
 
-// HashInto implements Vector.
-func (v *Float64s) HashInto(seed maphash.Seed, sums []uint64) {
-	v.HashRangeInto(seed, sums, 0, len(v.vals))
-}
-
 // HashRangeInto implements Vector.
 func (v *Float64s) HashRangeInto(seed maphash.Seed, sums []uint64, lo, hi int) {
-	var buf [8]byte
+	k := wordKey(seed)
 	for i := lo; i < hi; i++ {
-		u := math.Float64bits(v.vals[i])
-		buf[0] = byte(u)
-		buf[1] = byte(u >> 8)
-		buf[2] = byte(u >> 16)
-		buf[3] = byte(u >> 24)
-		buf[4] = byte(u >> 32)
-		buf[5] = byte(u >> 40)
-		buf[6] = byte(u >> 48)
-		buf[7] = byte(u >> 56)
-		sums[i] = mix(sums[i], maphash.Bytes(seed, buf[:]))
+		sums[i] = mix(sums[i], hashWord(math.Float64bits(v.vals[i]), k))
 	}
 }
 
@@ -376,11 +346,6 @@ func (v *Strings) Gather(sel []int) Vector {
 // representation; dict-encoded values are decoded on append.
 func (v *Strings) AppendFrom(src Vector, i int) {
 	v.vals = append(v.vals, src.(StringColumn).StringAt(i))
-}
-
-// HashInto implements Vector.
-func (v *Strings) HashInto(seed maphash.Seed, sums []uint64) {
-	v.HashRangeInto(seed, sums, 0, len(v.vals))
 }
 
 // HashRangeInto implements Vector.
@@ -489,20 +454,15 @@ func (v *Bools) Gather(sel []int) Vector {
 // AppendFrom implements Vector.
 func (v *Bools) AppendFrom(src Vector, i int) { v.vals = append(v.vals, src.(*Bools).vals[i]) }
 
-// HashInto implements Vector.
-func (v *Bools) HashInto(seed maphash.Seed, sums []uint64) {
-	v.HashRangeInto(seed, sums, 0, len(v.vals))
-}
-
 // HashRangeInto implements Vector.
 func (v *Bools) HashRangeInto(seed maphash.Seed, sums []uint64, lo, hi int) {
-	var buf [1]byte
+	k := wordKey(seed)
 	for i := lo; i < hi; i++ {
-		buf[0] = 0
+		var u uint64
 		if v.vals[i] {
-			buf[0] = 1
+			u = 1
 		}
-		sums[i] = mix(sums[i], maphash.Bytes(seed, buf[:]))
+		sums[i] = mix(sums[i], hashWord(u, k))
 	}
 }
 
@@ -543,6 +503,25 @@ func (v *Bools) CopyRangeAt(dst Vector, lo, hi, off int) {
 
 // EstimatedBytes implements Vector.
 func (v *Bools) EstimatedBytes() int64 { return int64(len(v.vals)) }
+
+// wordKey derives hashWord's key from a hashing seed, once per
+// HashRangeInto call, so every seed (one per join index or grouping) keys
+// its own word hash. The low bit is forced so the key is never zero.
+func wordKey(seed maphash.Seed) uint64 { return maphash.String(seed, "") | 1 }
+
+// hashWord hashes one fixed-width value (an integer, float bits, a bool or
+// a dictionary code) under key k: murmur3's fmix64 finalizer of u ^ k.
+// fmix64 is a bijection, so distinct words under one key never collide,
+// and it costs a few multiplies where maphash.Bytes costs a call.
+func hashWord(u, k uint64) uint64 {
+	u ^= k
+	u ^= u >> 33
+	u *= 0xff51afd7ed558ccd
+	u ^= u >> 33
+	u *= 0xc4ceb9fe1a85ec53
+	u ^= u >> 33
+	return u
+}
 
 // mix combines an accumulated hash with a new value hash. The constant is
 // the 64-bit FNV prime, which spreads consecutive column hashes well enough

@@ -105,7 +105,7 @@ func TestHashIntoConsistency(t *testing.T) {
 	seed := maphash.MakeSeed()
 	a := FromStrings([]string{"x", "y", "x"})
 	sums := make([]uint64, 3)
-	a.HashInto(seed, sums)
+	a.HashRangeInto(seed, sums, 0, len(sums))
 	if sums[0] != sums[2] {
 		t.Error("equal strings hashed differently")
 	}
@@ -115,7 +115,7 @@ func TestHashIntoConsistency(t *testing.T) {
 
 	ints := FromInt64s([]int64{42, 42, 7})
 	isums := make([]uint64, 3)
-	ints.HashInto(seed, isums)
+	ints.HashRangeInto(seed, isums, 0, len(isums))
 	if isums[0] != isums[1] {
 		t.Error("equal ints hashed differently")
 	}
@@ -135,17 +135,69 @@ func TestHashIntoConsistency(t *testing.T) {
 	if s.EqualAt(0, s, 2) {
 		t.Error("EqualAt(0,2) = true on distinct strings")
 	}
+
+	// Every representation, hashed in split ranges over nonzero prior sums
+	// (a second key column), matches one whole-column pass, and its hashes
+	// agree with EqualAt. The fixed-width word hash is a bijection, so
+	// unequal values never collide.
+	for _, v := range []Vector{
+		FromInt64s([]int64{42, -1, 42, 0, 7, -1}),
+		FromFloat64s([]float64{1.5, -2, 1.5, 0, 3e300, -2}),
+		FromBools([]bool{true, false, true, true, false, false}),
+		EncodeStrings(FromStrings([]string{"p", "q", "p", "r", "s", "q"})),
+		FromStrings([]string{"p", "q", "p", "r", "s", "q"}),
+	} {
+		n := v.Len()
+		whole := make([]uint64, n)
+		split := make([]uint64, n)
+		for i := range whole {
+			whole[i] = uint64(i % 2)
+			split[i] = uint64(i % 2)
+		}
+		v.HashRangeInto(seed, whole, 0, len(whole))
+		v.HashRangeInto(seed, split, 0, 1)
+		v.HashRangeInto(seed, split, 1, 4)
+		v.HashRangeInto(seed, split, 4, n)
+		for i := range whole {
+			if split[i] != whole[i] {
+				t.Errorf("%T row %d: split-range hash %x, whole-column %x", v, i, split[i], whole[i])
+			}
+		}
+		flat := make([]uint64, n)
+		v.HashRangeInto(seed, flat, 0, len(flat))
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if eq := v.EqualAt(i, v, j); eq != (flat[i] == flat[j]) {
+					t.Errorf("%T rows %d,%d: EqualAt %v but hashes %x, %x", v, i, j, eq, flat[i], flat[j])
+				}
+			}
+		}
+	}
+
+	// A Const hashes like its materialized column, in any split.
+	for _, c := range []*Const{ConstInt64(-9, 5), ConstFloat64(2.25, 5), ConstBool(true, 5), ConstString("k", 5)} {
+		want := make([]uint64, 5)
+		c.Materialize().HashRangeInto(seed, want, 0, len(want))
+		got := make([]uint64, 5)
+		c.HashRangeInto(seed, got, 0, 2)
+		c.HashRangeInto(seed, got, 2, 5)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("Const %v row %d: hash %x, materialized %x", c.Kind(), i, got[i], want[i])
+			}
+		}
+	}
 }
 
-// HashInto must compose across columns: rows equal on all columns get equal
+// HashRangeInto must compose across columns: rows equal on all columns get equal
 // combined hashes.
 func TestHashIntoComposition(t *testing.T) {
 	seed := maphash.MakeSeed()
 	c1 := FromInt64s([]int64{1, 1, 2})
 	c2 := FromStrings([]string{"a", "a", "a"})
 	sums := make([]uint64, 3)
-	c1.HashInto(seed, sums)
-	c2.HashInto(seed, sums)
+	c1.HashRangeInto(seed, sums, 0, len(sums))
+	c2.HashRangeInto(seed, sums, 0, len(sums))
 	if sums[0] != sums[1] {
 		t.Error("rows (1,a) and (1,a) hashed differently")
 	}
@@ -178,7 +230,7 @@ func TestGatherPreservesValuesProperty(t *testing.T) {
 }
 
 // Exercise the generic Vector interface uniformly across all kinds:
-// New, AppendFrom, Gather, EqualAt, LessAt, Format, HashInto.
+// New, AppendFrom, Gather, EqualAt, LessAt, Format, HashRangeInto.
 func TestVectorInterfaceAllKinds(t *testing.T) {
 	seed := maphash.MakeSeed()
 	sources := []Vector{
@@ -215,7 +267,7 @@ func TestVectorInterfaceAllKinds(t *testing.T) {
 			t.Errorf("%v: empty Format", src.Kind())
 		}
 		sums := make([]uint64, fresh.Len())
-		fresh.HashInto(seed, sums)
+		fresh.HashRangeInto(seed, sums, 0, len(sums))
 		if sums[0] != sums[2] {
 			t.Errorf("%v: equal values hash differently", src.Kind())
 		}
