@@ -182,13 +182,28 @@ func evictSearch(tb testing.TB, seed, budget int64) (*catalog.Cache, func(q stri
 	cat := catalog.New(0)
 	cat.Cache().SetMaxBytes(budget)
 	triple.NewStore(cat).Load(workload.AuctionGraph(cfg))
-	ctx := engine.NewCtx(cat)
-	strat := strategy.Auction(0.7, 0.3)
+	rank := strategySearch(tb, engine.NewCtx(cat), strategy.Auction(0.7, 0.3), nil, 10)
 	search := func(q string) error {
-		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q}, 10)
+		_, err := rank(q)
 		return err
 	}
 	return cat.Cache(), search, workload.Queries(256, 3, auctionVocab, seed)
+}
+
+// strategySearch installs st on ctx and returns its top-k search: the
+// prepared plan bound to the query, cut to k and executed — what /search
+// and DB.Search run.
+func strategySearch(tb testing.TB, ctx *engine.Ctx, st *strategy.Strategy, synonyms text.SynonymDict, k int) func(q string) (*relation.Relation, error) {
+	tb.Helper()
+	reg := strategy.NewRegistry(ctx, synonyms)
+	if err := reg.Install(st); err != nil {
+		tb.Fatal(err)
+	}
+	entry, err := reg.Lookup(st.Name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(q string) (*relation.Relation, error) { return entry.Search(context.Background(), q, k) }
 }
 
 // BenchmarkEvictBudget: hot searches of the evict_search shape (dataset
@@ -256,14 +271,14 @@ func BenchmarkE3Boolean(b *testing.B) {
 }
 
 // BenchmarkE4AuctionStrategyHot: the Figure 3 two-branch strategy, hot
-// (section 3, "about 150ms per request"), through Strategy.Rank — the
-// compile, optimize, top-k and exec that /search and DB.Search run.
+// (section 3, "about 150ms per request"), through the prepared path of
+// /search and DB.Search — bind the query, top-k and exec.
 func BenchmarkE4AuctionStrategyHot(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
 	queries := auctionQueries()
-	strat := strategy.Auction(0.7, 0.3)
+	search := strategySearch(b, ctx, strategy.Auction(0.7, 0.3), nil, 50)
 	run := func(q string) error {
-		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q}, 50)
+		_, err := search(q)
 		return err
 	}
 	if err := run(queries[0]); err != nil {
@@ -333,14 +348,13 @@ func BenchmarkE6InvertedIndexHot(b *testing.B) {
 }
 
 // BenchmarkE7ProductionStrategyHot: the 5-branch expanded production
-// strategy (section 3), through the same Strategy.Rank as E4.
+// strategy (section 3), through the same prepared path as E4.
 func BenchmarkE7ProductionStrategyHot(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
 	queries := auctionQueries()
-	synonyms := auctionSynonyms()
-	strat := strategy.Production()
+	search := strategySearch(b, ctx, strategy.Production(), auctionSynonyms(), 10)
 	run := func(q string) error {
-		_, err := strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q, Synonyms: synonyms}, 10)
+		_, err := search(q)
 		return err
 	}
 	if err := run(queries[0]); err != nil {
@@ -388,6 +402,48 @@ func BenchmarkOptimizeStrategy(b *testing.B) {
 	}
 }
 
+// BenchmarkPreparedBind times the per-request plan work of a strategy
+// search over 16 000 lots: binding a distinct query into the prepared
+// plan (bind), against compiling and optimizing it ad hoc on a hot view
+// memo (adhoc). Neither executes the plan.
+func BenchmarkPreparedBind(b *testing.B) {
+	ctx := auctionCtx(b, 16000)
+	queries := auctionQueries()
+	for _, run := range []struct {
+		name     string
+		strat    *strategy.Strategy
+		synonyms text.SynonymDict
+	}{
+		{"auction-lots", strategy.Auction(0.7, 0.3), nil},
+		{"production", strategy.Production(), auctionSynonyms()},
+	} {
+		c := &strategy.Compiler{Synonyms: run.synonyms}
+		prep, err := run.strat.Prepare(ctx, c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(run.name+"/bind", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := prep.Bind(fmt.Sprintf("%s %d", queries[i%len(queries)], i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(run.name+"/adhoc", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				plan, err := run.strat.Compile(&strategy.Compiler{
+					Query: fmt.Sprintf("%s %d", queries[i%len(queries)], i), Synonyms: run.synonyms})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ctx.Optimize(plan)
+			}
+		})
+	}
+}
+
 // TestBenchQueriesHit guards the benchmarks' inputs: every query of every
 // query set above matches at least one document of the data it runs
 // against, so no benchmark times empty answers.
@@ -418,8 +474,9 @@ func TestBenchQueriesHit(t *testing.T) {
 		{strategy.Auction(0.7, 0.3), nil},          // E4
 		{strategy.Production(), auctionSynonyms()}, // E7
 	} {
+		search := strategySearch(t, ctx, run.strat, run.synonyms, 1)
 		for _, q := range auctionQueries() {
-			top, err := run.strat.Rank(context.Background(), ctx, &strategy.Compiler{Query: q, Synonyms: run.synonyms}, 1)
+			top, err := search(q)
 			if err != nil {
 				t.Fatal(err)
 			}

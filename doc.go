@@ -58,8 +58,10 @@
 // deadline (WithAdmissionWait), the per-query memory reservation
 // (WithQueryMemBytes, WithMemoryPoolBytes), and the drain behind Close
 // and the server's Shutdown. A search is one function on both surfaces:
-// admitted first, then compiled, optimized, cut to the top k and
-// executed (Strategy.Rank), so DB.Search and /search return identical
+// admitted first, then the strategy's prepared plan — compiled and
+// optimized once per schema epoch, with the query as a relation-valued
+// parameter — bound to the query, cut to the top k and executed
+// (strategy.Registry), so DB.Search and /search return identical
 // rankings. The gate refuses with a typed cause that each surface
 // reports in its own terms:
 //
@@ -117,7 +119,7 @@
 //	store.Load(triples)                             -> db.LoadTriples / db.LoadTriplesTSV
 //	spinql.Eval(src, env, ctx)                      -> db.Query(ctx, src)
 //	spinql.Parse + Compile per request              -> db.Prepare(src); stmt.Query(ctx, params...)
-//	strategy.FromJSON + Rank                        -> db.InstallStrategy(json); db.Search(ctx, name, q, k)
+//	strategy.FromJSON + Compile per request         -> db.InstallStrategy(json); db.Search(ctx, name, q, k)
 //	ir.NewSearcher(ctx, docsPlan, params).Search    -> db.LoadDocs(docs); db.SearchDocs(ctx, q, k)
 //	spinql.Explain / pra.ToSQL                      -> db.Explain / db.ToSQL
 //

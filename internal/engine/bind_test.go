@@ -126,3 +126,81 @@ func TestAlignProbeReencodes(t *testing.T) {
 		t.Fatalf("unknown probe string encoded as %d, want -1", enc.Codes()[1])
 	}
 }
+
+// TestPreparedRelationParam: a relation-valued parameter is a leaf with a
+// schema and no rows. The optimizer resolves its columns, Bind replaces
+// it by a literal Values with the same columns, and the optimized plan
+// bound is the optimized plan written with that literal. Left unbound it
+// is an error from Bind and from Exec, never a panic and never empty rows.
+func TestPreparedRelationParam(t *testing.T) {
+	rel := relation.MustFromColumns([]relation.Column{
+		{Name: "k", Vec: vector.FromStrings([]string{"a", "c"})},
+		{Name: "w", Vec: vector.FromInt64s([]int64{10, 30})},
+	}, nil)
+	lit := NewValues("query:a c", rel)
+	table := NewMaterialize(NewScan("t"))
+	// The Select sinks into the leaf's side of the join only when the
+	// optimizer knows the leaf's columns.
+	over := func(leaf Node) Node {
+		return NewProject(NewSelect(NewHashJoin(leaf, table, []string{"k"}, []string{"k"}, JoinLeft),
+			expr.Cmp{Op: expr.Gt, L: expr.Column("w"), R: expr.Int(15)}), ByName("v")...)
+	}
+	param := NewValuesParam("q", "k", "w")
+	plan := over(param)
+	if !plan.identity().params || table.identity().params || lit.identity().params {
+		t.Fatal("has-parameters bits wrong")
+	}
+	if got := Params(plan); len(got) != 1 || got[0] != "q" {
+		t.Fatalf("Params = %v", got)
+	}
+	if !strings.Contains(Explain(plan), "?q") {
+		t.Fatalf("EXPLAIN does not show the parameter:\n%s", Explain(plan))
+	}
+
+	cat := bindTestCat()
+	ctx := NewCtx(cat)
+	opt, _ := Optimize(cat, plan)
+	want, info := Optimize(cat, over(lit))
+	if info.SelectsPushed == 0 {
+		t.Fatalf("the literal plan's Select was not pushed:\n%s", Explain(want))
+	}
+	bind := Bindings{Relation: func(name string) (*Values, bool) { return lit, name == "q" }}
+	bound, err := bind.Bind(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("bound plan differs from the literal plan:\n%s", ExplainChange(want, bound))
+	}
+	got, err := ctx.Exec(context.Background(), bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 1 { // only c passes w > 15, and joins one row of t
+		t.Fatalf("bound plan gave %d rows, want 1", got.NumRows())
+	}
+
+	for name, b := range map[string]Bindings{
+		"no bindings":   {},
+		"scalars only":  {Scalar: func(string) (expr.Lit, bool) { return expr.Int(1), true }},
+		"unknown name":  {Relation: func(name string) (*Values, bool) { return lit, name == "other" }},
+		"another param": {Relation: func(string) (*Values, bool) { return param, true }},
+		"wrong columns": {Relation: func(string) (*Values, bool) {
+			return NewValues("x", relation.MustFromColumns([]relation.Column{
+				{Name: "k", Vec: vector.FromStrings([]string{"a"})}}, nil)), true
+		}},
+	} {
+		if _, err := b.Bind(opt); err == nil || !strings.Contains(err.Error(), "?q") {
+			t.Errorf("%s: Bind err = %v", name, err)
+		}
+	}
+	if _, err := Bind(plan, func(string) (expr.Lit, bool) { return expr.Int(1), true }); err == nil {
+		t.Error("scalar Bind left the relation parameter unbound without an error")
+	}
+	for _, p := range []Node{plan, opt, NewMaterialize(plan)} {
+		if r, err := ctx.Exec(context.Background(), p); err == nil ||
+			!strings.Contains(err.Error(), "unbound relation parameter ?q") {
+			t.Errorf("unbound exec = %v rows, err %v", r, err)
+		}
+	}
+}

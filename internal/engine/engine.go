@@ -69,6 +69,16 @@ func NewCtx(cat *catalog.Catalog) *Ctx {
 	return &Ctx{Cat: cat, UseCache: true}
 }
 
+// SchemaEpoch returns the catalog's schema clock
+// (catalog.Catalog.SchemaEpoch), 0 without a catalog. A plan optimized
+// at one epoch stays valid, appends included, until the epoch moves.
+func (ctx *Ctx) SchemaEpoch() uint64 {
+	if ctx.Cat == nil {
+		return 0
+	}
+	return ctx.Cat.SchemaEpoch()
+}
+
 // NodeExecs reports how many operator executions have run (cache hits do
 // not count).
 func (ctx *Ctx) NodeExecs() int64 { return ctx.nodeExecs.Load() }
@@ -209,10 +219,19 @@ func (s *Scan) Label() string { return "Scan " + s.Table }
 // "query document" of section 2.1. ID must distinguish distinct contents
 // if the node is ever cached; Values produced for ad-hoc queries should
 // use unique IDs (or caching should not wrap them).
+//
+// A Values made by NewValuesParam is instead a relation-valued parameter
+// ?Param: it carries only the column names (Cols) of the relation a
+// binding supplies, so the optimizer resolves its schema and never takes
+// it for empty, and Bind replaces it with a literal Values. Executing it
+// unbound is an error.
 type Values struct {
 	ident
 	ID  string
 	Rel *relation.Relation
+
+	Param string
+	Cols  []string
 }
 
 // NewValues wraps rel as a plan leaf identified by id.
@@ -222,14 +241,32 @@ func NewValues(id string, rel *relation.Relation) *Values {
 	return &Values{ident: h.finish(), ID: id, Rel: rel}
 }
 
+// NewValuesParam returns the relation-valued parameter ?name, a leaf
+// whose relation has the columns cols and is supplied by Bind.
+func NewValuesParam(name string, cols ...string) *Values {
+	h := newHasher("values?")
+	h.str(name)
+	h.strs(cols)
+	h.params = true
+	return &Values{ident: h.finish(), Param: name, Cols: cols}
+}
+
 // Execute implements Node.
-func (v *Values) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) { return v.Rel, nil }
+func (v *Values) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
+	if v.Rel == nil {
+		return nil, fmt.Errorf("engine: unbound relation parameter ?%s (bind it before execution)", v.Param)
+	}
+	return v.Rel, nil
+}
 
 // Children implements Node.
 func (v *Values) Children() []Node { return nil }
 
 // Label implements Node.
 func (v *Values) Label() string {
+	if v.Rel == nil {
+		return fmt.Sprintf("Values ?%s %v", v.Param, v.Cols)
+	}
 	return fmt.Sprintf("Values %s (%d rows)", v.ID, v.Rel.NumRows())
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"irdb/internal/expr"
@@ -10,11 +11,12 @@ import (
 
 // Plan identity. Every node carries an ident that its constructor computes
 // once: a 128-bit digest of the operator tag, the operator's parameters
-// and the children's digests, and the sorted set of base tables the
-// subtree scans. Cache keys and dependency sets (Ctx.Exec), and join-index
-// aux keys (HashJoin.buildIndex), are field reads; nothing walks or
-// renders a plan to identify it at execution time. README.md "Plan
-// identity" states the contract.
+// and the children's digests, the sorted set of base tables the subtree
+// scans, and whether the subtree holds a parameter. Cache keys and
+// dependency sets (Ctx.Exec), and join-index aux keys
+// (HashJoin.buildIndex), are field reads; nothing walks or renders a plan
+// to identify it at execution time. README.md "Plan identity" states the
+// contract.
 
 // digestLen is the byte length of a node digest.
 const digestLen = 16
@@ -26,6 +28,10 @@ const digestLen = 16
 type ident struct {
 	digest string   // digestLen bytes
 	scans  []string // sorted, deduplicated base tables read; never nil
+	// params reports a parameter placeholder in the subtree: an
+	// expr.Param in some expression, or a relation-valued Values leaf.
+	// Bind and Params return at once from a subtree without one.
+	params bool
 }
 
 // Fingerprint implements Node: the 16-byte digest that keys the
@@ -50,40 +56,56 @@ func identOf(n Node) *ident {
 // ingest publish evicts.
 var noScans = []string{}
 
-// hasher accumulates a digest in two FNV-1a-style 64-bit lanes with fixed
-// seeds and distinct multipliers, so a digest is the same in every process
-// and on every platform. Every variable-length field is length-prefixed,
-// so field boundaries cannot shift between two different parameter lists.
-type hasher struct{ a, b uint64 }
+// hasher accumulates a digest in two 64-bit lanes with fixed seeds and
+// distinct primes, so a digest is the same in every process and on every
+// platform. Each lane absorbs one 64-bit word per round, an
+// xxhash64-style multiply–rotate–multiply: a fixed-width field is one
+// word, a string is its little-endian 8-byte words with the last one
+// zero-padded. Every variable-length field is length-prefixed, so field
+// boundaries cannot shift between two different parameter lists. params
+// records that an expr.Param was hashed (see ident).
+type hasher struct {
+	a, b   uint64
+	params bool
+}
 
 const (
-	laneASeed  = 0xcbf29ce484222325 // FNV-1a 64-bit offset basis
-	laneAPrime = 0x00000100000001b3 // FNV-1a 64-bit prime
-	laneBSeed  = 0x62b821756295c58d // low half of the FNV-1a 128-bit offset basis
-	laneBPrime = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+	laneASeed = 0xcbf29ce484222325 // FNV-1a 64-bit offset basis
+	laneBSeed = 0x62b821756295c58d // low half of the FNV-1a 128-bit offset basis
+	prime1    = 0x9e3779b185ebca87 // the xxhash64 primes
+	prime2    = 0xc2b2ae3d27d4eb4f
+	prime3    = 0x165667b19e3779f9
+	prime4    = 0x85ebca77c2b2ae63
 )
 
 // newHasher starts the digest of one operator.
 func newHasher(tag string) hasher {
-	h := hasher{laneASeed, laneBSeed}
+	h := hasher{a: laneASeed, b: laneBSeed}
 	h.str(tag)
 	return h
 }
 
-func (h *hasher) byte(c byte) {
-	h.a = (h.a ^ uint64(c)) * laneAPrime
-	h.b = (h.b ^ uint64(c)) * laneBPrime
-}
-
-func (h *hasher) raw(s string) {
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
-}
-
+// u64 absorbs one word into both lanes.
 func (h *hasher) u64(v uint64) {
-	for i := 0; i < 64; i += 8 {
-		h.byte(byte(v >> i))
+	h.a = bits.RotateLeft64(h.a+v*prime2, 31) * prime1
+	h.b = bits.RotateLeft64(h.b+v*prime4, 29) * prime3
+}
+
+func (h *hasher) byte(c byte) { h.u64(uint64(c)) }
+
+// raw absorbs s a word at a time. Callers length-prefix s or give it a
+// fixed length, so the zero padding of the last word is unambiguous.
+func (h *hasher) raw(s string) {
+	for ; len(s) >= 8; s = s[8:] {
+		h.u64(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
+		h.u64(w)
 	}
 }
 
@@ -145,6 +167,7 @@ func (h *hasher) expr(e expr.Expr) {
 	case expr.Param:
 		h.byte('?')
 		h.str(x.Name)
+		h.params = true
 	case expr.Lit:
 		h.lit(x)
 	case expr.Cmp:
@@ -205,15 +228,17 @@ func (h *hasher) lit(l expr.Lit) {
 }
 
 // finish mixes the children's digests into h and returns the identity of
-// a node over kids: the digest, and the union of the kids' scan sets.
+// a node over kids: the digest, the union of the kids' scan sets, and
+// whether h or any kid holds a parameter.
 func (h *hasher) finish(kids ...Node) ident {
-	scans := noScans
+	scans, params := noScans, h.params
 	for _, k := range kids {
 		id := identOf(k)
 		h.raw(id.digest)
 		scans = unionSorted(scans, id.scans)
+		params = params || id.params
 	}
-	return ident{digest: h.sum(), scans: scans}
+	return ident{digest: h.sum(), scans: scans, params: params}
 }
 
 // sum avalanches both lanes (the murmur3 finalizer) and returns them as

@@ -41,7 +41,7 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 		return rel.ColumnNames(), true
 	case *Values:
 		if x.Rel == nil {
-			return nil, false
+			return x.Cols, x.Param != ""
 		}
 		return x.Rel.ColumnNames(), true
 	case *Materialize:

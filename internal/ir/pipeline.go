@@ -269,19 +269,28 @@ func lmDirichletWeights(docs engine.Node, p Params) engine.Node {
 	return engine.NewMaterialize(w)
 }
 
-// QueryRelation wraps a raw query string as the single-row "query
-// document" of section 2.1.
-func QueryRelation(query string) *relation.Relation {
-	return relation.NewBuilder([]string{ColDocID, ColData}, []vector.Kind{vector.Int64, vector.String}).
+// QueryLeaf is a query's leaf plan: the raw query as the single-row
+// "query document" (docID, data) of section 2.1, identified by the
+// analyzer and the query text.
+func QueryLeaf(p Params, query string) *engine.Values {
+	rel := relation.NewBuilder([]string{ColDocID, ColData}, []vector.Kind{vector.Int64, vector.String}).
 		Add(0, query).Build()
+	return engine.NewValues("q:"+p.spec()+":"+query, rel)
 }
 
-// QTermsPlan mirrors qterms: tokenize and stem the query exactly like the
-// documents, then map to termIDs through the term dictionary. Unknown
-// terms drop out in the join, as in the paper's SQL.
-func QTermsPlan(docs engine.Node, p Params, query string) engine.Node {
-	qvals := engine.NewValues("q:"+p.spec()+":"+query, QueryRelation(query))
-	tok := engine.NewTokenize(qvals, ColDocID, ColData, p.Tokenizer, false)
+// QueryParam is the query leaf of a prepared plan: the relation-valued
+// parameter ?name with the query document's columns, bound per search to
+// a QueryLeaf.
+func QueryParam(name string) *engine.Values {
+	return engine.NewValuesParam(name, ColDocID, ColData)
+}
+
+// QTerms mirrors qterms over the query leaf q (a QueryLeaf or a
+// QueryParam): tokenize and stem the query exactly like the documents,
+// then map to termIDs through the term dictionary. Unknown terms drop out
+// in the join, as in the paper's SQL.
+func QTerms(docs engine.Node, p Params, q engine.Node) engine.Node {
+	tok := engine.NewTokenize(q, ColDocID, ColData, p.Tokenizer, false)
 	qterms := engine.NewProject(tok, engine.ProjCol{Name: ColTerm, E: termExpr(p)})
 	// Probe the (small) query against the materialized dictionary.
 	join := engine.NewHashJoin(qterms, TermDictPlan(docs, p),

@@ -17,11 +17,23 @@ import (
 // retrieval model. The first search (or an explicit BuildIndex) pays the
 // on-demand index construction of section 2.1; later searches on the same
 // collection and parameters run hot via the materialization cache.
+//
+// Search runs a prepared plan: the score plan is optimized once per
+// catalog schema epoch with the query document as the relation-valued
+// parameter ?q (and Dirichlet's query length as the scalar ?qlen), and
+// each search only binds them.
 type Searcher struct {
-	ctx  *engine.Ctx
-	docs engine.Node
-	p    Params
+	ctx      *engine.Ctx
+	docs     engine.Node
+	p        Params
+	prepared engine.Prepared[*engine.Sort]
 }
+
+// The parameters of the prepared score plan.
+const (
+	paramQuery    = "q"
+	paramQueryLen = "qlen"
+)
 
 // NewSearcher validates the parameters and returns a searcher over docs,
 // which must produce columns (docID, data).
@@ -72,11 +84,22 @@ func (s *Searcher) BuildIndex(c context.Context) error {
 // returned plan produces a (docID) relation whose probability column is
 // the retrieval score.
 func (s *Searcher) ScorePlan(query string) (engine.Node, error) {
+	return s.scorePlan(QueryLeaf(s.p, query), s.queryLen(query))
+}
+
+// queryLen is Dirichlet's |q|, the query's token count.
+func (s *Searcher) queryLen(query string) expr.Lit {
+	return expr.Float(float64(len(s.p.Tokenizer.Tokens(query))))
+}
+
+// scorePlan is ScorePlan over the query leaf q, with qlen the query's
+// token count.
+func (s *Searcher) scorePlan(q engine.Node, qlen expr.Expr) (engine.Node, error) {
 	w, err := WeightsPlan(s.docs, s.p)
 	if err != nil {
 		return nil, err
 	}
-	qterms := QTermsPlan(s.docs, s.p, query)
+	qterms := QTerms(s.docs, s.p, q)
 	// Probe side is the (tiny) query-term list; build side is the cached
 	// weights matrix — Figure 1's "inverted index as a relational join".
 	matched := engine.NewHashJoin(qterms, w,
@@ -87,7 +110,6 @@ func (s *Searcher) ScorePlan(query string) (engine.Node, error) {
 	var final engine.Node
 	if s.p.Model == LMDirichlet {
 		// score += |q| · ln(μ / (μ + len))
-		qlen := len(s.p.Tokenizer.Tokens(query))
 		withLen := engine.NewHashJoin(scored, DocLenPlan(s.docs, s.p),
 			[]string{ColDocID}, []string{ColDocID}, engine.JoinLeft)
 		final = engine.NewProject(withLen,
@@ -95,7 +117,7 @@ func (s *Searcher) ScorePlan(query string) (engine.Node, error) {
 			engine.ProjCol{Name: ColScore, E: expr.Arith{Op: expr.Add,
 				L: expr.Column(ColScore),
 				R: expr.Arith{Op: expr.Mul,
-					L: expr.Float(float64(qlen)),
+					L: qlen,
 					R: expr.NewCall("log", expr.Arith{Op: expr.Div,
 						L: expr.Float(s.p.MuDirichlet),
 						R: expr.Arith{Op: expr.Add, L: expr.Float(s.p.MuDirichlet), R: expr.Column(ColLen)}})},
@@ -125,18 +147,50 @@ type Hit struct {
 // (k <= 0 returns all matches). c carries the request's deadline and
 // cancellation through the whole scoring plan.
 func (s *Searcher) Search(c context.Context, query string, k int) ([]Hit, error) {
-	plan, err := s.ScorePlan(query)
+	plan, err := s.plan(query, k)
 	if err != nil {
 		return nil, err
 	}
-	if k > 0 {
-		plan = engine.NewLimit(plan, k)
-	}
-	rel, err := s.ctx.Exec(c, s.ctx.Optimize(plan))
+	rel, err := s.ctx.Exec(c, plan)
 	if err != nil {
 		return nil, err
 	}
 	return HitsFromRelation(rel)
+}
+
+// plan returns the plan Search runs: the prepared score plan bound to
+// query, its final Sort cut to a TopN(k) for k > 0 — the plan Optimize
+// makes of ScorePlan(query) under a Limit(k).
+func (s *Searcher) plan(query string, k int) (engine.Node, error) {
+	sorted, err := s.prepared.Get(s.ctx, func() (*engine.Sort, error) {
+		plan, err := s.scorePlan(QueryParam(paramQuery), expr.Param{Name: paramQueryLen})
+		if err != nil {
+			return nil, err
+		}
+		// Optimization keeps the root Sort: nothing rewrites a Sort
+		// without a Limit or a Select above it.
+		sorted, ok := s.ctx.Optimize(plan).(*engine.Sort)
+		if !ok {
+			return nil, fmt.Errorf("ir: optimized score plan lost its root Sort")
+		}
+		return sorted, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ranked, err := engine.Bindings{
+		Scalar: func(name string) (expr.Lit, bool) { return s.queryLen(query), name == paramQueryLen },
+		Relation: func(name string) (*engine.Values, bool) {
+			return QueryLeaf(s.p, query), name == paramQuery
+		},
+	}.Bind(sorted.Child)
+	if err != nil {
+		return nil, err
+	}
+	if k > 0 {
+		return engine.NewTopN(ranked, k, sorted.Keys...), nil
+	}
+	return engine.NewSort(ranked, sorted.Keys...), nil
 }
 
 // HitsFromRelation converts a ranked (docID) relation with score-valued

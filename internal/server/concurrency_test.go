@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -175,5 +176,79 @@ func TestConcurrentSearchAcrossParallelism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPreparedConcurrentFirstSearch: the first requests of a fresh server
+// hit every installed strategy at once, so they prepare its plan under
+// each other's feet (run with -race); each answers exactly as the same
+// request sent alone afterwards.
+func TestPreparedConcurrentFirstSearch(t *testing.T) {
+	srv, ts := newTestServerParallel(t, 2)
+	for _, st := range []*strategy.Strategy{strategy.Production(), strategy.Toy()} {
+		if err := srv.Install(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := workload.NewVocabulary(500, 7)
+	urls := []string{}
+	for _, name := range srv.StrategyNames() {
+		for _, q := range []string{v.Word(10) + " " + v.Word(20), v.Word(30)} {
+			urls = append(urls, fmt.Sprintf("%s/search?strategy=%s&q=%s&k=10", ts.URL, name, url.QueryEscape(q)))
+		}
+	}
+	fetch := func(u string) ([]SearchResult, error) {
+		resp, err := http.Get(u)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var out SearchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("%s: status %d", u, resp.StatusCode)
+		}
+		return out.Results, nil
+	}
+	const clients = 8
+	got := make([][][]SearchResult, clients)
+	errc := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := range urls {
+				res, err := fetch(urls[(c+i)%len(urls)])
+				if err != nil {
+					errc <- err
+					return
+				}
+				got[c] = append(got[c], res)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	rows := 0
+	for i, u := range urls {
+		want, err := fetch(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows += len(want)
+		for c := 0; c < clients; c++ {
+			if res := got[c][(i-c+len(urls)*clients)%len(urls)]; !reflect.DeepEqual(res, want) {
+				t.Fatalf("%s: client %d got %v, alone %v", u, c, res, want)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no request returned a hit; the comparison is vacuous")
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // TestHTTPMatchesFacade: the same triples behind irdb-server's /search and
 // behind irdb.DB.Search answer every (strategy, query, k) with the same
-// ranked (subject, score) list — both surfaces run Strategy.Rank under the
+// ranked (subject, score) list — both surfaces run the same strategy.Registry search under the
 // same admission gate, so there is one search path to agree with.
 func TestHTTPMatchesFacade(t *testing.T) {
 	cfg := workload.AuctionConfig{

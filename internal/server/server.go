@@ -3,17 +3,20 @@
 // this strategy to find the items they are interested in" and a single VM
 // serves 150,000 requests per day.
 //
-// Every request compiles its own plan, so concurrent requests never share
-// mutable plan state; they share one engine.Ctx, which gives them the
-// shared materialization cache (single-flighted, so a burst of identical
+// Every installed strategy is compiled and optimized once per catalog
+// schema epoch (strategy.Registry); a request binds its query into that
+// immutable prepared plan, so concurrent requests never share mutable
+// plan state. They share one engine.Ctx, which gives them the shared
+// materialization cache (single-flighted, so a burst of identical
 // cold queries computes each sub-plan once) and the shared worker pool
 // bounding total intra-query parallelism across the whole process.
 //
 // Admission, memory budgets and drain are the engine.Gate the irdb
-// facade runs every query through, and a search is Strategy.Rank on both
-// surfaces; only the reporting differs (see the refusal table in package
-// irdb's doc). /stats counts the refusal causes as faults.shed_drain,
-// shed_wait and shed_deadline; shed_requests is their sum.
+// facade runs every query through, and a search is the same
+// strategy.Registry search on both surfaces; only the reporting differs
+// (see the refusal table in package irdb's doc). /stats counts the
+// refusal causes as faults.shed_drain, shed_wait and shed_deadline;
+// shed_requests is their sum.
 //
 // Endpoints:
 //
@@ -36,7 +39,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,15 +65,13 @@ import (
 // observable under load. The current queue depth and in-flight count are
 // exported via /stats.
 type Server struct {
-	ctx      *engine.Ctx
-	synonyms text.SynonymDict
+	ctx *engine.Ctx
 
 	// ingestMgr serializes live ingest behind POST /append; nil keeps the
 	// server read-only (the endpoint answers 501).
 	ingestMgr *ingest.Manager
 
-	mu         sync.RWMutex
-	strategies map[string]*strategy.Strategy
+	strategies *strategy.Registry
 
 	requests sync.Map // strategy name -> *counter
 
@@ -110,8 +110,7 @@ func New(ctx *engine.Ctx, synonyms text.SynonymDict) *Server {
 	}
 	s := &Server{
 		ctx:        ctx,
-		synonyms:   synonyms,
-		strategies: make(map[string]*strategy.Strategy),
+		strategies: strategy.NewRegistry(ctx, synonyms),
 	}
 	s.gate.SetMaxInFlight(2 * par)
 	// Ready by default: servers with a warm-up phase call SetReady(false)
@@ -204,27 +203,10 @@ func (s *Server) shedResponse(w http.ResponseWriter) {
 
 // Install registers a strategy under its name, replacing any previous
 // one.
-func (s *Server) Install(st *strategy.Strategy) error {
-	if err := st.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.strategies[st.Name] = st
-	return nil
-}
+func (s *Server) Install(st *strategy.Strategy) error { return s.strategies.Install(st) }
 
 // StrategyNames returns the installed strategy names, sorted.
-func (s *Server) StrategyNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.strategies))
-	for n := range s.strategies {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Server) StrategyNames() []string { return s.strategies.Names() }
 
 // Handler returns the HTTP handler. Every route runs under the panic
 // recovery middleware: a handler panic answers 500, bumps the recovered
@@ -314,11 +296,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		k = v
 	}
-	s.mu.RLock()
-	st, ok := s.strategies[name]
-	s.mu.RUnlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no strategy %q (installed: %v)", name, s.StrategyNames()))
+	st, err := s.strategies.Lookup(name)
+	if err != nil {
+		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
 
@@ -347,7 +327,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		c, cancel = context.WithTimeout(c, s.timeout)
 		defer cancel()
 	}
-	rel, err := st.Rank(c, s.ctx, &strategy.Compiler{Query: query, Synonyms: s.synonyms}, k)
+	rel, err := st.Search(c, query, k)
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrBudgetExceeded):
@@ -473,17 +453,15 @@ func (s *Server) writeStreamed(w http.ResponseWriter, r *http.Request, resp Sear
 }
 
 func (s *Server) handleListStrategies(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	type entry struct {
 		Name   string `json:"name"`
 		Blocks int    `json:"blocks"`
 	}
-	out := make([]entry, 0, len(s.strategies))
-	for _, st := range s.strategies {
-		out = append(out, entry{Name: st.Name, Blocks: st.NumBlocks()})
+	sts := s.strategies.Strategies()
+	out := make([]entry, len(sts))
+	for i, st := range sts {
+		out[i] = entry{Name: st.Name, Blocks: st.NumBlocks()}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	writeJSON(w, http.StatusOK, out)
 }
 

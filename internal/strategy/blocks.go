@@ -120,16 +120,15 @@ var blockTypes = map[string]blockSpec{
 		if boolParam(b, "compounds") {
 			p.WithCompounds = true
 		}
-		query := c.Query
-		if boolParam(b, "expand") {
-			terms := p.Tokenizer.Tokens(query)
-			expanded := c.Synonyms.Expand(terms)
-			if boolParam(b, "compounds") {
-				expanded = append(expanded, text.Compounds(terms)...)
-			}
-			query = strings.Join(expanded, " ")
+		leaf := queryLeaf(c, b, p)
+		var q engine.Node
+		if c.leaves != nil {
+			c.leaves[b.ID] = leaf
+			q = ir.QueryParam(b.ID)
+		} else {
+			q = leaf(c.Query)
 		}
-		plan, err := rankPlan(inputs[0], p, query)
+		plan, err := rankPlan(inputs[0], p, q)
 		if err != nil {
 			return nil, err
 		}
@@ -190,16 +189,35 @@ var blockTypes = map[string]blockSpec{
 	}},
 }
 
-// rankPlan scores the docs collection for query. Per section 2.3, the
-// input collection's own tuple probabilities (e.g. an uncertain category
-// filter upstream) multiply into the retrieval score — "structured search
-// need not be restricted to boolean facts".
-func rankPlan(docs engine.Node, p ir.Params, query string) (engine.Node, error) {
+// queryLeaf returns how rank-text block b turns a raw query into its
+// query leaf under the analyzer p: the query itself, or, for an "expand"
+// block, its tokens expanded with c's synonyms (and joined adjacent pairs
+// for "compounds").
+func queryLeaf(c *Compiler, b Block, p ir.Params) func(query string) *engine.Values {
+	expand, compounds, synonyms := boolParam(b, "expand"), boolParam(b, "compounds"), c.Synonyms
+	return func(query string) *engine.Values {
+		if expand {
+			terms := p.Tokenizer.Tokens(query)
+			expanded := synonyms.Expand(terms)
+			if compounds {
+				expanded = append(expanded, text.Compounds(terms)...)
+			}
+			query = strings.Join(expanded, " ")
+		}
+		return ir.QueryLeaf(p, query)
+	}
+}
+
+// rankPlan scores the docs collection for the query leaf q. Per section
+// 2.3, the input collection's own tuple probabilities (e.g. an uncertain
+// category filter upstream) multiply into the retrieval score —
+// "structured search need not be restricted to boolean facts".
+func rankPlan(docs engine.Node, p ir.Params, q engine.Node) (engine.Node, error) {
 	w, err := ir.WeightsPlan(docs, p)
 	if err != nil {
 		return nil, err
 	}
-	qterms := ir.QTermsPlan(docs, p, query)
+	qterms := ir.QTerms(docs, p, q)
 	matched := engine.NewHashJoin(qterms, w,
 		[]string{ir.ColTermID}, []string{ir.ColTermID}, engine.JoinLeft)
 	scored := engine.NewAggregate(matched, []string{ir.ColDocID},

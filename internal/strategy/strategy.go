@@ -5,21 +5,21 @@
 // per-block plans are "combined automatically under the hood".
 //
 // A strategy is serializable to JSON (the moral equivalent of the paper's
-// visual design environment saving a strategy) and is compiled against a
-// query string into a single engine plan.
+// visual design environment saving a strategy) and compiles into a single
+// engine plan: against one query string (Compile), or once for every
+// query (Prepare), with each ranking block's query leaf a relation-valued
+// parameter that a search binds. A Registry holds installed strategies
+// with their prepared plans.
 package strategy
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 
 	"irdb/internal/engine"
 	"irdb/internal/ir"
-	"irdb/internal/relation"
 	"irdb/internal/text"
-	"irdb/internal/triple"
 )
 
 // Block is one building block of a strategy.
@@ -55,6 +55,12 @@ type Compiler struct {
 	// Synonyms feeds "expand": true ranking blocks (query expansion with
 	// synonyms, production strategy of section 3).
 	Synonyms text.SynonymDict
+
+	// leaves is non-nil while preparing: each rank-text block then
+	// records under its ID how a raw query becomes its query leaf, and
+	// compiles over the parameter of that name instead of Query's leaf.
+	// Compile's copy of the Compiler shares the map with Prepare's.
+	leaves map[string]func(query string) *engine.Values
 }
 
 // Validate checks structural soundness: unique block IDs, defined inputs,
@@ -137,31 +143,14 @@ func (s *Strategy) Validate() error {
 	return nil
 }
 
-// Rank is the search request through the strategy: compile it for c's
-// query, optimize the plan on eng, keep the top k subjects by descending
-// score (ties broken by subject) and execute under ctx. Every search
-// entry point calls it, so they all run the same plan in the same order.
-func (s *Strategy) Rank(ctx context.Context, eng *engine.Ctx, c *Compiler, k int) (*relation.Relation, error) {
-	plan, err := s.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Exec(ctx, engine.NewTopN(eng.Optimize(plan), k,
-		engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: triple.ColSubject}))
-}
-
 // Compile lowers the strategy into one engine plan producing a ranked
-// (subject) relation with scores as tuple probabilities.
+// (subject) relation with scores as tuple probabilities, for c's query.
+// c is not modified.
 func (s *Strategy) Compile(c *Compiler) (engine.Node, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if c == nil {
-		c = &Compiler{}
-	}
-	if c.IRParams.Stemmer == "" {
-		c.IRParams = ir.DefaultParams()
-	}
+	cc := withDefaults(c)
 	byID := map[string]Block{}
 	for _, b := range s.Blocks {
 		byID[b.ID] = b
@@ -182,7 +171,7 @@ func (s *Strategy) Compile(c *Compiler) (engine.Node, error) {
 			inputs[i] = n
 		}
 		spec := blockTypes[b.Type]
-		n, err := spec.compile(c, b, inputs)
+		n, err := spec.compile(&cc, b, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("strategy %q: block %q: %w", s.Name, b.ID, err)
 		}
@@ -190,6 +179,52 @@ func (s *Strategy) Compile(c *Compiler) (engine.Node, error) {
 		return n, nil
 	}
 	return build(s.Output)
+}
+
+// Prepared is a strategy compiled and optimized once for every query: the
+// query leaf of each rank-text block is a relation-valued parameter, and
+// Bind substitutes the leaves of one query.
+type Prepared struct {
+	plan   engine.Node
+	leaves map[string]func(query string) *engine.Values
+}
+
+// Prepare compiles the strategy under c's analyzer parameters and
+// synonyms (c.Query is not read) and optimizes the plan on eng. c is not
+// modified.
+func (s *Strategy) Prepare(eng *engine.Ctx, c *Compiler) (*Prepared, error) {
+	cc := withDefaults(c)
+	cc.leaves = map[string]func(string) *engine.Values{}
+	plan, err := s.Compile(&cc)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{plan: eng.Optimize(plan), leaves: cc.leaves}, nil
+}
+
+// Bind returns the prepared plan for query: the plan Optimize makes of
+// Compile for that query, at the cost of building its query leaves.
+func (p *Prepared) Bind(query string) (engine.Node, error) {
+	return engine.Bindings{Relation: func(name string) (*engine.Values, bool) {
+		leaf, ok := p.leaves[name]
+		if !ok {
+			return nil, false
+		}
+		return leaf(query), true
+	}}.Bind(p.plan)
+}
+
+// withDefaults returns a copy of c (zero when c is nil) with the default
+// retrieval parameters when it sets none.
+func withDefaults(c *Compiler) Compiler {
+	var cc Compiler
+	if c != nil {
+		cc = *c
+	}
+	if cc.IRParams.Stemmer == "" {
+		cc.IRParams = ir.DefaultParams()
+	}
+	return cc
 }
 
 // NumBlocks reports the number of blocks, the complexity measure of the

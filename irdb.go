@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,14 +74,12 @@ func AsPanicError(err error) (*PanicError, bool) { return engine.AsPanicError(er
 // and cancellation reach all the way into the engine's morsel loops, so a
 // cancelled call returns promptly without waiting for plan completion.
 type DB struct {
-	cat      *catalog.Catalog
-	store    *triple.Store
-	eng      *engine.Ctx
-	ingest   *ingest.Manager
-	synonyms text.SynonymDict
+	cat    *catalog.Catalog
+	store  *triple.Store
+	eng    *engine.Ctx
+	ingest *ingest.Manager
 
-	mu         sync.RWMutex
-	strategies map[string]*strategy.Strategy
+	strategies *strategy.Registry
 
 	// gate admits every query (the same admission gate irdb-server
 	// uses): the in-flight limit, the admission-wait bound, the per-query
@@ -207,8 +204,7 @@ func Open(opts ...Option) (*DB, error) {
 		store:      store,
 		eng:        eng,
 		ingest:     ingest.New(cat, store, DocsTable),
-		synonyms:   text.SynonymDict(cfg.synonyms),
-		strategies: make(map[string]*strategy.Strategy),
+		strategies: strategy.NewRegistry(eng, text.SynonymDict(cfg.synonyms)),
 	}
 	db.gate.SetMaxInFlight(cfg.maxInFlight)
 	db.gate.SetAdmissionWait(cfg.admissionWait)
@@ -559,9 +555,9 @@ func (db *DB) InstallStrategy(spec []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	db.mu.Lock()
-	db.strategies[st.Name] = st
-	db.mu.Unlock()
+	if err := db.strategies.Install(st); err != nil {
+		return "", err
+	}
 	return st.Name, nil
 }
 
@@ -570,27 +566,18 @@ func (db *DB) InstallStrategy(spec []byte) (string, error) {
 // and its production variant — and returns their names.
 func (db *DB) InstallBuiltinStrategies() []string {
 	var names []string
-	db.mu.Lock()
-	for _, st := range strategy.Builtins() {
-		db.strategies[st.Name] = st
+	builtins := strategy.Builtins()
+	for _, st := range builtins {
 		names = append(names, st.Name)
 	}
-	db.mu.Unlock()
+	// The builtins are valid; their tests pin it.
+	_ = db.strategies.Install(builtins...)
 	sort.Strings(names)
 	return names
 }
 
 // StrategyNames returns the installed strategy names, sorted.
-func (db *DB) StrategyNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.strategies))
-	for n := range db.strategies {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (db *DB) StrategyNames() []string { return db.strategies.Names() }
 
 // Hit is one ranked search result.
 type Hit struct {
@@ -600,23 +587,21 @@ type Hit struct {
 
 // Search runs an installed strategy against a keyword query and returns
 // the top k subjects. It runs the same admission and the same plan as
-// irdb-server's /search: admitted first, then compiled, optimized and
-// executed by Strategy.Rank. ctx's deadline and cancellation abort the
-// plan mid-execution.
+// irdb-server's /search: admitted first, then the strategy's prepared
+// plan (compiled and optimized once per schema epoch) bound to query and
+// executed. ctx's deadline and cancellation abort the plan mid-execution.
 func (db *DB) Search(ctx context.Context, strategyName, query string, k int) ([]Hit, error) {
 	qctx, release, err := db.enter(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	db.mu.RLock()
-	st, ok := db.strategies[strategyName]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("irdb: no strategy %q (installed: %v)", strategyName, db.StrategyNames())
+	st, err := db.strategies.Lookup(strategyName)
+	if err != nil {
+		return nil, fmt.Errorf("irdb: %w", err)
 	}
 	db.queries.Add(1)
-	rel, err := st.Rank(qctx, db.eng, &strategy.Compiler{Query: query, Synonyms: db.synonyms}, k)
+	rel, err := st.Search(qctx, query, k)
 	if err != nil {
 		return nil, err
 	}

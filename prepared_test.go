@@ -2,11 +2,14 @@ package irdb
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"irdb/internal/strategy"
 	"irdb/internal/vector"
 	"irdb/internal/workload"
 )
@@ -369,5 +372,147 @@ func TestMaxInFlightAdmission(t *testing.T) {
 	release()
 	if _, err := db.Query(context.Background(), `SELECT [$2="type"] (triples);`); err != nil {
 		t.Fatalf("after release: %v", err)
+	}
+}
+
+// TestPreparedStrategySearch: DB.Search prepares a strategy once. Later
+// searches and appends optimize no plan, a schema change prepares it
+// again, and a strategy reinstalled under its name is served at once.
+func TestPreparedStrategySearch(t *testing.T) {
+	ctx := context.Background()
+	db := openTestDB(t, 2)
+	db.InstallBuiltinStrategies()
+	cfg := workload.DefaultAuctionConfig()
+	queries := workload.Queries(6, 3, cfg.VocabSize, cfg.Seed)
+	plans := func() int64 { return db.Stats().Optimizer.Plans }
+	search := func(name, q string) []Hit {
+		t.Helper()
+		hits, err := db.Search(ctx, name, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hits
+	}
+	before := search("auction-lots", queries[0])
+	prepared := plans()
+	for _, q := range queries {
+		search("auction-lots", q)
+	}
+	if got := plans(); got != prepared {
+		t.Fatalf("hot searches optimized %d plans", got-prepared)
+	}
+
+	if _, err := db.AppendTriples([]Triple{
+		{Subject: "lot-appended", Property: "type", Object: "lot", P: 1},
+		{Subject: "lot-appended", Property: "description", Object: queries[0], P: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, h := range search("auction-lots", queries[0]) {
+		found = found || h.ID == "lot-appended"
+	}
+	if !found {
+		t.Error("search after the append misses the appended lot")
+	}
+	if got := plans(); got != prepared {
+		t.Fatalf("an append re-prepared the strategy (%d plans)", got-prepared)
+	}
+
+	// LoadDocs adds a table, which ticks the schema epoch.
+	if err := db.LoadDocs([]Doc{{ID: "d1", Text: "wooden train"}}); err != nil {
+		t.Fatal(err)
+	}
+	search("auction-lots", queries[0])
+	if got := plans(); got != prepared+1 {
+		t.Fatalf("after a schema change %d plans were optimized, want 1", got-prepared)
+	}
+
+	// Reinstall auction-lots as its right branch alone; it must answer
+	// as the same strategy installed under another name.
+	right := strategy.Auction(0, 1)
+	spec, err := json.Marshal(right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.InstallStrategy(spec); err != nil {
+		t.Fatal(err)
+	}
+	right.Name = "right-branch"
+	if spec, err = json.Marshal(right); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.InstallStrategy(spec); err != nil {
+		t.Fatal(err)
+	}
+	after, want := search("auction-lots", queries[1]), search("right-branch", queries[1])
+	if !reflect.DeepEqual(after, want) {
+		t.Fatalf("reinstalled auction-lots = %v, want %v", after, want)
+	}
+	if reflect.DeepEqual(search("auction-lots", queries[0]), before) {
+		t.Fatal("reinstalled strategy answers like the old one")
+	}
+}
+
+// TestPreparedConcurrentFirstSearch: the first searches of a fresh DB,
+// through every builtin strategy and SearchDocs at once, prepare their
+// plans under each other's feet (run with -race) and answer exactly as
+// the same searches run one at a time afterwards.
+func TestPreparedConcurrentFirstSearch(t *testing.T) {
+	ctx := context.Background()
+	db := openTestDB(t, 2)
+	names := db.InstallBuiltinStrategies()
+	if err := db.LoadDocs([]Doc{{ID: "d1", Text: "wooden train"}, {ID: "d2", Text: "steel train rails"}}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.DefaultAuctionConfig()
+	queries := workload.Queries(4, 3, cfg.VocabSize, cfg.Seed)
+	run := func(w int) ([][]Hit, error) {
+		var out [][]Hit
+		q := queries[w%len(queries)]
+		for _, name := range names {
+			hits, err := db.Search(ctx, name, q, 10)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, hits)
+		}
+		hits, err := db.SearchDocs(ctx, "train "+q, 10)
+		return append(out, hits), err
+	}
+	const workers = 8
+	got := make([][][]Hit, workers)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var err error
+			if got[w], err = run(w); err != nil {
+				errs <- err
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	rows := 0
+	for w := 0; w < workers; w++ {
+		want, err := run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[w], want) {
+			t.Fatalf("worker %d: concurrent first searches = %v, sequential = %v", w, got[w], want)
+		}
+		for _, hits := range want {
+			rows += len(hits)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no search returned a hit; the comparison is vacuous")
 	}
 }
