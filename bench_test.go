@@ -368,9 +368,9 @@ func BenchmarkE7ProductionStrategyHot(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeStrategy times engine.Ctx.Optimize alone on a hot
-// context (every view already optimized once) for a distinct query each
-// iteration; compiling the plan is left out of the timing.
+// BenchmarkOptimizeStrategy times engine.Ctx.Optimize alone for a
+// distinct query each iteration: the one-off plan cost a prepared search
+// pays per schema epoch. Compiling the plan is left out of the timing.
 func BenchmarkOptimizeStrategy(b *testing.B) {
 	ctx := auctionCtx(b, 4000)
 	queries := auctionQueries()
@@ -404,8 +404,8 @@ func BenchmarkOptimizeStrategy(b *testing.B) {
 
 // BenchmarkPreparedBind times the per-request plan work of a strategy
 // search over 16 000 lots: binding a distinct query into the prepared
-// plan (bind), against compiling and optimizing it ad hoc on a hot view
-// memo (adhoc). Neither executes the plan.
+// plan (bind), against compiling and optimizing it ad hoc (adhoc).
+// Neither executes the plan.
 func BenchmarkPreparedBind(b *testing.B) {
 	ctx := auctionCtx(b, 16000)
 	queries := auctionQueries()

@@ -144,14 +144,16 @@ func runStrategy(ctx *engine.Ctx, path, query string, topK int, timing bool) {
 	if err != nil {
 		fail(err)
 	}
-	plan, err := s.Compile(&strategy.Compiler{Query: query})
+	reg := strategy.NewRegistry(ctx, nil)
+	if err := reg.Install(s); err != nil {
+		fail(err)
+	}
+	entry, err := reg.Lookup(s.Name)
 	if err != nil {
 		fail(err)
 	}
-	plan = engine.NewTopN(plan, topK, engine.SortSpec{Col: "", Desc: true},
-		engine.SortSpec{Col: triple.ColSubject})
 	start := time.Now()
-	rel, err := ctx.Exec(context.Background(), plan)
+	rel, err := entry.Search(context.Background(), query, topK)
 	if err != nil {
 		fail(err)
 	}

@@ -49,8 +49,8 @@ type Catalog struct {
 	// changed: on Put, Drop and snapshot install, and on PutDeltas only
 	// when a published table is new or renames its columns. It is ticked
 	// under mu after the table map changes, so a reader that observes an
-	// epoch sees at least the tables it stamps. Plan-shape caches (the
-	// engine's optimized-view memo) compare it instead of watching tables.
+	// epoch sees at least the tables it stamps. Plan-shape caches
+	// (engine.Prepared) compare it instead of watching tables.
 	schemaEpoch atomic.Uint64
 
 	// Snapshot durability counters, surfaced in /stats "faults": how many

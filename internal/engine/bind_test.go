@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -202,5 +203,95 @@ func TestPreparedRelationParam(t *testing.T) {
 			!strings.Contains(err.Error(), "unbound relation parameter ?q") {
 			t.Errorf("unbound exec = %v rows, err %v", r, err)
 		}
+	}
+}
+
+// epochTable builds a string table with the given column names and rows
+// rows.
+func epochTable(rows int, names ...string) *relation.Relation {
+	cols := make([]relation.Column, len(names))
+	for i, name := range names {
+		vals := make([]string, rows)
+		for r := range vals {
+			vals[r] = fmt.Sprintf("%s%d", name, r%3)
+		}
+		cols[i] = relation.Column{Name: name, Vec: vector.FromStrings(vals)}
+	}
+	return relation.MustFromColumns(cols, nil)
+}
+
+// epochPrepared prepares one plan over table t through a Prepared[Node]
+// and returns a getter that checks each value against a fresh Optimize,
+// plus a pointer to the number of prepares so far. Pruning inside the
+// view keeps only the columns the aggregate reads, so the optimized plan
+// depends on t's column names.
+func epochPrepared(t *testing.T, cat *catalog.Catalog) (get func() Node, prepares *int) {
+	ctx := NewCtx(cat)
+	plan := NewLimit(NewSort(NewMaterialize(NewAggregate(NewScan("t"), []string{"k"},
+		[]AggSpec{{Op: Max, Col: "v", As: "m"}}, GroupCertain)), SortSpec{Col: "k"}), 2)
+	var p Prepared[Node]
+	prepares = new(int)
+	get = func() Node {
+		t.Helper()
+		got, err := p.Get(ctx, func() (Node, error) {
+			*prepares++
+			return ctx.Optimize(plan), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Optimize(cat, plan)
+		if got.Fingerprint() != want.Fingerprint() || Explain(got) != Explain(want) {
+			t.Errorf("prepared plan differs from a fresh Optimize:\n%s", ExplainChange(want, got))
+		}
+		return got
+	}
+	return get, prepares
+}
+
+// TestPreparedSchemaEpoch: a table replaced with a renamed column moves
+// the schema epoch, so the prepared plan prepares again, and the new plan
+// is the one Optimize makes against the new schema.
+func TestPreparedSchemaEpoch(t *testing.T) {
+	cat := catalog.New(0)
+	cat.Put("t", epochTable(6, "k", "v", "x"))
+	get, prepares := epochPrepared(t, cat)
+	first := get()
+
+	cat.Put("t", epochTable(6, "k", "w", "x"))
+	renamed := get()
+	if *prepares != 2 {
+		t.Fatalf("a renamed column kept the prepared plan (%d prepares)", *prepares)
+	}
+	if Explain(renamed) == Explain(first) {
+		t.Fatalf("renaming a column did not change the optimized plan; the test proves nothing:\n%s", Explain(renamed))
+	}
+}
+
+// TestPreparedPutDeltas: appends that keep the column names leave the
+// schema epoch alone, so the prepared value is the very node stored
+// before; a delta that renames a column moves the epoch and prepares
+// again.
+func TestPreparedPutDeltas(t *testing.T) {
+	cat := catalog.New(0)
+	cat.Put("t", epochTable(6, "k", "v", "x"))
+	get, prepares := epochPrepared(t, cat)
+	first := get()
+
+	epoch := cat.SchemaEpoch()
+	cat.PutDeltas(map[string]*relation.Relation{"t": epochTable(9, "k", "v", "x")})
+	if got := cat.SchemaEpoch(); got != epoch {
+		t.Fatalf("PutDeltas with the same column names moved the schema epoch %d -> %d", epoch, got)
+	}
+	if get() != first || *prepares != 1 {
+		t.Errorf("an append prepared again (%d prepares)", *prepares)
+	}
+
+	cat.PutDeltas(map[string]*relation.Relation{"t": epochTable(9, "k", "w", "x")})
+	if got := cat.SchemaEpoch(); got == epoch {
+		t.Fatalf("PutDeltas that renamed a column left the schema epoch at %d", got)
+	}
+	if get() == first || *prepares != 2 {
+		t.Errorf("a renamed column kept the prepared plan (%d prepares)", *prepares)
 	}
 }

@@ -47,10 +47,10 @@
 // values, probabilities and row order — at any parallelism, and every
 // pass is conservative: a rewrite whose legality cannot be proven is
 // skipped. Every Materialize sub-plan (a view) is a barrier to the passes
-// and is optimized on its own first; Ctx.Optimize memoizes each view's
-// optimized form per catalog schema epoch, so a hot request re-plans
-// only the operators above its views. ExplainChange renders the
-// before/after plans; Ctx.OptimizerStats counts what the passes did.
+// and is optimized on its own first. Search plans are optimized once per
+// catalog schema epoch (Prepared) and only bound per request.
+// ExplainChange renders the before/after plans; Ctx.OptimizerStats
+// counts what the passes did.
 //
 // See README.md in this package for the materialization model, the
 // optimizer pass pipeline and the determinism contracts in detail.

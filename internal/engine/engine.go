@@ -57,10 +57,8 @@ type Ctx struct {
 	panics        atomic.Int64
 	budgetDenials atomic.Int64
 
-	// optCounters accumulates per-plan optimizer work, and views memoizes
-	// each materialized sub-plan's optimized form; see optimize.go.
+	// optCounters accumulates per-plan optimizer work; see optimize.go.
 	optCounters
-	views viewMemo
 }
 
 // NewCtx returns an execution context over the given catalog with

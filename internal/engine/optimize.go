@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"irdb/internal/catalog"
@@ -52,43 +51,29 @@ func (i OptInfo) changed() bool {
 	return i.SelectsMerged+i.SelectsPushed+i.EmptyRewrites+i.ColumnsPruned+i.SortsFused > 0
 }
 
-func (i *OptInfo) add(o OptInfo) {
-	i.SelectsMerged += o.SelectsMerged
-	i.SelectsPushed += o.SelectsPushed
-	i.EmptyRewrites += o.EmptyRewrites
-	i.ColumnsPruned += o.ColumnsPruned
-	i.SortsFused += o.SortsFused
-}
-
 // Optimize rewrites plan through the pass pipeline, using cat (which may
 // be nil) for schema resolution. The input plan is never mutated;
-// untouched sub-plans are shared between input and output. Every view is
-// optimized afresh; Ctx.Optimize is the same rewrite with the views
-// memoized.
+// untouched sub-plans are shared between input and output.
 func Optimize(cat *catalog.Catalog, plan Node) (Node, OptInfo) {
 	var info OptInfo
-	plan = optimize(cat, plan, nil, &info)
+	plan = optimize(cat, plan, &info)
 	return plan, info
 }
 
-// optimize replaces every view in plan with its optimized form (through
-// memo when it is non-nil), then runs the passes over the rest.
-func optimize(cat *catalog.Catalog, plan Node, memo *viewMemo, info *OptInfo) Node {
-	plan = optimizeViews(cat, plan, memo, info)
+// optimize replaces every view in plan with its optimized form, then runs
+// the passes over the rest.
+func optimize(cat *catalog.Catalog, plan Node, info *OptInfo) Node {
+	plan = optimizeViews(cat, plan, info)
 	plan = pushdownPass(cat, plan, info)
 	plan = emptyPass(cat, plan, info)
 	return prunePass(cat, plan, info)
 }
 
-// Optimize runs the optimizer with this context's catalog and accumulates
-// the per-plan counters into the context totals reported by
-// OptimizerStats. Views come from the context's memo, so a hot plan
-// re-optimizes only the operators above its views; the output is the
-// plan the free Optimize returns, and a memo hit adds the view's stored
-// counters, so the totals count the same work either way.
+// Optimize is the free Optimize over this context's catalog; it
+// accumulates the per-plan counters into the context totals reported by
+// OptimizerStats.
 func (c *Ctx) Optimize(plan Node) Node {
-	var info OptInfo
-	out := optimize(c.Cat, plan, &c.views, &info)
+	out, info := Optimize(c.Cat, plan)
 	c.optPlans.Add(1)
 	c.optSelectsMerged.Add(int64(info.SelectsMerged))
 	c.optSelectsPushed.Add(int64(info.SelectsPushed))
@@ -102,16 +87,9 @@ func (c *Ctx) Optimize(plan Node) Node {
 }
 
 // OptimizerStats reports cumulative optimizer counters for this context.
-// Views is the current entry count of the optimized-view memo: one per
-// distinct materialized sub-plan seen since the last schema change, not
-// one per query. ViewMisses counts the views optimized afresh; every
-// other view a plan held was a memo hit, so at least
-// 1 − ViewMisses/Plans of the plans were optimized from hits alone.
 type OptimizerStats struct {
 	Plans        int64 `json:"plans"`
 	PlansChanged int64 `json:"plans_changed"`
-	Views        int   `json:"views"`
-	ViewMisses   int64 `json:"view_misses"`
 	OptInfoTotals
 }
 
@@ -129,8 +107,6 @@ func (c *Ctx) OptimizerStats() OptimizerStats {
 	return OptimizerStats{
 		Plans:        c.optPlans.Load(),
 		PlansChanged: c.optChanged.Load(),
-		Views:        c.views.len(),
-		ViewMisses:   c.views.misses.Load(),
 		OptInfoTotals: OptInfoTotals{
 			SelectsMerged: c.optSelectsMerged.Load(),
 			SelectsPushed: c.optSelectsPushed.Load(),
@@ -154,7 +130,7 @@ type optCounters struct {
 }
 
 // ---------------------------------------------------------------------------
-// Views: each Materialize sub-plan optimized on its own, once per schema
+// Views: each Materialize sub-plan optimized on its own
 
 // optimizeViews replaces the child of every Materialize in n with that
 // child optimized on its own, innermost views first. All three passes
@@ -163,83 +139,12 @@ type optCounters struct {
 // before and after optimization — so a view's optimized form depends only
 // on its digest and on the base tables' column names, wherever and
 // however often it occurs.
-func optimizeViews(cat *catalog.Catalog, n Node, memo *viewMemo, info *OptInfo) Node {
+func optimizeViews(cat *catalog.Catalog, n Node, info *OptInfo) Node {
 	m, ok := n.(*Materialize)
 	if !ok {
-		return rewriteChildren(n, func(c Node) Node { return optimizeViews(cat, c, memo, info) })
+		return rewriteChildren(n, func(c Node) Node { return optimizeViews(cat, c, info) })
 	}
-	// Materialize takes its child's identity, so M(M(x)) and M(x) are one
-	// view: the memo holds x, and each chain re-wraps itself over it.
-	if isMaterialize(m.Child) {
-		return withChild(n, m.Child, optimizeViews(cat, m.Child, memo, info))
-	}
-	return withChild(n, m.Child, memo.optimize(cat, m.Child, info))
-}
-
-// viewMemo maps a view's digest to its optimized child and the counters
-// that optimization produced. Entries are valid for one catalog at one
-// schema epoch (catalog.Catalog.SchemaEpoch); the memo empties itself
-// when either moves, so appends, which keep column names, never
-// invalidate it. A nil memo optimizes every view afresh.
-type viewMemo struct {
-	mu      sync.Mutex
-	cat     *catalog.Catalog
-	epoch   uint64
-	entries map[string]viewEntry
-	misses  atomic.Int64
-}
-
-type viewEntry struct {
-	node Node
-	info OptInfo
-}
-
-// syncLocked empties the memo when it was filled against another catalog
-// or an older schema epoch, and returns the current epoch.
-func (vm *viewMemo) syncLocked(cat *catalog.Catalog) uint64 {
-	var epoch uint64
-	if cat != nil {
-		epoch = cat.SchemaEpoch()
-	}
-	if vm.entries == nil || vm.cat != cat || vm.epoch != epoch {
-		vm.cat, vm.epoch, vm.entries = cat, epoch, make(map[string]viewEntry)
-	}
-	return epoch
-}
-
-// optimize returns inner (a view's non-Materialize child) optimized and
-// adds the counters of that optimization to info, on a hit as on a miss.
-// The optimization runs outside the lock and is stored only if the schema
-// epoch did not move meanwhile: the catalog ticks the epoch after it
-// swaps tables, so an entry is never stored under an epoch newer than
-// the tables it was derived from.
-func (vm *viewMemo) optimize(cat *catalog.Catalog, inner Node, info *OptInfo) Node {
-	if vm == nil {
-		return optimize(cat, inner, nil, info)
-	}
-	key := identOf(inner).digest
-	vm.mu.Lock()
-	epoch := vm.syncLocked(cat)
-	e, ok := vm.entries[key]
-	vm.mu.Unlock()
-	if !ok {
-		vm.misses.Add(1)
-		e.node = optimize(cat, inner, vm, &e.info)
-		vm.mu.Lock()
-		if vm.syncLocked(cat) == epoch {
-			vm.entries[key] = e
-		}
-		vm.mu.Unlock()
-	}
-	info.add(e.info)
-	return e.node
-}
-
-// len reports the number of memoized views.
-func (vm *viewMemo) len() int {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	return len(vm.entries)
+	return withChild(n, m.Child, optimize(cat, m.Child, info))
 }
 
 // ---------------------------------------------------------------------------

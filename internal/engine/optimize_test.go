@@ -283,6 +283,45 @@ func TestPrunePassGolden(t *testing.T) {
 	})
 }
 
+// TestOptimizeNestedViewGolden: a Materialize chain is a view inside a
+// view. Each is optimized on its own, so Optimize(M(M(x))) is
+// M(M(Optimize(x))) — the same digest (Materialize takes its child's
+// identity) and the same rendering, the chain kept — with no special
+// case for the chain.
+func TestOptimizeNestedViewGolden(t *testing.T) {
+	cat := newTestCtx().Cat
+	x := NewAggregate(NewScan("triples"), []string{"property"},
+		[]AggSpec{{Op: CountAll, As: "n"}}, GroupCertain)
+	optX, _ := Optimize(cat, x)
+	for _, tc := range []struct {
+		name       string
+		plan, want Node
+		explain    string
+	}{
+		{"chain", NewMaterialize(NewMaterialize(x)), NewMaterialize(NewMaterialize(optX)),
+			"Materialize\n" +
+				"  Materialize\n" +
+				"    Aggregate[certain] by [property]\n" +
+				"      Project property\n" +
+				"        Scan triples\n"},
+		{"chain-under-limit", NewLimit(NewMaterialize(NewMaterialize(x)), 3), NewLimit(NewMaterialize(NewMaterialize(optX)), 3),
+			"Limit 3\n" +
+				"  Materialize\n" +
+				"    Materialize\n" +
+				"      Aggregate[certain] by [property]\n" +
+				"        Project property\n" +
+				"          Scan triples\n"},
+	} {
+		got, _ := Optimize(cat, tc.plan)
+		if got.Fingerprint() != tc.want.Fingerprint() {
+			t.Errorf("%s: digest differs from the chain over Optimize(x):\n%s", tc.name, ExplainChange(tc.want, got))
+		}
+		wantExplain(t, tc.name, Explain(got), Explain(tc.want))
+		wantExplain(t, tc.name, Explain(got), tc.explain)
+		assertFresh(t, got)
+	}
+}
+
 // factDimCatalog builds dict-encoded fact/dim tables: fact(k,g,v) with
 // nKeys distinct keys, dim(k,w) with one row per key.
 func factDimCatalog(t testing.TB, n, nKeys int) *catalog.Catalog {

@@ -21,9 +21,9 @@ import (
 // (LoadTriples, LoadDocs) guarantee. Replacing a table with differently
 // named columns invalidates prepared statements in the unoptimized engine
 // too (by-name lookups fail at run time), so optimization does not widen
-// that contract. Ctx.Optimize's view memo rests on the same contract, and
-// the catalog enforces it there: every change that may rename a column
-// ticks catalog.Catalog.SchemaEpoch, and the memo empties itself when the
+// that contract. Prepared rests on the same contract, and the catalog
+// enforces it there: every change that may rename a column ticks
+// catalog.Catalog.SchemaEpoch, and Prepared prepares again when the
 // epoch moves.
 
 // staticSchema returns the output column names of the subtree rooted at n,
