@@ -147,7 +147,13 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 	if err != nil {
 		return nil, err
 	}
+	return aggregateGroups(c, ctx, in, gIdx, groupBy, groupOf, firstRow, aggSpecs, pmode)
+}
 
+// aggregateGroups is aggregateRel past the grouping: the group columns
+// gathered at each group's first row, then the aggregates and the
+// probability combine folded per group.
+func aggregateGroups(c context.Context, ctx *Ctx, in *relation.Relation, gIdx []int, groupBy []string, groupOf, firstRow []int, aggSpecs []AggSpec, pmode GroupProb) (*relation.Relation, error) {
 	nGroups := len(firstRow)
 	// Budget the accumulators before any fold runs: each chunk of
 	// foldGroups carries a dense nGroups-slot partial per aggregate (the
@@ -175,6 +181,7 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 	}
 
 	var outProb []float64
+	var err error
 	switch pmode {
 	case GroupCertain:
 		outProb = make([]float64, nGroups)
@@ -182,7 +189,9 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 			outProb[g] = 1.0
 		}
 	case GroupDisjoint, GroupSumRaw:
-		outProb = sumProbGroups(c, ctx, prob, groupOf, nGroups)
+		if outProb, err = sumProbGroups(c, ctx, prob, groupOf, nGroups); err != nil {
+			return nil, err
+		}
 		if pmode == GroupDisjoint {
 			for g, s := range outProb {
 				if s > 1 {
@@ -191,7 +200,7 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 			}
 		}
 	case GroupIndependent:
-		q := foldGroups(c, ctx, len(groupOf), nGroups,
+		q, qerr := foldGroups(c, ctx, len(groupOf), nGroups,
 			func() []float64 {
 				acc := make([]float64, nGroups)
 				for g := range acc {
@@ -209,12 +218,17 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 					dst[g] *= src[g]
 				}
 			})
+		if qerr != nil {
+			return nil, qerr
+		}
 		outProb = make([]float64, nGroups)
 		for g := range outProb {
 			outProb[g] = 1 - q[g]
 		}
 	case GroupMax:
-		outProb = maxProbGroups(c, ctx, prob, groupOf, nGroups)
+		if outProb, err = maxProbGroups(c, ctx, prob, groupOf, nGroups); err != nil {
+			return nil, err
+		}
 	}
 
 	if len(cols) == 0 {
@@ -229,59 +243,56 @@ func aggregateRel(c context.Context, ctx *Ctx, in *relation.Relation, groupBy []
 // ids are assigned in first-appearance order). With no group columns all
 // rows (even zero) form a single group, matching SQL's global aggregate.
 //
-// Each row is first mapped to its leader, the first row of its group, and
-// numberGroups turns leaders into ids. One dict-encoded column finds its
-// leaders through a dense code→first-row array (codeLeaders); any other
-// key through a one-pass leader table over the row hashes (hashLeaders).
+// One key column whose domain fits denseGroupSlots is numbered in one pass
+// through a slot → group array (denseGroupRows). Any other key first maps
+// every row to its leader, the first row of its group, through a one-pass
+// leader table over the row hashes (hashLeaders), and numberGroups turns
+// leaders into ids.
 func groupRows(c context.Context, ctx *Ctx, in *relation.Relation, gIdx []int) (groupOf, firstRow []int, err error) {
 	n := in.NumRows()
 	// Leaders are int32 row ids, like the join's bucket index's.
 	if err := checkBuildRows(n); err != nil {
 		return nil, nil, err
 	}
-	// Budget the row→group array and the row→leader array (8 + 4 bytes
-	// per row); the hashed path's hashes and leader table charge themselves.
-	if err := ctx.charge(c, int64(n)*12); err != nil {
+	if len(gIdx) == 1 {
+		key := in.Col(gIdx[0]).Vec
+		dom, ok, derr := denseDomainOf(c, key, denseGroupSlots(n))
+		if derr != nil {
+			return nil, nil, derr
+		}
+		if ok {
+			return denseGroupRows(c, ctx, key, dom)
+		}
+	}
+	return hashGroupRows(c, ctx, in, gIdx)
+}
+
+// hashGroupRows is groupRows' hashed path, for any number of key columns.
+func hashGroupRows(c context.Context, ctx *Ctx, in *relation.Relation, gIdx []int) (groupOf, firstRow []int, err error) {
+	n := in.NumRows()
+	if len(gIdx) == 0 {
+		if err := ctx.charge(c, int64(n)*8); err != nil {
+			return nil, nil, err
+		}
+		return make([]int, n), []int{0}, nil
+	}
+	// Budget the row→group array, the row→leader array and the first-row
+	// list, which has at most one entry per row (8 + 4 + 8 bytes per row);
+	// the hashes and leader table charge themselves.
+	if err := ctx.charge(c, int64(n)*20); err != nil {
 		return nil, nil, err
 	}
 	groupOf = make([]int, n)
-	if len(gIdx) == 0 {
-		return groupOf, []int{0}, nil
-	}
 	leader := make([]int32, n)
-	if dv, ok := in.Col(gIdx[0]).Vec.(*vector.DictStrings); ok && len(gIdx) == 1 && dv.Dict().DenseIn(n) {
-		err = codeLeaders(c, ctx, dv, leader)
-	} else {
-		vecs := colVecs(in, gIdx)
-		var hashes []uint64
-		if hashes, err = hashVecsParallel(c, ctx, vecs, n, maphash.MakeSeed()); err == nil {
-			err = hashLeaders(c, ctx, vecs, hashes, leader)
-		}
-	}
+	vecs := colVecs(in, gIdx)
+	hashes, err := hashVecsParallel(c, ctx, vecs, n, maphash.MakeSeed())
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := hashLeaders(c, ctx, vecs, hashes, leader); err != nil {
+		return nil, nil, err
+	}
 	return groupOf, numberGroups(leader, groupOf), nil
-}
-
-// codeLeaders sets leader[i] for one dict-encoded column: codes are dense
-// ints, so one code→first-row array, filled in row order, replaces the
-// hash table.
-func codeLeaders(c context.Context, ctx *Ctx, dv *vector.DictStrings, leader []int32) error {
-	if err := ctx.charge(c, int64(dv.Dict().Len())*4); err != nil {
-		return err
-	}
-	first := make([]int32, dv.Dict().Len())
-	for i := range first {
-		first[i] = -1
-	}
-	for i, code := range dv.Codes() {
-		if first[code] < 0 {
-			first[code] = int32(i)
-		}
-		leader[i] = first[code]
-	}
-	return nil
 }
 
 // hashLeaders sets leader[i] to the first row whose key (vecs) equals row
@@ -335,8 +346,16 @@ func hashLeaders(c context.Context, ctx *Ctx, vecs []vector.Vector, hashes []uin
 // numberGroups turns leaders into group ids in one pass in row order: a
 // row that leads its group takes the next id, any other row its leader's,
 // which is already set because a leader precedes its members. It returns
-// each group's first row.
+// each group's first row, allocated once the leaders are counted; the
+// caller has charged one 8 B entry per row, the most groups there can be.
 func numberGroups(leader []int32, groupOf []int) (firstRow []int) {
+	groups := 0
+	for i, l := range leader {
+		if int(l) == i {
+			groups++
+		}
+	}
+	firstRow = make([]int, 0, groups)
 	for i, l := range leader {
 		if int(l) == i {
 			groupOf[i] = len(firstRow)
@@ -396,13 +415,15 @@ func aggRanges(n, nGroups int) [][2]int {
 // accumulator, and merge combines partials strictly in chunk index order —
 // the determinism contract float aggregates rely on (see aggRanges).
 // Chunks run on available workers; a single chunk folds inline, which is
-// byte-for-byte the serial loop.
-func foldGroups[T any](c context.Context, ctx *Ctx, n, nGroups int, newAcc func() []T, fold func(acc []T, lo, hi int), merge func(dst, src []T)) []T {
+// byte-for-byte the serial loop. Cancellation stops dispatching chunks,
+// so a cancelled fold returns the context's error instead of merging the
+// partials it lacks.
+func foldGroups[T any](c context.Context, ctx *Ctx, n, nGroups int, newAcc func() []T, fold func(acc []T, lo, hi int), merge func(dst, src []T)) ([]T, error) {
 	ranges := aggRanges(n, nGroups)
 	if len(ranges) <= 1 {
 		acc := newAcc()
 		fold(acc, 0, n)
-		return acc
+		return acc, nil
 	}
 	parts := make([][]T, len(ranges))
 	ctx.runRanges(c, ranges, func(m, lo, hi int) {
@@ -410,11 +431,14 @@ func foldGroups[T any](c context.Context, ctx *Ctx, n, nGroups int, newAcc func(
 		fold(acc, lo, hi)
 		parts[m] = acc
 	})
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
 	out := parts[0]
 	for _, p := range parts[1:] {
 		merge(out, p)
 	}
-	return out
+	return out, nil
 }
 
 func addFloats(dst, src []float64) {
@@ -438,7 +462,7 @@ func addInts(dst, src []int64) {
 }
 
 // countGroups is the shared accumulator of CountAll and Count.
-func countGroups(c context.Context, ctx *Ctx, groupOf []int, nGroups int) []int64 {
+func countGroups(c context.Context, ctx *Ctx, groupOf []int, nGroups int) ([]int64, error) {
 	return foldGroups(c, ctx, len(groupOf), nGroups,
 		func() []int64 { return make([]int64, nGroups) },
 		func(acc []int64, lo, hi int) {
@@ -452,7 +476,7 @@ func countGroups(c context.Context, ctx *Ctx, groupOf []int, nGroups int) []int6
 // sumProbGroups sums the probability column per group — the shared
 // accumulator of the SumProb aggregate and the disjoint/sum-raw
 // probability combines, so the two can never drift apart.
-func sumProbGroups(c context.Context, ctx *Ctx, prob []float64, groupOf []int, nGroups int) []float64 {
+func sumProbGroups(c context.Context, ctx *Ctx, prob []float64, groupOf []int, nGroups int) ([]float64, error) {
 	return foldGroups(c, ctx, len(groupOf), nGroups,
 		func() []float64 { return make([]float64, nGroups) },
 		func(acc []float64, lo, hi int) {
@@ -465,7 +489,7 @@ func sumProbGroups(c context.Context, ctx *Ctx, prob []float64, groupOf []int, n
 
 // maxProbGroups takes the probability maximum per group — shared by the
 // MaxProb aggregate and the max probability combine.
-func maxProbGroups(c context.Context, ctx *Ctx, prob []float64, groupOf []int, nGroups int) []float64 {
+func maxProbGroups(c context.Context, ctx *Ctx, prob []float64, groupOf []int, nGroups int) ([]float64, error) {
 	return foldGroups(c, ctx, len(groupOf), nGroups,
 		func() []float64 { return make([]float64, nGroups) },
 		func(acc []float64, lo, hi int) {
@@ -494,11 +518,14 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 	n := len(groupOf)
 	switch spec.Op {
 	case CountAll:
-		return vector.FromInt64s(countGroups(c, ctx, groupOf, nGroups)), nil
+		counts, err := countGroups(c, ctx, groupOf, nGroups)
+		return vector.FromInt64s(counts), err
 	case SumProb:
-		return vector.FromFloat64s(sumProbGroups(c, ctx, prob, groupOf, nGroups)), nil
+		sums, err := sumProbGroups(c, ctx, prob, groupOf, nGroups)
+		return vector.FromFloat64s(sums), err
 	case MaxProb:
-		return vector.FromFloat64s(maxProbGroups(c, ctx, prob, groupOf, nGroups)), nil
+		maxes, err := maxProbGroups(c, ctx, prob, groupOf, nGroups)
+		return vector.FromFloat64s(maxes), err
 	}
 
 	col, err := in.ColByName(spec.Col)
@@ -507,7 +534,8 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 	}
 	switch spec.Op {
 	case Count:
-		return vector.FromInt64s(countGroups(c, ctx, groupOf, nGroups)), nil
+		counts, err := countGroups(c, ctx, groupOf, nGroups)
+		return vector.FromInt64s(counts), err
 	case Min, Max:
 		// Partials track the best row per group; merging compares the
 		// earlier chunk's best against the later one's with the same strict
@@ -520,7 +548,7 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 			}
 			return col.Vec.LessAt(b, col.Vec, a)
 		}
-		best := foldGroups(c, ctx, n, nGroups,
+		best, err := foldGroups(c, ctx, n, nGroups,
 			func() []int {
 				acc := make([]int, nGroups)
 				for g := range acc {
@@ -543,6 +571,9 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 					}
 				}
 			})
+		if err != nil {
+			return nil, err
+		}
 		for g, b := range best {
 			if b < 0 {
 				return nil, fmt.Errorf("%s over empty group %d", spec.Op, g)
@@ -572,7 +603,7 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 		default:
 			return nil, fmt.Errorf("%s over non-numeric column %q", spec.Op, spec.Col)
 		}
-		sums := foldGroups(c, ctx, n, nGroups,
+		sums, err := foldGroups(c, ctx, n, nGroups,
 			func() []sumCount { return make([]sumCount, nGroups) },
 			fold,
 			func(dst, src []sumCount) {
@@ -581,6 +612,9 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 					dst[g].n += src[g].n
 				}
 			})
+		if err != nil {
+			return nil, err
+		}
 		if spec.Op == Avg {
 			out := make([]float64, nGroups)
 			for g := range out {

@@ -212,10 +212,52 @@ func benchJoinBuild(b *testing.B, par int) {
 func BenchmarkJoinBuildSerial(b *testing.B)    { benchJoinBuild(b, 1) }
 func BenchmarkJoinBuildParallel8(b *testing.B) { benchJoinBuild(b, 8) }
 
-// benchGroupRows groups matRows string keys drawn from 1k, 20k and 400k
-// values, plain (the hashed path) and dict-encoded (the dense path). The
-// axis keeps the hashed path's weak spot visible: its table is sized by
-// rows, not by distinct keys, so few keys over many rows cost it the most.
+// BenchmarkJoinIndexInt builds a join index over 30k int build rows (20k
+// distinct keys) and probes it with matRows rows at parallelism 1: the
+// whole keyed part of a join, dense (indexed by value) against sparse
+// (hashed) keys of the same shape.
+func BenchmarkJoinIndexInt(b *testing.B) {
+	for _, keys := range keyFamilies {
+		b.Run(keys.name, func(b *testing.B) {
+			build := colVecs(intKeyRel(30000, 20000, keys.scale), []int{0})
+			probe := colVecs(intKeyRel(matRows, 20000, keys.scale), []int{0})
+			ctx := &Ctx{Parallelism: 1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, err := newJoinIndex(context.Background(), ctx, build, 30000)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if (idx.dense != nil) != keys.dense {
+					b.Fatalf("dense index = %v, want %v", idx.dense != nil, keys.dense)
+				}
+				pSel, _, err := probePairs(context.Background(), ctx, idx, probe, build, matRows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchProbeSink = len(pSel)
+			}
+		})
+	}
+}
+
+// intKeyRel is an n-row relation whose int column k draws nKeys distinct
+// values, each multiplied by scale: 1 keeps them dense enough to address
+// directly, sparseScale spreads them so they hash.
+func intKeyRel(n, nKeys int, scale int64) *relation.Relation {
+	r := rand.New(rand.NewSource(42))
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(r.Intn(nKeys)) * scale
+	}
+	return relation.MustFromColumns([]relation.Column{{Name: "k", Vec: vector.FromInt64s(keys)}}, nil)
+}
+
+// benchGroupRows groups matRows keys drawn from 1k, 20k and 400k values:
+// strings plain (hashed) and dict-encoded, ints dense (both direct-
+// addressed) and sparse (hashed). The axis keeps the hashed path's weak
+// spot visible: its table is sized by rows, not by distinct keys, so few
+// keys over many rows cost it the most.
 func benchGroupRows(b *testing.B, par int) {
 	for _, keys := range []int{1000, 20000, 400000} {
 		plain := matRel(matRows, keys)
@@ -226,7 +268,12 @@ func benchGroupRows(b *testing.B, par int) {
 		for _, in := range []struct {
 			name string
 			rel  *relation.Relation
-		}{{"plain", plain}, {"dict", dict}} {
+		}{
+			{"plain", plain},
+			{"dict", dict},
+			{"int-dense", intKeyRel(matRows, keys, 1)},
+			{"int-sparse", intKeyRel(matRows, keys, sparseScale)},
+		} {
 			b.Run(fmt.Sprintf("keys=%d/%s", keys, in.name), func(b *testing.B) {
 				ctx := &Ctx{Parallelism: par}
 				for i := 0; i < b.N; i++ {

@@ -25,24 +25,52 @@ func budgetPlan() Node {
 	return NewMaterialize(NewSort(u, SortSpec{Col: "b"}, SortSpec{Col: "n", Desc: true}))
 }
 
-func budgetCatalog() *catalog.Catalog {
+func budgetCatalog() *catalog.Catalog { return budgetCatalogScaled(1) }
+
+// budgetCatalogScaled is budgetCatalog with the int key column a of both
+// tables multiplied by scale (see keyFamilies).
+func budgetCatalogScaled(scale int64) *catalog.Catalog {
 	r := rand.New(rand.NewSource(77))
 	cat := catalog.New(0)
-	cat.Put("fact", randRel(r, 3*minMorsel, 400))
-	cat.Put("dim", randRel(r, minMorsel, 400))
+	cat.Put("fact", scaleKeys(randRel(r, 3*minMorsel, 400), "a", scale))
+	cat.Put("dim", scaleKeys(randRel(r, minMorsel, 400), "a", scale))
 	return cat
+}
+
+// assertBudgetKeyPaths pins which path the budget plans' int key a takes
+// in the catalog: the join on dim.a and the grouping of fact.a.
+func assertBudgetKeyPaths(t *testing.T, cat *catalog.Catalog, dense bool) {
+	t.Helper()
+	for _, tc := range []struct {
+		table string
+		limit func(int) int
+	}{{"dim", denseJoinSlots}, {"fact", denseGroupSlots}} {
+		rel, err := cat.Table(tc.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertKeyPath(t, rel, "a", tc.limit, dense)
+	}
 }
 
 // TestBudgetEquivalence pins that a query under a sufficient budget is
 // bit-identical to the unbudgeted path at parallelism 1/2/8 and that
 // its reservation is fully returned to the pool.
 func TestBudgetEquivalence(t *testing.T) {
-	want, err := (&Ctx{Cat: budgetCatalog(), Parallelism: 1}).Exec(context.Background(), budgetPlan())
+	for _, keys := range keyFamilies {
+		t.Run(keys.name, func(t *testing.T) { budgetEquivalence(t, keys.scale, keys.dense) })
+	}
+}
+
+func budgetEquivalence(t *testing.T, scale int64, dense bool) {
+	cat := budgetCatalogScaled(scale)
+	assertBudgetKeyPaths(t, cat, dense)
+	want, err := (&Ctx{Cat: cat, Parallelism: 1}).Exec(context.Background(), budgetPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 8} {
-		ctx := &Ctx{Cat: budgetCatalog(), Parallelism: par, UseCache: true}
+		ctx := &Ctx{Cat: budgetCatalogScaled(scale), Parallelism: par, UseCache: true}
 		pool := memory.NewPool(0)
 		res := pool.Reserve(1 << 30)
 		c := memory.WithReservation(context.Background(), res)
@@ -63,12 +91,26 @@ func TestBudgetEquivalence(t *testing.T) {
 
 // TestBudgetExceeded pins the failure mode: a tiny budget aborts with
 // ErrBudgetExceeded (matchable through the operator-label wrapping), the
-// error is never cached, and the reservation leaks nothing. The grouping
-// inputs get a reservation that admits the input scan (which charges
-// nothing) and groupRows' own 12 bytes per row, but not the row hashes
-// it charges next, so the denial comes from inside the grouping.
+// error is never cached, and the reservation leaks nothing. It runs over
+// both key families. The grouping inputs get a reservation sized so the
+// denial comes from inside the grouping: the hashed path (string column
+// b, or the sparse int column a) is admitted its own 20 bytes per row
+// but not the row hashes it charges next; the dense path (the dense int
+// column a) charges its arrays at once, past a reservation of 8 bytes
+// per row.
 func TestBudgetExceeded(t *testing.T) {
-	groupBudget := int64(3*minMorsel) * 16 // fact's rows
+	for _, keys := range keyFamilies {
+		t.Run(keys.name, func(t *testing.T) { budgetExceeded(t, keys.scale, keys.dense) })
+	}
+}
+
+func budgetExceeded(t *testing.T, scale int64, dense bool) {
+	assertBudgetKeyPaths(t, budgetCatalogScaled(scale), dense)
+	rows := int64(3 * minMorsel) // fact's rows
+	hashedBudget, keyBudget := rows*24, rows*24
+	if dense {
+		keyBudget = rows * 8
+	}
 	for _, in := range []struct {
 		name   string
 		plan   func() Node
@@ -77,11 +119,15 @@ func TestBudgetExceeded(t *testing.T) {
 		{"composite", budgetPlan, 512}, // far below any gather output
 		{"aggregate", func() Node {
 			return NewMaterialize(NewAggregate(NewScan("fact"), []string{"b"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupCertain))
-		}, groupBudget},
-		{"normalize", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []int{1}, NormSum)) }, groupBudget},
+		}, hashedBudget},
+		{"normalize", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []int{1}, NormSum)) }, hashedBudget},
+		{"aggregate-int-key", func() Node {
+			return NewMaterialize(NewAggregate(NewScan("fact"), []string{"a"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupCertain))
+		}, keyBudget},
+		{"normalize-int-key", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []int{0}, NormSum)) }, keyBudget},
 	} {
 		for _, par := range []int{1, 2, 8} {
-			cat := budgetCatalog()
+			cat := budgetCatalogScaled(scale)
 			ctx := &Ctx{Cat: cat, Parallelism: par, UseCache: true}
 			pool := memory.NewPool(0)
 			res := pool.Reserve(in.budget)
@@ -107,7 +153,7 @@ func TestBudgetExceeded(t *testing.T) {
 
 			// The failure must not have been cached: the same plan under no
 			// budget must execute cleanly and match the reference.
-			want, err := (&Ctx{Cat: budgetCatalog(), Parallelism: 1}).Exec(context.Background(), in.plan())
+			want, err := (&Ctx{Cat: budgetCatalogScaled(scale), Parallelism: 1}).Exec(context.Background(), in.plan())
 			if err != nil {
 				t.Fatal(err)
 			}

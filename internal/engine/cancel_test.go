@@ -11,6 +11,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -25,11 +26,18 @@ import (
 // cancelRel builds an n-row relation with an int64 key column of the
 // given cardinality and a payload column.
 func cancelRel(n, cardinality int, seed int64) *relation.Relation {
+	return cancelRelScaled(n, cardinality, seed, 1)
+}
+
+// cancelRelScaled is cancelRel with every key multiplied by scale: at 1
+// the keys span [0, cardinality) and take the direct-addressed path, at
+// sparseScale they span far past any slot limit and hash.
+func cancelRelScaled(n, cardinality int, seed, scale int64) *relation.Relation {
 	r := rand.New(rand.NewSource(seed))
 	keys := make([]int64, n)
 	payload := make([]int64, n)
 	for i := range keys {
-		keys[i] = int64(r.Intn(cardinality))
+		keys[i] = int64(r.Intn(cardinality)) * scale
 		payload[i] = r.Int63()
 	}
 	return relation.MustFromColumns([]relation.Column{
@@ -84,18 +92,24 @@ func runCancelled(t *testing.T, ctx *Ctx, plan Node) {
 }
 
 func TestCancelDuringJoinProbe(t *testing.T) {
-	cat := catalog.New(0)
-	// High fan-out: every probe row matches ~build/cardinality rows, so
-	// the probe loop dominates.
-	cat.Put("build", cancelRel(20_000, 200, 1))
-	cat.Put("probe", cancelRel(30_000, 200, 2))
 	for _, par := range []int{1, 2} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			ctx := NewCtx(cat)
-			ctx.Parallelism = par
-			plan := NewHashJoin(NewScan("probe"), NewScan("build"),
-				[]string{"k"}, []string{"k"}, JoinIndependent)
-			runCancelled(t, ctx, plan)
+			for _, keys := range keyFamilies {
+				t.Run(keys.name, func(t *testing.T) {
+					cat := catalog.New(0)
+					// High fan-out: every probe row matches
+					// ~build/cardinality rows, so the probe loop dominates.
+					build := cancelRelScaled(20_000, 200, 1, keys.scale)
+					assertKeyPath(t, build, "k", denseJoinSlots, keys.dense)
+					cat.Put("build", build)
+					cat.Put("probe", cancelRelScaled(30_000, 200, 2, keys.scale))
+					ctx := NewCtx(cat)
+					ctx.Parallelism = par
+					plan := NewHashJoin(NewScan("probe"), NewScan("build"),
+						[]string{"k"}, []string{"k"}, JoinIndependent)
+					runCancelled(t, ctx, plan)
+				})
+			}
 		})
 	}
 }
@@ -112,26 +126,67 @@ func TestCancelDuringSortMerge(t *testing.T) {
 }
 
 func TestCancelDuringAggregate(t *testing.T) {
-	cat := catalog.New(0)
-	cat.Put("big", cancelRel(500_000, 250_000, 4))
-	ctx := NewCtx(cat)
-	ctx.Parallelism = 2
-	plan := NewAggregate(NewScan("big"), []string{"k"},
-		[]AggSpec{{Op: Sum, Col: "v", As: "s"}}, GroupCertain)
-	runCancelled(t, ctx, plan)
+	for _, keys := range keyFamilies {
+		t.Run(keys.name, func(t *testing.T) {
+			cat := catalog.New(0)
+			big := cancelRelScaled(500_000, 250_000, 4, keys.scale)
+			assertKeyPath(t, big, "k", denseGroupSlots, keys.dense)
+			cat.Put("big", big)
+			ctx := NewCtx(cat)
+			ctx.Parallelism = 2
+			plan := NewAggregate(NewScan("big"), []string{"k"},
+				[]AggSpec{{Op: Sum, Col: "v", As: "s"}}, GroupCertain)
+			runCancelled(t, ctx, plan)
+		})
+	}
 }
 
 // TestCancelDuringNormalize: grouped Normalize guards against folding
-// over a grouping cut short by cancellation (whose groupOf still holds
-// per-morsel local ids) — the query must return context.Canceled, never
-// panic.
+// over a grouping cut short by cancellation (whose groupOf is partial) —
+// the query must return context.Canceled, never panic.
 func TestCancelDuringNormalize(t *testing.T) {
-	cat := catalog.New(0)
-	cat.Put("big", cancelRel(300_000, 150_000, 10))
-	ctx := NewCtx(cat)
-	ctx.Parallelism = 2
-	plan := NewNormalize(NewScan("big"), []int{0}, NormSum)
-	runCancelled(t, ctx, plan)
+	for _, keys := range keyFamilies {
+		t.Run(keys.name, func(t *testing.T) {
+			cat := catalog.New(0)
+			big := cancelRelScaled(300_000, 150_000, 10, keys.scale)
+			assertKeyPath(t, big, "k", denseGroupSlots, keys.dense)
+			cat.Put("big", big)
+			ctx := NewCtx(cat)
+			ctx.Parallelism = 2
+			plan := NewNormalize(NewScan("big"), []int{0}, NormSum)
+			runCancelled(t, ctx, plan)
+		})
+	}
+}
+
+// TestCancelledFoldReturnsCanceled: under a cancelled context a fold over
+// several aggregation chunks dispatches none of them, so every operator
+// tail built on foldGroups must return context.Canceled rather than merge
+// or index the partials it lacks. A fast grouping moves a query's
+// cancellation point into the fold, which is how this was found.
+func TestCancelledFoldReturnsCanceled(t *testing.T) {
+	in := cancelRel(3*aggChunk, 50, 12)
+	ctx := &Ctx{Parallelism: 2}
+	groupOf, firstRow, err := groupRows(context.Background(), ctx, in, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aggRanges(in.NumRows(), len(firstRow))) < 2 {
+		t.Fatal("input does not split into aggregation chunks")
+	}
+	c, cancel := context.WithCancel(context.Background())
+	cancel()
+	aggs := []AggSpec{{Op: CountAll, As: "n"}, {Op: Avg, Col: "v", As: "a"}, {Op: Min, Col: "v", As: "m"}, {Op: SumProb, As: "sp"}}
+	for _, pmode := range []GroupProb{GroupCertain, GroupDisjoint, GroupIndependent, GroupMax, GroupSumRaw} {
+		if _, err := aggregateGroups(c, ctx, in, []int{0}, []string{"k"}, groupOf, firstRow, aggs, pmode); !errors.Is(err, context.Canceled) {
+			t.Fatalf("aggregate %v: err = %v, want context.Canceled", pmode, err)
+		}
+	}
+	for _, mode := range []NormMode{NormSum, NormMax} {
+		if _, err := normalizeGroups(c, ctx, in, groupOf, len(firstRow), mode); !errors.Is(err, context.Canceled) {
+			t.Fatalf("normalize %v: err = %v, want context.Canceled", mode, err)
+		}
+	}
 }
 
 // TestCancelledNeverCached: an execution cancelled mid-plan must not

@@ -24,19 +24,22 @@
 //     any parallelism and input size),
 //     full Sort merge-sorts per-morsel stable runs through the same
 //     merge, the hash-join build partitions flat open-addressing tables
-//     by hash bits, grouping looks each row's group leader (its first
-//     row) up in that same index and numbers leaders in row order, so
-//     ids stay in first-appearance order, and aggregation (including Normalize's
+//     by hash bits, grouping finds each row's group leader (its first
+//     row) in per-partition leader tables and numbers leaders in row
+//     order, so ids stay in first-appearance order, and aggregation (including Normalize's
 //     denominators and the probability combines) folds per-chunk partial
 //     accumulators merged in a fixed chunk order so float results stay
 //     bit-identical at every parallelism.
+//   - A join or grouping on one key column of dense integers — dict
+//     codes, or ints over a narrow range — indexes an array by value
+//     instead of hashing, whenever those arrays take no more bytes than
+//     the hashed structures they replace (dense.go).
 //   - String-keyed stages run over dictionary codes when inputs are
-//     dict-encoded (vector.DictStrings): joins hash and compare int32
-//     codes, a single encoded group column finds its leaders through one
-//     dense code→first-row array with no hashing at all, and sort comparators
-//     compare precomputed lexicographic ranks. Mixed representations
-//     (plain vs encoded, or different dicts) fall back to string
-//     semantics — see README.md's dictionary-encoding contract.
+//     dict-encoded (vector.DictStrings): joins hash or index int32 codes,
+//     and sort comparators compare precomputed lexicographic ranks.
+//     Mixed representations (plain vs encoded, or different dicts) fall
+//     back to string semantics — see README.md's dictionary-encoding
+//     contract.
 //
 // Compiled plans pass through an optimizer (Optimize / Ctx.Optimize)
 // before execution: three rule passes — selection pushdown below joins

@@ -127,6 +127,12 @@ func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	if err != nil {
 		return nil, err
 	}
+	return j.joinPairs(c, ctx, left, right, lSel, rSel)
+}
+
+// joinPairs gathers the matched (left, right) row pairs into the join's
+// output and recombines their probabilities per PMode.
+func (j *HashJoin) joinPairs(c context.Context, ctx *Ctx, left, right *relation.Relation, lSel, rSel []int) (*relation.Relation, error) {
 	// Budget the output probability column as soon as the pair count is
 	// known (the gathered columns charge themselves in gatherParallel).
 	if err := ctx.charge(c, int64(len(lSel))*8); err != nil {
@@ -177,17 +183,16 @@ func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	return relation.FromColumns(cols, prob)
 }
 
-// match builds the hash table over the right input and probes it with left
-// rows. Pairs come out in the canonical order — ascending left row, ties in
-// ascending right row (bucket segments store build rows ascending).
+// match indexes the right input and probes it with left rows. Pairs come
+// out in the canonical order — ascending left row, ties in ascending right
+// row (bucket segments and dense slots both store build rows ascending).
 func (j *HashJoin) match(c context.Context, ctx *Ctx, left, right *relation.Relation, lIdx, rIdx []int) ([]int, []int, error) {
 	idx, err := j.buildIndex(c, ctx, right, rIdx)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Align the probe keys with the build side's hash domains (decode or
-	// re-encode dict columns as needed; see dictkeys.go), then hash the
-	// aligned vectors with the index's seed.
+	// Align the probe keys with the build side's key domains (decode or
+	// re-encode dict columns as needed; see dictkeys.go).
 	rKeyVecs := colVecs(right, rIdx)
 	lKeyVecs := alignProbeVecs(colVecs(left, lIdx), rKeyVecs)
 	return probePairs(c, ctx, idx, lKeyVecs, rKeyVecs, left.NumRows())
@@ -197,9 +202,43 @@ func (j *HashJoin) match(c context.Context, ctx *Ctx, left, right *relation.Rela
 // (probe, build) row pairs, ordered by ascending probe row with build rows
 // ascending within each probe row.
 func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVecs []vector.Vector, probeRows int) ([]int, []int, error) {
-	pHash, err := hashVecsParallel(c, ctx, probeVecs, probeRows, idx.seed)
-	if err != nil {
-		return nil, nil, err
+	// probe appends the pairs of probe rows [lo, hi) to pp and bp. A dense
+	// index reads the probe key's slot; a hashed one hashes the probe keys
+	// with the index's seed and checks every bucket row's key.
+	var probe func(lo, hi int, pp, bp []int) ([]int, []int)
+	if d := idx.dense; d != nil {
+		codes, ints, err := denseProbeKey(c, ctx, probeVecs[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		probe = func(lo, hi int, pp, bp []int) ([]int, []int) {
+			if codes != nil {
+				return probeDense(c, d, codes, lo, hi, pp, bp)
+			}
+			return probeDense(c, d, ints, lo, hi, pp, bp)
+		}
+	} else {
+		pHash, err := hashVecsParallel(c, ctx, probeVecs, probeRows, idx.seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		probe = func(lo, hi int, pp, bp []int) ([]int, []int) {
+			for i := lo; i < hi; i++ {
+				// The probe is the join's longest loop; check cancellation
+				// every few thousand rows so even a single-morsel (serial)
+				// probe stops promptly. Partial parts are discarded below.
+				if i&0x1fff == 0x1fff && c.Err() != nil {
+					break
+				}
+				for _, bi := range idx.buckets.lookup(pHash[i]) {
+					if vecsEqual(probeVecs, i, buildVecs, int(bi)) {
+						pp = append(pp, i)
+						bp = append(bp, int(bi))
+					}
+				}
+			}
+			return pp, bp
+		}
 	}
 
 	// Probe in parallel: each morsel of probe rows collects its matches
@@ -213,27 +252,11 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 	if err := ctx.charge(c, int64(probeRows)*16); err != nil {
 		return nil, nil, err
 	}
-	ranges := ctx.morselRanges(len(pHash))
+	ranges := ctx.morselRanges(probeRows)
 	pParts := make([][]int, len(ranges))
 	bParts := make([][]int, len(ranges))
 	ctx.runRanges(c, ranges, func(m, lo, hi int) {
-		pp := make([]int, 0, hi-lo)
-		bp := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			// The probe is the join's longest loop; check cancellation
-			// every few thousand rows so even a single-morsel (serial)
-			// probe stops promptly. Partial parts are discarded below.
-			if i&0x1fff == 0x1fff && c.Err() != nil {
-				break
-			}
-			for _, bi := range idx.buckets.lookup(pHash[i]) {
-				if vecsEqual(probeVecs, i, buildVecs, int(bi)) {
-					pp = append(pp, i)
-					bp = append(bp, int(bi))
-				}
-			}
-		}
-		pParts[m], bParts[m] = pp, bp
+		pParts[m], bParts[m] = probe(lo, hi, make([]int, 0, hi-lo), make([]int, 0, hi-lo))
 	})
 	if err := c.Err(); err != nil {
 		return nil, nil, err
@@ -292,48 +315,86 @@ func checkPositions(r *relation.Relation, pos []int) ([]int, error) {
 	return pos, nil
 }
 
-// joinIndex is a reusable hash table over the build side of an equi-join.
+// joinIndex is a reusable index over the build side of an equi-join.
 // For materialized (cached) build sides — the on-demand index tables of
 // section 2.1 — the index is built once and reused by every later query,
 // which is what makes "hot" query latencies possible: probing costs only
-// the matching postings, as in Figure 1's term look-up. The bucket table
-// is partitioned by low hash bits so the build itself runs on all workers
-// (hashing and partition merging are both morsel-parallel).
+// the matching postings, as in Figure 1's term look-up. A single key
+// column with a narrow domain is indexed directly by value (dense, see
+// dense.go); any other key is hashed into a bucket table partitioned by
+// low hash bits, so the build itself runs on all workers (hashing and
+// partition merging are both morsel-parallel).
 type joinIndex struct {
 	seed    maphash.Seed
-	buckets *bucketIndex
+	buckets *bucketIndex       // hashed path
+	dense   *denseIndex        // direct-addressed path; nil when hashed
 	rel     *relation.Relation // identity check: index is valid for this exact relation
 }
 
 // EstimatedBytes implements catalog.Sized: cached join indexes count
 // toward (and are evictable under) the cache's byte budget. The build-side
 // relation is not counted — it is cached, and weighed, separately.
-func (ix *joinIndex) EstimatedBytes() int64 { return ix.buckets.EstimatedBytes() }
+func (ix *joinIndex) EstimatedBytes() int64 {
+	if ix.dense != nil {
+		return ix.dense.EstimatedBytes()
+	}
+	return ix.buckets.EstimatedBytes()
+}
 
-// buildIndex hashes the build (right) side's key columns, sharing the
-// index through the aux cache when that side is a materialized sub-plan.
-func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relation, keyIdx []int) (*joinIndex, error) {
-	build := func(bc context.Context) (*joinIndex, error) {
-		idx := &joinIndex{seed: maphash.MakeSeed(), rel: side}
-		// The build side's own key vectors define the hash domain: a
-		// dict-encoded column hashes codes, a plain one hashes strings.
-		// Probes align to it (alignProbeVecs), so the index stays valid
-		// for probes of either representation.
-		sHash, err := hashVecsParallel(bc, ctx, colVecs(side, keyIdx), side.NumRows(), idx.seed)
+// newJoinIndex indexes n build rows on the key vectors: directly when one
+// key column's domain fits denseJoinSlots, hashed otherwise.
+func newJoinIndex(c context.Context, ctx *Ctx, keys []vector.Vector, n int) (*joinIndex, error) {
+	if err := checkBuildRows(n); err != nil {
+		return nil, err
+	}
+	if len(keys) == 1 {
+		dom, ok, err := denseDomainOf(c, keys[0], denseJoinSlots(n))
 		if err != nil {
 			return nil, err
 		}
-		buckets, err := buildBuckets(bc, ctx, sHash)
+		if ok {
+			d, err := buildDenseIndex(c, ctx, keys[0], dom)
+			if err != nil {
+				return nil, err
+			}
+			return &joinIndex{dense: d}, nil
+		}
+	}
+	return hashJoinIndex(c, ctx, keys, n)
+}
+
+// hashJoinIndex is newJoinIndex's hashed path: the build side's own key
+// vectors define the hash domain — a dict-encoded column hashes codes, a
+// plain one strings. Probes align to it (alignProbeVecs), so the index
+// stays valid for probes of either representation.
+func hashJoinIndex(c context.Context, ctx *Ctx, keys []vector.Vector, n int) (*joinIndex, error) {
+	idx := &joinIndex{seed: maphash.MakeSeed()}
+	sHash, err := hashVecsParallel(c, ctx, keys, n, idx.seed)
+	if err != nil {
+		return nil, err
+	}
+	if idx.buckets, err = buildBuckets(c, ctx, sHash); err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
+
+// buildIndex indexes the build (right) side's key columns, sharing the
+// index through the aux cache when that side is a materialized sub-plan.
+func (j *HashJoin) buildIndex(c context.Context, ctx *Ctx, side *relation.Relation, keyIdx []int) (*joinIndex, error) {
+	build := func(bc context.Context) (*joinIndex, error) {
+		idx, err := newJoinIndex(bc, ctx, colVecs(side, keyIdx), side.NumRows())
 		if err != nil {
 			return nil, err
 		}
 		if err := bc.Err(); err != nil {
 			// Belt and braces: an index assembled under a cancelled
-			// context (partial hashes or partitions) must never reach the
-			// aux cache, where it would poison every later query.
+			// context (partial hashes, partitions or slot counts) must
+			// never reach the aux cache, where it would poison every
+			// later query.
 			return nil, err
 		}
-		idx.buckets = buckets
+		idx.rel = side
 		return idx, nil
 	}
 	cacheable := ctx.UseCache && ctx.Cat != nil && isMaterialize(j.R)

@@ -57,11 +57,7 @@ func (n *Normalize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	if _, err := checkPositions(in, n.KeyPos); err != nil {
 		return nil, err
 	}
-	prob := in.Prob()
-	// The denominators fold chunk-parallel through foldGroups: per-chunk
-	// partial sums (or maxima) merged in fixed chunk order, so the float
-	// results are bit-identical at every parallelism. The keyless global
-	// case is simply nGroups = 1.
+	// The keyless global case is simply nGroups = 1.
 	groupOf := []int(nil)
 	nGroups := 1
 	if len(n.KeyPos) > 0 {
@@ -72,13 +68,23 @@ func (n *Normalize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 		}
 		nGroups = len(firstRow)
 	}
+	return normalizeGroups(c, ctx, in, groupOf, nGroups, n.Mode)
+}
+
+// normalizeGroups divides each row's probability by its group's
+// denominator; a nil groupOf puts every row in group 0. The denominators
+// fold chunk-parallel through foldGroups: per-chunk partial sums (or
+// maxima) merged in fixed chunk order, so the float results are
+// bit-identical at every parallelism.
+func normalizeGroups(c context.Context, ctx *Ctx, in *relation.Relation, groupOf []int, nGroups int, mode NormMode) (*relation.Relation, error) {
+	prob := in.Prob()
 	// Budget the fold's per-chunk denominator partials and the rebuilt
 	// probability column before either allocates.
 	chunks := int64(len(aggRanges(in.NumRows(), nGroups)))
 	if err := ctx.charge(c, (chunks*int64(nGroups)+int64(in.NumRows()))*8); err != nil {
 		return nil, err
 	}
-	aggs := foldGroups(c, ctx, in.NumRows(), nGroups,
+	aggs, err := foldGroups(c, ctx, in.NumRows(), nGroups,
 		func() []float64 { return make([]float64, nGroups) },
 		func(acc []float64, lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -86,7 +92,7 @@ func (n *Normalize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 				if groupOf != nil {
 					g = groupOf[i]
 				}
-				if n.Mode == NormSum {
+				if mode == NormSum {
 					acc[g] += prob[i]
 				} else if prob[i] > acc[g] {
 					acc[g] = prob[i]
@@ -94,12 +100,15 @@ func (n *Normalize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 			}
 		},
 		func(dst, src []float64) {
-			if n.Mode == NormSum {
+			if mode == NormSum {
 				addFloats(dst, src)
 			} else {
 				maxFloats(dst, src)
 			}
 		})
+	if err != nil {
+		return nil, err
+	}
 	// Recombine probabilities chunk-parallel; column vectors are shared
 	// with the input (treated as immutable), only the probability column
 	// is rebuilt.

@@ -37,6 +37,20 @@ func randRel(r *rand.Rand, n, keyDomain int) *relation.Relation {
 	}, p)
 }
 
+// scaleKeys returns rel with every value of its int column col multiplied
+// by scale, sharing the other columns and the probabilities.
+func scaleKeys(rel *relation.Relation, col string, scale int64) *relation.Relation {
+	cols := append([]relation.Column(nil), rel.Columns()...)
+	ci := rel.ColIndex(col)
+	vals := cols[ci].Vec.(*vector.Int64s).Values()
+	scaled := make([]int64, len(vals))
+	for i, v := range vals {
+		scaled[i] = v * scale
+	}
+	cols[ci].Vec = vector.FromInt64s(scaled)
+	return relation.MustFromColumns(cols, rel.Prob())
+}
+
 // subsetWithNoise returns a relation sharing some of src's rows (so
 // Subtract and Unite find genuine matches) mixed with fresh random rows.
 func subsetWithNoise(r *rand.Rand, src *relation.Relation, keep, noise int) *relation.Relation {
@@ -102,16 +116,26 @@ func mustEqualRel(t *testing.T, want, got *relation.Relation, label string) {
 	}
 }
 
-// TestSerialParallelEquivalence is the property suite of this PR: every
-// operator, run at Parallelism 1, 2 and 8 over the same randomized inputs,
-// must produce identical rows, column order and probabilities.
+// TestSerialParallelEquivalence is the property suite of the parallel
+// engine: every operator, run at Parallelism 1, 2 and 8 over the same
+// randomized inputs, must produce identical rows, column order and
+// probabilities. Each case runs over both key families: the int key a
+// dense enough to join and group by value, and spread to hash.
 func TestSerialParallelEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	left := randRel(r, 9000, 3000)
 	right := randRel(r, 7000, 3000)
 	overlap := subsetWithNoise(r, left, 4000, 3000)
-	tables := map[string]*relation.Relation{
-		"L": left, "R": right, "O": overlap,
+	families := make([]map[string]*relation.Relation, len(keyFamilies))
+	for f, keys := range keyFamilies {
+		tables := map[string]*relation.Relation{
+			"L": scaleKeys(left, "a", keys.scale),
+			"R": scaleKeys(right, "a", keys.scale),
+			"O": scaleKeys(overlap, "a", keys.scale),
+		}
+		assertKeyPath(t, tables["R"], "a", denseJoinSlots, keys.dense)
+		assertKeyPath(t, tables["L"], "a", denseGroupSlots, keys.dense)
+		families[f] = tables
 	}
 	scanL := NewScan("L")
 	scanR := NewScan("R")
@@ -182,20 +206,24 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var want *relation.Relation
-			for _, par := range []int{1, 2, 8} {
-				got, err := ctxAt(par, tables).Exec(context.Background(), tc.plan)
-				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
-				}
-				if par == 1 {
-					want = got
-					if got.NumRows() == 0 {
-						t.Fatalf("degenerate case: serial run produced no rows")
+			for f, keys := range keyFamilies {
+				t.Run(keys.name, func(t *testing.T) {
+					var want *relation.Relation
+					for _, par := range []int{1, 2, 8} {
+						got, err := ctxAt(par, families[f]).Exec(context.Background(), tc.plan)
+						if err != nil {
+							t.Fatalf("parallelism %d: %v", par, err)
+						}
+						if par == 1 {
+							want = got
+							if got.NumRows() == 0 {
+								t.Fatalf("degenerate case: serial run produced no rows")
+							}
+							continue
+						}
+						mustEqualRel(t, want, got, fmt.Sprintf("parallelism %d", par))
 					}
-					continue
-				}
-				mustEqualRel(t, want, got, fmt.Sprintf("parallelism %d", par))
+				})
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 
 	"irdb/internal/relation"
 	"irdb/internal/vector"
@@ -244,58 +243,86 @@ func (s *Subtract) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	if err != nil {
 		return nil, fmt.Errorf("subtract right side: %w", err)
 	}
-	// Align the left (probe) columns with the right side's hash domains —
-	// dict-encoded columns hash codes, so mixed representations must be
-	// decoded or re-encoded before hashes are comparable (see dictkeys.go).
+	// Align the left (probe) columns with the right side's key domains —
+	// dict-encoded columns index and hash codes, so mixed representations
+	// must be decoded or re-encoded before keys compare (see dictkeys.go).
 	rKeyVecs := colVecs(right, rIdx)
 	lKeyVecs := alignProbeVecs(colVecs(left, lIdx), rKeyVecs)
-	seed := maphash.MakeSeed()
-	rHash, err := hashVecsParallel(c, ctx, rKeyVecs, right.NumRows(), seed)
+	idx, err := newJoinIndex(c, ctx, rKeyVecs, right.NumRows())
 	if err != nil {
 		return nil, err
 	}
-	buckets, err := buildBuckets(c, ctx, rHash)
-	if err != nil {
-		return nil, err
-	}
-	lHash, err := hashVecsParallel(c, ctx, lKeyVecs, left.NumRows(), seed)
-	if err != nil {
-		return nil, err
+	return antiProbe(c, ctx, left, right, lKeyVecs, rKeyVecs, idx, s.Boolean)
+}
+
+// antiProbe keeps the left rows, discounted by their first match in the
+// index over the right side's key vectors (removed when boolean).
+func antiProbe(c context.Context, ctx *Ctx, left, right *relation.Relation, lKeyVecs, rKeyVecs []vector.Vector, idx *joinIndex, boolean bool) (*relation.Relation, error) {
+	// firstMatch sets match[i-lo] to the first right row matching left
+	// row i, or -1, for the left rows [lo, hi).
+	var firstMatch func(lo, hi int, match []int32)
+	if d := idx.dense; d != nil {
+		codes, ints, perr := denseProbeKey(c, ctx, lKeyVecs[0])
+		if perr != nil {
+			return nil, perr
+		}
+		firstMatch = func(lo, hi int, match []int32) {
+			if codes != nil {
+				firstDense(c, d, codes, lo, hi, match)
+			} else {
+				firstDense(c, d, ints, lo, hi, match)
+			}
+		}
+	} else {
+		lHash, herr := hashVecsParallel(c, ctx, lKeyVecs, left.NumRows(), idx.seed)
+		if herr != nil {
+			return nil, herr
+		}
+		firstMatch = func(lo, hi int, match []int32) {
+			for i := lo; i < hi; i++ {
+				if i&0x1fff == 0x1fff && c.Err() != nil {
+					return
+				}
+				match[i-lo] = -1
+				for _, ri := range idx.buckets.lookup(lHash[i]) {
+					if vecsEqual(lKeyVecs, i, rKeyVecs, int(ri)) {
+						match[i-lo] = ri
+						break
+					}
+				}
+			}
+		}
 	}
 	lp, rp := left.Prob(), right.Prob()
 
 	// Anti-probe in parallel morsels, merged in morsel order (same output
-	// order as the serial loop). Every morsel's survivor lists start at
-	// one slot per probe row and are retained until the merge; budget
-	// that floor (8-byte row id + 8-byte probability per row) up front.
-	if err := ctx.charge(c, int64(left.NumRows())*16); err != nil {
+	// order as the serial loop). Every morsel's match list and survivor
+	// lists start at one slot per probe row and are retained until the
+	// merge; budget that floor (4-byte match, 8-byte row id and 8-byte
+	// probability per row) up front.
+	if err := ctx.charge(c, int64(left.NumRows())*20); err != nil {
 		return nil, err
 	}
 	ranges := ctx.morselRanges(left.NumRows())
 	selParts := make([][]int, len(ranges))
 	probParts := make([][]float64, len(ranges))
 	ctx.runRanges(c, ranges, func(m, lo, hi int) {
+		match := make([]int32, hi-lo)
+		firstMatch(lo, hi, match)
+		if c.Err() != nil {
+			return // partial parts are discarded by the check below
+		}
 		sel := make([]int, 0, hi-lo)
 		prob := make([]float64, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			if i&0x1fff == 0x1fff && c.Err() != nil {
-				break // partial parts are discarded by the check below
-			}
-			match := -1
-			for _, ri := range buckets.lookup(lHash[i]) {
-				if vecsEqual(lKeyVecs, i, rKeyVecs, int(ri)) {
-					match = int(ri)
-					break
-				}
-			}
-			switch {
-			case match < 0:
+			switch ri := match[i-lo]; {
+			case ri < 0:
 				sel = append(sel, i)
 				prob = append(prob, lp[i])
-			case s.Boolean:
+			case boolean:
 				// removed
 			default:
-				p := lp[i] * (1 - rp[match])
+				p := lp[i] * (1 - rp[ri])
 				if p > 0 {
 					sel = append(sel, i)
 					prob = append(prob, p)

@@ -147,10 +147,13 @@ func (d *FrozenDict) Rank(code int32) int32 { return d.rank[code] }
 func (d *FrozenDict) Len() int { return len(d.strs) }
 
 // DenseIn reports whether the dictionary is dense relative to a column of
-// nRows codes — the one place the dense-vs-sparse policy lives. Dense
-// consumers (group-by code tables, whole-dict transforms, per-code
-// memos) may do O(Len) work; sparse ones (a small column over a big
-// store-wide dict) should touch only the codes present.
+// nRows codes: the dense-vs-sparse policy of per-value string functions
+// in expressions (MapStrings' whole-dict transforms behind lcase, ucase
+// and stem, and the length memo). Dense consumers may do O(Len) work;
+// sparse ones (a small column over a big store-wide dict) should touch
+// only the codes present. Joins and groupings do not use it: they size
+// their direct-addressed arrays against the hashed structures they
+// replace (see the engine's dense.go).
 func (d *FrozenDict) DenseIn(nRows int) bool { return len(d.strs) <= 2*nRows+16 }
 
 // Strings returns a copy of all interned strings in code order.
