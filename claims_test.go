@@ -2,9 +2,7 @@ package irdb
 
 import (
 	"encoding/json"
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"irdb/internal/lint/load"
 )
 
 // TestClaimsLedgerNamesExist keeps CLAIMS.md from going stale silently.
@@ -151,82 +151,74 @@ var testOnlyAllowed = map[string]string{
 	"catalog.CorruptError.Unwrap": "errors.Is calls it through the error-unwrap interface",
 	"memory.BudgetError.Unwrap":   "errors.Is calls it through the error-unwrap interface",
 	"wal.CorruptError.Unwrap":     "errors.Is calls it through the error-unwrap interface",
-	"invidx.hitHeap.Less":         "container/heap calls it through heap.Interface",
 	"faultpoint.Arm":              "the faultinject build's tests arm fault sites through it",
 	"faultpoint.Disarm":           "the faultinject build's tests disarm fault sites through it",
+	"faultpoint.Hits":             "the faultinject build's tests count fault-site hits through it",
+	"faultpoint.Reset":            "the faultinject build's tests disarm every fault site through it",
+	"invidx.Build":                "the inverted-index baseline of BenchmarkE6InvertedIndexHot and TestMatchesRelationalPipeline (CLAIMS.md E6)",
+	"invidx.Index.Search":         "the inverted-index baseline of BenchmarkE6InvertedIndexHot and TestMatchesRelationalPipeline (CLAIMS.md E6)",
 	"ir.Searcher.BuildIndex":      "BenchmarkE1IndexBuild and BenchmarkE5SharedRebuild measure it (CLAIMS.md E1, E5)",
+	"lint/analysistest.Run":       "the analyzers' test harness: each analyzer's tests run it over their testdata",
 	"relation.EncodeStringCols":   "builds the dict-encoded inputs of the encoded-equals-raw suites in other packages",
 	"vector.EncodeStrings":        "builds the dict-encoded inputs of the encoded-equals-raw suites in other packages",
 }
 
 // TestNoTestOnlyInternalAPI keeps code that only tests call from piling up
 // under internal/: every exported function or method declared in a
-// non-test file there must have its name used as an identifier in some
-// non-test file of the module, unless testOnlyAllowed lists it. An
-// allowlist entry that is no longer test-only fails too, so the list
-// cannot go stale.
+// non-test file there must be used by some non-test file of the module,
+// unless it implements an interface method or testOnlyAllowed lists it.
+// Uses are resolved with go/types and keyed by package, receiver and
+// name, so two functions of one name cannot hide each other. Both builds
+// are checked: the default one and the faultinject one. An allowlist
+// entry that is no longer test-only fails too, so the list cannot go
+// stale.
 func TestNoTestOnlyInternalAPI(t *testing.T) {
-	fset := token.NewFileSet()
-	used := map[string]bool{}
 	declared := map[string]string{} // key -> position
-	names := map[string]string{}    // key -> function name
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, walkErr error) error {
-		if walkErr != nil {
-			return walkErr
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+	used := map[string]bool{}
+	implements := map[string]bool{}
+	for _, tags := range []string{"", "faultinject"} {
+		pkgs, err := load.Load([]string{"irdb/..."}, tags)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		pkg, inInternal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		decls := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+		ifaces := namedInterfaces(pkgs)
+		for _, pkg := range pkgs {
+			for id, obj := range pkg.Info.Defs {
+				fn, ok := obj.(*types.Func)
+				if !ok || !id.IsExported() || isInterfaceMethod(fn) {
+					continue
+				}
+				key, ok := internalKey(fn)
+				if !ok {
+					continue
+				}
+				declared[key] = pkg.Fset.Position(id.Pos()).String()
+				if implementsAny(fn, ifaces) {
+					implements[key] = true
+				}
 			}
-			decls[fd.Name] = true
-			if !inInternal || !fd.Name.IsExported() {
-				continue
+			for _, obj := range pkg.Info.Uses {
+				if fn, ok := obj.(*types.Func); ok {
+					if key, ok := internalKey(fn); ok {
+						used[key] = true
+					}
+				}
 			}
-			key := pkg + "." + fd.Name.Name
-			if fd.Recv != nil {
-				key = pkg + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
-			}
-			declared[key] = fset.Position(fd.Pos()).String()
-			names[key] = fd.Name.Name
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !decls[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(declared) < 100 {
-		t.Fatalf("found only %d exported internal functions; the walk is broken", len(declared))
+		t.Fatalf("found only %d exported internal functions; the load is broken", len(declared))
 	}
 	var unused []string
-	for key, name := range names {
+	for key, pos := range declared {
 		_, allowed := testOnlyAllowed[key]
 		switch {
-		case !used[name] && !allowed:
-			unused = append(unused, declared[key]+": "+key)
-		case used[name] && allowed:
+		case !used[key] && !implements[key] && !allowed:
+			unused = append(unused, pos+": "+key)
+		case used[key] && allowed:
 			t.Errorf("testOnlyAllowed lists %s, which non-test code now uses; drop the entry", key)
+		case implements[key] && allowed:
+			t.Errorf("testOnlyAllowed lists %s, which implements an interface method; drop the entry", key)
 		}
 	}
 	for key := range testOnlyAllowed {
@@ -240,17 +232,93 @@ func TestNoTestOnlyInternalAPI(t *testing.T) {
 	}
 }
 
-// recvType returns the type name of a method receiver.
-func recvType(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return recvType(x.X)
-	case *ast.IndexExpr:
-		return recvType(x.X)
-	case *ast.IndexListExpr:
-		return recvType(x.X)
-	case *ast.Ident:
-		return x.Name
+// internalKey keys a function declared under internal/ as "pkg.Func" or
+// "pkg.Type.Method", pkg being its directory under internal/.
+func internalKey(fn *types.Func) (string, bool) {
+	fn = fn.Origin()
+	if fn.Pkg() == nil {
+		return "", false
 	}
-	return ""
+	pkg, ok := strings.CutPrefix(fn.Pkg().Path(), "irdb/internal/")
+	if !ok {
+		return "", false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return pkg + "." + fn.Name(), true
+	}
+	named, ok := baseNamed(recv.Type())
+	if !ok {
+		return "", false
+	}
+	return pkg + "." + named.Obj().Name() + "." + fn.Name(), true
+}
+
+// baseNamed returns the named type of a method receiver, through a
+// pointer.
+func baseNamed(t types.Type) (*types.Named, bool) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return n, ok
+}
+
+// isInterfaceMethod reports whether fn is an interface's (abstract)
+// method rather than a concrete function or method.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// namedInterfaces returns error and every named interface type declared
+// in the loaded packages or in a package they import.
+func namedInterfaces(pkgs []*load.Package) []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range pkgs {
+		visit(pkg.Types)
+	}
+	return ifaces
+}
+
+// implementsAny reports whether the method fn's receiver type implements
+// one of ifaces that has a method of fn's name: a method called through
+// an interface, by this module or by the standard library.
+func implementsAny(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named, ok := baseNamed(recv.Type())
+	if !ok {
+		return false
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() &&
+				(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -219,17 +219,6 @@ func (c *Catalog) Table(name string) (*relation.Relation, error) {
 	return r, nil
 }
 
-// Drop removes a base table and invalidates the cache.
-func (c *Catalog) Drop(name string) {
-	c.mu.Lock()
-	delete(c.tables, name)
-	c.refreshBaseDictsLocked()
-	c.schemaEpoch.Add(1)
-	c.mu.Unlock()
-	c.bumpVersions(name)
-	c.cache.Clear()
-}
-
 // TableNames returns the sorted names of all base tables.
 func (c *Catalog) TableNames() []string {
 	c.mu.RLock()

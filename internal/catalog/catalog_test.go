@@ -62,7 +62,7 @@ func entriesOf(c *Cache, kind entryKind) int {
 	return st.Entries
 }
 
-func TestCatalogPutGetDrop(t *testing.T) {
+func TestCatalogPutGet(t *testing.T) {
 	c := New(0)
 	c.Put("t", rel(3))
 	r, err := c.Table("t")
@@ -71,10 +71,6 @@ func TestCatalogPutGetDrop(t *testing.T) {
 	}
 	if _, err := c.Table("missing"); err == nil {
 		t.Error("missing table should fail")
-	}
-	c.Drop("t")
-	if _, err := c.Table("t"); err == nil {
-		t.Error("dropped table still present")
 	}
 }
 
@@ -226,7 +222,6 @@ func TestSchemaEpoch(t *testing.T) {
 		c.PutDeltas(map[string]*relation.Relation{"a": rel(6), "b": rel(1)})
 	})
 	step("renaming delta", true, func() { c.PutDelta("b", renamed) })
-	step("Drop", true, func() { c.Drop("b") })
 	var buf bytes.Buffer
 	if err := c.Save(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)

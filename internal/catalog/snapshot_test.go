@@ -16,7 +16,7 @@ func snapshotCatalog() *Catalog {
 		AddP(0.5, "a", 1, 1.5, true).
 		Add("b", 2, 2.5, false).
 		Build())
-	c.Put("empty", relation.New([]string{"x"}, []vector.Kind{vector.String}))
+	c.Put("empty", relation.NewBuilder([]string{"x"}, []vector.Kind{vector.String}).Build())
 	return c
 }
 
@@ -28,7 +28,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	dst := New(0)
-	dst.Put("leftover", relation.New([]string{"y"}, []vector.Kind{vector.Int64}))
+	dst.Put("leftover", relation.NewBuilder([]string{"y"}, []vector.Kind{vector.Int64}).Build())
 	if _, err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestLoadSnapshotClearsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := New(0)
-	seed(dst.Cache(), kindRel, "stale", relation.New([]string{"x"}, []vector.Kind{vector.Int64}), 0)
+	seed(dst.Cache(), kindRel, "stale", relation.NewBuilder([]string{"x"}, []vector.Kind{vector.Int64}).Build(), 0)
 	if _, err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,10 @@ func TestAlignProbeReencodes(t *testing.T) {
 	dict := vector.EncodeStrings(vector.FromStrings([]string{"a", "b", "c"}))
 	probe := vector.FromStrings([]string{"b", "x", "a", "b"})
 
-	out := alignProbeVecs([]vector.Vector{probe}, []vector.Vector{dict})
+	out, err := alignProbeVecs(context.Background(), &Ctx{}, []vector.Vector{probe}, []vector.Vector{dict})
+	if err != nil {
+		t.Fatal(err)
+	}
 	enc, ok := out[0].(*vector.DictStrings)
 	if !ok {
 		t.Fatalf("probe not re-encoded: %T", out[0])

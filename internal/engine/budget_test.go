@@ -9,6 +9,8 @@ import (
 
 	"irdb/internal/catalog"
 	"irdb/internal/memory"
+	"irdb/internal/relation"
+	"irdb/internal/vector"
 )
 
 // budgetPlan is a composite plan hitting every budget charge site: join
@@ -223,5 +225,60 @@ func TestBudgetPoolCapacity(t *testing.T) {
 	holder.Release()
 	if used := pool.Used(); used != 0 {
 		t.Fatalf("pool holds %d bytes", used)
+	}
+}
+
+// TestBudgetChargesAlignedProbe: a probe key that must be re-encoded
+// through the build side's dict (4 bytes per row) or decoded to plain
+// strings (a 16-byte header per row plus payload) is charged before it is
+// built. Under a budget one byte short of that charge, the join and the
+// anti-join are denied at it: the denied request is the aligned probe's.
+func TestBudgetChargesAlignedProbe(t *testing.T) {
+	const n = 50_000
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%07d", i) // 8-byte payloads
+	}
+	keyRel := func(vals []string, encoded bool) *relation.Relation {
+		b := relation.NewBuilder([]string{"k"}, []vector.Kind{vector.String})
+		for _, v := range vals {
+			b.Add(v)
+		}
+		rel := b.Build()
+		if encoded {
+			var err error
+			if rel, err = relation.EncodeStringCols(rel, "k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rel
+	}
+	build := []string{"a", "b", "c"}
+	for _, tc := range []struct {
+		name         string
+		probe, build *relation.Relation
+		want         int64
+	}{
+		{"re-encode", keyRel(keys, false), keyRel(build, true), n * 4},
+		{"decode", keyRel(keys, true), keyRel(build, false), n * (16 + 8)},
+	} {
+		probe, bside := NewValues("probe", tc.probe), NewValues("build", tc.build)
+		for _, plan := range []Node{
+			NewHashJoin(probe, bside, []string{"k"}, []string{"k"}, JoinLeft),
+			NewSubtract(probe, bside, true),
+		} {
+			ctx := &Ctx{Cat: catalog.New(0), Parallelism: 1}
+			pool := memory.NewPool(0)
+			res := pool.Reserve(tc.want - 1)
+			_, err := ctx.Exec(memory.WithReservation(context.Background(), res), plan)
+			var be *memory.BudgetError
+			if !errors.As(err, &be) || be.Requested != tc.want {
+				t.Errorf("%s %s: err = %v, want the %d-byte aligned probe denied", tc.name, plan.Label(), err, tc.want)
+			}
+			res.Release()
+			if used := pool.Used(); used != 0 {
+				t.Errorf("%s %s: pool holds %d bytes after release", tc.name, plan.Label(), used)
+			}
+		}
 	}
 }

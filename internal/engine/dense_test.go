@@ -83,7 +83,7 @@ func denseFamilies(t *testing.T, r *rand.Rand) []denseFamily {
 		{"dict-same", denseKeyRel(r, bShared, "w"), denseKeyRel(r, pShared, "v"), true, true},
 		{"dict-foreign", denseKeyRel(r, bOwn, "w"), denseKeyRel(r, pForeign, "v"), true, true},
 		{"dict-plain", denseKeyRel(r, bOwn, "w"), denseKeyRel(r, pStrs, "v"), true, false},
-		{"dict-const", denseKeyRel(r, bOwn, "w"), denseKeyRel(r, vector.ConstString(bStrs.At(7), nProbe), "v"), true, false},
+		{"dict-const", denseKeyRel(r, bOwn, "w"), denseKeyRel(r, vector.ConstString(bStrs.Values()[7], nProbe), "v"), true, false},
 		{"int-negative", denseKeyRel(r, vector.FromInt64s(bInts), "w"), denseKeyRel(r, vector.FromInt64s(pInts), "v"), true, true},
 		{"int-outside", denseKeyRel(r, vector.FromInt64s(bInts), "w"),
 			denseKeyRel(r, vector.FromInt64s(randInts(r, nProbe, -4*dom, 4*dom)), "v"), true, true},
@@ -157,7 +157,11 @@ func hashedRef(t *testing.T, op string, b, p *relation.Relation) *relation.Relat
 		if ierr != nil {
 			t.Fatal(ierr)
 		}
-		lSel, rSel, perr := probePairs(c, ctx, idx, alignProbeVecs(colVecs(p, []int{0}), bKeys), bKeys, p.NumRows())
+		aligned, aerr := alignProbeVecs(c, ctx, colVecs(p, []int{0}), bKeys)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		lSel, rSel, perr := probePairs(c, ctx, idx, aligned, bKeys, p.NumRows())
 		if perr != nil {
 			t.Fatal(perr)
 		}
@@ -169,7 +173,11 @@ func hashedRef(t *testing.T, op string, b, p *relation.Relation) *relation.Relat
 		if ierr != nil {
 			t.Fatal(ierr)
 		}
-		out, err = antiProbe(c, ctx, l, r, alignProbeVecs(colVecs(l, []int{0}), rKeys), rKeys, idx, false)
+		aligned, aerr := alignProbeVecs(c, ctx, colVecs(l, []int{0}), rKeys)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		out, err = antiProbe(c, ctx, l, r, aligned, rKeys, idx, false)
 	case "aggregate":
 		groupOf, firstRow := group(p, []int{0})
 		out, err = aggregateGroups(c, ctx, p, []int{0}, []string{"k"}, groupOf, firstRow, denseAggs, GroupIndependent)

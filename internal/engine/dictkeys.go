@@ -42,11 +42,13 @@ func colVecs(r *relation.Relation, idx []int) []vector.Vector {
 
 // alignProbeVecs returns the probe-side key vectors adapted to the build
 // side's hash domains, per the rules above. Non-string columns and
-// already-aligned columns are returned as-is. Re-encodings are not
-// memoized: the probes that need one are typically built per query (the
-// tokenized query terms, say), so a memo keyed on the probe vector does
-// not hit.
-func alignProbeVecs(probe, build []vector.Vector) []vector.Vector {
+// already-aligned columns are returned as-is. A re-encoding (4 bytes per
+// row) and a decoding (a 16-byte header per row plus payloads) are
+// charged against the query's memory budget before they are built.
+// Re-encodings are not memoized: the probes that need one are typically
+// built per query (the tokenized query terms, say), so a memo keyed on
+// the probe vector does not hit.
+func alignProbeVecs(c context.Context, ctx *Ctx, probe, build []vector.Vector) ([]vector.Vector, error) {
 	out := make([]vector.Vector, len(probe)) //lint:allow chargedalloc O(#key columns) headers; vectors are shared or re-encoded, not copied here
 	for k, pv := range probe {
 		out[k] = pv
@@ -55,15 +57,36 @@ func alignProbeVecs(probe, build []vector.Vector) []vector.Vector {
 				continue // already in the build side's code space
 			}
 			if sc, ok := pv.(vector.StringColumn); ok {
+				if err := ctx.charge(c, int64(sc.Len())*4); err != nil {
+					return nil, err
+				}
 				out[k] = vector.EncodeLookup(bd.Dict(), sc)
 			}
 			continue
 		}
 		if pd, ok := pv.(*vector.DictStrings); ok {
+			if err := ctx.charge(c, decodedBytes(pd)); err != nil {
+				return nil, err
+			}
 			out[k] = pd.Decode()
 		}
 	}
-	return out
+	return out, nil
+}
+
+// decodedBytes estimates the plain string column d decodes to as
+// relation.ApproxRowBytes estimates one: a 16-byte header per row plus
+// the mean payload of a bounded prefix.
+func decodedBytes(d *vector.DictStrings) int64 {
+	sample := min(d.Len(), 256)
+	if sample == 0 {
+		return 0
+	}
+	var payload int64
+	for i := range sample {
+		payload += int64(len(d.StringAt(i)))
+	}
+	return int64(d.Len()) * (16 + payload/int64(sample))
 }
 
 // vecsEqual reports whether row i of the left key vectors equals row j of

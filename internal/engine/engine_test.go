@@ -159,7 +159,7 @@ func TestProjectAndExtend(t *testing.T) {
 	if r.NumCols() != 2 {
 		t.Fatalf("cols = %d", r.NumCols())
 	}
-	if got := r.Col(1).Vec.(*vector.Strings).At(0); got != "TOY" {
+	if got := r.Col(1).Vec.(*vector.Strings).Values()[0]; got != "TOY" {
 		t.Errorf("ucase = %q", got)
 	}
 	e := NewExtend(NewScan("triples"), "double", expr.Arith{Op: expr.Mul, L: expr.Prob{}, R: expr.Float(2)})
@@ -190,19 +190,19 @@ func TestAggregateCountsAndSums(t *testing.T) {
 	if r.Col(0).Vec.Format(0) != "a" {
 		t.Fatalf("group order wrong: %s", r.Format(-1))
 	}
-	if n := r.Col(1).Vec.(*vector.Int64s).At(0); n != 2 {
+	if n := r.Col(1).Vec.(*vector.Int64s).Values()[0]; n != 2 {
 		t.Errorf("count(a) = %d", n)
 	}
-	if s := r.Col(2).Vec.(*vector.Int64s).At(0); s != 8 {
+	if s := r.Col(2).Vec.(*vector.Int64s).Values()[0]; s != 8 {
 		t.Errorf("sum(a) = %d", s)
 	}
-	if m := r.Col(3).Vec.(*vector.Float64s).At(0); m != 4.0 {
+	if m := r.Col(3).Vec.(*vector.Float64s).Values()[0]; m != 4.0 {
 		t.Errorf("avg(a) = %g", m)
 	}
-	if lo := r.Col(4).Vec.(*vector.Int64s).At(1); lo != 7 {
+	if lo := r.Col(4).Vec.(*vector.Int64s).Values()[1]; lo != 7 {
 		t.Errorf("min(b) = %d", lo)
 	}
-	if hi := r.Col(5).Vec.(*vector.Int64s).At(0); hi != 5 {
+	if hi := r.Col(5).Vec.(*vector.Int64s).Values()[0]; hi != 5 {
 		t.Errorf("max(a) = %d", hi)
 	}
 }
@@ -215,7 +215,7 @@ func TestAggregateGlobalOnEmptyInput(t *testing.T) {
 	if r.NumRows() != 1 {
 		t.Fatalf("global aggregate rows = %d, want 1", r.NumRows())
 	}
-	if n := r.Col(0).Vec.(*vector.Int64s).At(0); n != 0 {
+	if n := r.Col(0).Vec.(*vector.Int64s).Values()[0]; n != 0 {
 		t.Errorf("count = %d, want 0", n)
 	}
 }
@@ -258,10 +258,10 @@ func TestAggregateSumProbMaxProb(t *testing.T) {
 	r := mustExec(t, ctx, NewAggregate(NewScan("t"), []string{"k"}, []AggSpec{
 		{Op: SumProb, As: "sp"}, {Op: MaxProb, As: "mp"},
 	}, GroupCertain))
-	if got := r.Col(1).Vec.(*vector.Float64s).At(0); math.Abs(got-0.75) > 1e-12 {
+	if got := r.Col(1).Vec.(*vector.Float64s).Values()[0]; math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("sum(p) = %g", got)
 	}
-	if got := r.Col(2).Vec.(*vector.Float64s).At(0); got != 0.5 {
+	if got := r.Col(2).Vec.(*vector.Float64s).Values()[0]; got != 0.5 {
 		t.Errorf("max(p) = %g", got)
 	}
 }
@@ -380,7 +380,7 @@ func TestScaleProbAndProbCols(t *testing.T) {
 	}
 
 	pc := mustExec(t, ctx, NewProbToCol(NewScan("t"), "score"))
-	if pc.NumCols() != 2 || pc.Col(1).Vec.(*vector.Float64s).At(0) != 0.5 {
+	if pc.NumCols() != 2 || pc.Col(1).Vec.(*vector.Float64s).Values()[0] != 0.5 {
 		t.Errorf("ProbToCol = %s", pc.Format(-1))
 	}
 	back := mustExec(t, ctx, NewProbFromCol(NewValues("pc", pc), "score", false, true))

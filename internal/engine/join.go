@@ -194,7 +194,10 @@ func (j *HashJoin) match(c context.Context, ctx *Ctx, left, right *relation.Rela
 	// Align the probe keys with the build side's key domains (decode or
 	// re-encode dict columns as needed; see dictkeys.go).
 	rKeyVecs := colVecs(right, rIdx)
-	lKeyVecs := alignProbeVecs(colVecs(left, lIdx), rKeyVecs)
+	lKeyVecs, err := alignProbeVecs(c, ctx, colVecs(left, lIdx), rKeyVecs)
+	if err != nil {
+		return nil, nil, err
+	}
 	return probePairs(c, ctx, idx, lKeyVecs, rKeyVecs, left.NumRows())
 }
 

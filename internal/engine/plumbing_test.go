@@ -163,10 +163,10 @@ func TestAggregateMinMaxAndCountCol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Col(1).Vec.(*vector.Int64s).At(0) != 2 {
+	if r.Col(1).Vec.(*vector.Int64s).Values()[0] != 2 {
 		t.Errorf("count = %s", r.Format(-1))
 	}
-	if r.Col(2).Vec.(*vector.Float64s).At(0) != 1.5 || r.Col(3).Vec.(*vector.Float64s).At(0) != 2.5 {
+	if r.Col(2).Vec.(*vector.Float64s).Values()[0] != 1.5 || r.Col(3).Vec.(*vector.Float64s).Values()[0] != 2.5 {
 		t.Errorf("min/max = %s", r.Format(-1))
 	}
 	// float sums stay float

@@ -247,7 +247,10 @@ func (s *Subtract) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	// dict-encoded columns index and hash codes, so mixed representations
 	// must be decoded or re-encoded before keys compare (see dictkeys.go).
 	rKeyVecs := colVecs(right, rIdx)
-	lKeyVecs := alignProbeVecs(colVecs(left, lIdx), rKeyVecs)
+	lKeyVecs, err := alignProbeVecs(c, ctx, colVecs(left, lIdx), rKeyVecs)
+	if err != nil {
+		return nil, err
+	}
 	idx, err := newJoinIndex(c, ctx, rKeyVecs, right.NumRows())
 	if err != nil {
 		return nil, err

@@ -33,11 +33,11 @@ func evalOK(t *testing.T, e Expr, r *relation.Relation) vector.Vector {
 func TestColumnRefs(t *testing.T) {
 	r := testRel()
 	v := evalOK(t, Column("term"), r)
-	if v.(*vector.Strings).At(0) != "book" {
+	if v.(*vector.Strings).Values()[0] != "book" {
 		t.Error("Column eval wrong")
 	}
 	v2 := evalOK(t, ColumnAt(2), r)
-	if v2.(*vector.Int64s).At(1) != 1 {
+	if v2.(*vector.Int64s).Values()[1] != 1 {
 		t.Error("ColumnAt eval wrong")
 	}
 	if _, err := Column("missing").Eval(r); err == nil {
@@ -57,7 +57,7 @@ func TestColumnRefs(t *testing.T) {
 func TestProbExpr(t *testing.T) {
 	r := testRel()
 	v := evalOK(t, Prob{}, r).(*vector.Float64s)
-	if v.At(2) != 0.5 || v.At(0) != 1.0 {
+	if v.Values()[2] != 0.5 || v.Values()[0] != 1.0 {
 		t.Errorf("Prob eval = %v", v.Values())
 	}
 }
@@ -67,16 +67,16 @@ func TestLiterals(t *testing.T) {
 	// materialize to the dense column they used to produce directly.
 	r := testRel()
 	cv := evalOK(t, Int(7), r).(*vector.Const)
-	if v := cv.Materialize().(*vector.Int64s); cv.Len() != 3 || v.At(1) != 7 {
+	if v := cv.Materialize().(*vector.Int64s); cv.Len() != 3 || v.Values()[1] != 7 {
 		t.Error("Int literal wrong")
 	}
-	if v := evalOK(t, Float(0.5), r).(*vector.Const).Materialize().(*vector.Float64s); v.At(0) != 0.5 {
+	if v := evalOK(t, Float(0.5), r).(*vector.Const).Materialize().(*vector.Float64s); v.Values()[0] != 0.5 {
 		t.Error("Float literal wrong")
 	}
-	if v := evalOK(t, Str("x"), r).(*vector.Const).Materialize().(*vector.Strings); v.At(2) != "x" {
+	if v := evalOK(t, Str("x"), r).(*vector.Const).Materialize().(*vector.Strings); v.Values()[2] != "x" {
 		t.Error("Str literal wrong")
 	}
-	if v := evalOK(t, BoolLit(true), r).(*vector.Const).Materialize().(*vector.Bools); !v.At(0) {
+	if v := evalOK(t, BoolLit(true), r).(*vector.Const).Materialize().(*vector.Bools); !v.Values()[0] {
 		t.Error("Bool literal wrong")
 	}
 	if Str(`a"b`).String() != `"a\"b"` {
@@ -143,20 +143,20 @@ func TestBoolConnectives(t *testing.T) {
 func TestArithmetic(t *testing.T) {
 	r := testRel()
 	sum := evalOK(t, Arith{Op: Add, L: Column("tf"), R: Int(1)}, r).(*vector.Int64s)
-	if sum.At(0) != 4 {
-		t.Errorf("tf+1 = %d", sum.At(0))
+	if sum.Values()[0] != 4 {
+		t.Errorf("tf+1 = %d", sum.Values()[0])
 	}
 	prod := evalOK(t, Arith{Op: Mul, L: Column("tf"), R: Column("idf")}, r).(*vector.Float64s)
-	if math.Abs(prod.At(0)-4.5) > 1e-12 {
-		t.Errorf("tf*idf = %g", prod.At(0))
+	if math.Abs(prod.Values()[0]-4.5) > 1e-12 {
+		t.Errorf("tf*idf = %g", prod.Values()[0])
 	}
 	div := evalOK(t, Arith{Op: Div, L: Column("tf"), R: Int(2)}, r).(*vector.Float64s)
-	if div.At(0) != 1.5 {
-		t.Errorf("tf/2 = %g (division must be float)", div.At(0))
+	if div.Values()[0] != 1.5 {
+		t.Errorf("tf/2 = %g (division must be float)", div.Values()[0])
 	}
 	diff := evalOK(t, Arith{Op: Sub, L: Column("tf"), R: Column("tf")}, r).(*vector.Int64s)
-	if diff.At(1) != 0 {
-		t.Errorf("tf-tf = %d", diff.At(1))
+	if diff.Values()[1] != 0 {
+		t.Errorf("tf-tf = %d", diff.Values()[1])
 	}
 	if _, err := (Arith{Op: Add, L: Column("term"), R: Int(1)}).Eval(r); err == nil {
 		t.Error("arith over string should fail")
@@ -166,26 +166,26 @@ func TestArithmetic(t *testing.T) {
 func TestCallBuiltins(t *testing.T) {
 	r := relation.NewBuilder([]string{"s", "x"}, []vector.Kind{vector.String, vector.Float64}).
 		Add("Book", 4.0).Build()
-	if v := evalOK(t, NewCall("lcase", Column("s")), r).(*vector.Strings); v.At(0) != "book" {
-		t.Errorf("lcase = %q", v.At(0))
+	if v := evalOK(t, NewCall("lcase", Column("s")), r).(*vector.Strings); v.Values()[0] != "book" {
+		t.Errorf("lcase = %q", v.Values()[0])
 	}
-	if v := evalOK(t, NewCall("ucase", Column("s")), r).(*vector.Strings); v.At(0) != "BOOK" {
-		t.Errorf("ucase = %q", v.At(0))
+	if v := evalOK(t, NewCall("ucase", Column("s")), r).(*vector.Strings); v.Values()[0] != "BOOK" {
+		t.Errorf("ucase = %q", v.Values()[0])
 	}
-	if v := evalOK(t, NewCall("length", Column("s")), r).(*vector.Int64s); v.At(0) != 4 {
-		t.Errorf("length = %d", v.At(0))
+	if v := evalOK(t, NewCall("length", Column("s")), r).(*vector.Int64s); v.Values()[0] != 4 {
+		t.Errorf("length = %d", v.Values()[0])
 	}
-	if v := evalOK(t, NewCall("log", Column("x")), r).(*vector.Float64s); math.Abs(v.At(0)-math.Log(4)) > 1e-12 {
-		t.Errorf("log = %g", v.At(0))
+	if v := evalOK(t, NewCall("log", Column("x")), r).(*vector.Float64s); math.Abs(v.Values()[0]-math.Log(4)) > 1e-12 {
+		t.Errorf("log = %g", v.Values()[0])
 	}
-	if v := evalOK(t, NewCall("sqrt", Column("x")), r).(*vector.Float64s); v.At(0) != 2 {
-		t.Errorf("sqrt = %g", v.At(0))
+	if v := evalOK(t, NewCall("sqrt", Column("x")), r).(*vector.Float64s); v.Values()[0] != 2 {
+		t.Errorf("sqrt = %g", v.Values()[0])
 	}
-	if v := evalOK(t, NewCall("greatest", Column("x"), Float(9)), r).(*vector.Float64s); v.At(0) != 9 {
-		t.Errorf("greatest = %g", v.At(0))
+	if v := evalOK(t, NewCall("greatest", Column("x"), Float(9)), r).(*vector.Float64s); v.Values()[0] != 9 {
+		t.Errorf("greatest = %g", v.Values()[0])
 	}
-	if v := evalOK(t, NewCall("least", Column("x"), Float(9)), r).(*vector.Float64s); v.At(0) != 4 {
-		t.Errorf("least = %g", v.At(0))
+	if v := evalOK(t, NewCall("least", Column("x"), Float(9)), r).(*vector.Float64s); v.Values()[0] != 4 {
+		t.Errorf("least = %g", v.Values()[0])
 	}
 	if _, err := NewCall("no-such-fn", Column("s")).Eval(r); err == nil {
 		t.Error("unknown function should fail")
@@ -237,7 +237,7 @@ func TestCmpProperty(t *testing.T) {
 			{Eq, a == b}, {Ne, a != b}, {Lt, a < b}, {Le, a <= b}, {Gt, a > b}, {Ge, a >= b},
 		} {
 			v, err := (Cmp{Op: c.op, L: Column("a"), R: Column("b")}).Eval(r)
-			if err != nil || v.(*vector.Bools).At(0) != c.want {
+			if err != nil || v.(*vector.Bools).Values()[0] != c.want {
 				return false
 			}
 		}

@@ -114,20 +114,6 @@ func Build(docs []Doc, p ir.Params) (*Index, error) {
 	return x, nil
 }
 
-// Stats summarizes the built index.
-func (x *Index) Stats() ir.IndexStats {
-	var postings int64
-	for _, p := range x.postings {
-		postings += int64(len(p))
-	}
-	return ir.IndexStats{
-		Docs:      int64(len(x.docIDs)),
-		Terms:     int64(len(x.postings)),
-		Postings:  postings,
-		AvgDocLen: x.avgdl,
-	}
-}
-
 // Search scores the query with BM25 and returns the top k hits (k <= 0
 // means all matching documents), ordered by descending score then doc ID.
 func (x *Index) Search(query string, k int) []ir.Hit {

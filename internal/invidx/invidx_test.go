@@ -26,15 +26,18 @@ func TestBuildStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := idx.Stats()
-	if st.Docs != 5 {
-		t.Errorf("docs = %d", st.Docs)
+	if len(idx.docIDs) != 5 {
+		t.Errorf("docs = %d", len(idx.docIDs))
 	}
-	if math.Abs(st.AvgDocLen-22.0/5.0) > 1e-9 {
-		t.Errorf("avgdl = %g, want 4.4", st.AvgDocLen)
+	if math.Abs(idx.avgdl-22.0/5.0) > 1e-9 {
+		t.Errorf("avgdl = %g, want 4.4", idx.avgdl)
 	}
-	if st.Terms == 0 || st.Postings == 0 {
-		t.Errorf("stats = %+v", st)
+	var postings int
+	for _, p := range idx.postings {
+		postings += len(p)
+	}
+	if len(idx.postings) == 0 || postings == 0 {
+		t.Errorf("terms = %d, postings = %d", len(idx.postings), postings)
 	}
 }
 

@@ -14,6 +14,11 @@
 // Because every view is "independent of query-terms", all of them sit
 // behind Materialize nodes and are computed once per (collection,
 // parameters) pair; only the final per-query scoring runs per query.
+// RankPlan builds that scoring, the one score plan of the package: the
+// Searcher ranks by it, and so does the strategy package's rank-text
+// block. It takes the query leaf as an argument, so every caller builds
+// it once over a relation-valued parameter and binds the query per
+// search.
 package ir
 
 import (

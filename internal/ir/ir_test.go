@@ -394,18 +394,38 @@ func TestAllModelsRankRelevantFirst(t *testing.T) {
 	}
 }
 
+// indexStats summarizes the index views of docs under p.
+type indexStats struct {
+	docs, terms, postings int
+	avgDocLen             float64
+}
+
+func statsOf(t *testing.T, ctx *engine.Ctx, docs engine.Node, p Params) indexStats {
+	t.Helper()
+	rows := func(plan engine.Node) *relation.Relation {
+		rel, err := ctx.Exec(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	avg := rows(AvgDocLenPlan(docs, p))
+	return indexStats{
+		docs:      rows(DocLenPlan(docs, p)).NumRows(),
+		terms:     rows(TermDictPlan(docs, p)).NumRows(),
+		postings:  rows(TFPlan(docs, p)).NumRows(),
+		avgDocLen: avg.Col(avg.ColIndex("avgdl")).Vec.(*vector.Float64s).Values()[0],
+	}
+}
+
 func TestStatsAndValidate(t *testing.T) {
 	ctx, docs := newIRCtx(t)
-	s, _ := NewSearcher(ctx, docs, DefaultParams())
-	st, err := s.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Docs != 5 || st.Postings == 0 || st.Terms == 0 {
+	st := statsOf(t, ctx, docs, DefaultParams())
+	if st.docs != 5 || st.postings == 0 || st.terms == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if math.Abs(st.AvgDocLen-22.0/5.0) > 1e-9 {
-		t.Errorf("avgdl = %g, want 4.4", st.AvgDocLen)
+	if math.Abs(st.avgDocLen-22.0/5.0) > 1e-9 {
+		t.Errorf("avgdl = %g, want 4.4", st.avgDocLen)
 	}
 
 	bad := DefaultParams()
@@ -501,13 +521,9 @@ func TestStopwordTokenizerChangesScores(t *testing.T) {
 	ctx, docs := newIRCtx(t)
 	p := DefaultParams()
 	p.Tokenizer = text.Tokenizer{Lower: true, DropStopwords: true}
-	s, _ := NewSearcher(ctx, docs, p)
-	st, err := s.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := statsOf(t, ctx, docs, p)
 	// "a", "about", "the", "of", "and" removed: 22 - 8 = 14 tokens
-	if st.Postings >= 22 {
+	if st.postings >= 22 {
 		t.Errorf("stopword removal had no effect: %+v", st)
 	}
 }

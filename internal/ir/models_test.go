@@ -81,7 +81,9 @@ func TestLMModelsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, query := range []string{"history book", "toy train set", "venice"} {
+		// "zzzq" is in no document: it scores nothing, but Dirichlet's |q|
+		// counts it.
+		for _, query := range []string{"history book", "toy train set", "venice", "wooden zzzq train"} {
 			hits, err := s.Search(context.Background(), query, 0)
 			if err != nil {
 				t.Fatalf("%v %q: %v", model, query, err)

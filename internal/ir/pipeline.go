@@ -250,8 +250,8 @@ func lmjmWeights(docs engine.Node, p Params) engine.Node {
 }
 
 // lmDirichletWeights: Dirichlet-smoothed language model, per-matching-term
-// part w = ln(1 + tf/(μ·cf/C)); the per-document additive term
-// |q|·ln(μ/(μ+len)) is applied by the scorer.
+// part w = ln(1 + tf/(μ·cf/C)); RankPlan adds the per-document term
+// |q|·ln(μ/(μ+len)).
 func lmDirichletWeights(docs engine.Node, p Params) engine.Node {
 	withCF := engine.NewHashJoin(TFPlan(docs, p), CollectionFreqPlan(docs, p),
 		[]string{ColTermID}, []string{ColTermID}, engine.JoinLeft)
@@ -296,4 +296,50 @@ func QTerms(docs engine.Node, p Params, q engine.Node) engine.Node {
 	join := engine.NewHashJoin(qterms, TermDictPlan(docs, p),
 		[]string{ColTerm}, []string{ColTerm}, engine.JoinLeft)
 	return engine.NewProject(join, engine.ProjCol{Name: ColTermID, E: expr.Column(ColTermID)})
+}
+
+// colQueryLen is Dirichlet's |q|, the query's token count.
+const colQueryLen = "qlen"
+
+// RankPlan is the paper's "Rank by Text" block for the query leaf q (a
+// QueryLeaf or a QueryParam): probe the weights matrix with the query's
+// termIDs, sum the contributions per document, and expose the score as
+// the tuple probability. The plan produces an unordered (docID) relation.
+func RankPlan(docs engine.Node, p Params, q engine.Node) (engine.Node, error) {
+	w, err := WeightsPlan(docs, p)
+	if err != nil {
+		return nil, err
+	}
+	// Probe side is the (tiny) query-term list; build side is the cached
+	// weights matrix — Figure 1's "inverted index as a relational join".
+	matched := engine.NewHashJoin(QTerms(docs, p, q), w,
+		[]string{ColTermID}, []string{ColTermID}, engine.JoinLeft)
+	var scored engine.Node = engine.NewAggregate(matched, []string{ColDocID},
+		[]engine.AggSpec{{Op: engine.Sum, Col: ColWeight, As: ColScore}}, engine.GroupCertain)
+	if p.Model == LMDirichlet {
+		scored = dirichletDocTerm(docs, p, q, scored)
+	}
+	return engine.NewProbFromCol(scored, ColScore, false, true), nil
+}
+
+// dirichletDocTerm adds Dirichlet's per-document term to the scored
+// (docID, score) relation: score += |q| · ln(μ / (μ + len)). |q| counts
+// the query's tokens before the term-dictionary join, so terms unknown to
+// the collection count too.
+func dirichletDocTerm(docs engine.Node, p Params, q, scored engine.Node) engine.Node {
+	qlen := engine.NewAggregate(engine.NewTokenize(q, ColDocID, ColData, p.Tokenizer, false), nil,
+		[]engine.AggSpec{{Op: engine.CountAll, As: colQueryLen}}, engine.GroupCertain)
+	withLen := engine.NewHashJoin(scored, DocLenPlan(docs, p),
+		[]string{ColDocID}, []string{ColDocID}, engine.JoinLeft)
+	return engine.NewProject(crossOne(withLen, qlen),
+		engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
+		engine.ProjCol{Name: ColScore, E: expr.Arith{Op: expr.Add,
+			L: expr.Column(ColScore),
+			R: expr.Arith{Op: expr.Mul,
+				L: expr.Column(colQueryLen),
+				R: expr.NewCall("log", expr.Arith{Op: expr.Div,
+					L: expr.Float(p.MuDirichlet),
+					R: expr.Arith{Op: expr.Add, L: expr.Float(p.MuDirichlet), R: expr.Column(ColLen)}})},
+		}},
+	)
 }

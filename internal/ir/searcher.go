@@ -3,13 +3,10 @@ package ir
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"irdb/internal/engine"
-	"irdb/internal/expr"
 	"irdb/internal/relation"
-	"irdb/internal/vector"
 )
 
 // Searcher ranks a document collection — any plan producing a
@@ -18,10 +15,9 @@ import (
 // on-demand index construction of section 2.1; later searches on the same
 // collection and parameters run hot via the materialization cache.
 //
-// Search runs a prepared plan: the score plan is optimized once per
-// catalog schema epoch with the query document as the relation-valued
-// parameter ?q (and Dirichlet's query length as the scalar ?qlen), and
-// each search only binds them.
+// A Searcher has one score plan: RankPlan over the query parameter ?q,
+// ranked by descending score. Search optimizes it once per catalog schema
+// epoch and binds ?q per search; ScorePlan binds it without optimizing.
 type Searcher struct {
 	ctx      *engine.Ctx
 	docs     engine.Node
@@ -29,11 +25,8 @@ type Searcher struct {
 	prepared engine.Prepared[*engine.Sort]
 }
 
-// The parameters of the prepared score plan.
-const (
-	paramQuery    = "q"
-	paramQueryLen = "qlen"
-)
+// paramQuery is the score plan's query parameter.
+const paramQuery = "q"
 
 // NewSearcher validates the parameters and returns a searcher over docs,
 // which must produce columns (docID, data).
@@ -46,12 +39,6 @@ func NewSearcher(ctx *engine.Ctx, docs engine.Node, p Params) (*Searcher, error)
 	}
 	return &Searcher{ctx: ctx, docs: docs, p: p}, nil
 }
-
-// Params returns the searcher's configuration.
-func (s *Searcher) Params() Params { return s.p }
-
-// Docs returns the collection plan.
-func (s *Searcher) Docs() engine.Node { return s.docs }
 
 // BuildIndex forces materialization of every query-independent view (the
 // cold cost BenchmarkE1IndexBuild measures). It is optional: the first
@@ -78,59 +65,31 @@ func (s *Searcher) BuildIndex(c context.Context) error {
 	return err
 }
 
-// ScorePlan builds the full per-query scoring plan: probe the weights
-// matrix with the query's termIDs, sum contributions per document, and
-// expose the score as the tuple probability, ranked descending. The
-// returned plan produces a (docID) relation whose probability column is
-// the retrieval score.
+// ScorePlan returns the score plan bound to query: the retrieval score
+// of every matching document as its tuple probability, ranked
+// descending, ties by docID.
 func (s *Searcher) ScorePlan(query string) (engine.Node, error) {
-	return s.scorePlan(QueryLeaf(s.p, query), s.queryLen(query))
-}
-
-// queryLen is Dirichlet's |q|, the query's token count.
-func (s *Searcher) queryLen(query string) expr.Lit {
-	return expr.Float(float64(len(s.p.Tokenizer.Tokens(query))))
-}
-
-// scorePlan is ScorePlan over the query leaf q, with qlen the query's
-// token count.
-func (s *Searcher) scorePlan(q engine.Node, qlen expr.Expr) (engine.Node, error) {
-	w, err := WeightsPlan(s.docs, s.p)
+	plan, err := s.scorePlan()
 	if err != nil {
 		return nil, err
 	}
-	qterms := QTerms(s.docs, s.p, q)
-	// Probe side is the (tiny) query-term list; build side is the cached
-	// weights matrix — Figure 1's "inverted index as a relational join".
-	matched := engine.NewHashJoin(qterms, w,
-		[]string{ColTermID}, []string{ColTermID}, engine.JoinLeft)
-	scored := engine.NewAggregate(matched, []string{ColDocID},
-		[]engine.AggSpec{{Op: engine.Sum, Col: ColWeight, As: ColScore}}, engine.GroupCertain)
+	return s.bind(plan, query)
+}
 
-	var final engine.Node
-	if s.p.Model == LMDirichlet {
-		// score += |q| · ln(μ / (μ + len))
-		withLen := engine.NewHashJoin(scored, DocLenPlan(s.docs, s.p),
-			[]string{ColDocID}, []string{ColDocID}, engine.JoinLeft)
-		final = engine.NewProject(withLen,
-			engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
-			engine.ProjCol{Name: ColScore, E: expr.Arith{Op: expr.Add,
-				L: expr.Column(ColScore),
-				R: expr.Arith{Op: expr.Mul,
-					L: qlen,
-					R: expr.NewCall("log", expr.Arith{Op: expr.Div,
-						L: expr.Float(s.p.MuDirichlet),
-						R: expr.Arith{Op: expr.Add, L: expr.Float(s.p.MuDirichlet), R: expr.Column(ColLen)}})},
-			}},
-		)
-	} else {
-		final = engine.NewProject(scored,
-			engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
-			engine.ProjCol{Name: ColScore, E: expr.Column(ColScore)},
-		)
+// scorePlan is the score plan over the query parameter ?q.
+func (s *Searcher) scorePlan() (*engine.Sort, error) {
+	plan, err := RankPlan(s.docs, s.p, QueryParam(paramQuery))
+	if err != nil {
+		return nil, err
 	}
-	asProb := engine.NewProbFromCol(final, ColScore, false, true)
-	return engine.NewSort(asProb, engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: ColDocID}), nil
+	return engine.NewSort(plan, engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: ColDocID}), nil
+}
+
+// bind substitutes query's leaf for ?q in plan.
+func (s *Searcher) bind(plan engine.Node, query string) (engine.Node, error) {
+	return engine.Bindings{Relation: func(name string) (*engine.Values, bool) {
+		return QueryLeaf(s.p, query), name == paramQuery
+	}}.Bind(plan)
 }
 
 // Hit is one ranked retrieval result.
@@ -163,7 +122,7 @@ func (s *Searcher) Search(c context.Context, query string, k int) ([]Hit, error)
 // makes of ScorePlan(query) under a Limit(k).
 func (s *Searcher) plan(query string, k int) (engine.Node, error) {
 	sorted, err := s.prepared.Get(s.ctx, func() (*engine.Sort, error) {
-		plan, err := s.scorePlan(QueryParam(paramQuery), expr.Param{Name: paramQueryLen})
+		plan, err := s.scorePlan()
 		if err != nil {
 			return nil, err
 		}
@@ -178,12 +137,7 @@ func (s *Searcher) plan(query string, k int) (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranked, err := engine.Bindings{
-		Scalar: func(name string) (expr.Lit, bool) { return s.queryLen(query), name == paramQueryLen },
-		Relation: func(name string) (*engine.Values, bool) {
-			return QueryLeaf(s.p, query), name == paramQuery
-		},
-	}.Bind(sorted.Child)
+	ranked, err := s.bind(sorted.Child, query)
 	if err != nil {
 		return nil, err
 	}
@@ -207,44 +161,4 @@ func HitsFromRelation(rel *relation.Relation) ([]Hit, error) {
 		hits[i] = Hit{DocID: col.Vec.Format(i), Score: prob[i]}
 	}
 	return hits, nil
-}
-
-// IndexStats summarizes the materialized index of a collection.
-type IndexStats struct {
-	Docs      int64
-	Terms     int64
-	Postings  int64
-	AvgDocLen float64
-}
-
-// Stats materializes (if needed) and summarizes the index views.
-func (s *Searcher) Stats(c context.Context) (IndexStats, error) {
-	var st IndexStats
-	dict, err := s.ctx.Exec(c, TermDictPlan(s.docs, s.p))
-	if err != nil {
-		return st, err
-	}
-	st.Terms = int64(dict.NumRows())
-	tf, err := s.ctx.Exec(c, TFPlan(s.docs, s.p))
-	if err != nil {
-		return st, err
-	}
-	st.Postings = int64(tf.NumRows())
-	dl, err := s.ctx.Exec(c, DocLenPlan(s.docs, s.p))
-	if err != nil {
-		return st, err
-	}
-	st.Docs = int64(dl.NumRows())
-	if lenCol := dl.ColIndex(ColLen); lenCol >= 0 && dl.NumRows() > 0 {
-		vals := dl.Col(lenCol).Vec.(*vector.Int64s).Values()
-		var sum int64
-		for _, v := range vals {
-			sum += v
-		}
-		st.AvgDocLen = float64(sum) / float64(len(vals))
-	}
-	if math.IsNaN(st.AvgDocLen) {
-		st.AvgDocLen = 0
-	}
-	return st, nil
 }

@@ -191,16 +191,6 @@ func (r *Reservation) Grow(n int64) error {
 	return nil
 }
 
-// Used returns the bytes currently charged to the reservation.
-func (r *Reservation) Used() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.used
-}
-
 // Peak returns the reservation's high-water mark.
 func (r *Reservation) Peak() int64 {
 	if r == nil {

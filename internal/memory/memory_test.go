@@ -25,8 +25,8 @@ func TestReservationBudget(t *testing.T) {
 		t.Fatalf("budget error detail = %+v", be)
 	}
 	// A denied charge charges nothing.
-	if got := r.Used(); got != 100 {
-		t.Fatalf("Used after denial = %d, want 100", got)
+	if got := r.Peak(); got != 100 {
+		t.Fatalf("Peak after denial = %d, want 100", got)
 	}
 	if got := p.Used(); got != 100 {
 		t.Fatalf("pool Used = %d, want 100", got)
@@ -104,7 +104,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil reservation Grow: %v", err)
 	}
 	nr.Release()
-	if nr.Used() != 0 {
+	if nr.Peak() != 0 {
 		t.Fatal("nil reservation accessors")
 	}
 	if p.Used() != 0 || p.Capacity() != 0 || p.Peak() != 0 || p.Denied() != 0 || p.Active() != 0 {

@@ -30,18 +30,6 @@ type Relation struct {
 	prob []float64
 }
 
-// New creates an empty relation with the given column names and kinds.
-func New(names []string, kinds []vector.Kind) *Relation {
-	if len(names) != len(kinds) {
-		panic("relation: names and kinds length mismatch")
-	}
-	cols := make([]Column, len(names))
-	for i := range names {
-		cols[i] = Column{Name: names[i], Vec: vector.NewOfKind(kinds[i], 0)}
-	}
-	return &Relation{cols: cols}
-}
-
 // FromColumns builds a relation from pre-built columns and an optional
 // probability column. A nil prob means "all certain" (p = 1.0). All columns
 // must have equal length.

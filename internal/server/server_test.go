@@ -159,6 +159,35 @@ func TestInstallAndListStrategies(t *testing.T) {
 	}
 }
 
+// TestInstallRefusesBadBlockParams: a structurally valid strategy with a
+// bad block parameter is refused at install with 400 and the compile
+// error, not installed to fail every later search.
+func TestInstallRefusesBadBlockParams(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, params := range []map[string]any{
+		{"model": "pagerank"},
+		{"model": "lm-dirichlet"},
+		{"model": "bm25", "stemmer": "no-such-stemmer"},
+	} {
+		st := strategy.Toy()
+		st.Blocks[2].Params = params
+		body, _ := json.Marshal(st)
+		resp, err := http.Post(ts.URL+"/strategies", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], `block "rank"`) {
+			t.Errorf("install with %v: status %d, error %q; want 400 naming the block", params, resp.StatusCode, e["error"])
+		}
+		if code := getJSON(t, ts.URL+"/search?strategy=toy-products&q=wooden", nil); code != http.StatusNotFound {
+			t.Errorf("install with %v: search status %d, want 404 (not installed)", params, code)
+		}
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	v := workload.NewVocabulary(500, 7)

@@ -114,7 +114,7 @@ func TestBM25ExpressedInSpinQL(t *testing.T) {
 		scoreCol := rel.Col(1).Vec.(*vector.Float64s)
 		for i := 0; i < rel.NumRows(); i++ {
 			docID := rel.Col(0).Vec.Format(i)
-			score := scoreCol.At(i)
+			score := scoreCol.Values()[i]
 			if math.Abs(score-wantScores[docID]) > 1e-9 {
 				t.Errorf("query %q doc %s: SpinQL %g, relational pipeline %g",
 					query, docID, score, wantScores[docID])

@@ -57,13 +57,6 @@ func Get(name string) (Stemmer, error) {
 	return s, nil
 }
 
-// Names returns the registered stemmer names, sorted.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked()
-}
-
 func namesLocked() []string {
 	out := make([]string, 0, len(registry))
 	for n := range registry {

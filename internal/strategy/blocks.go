@@ -17,7 +17,7 @@ import (
 type blockSpec struct {
 	minInputs int
 	maxInputs int
-	compile   func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error)
+	compile   func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error)
 }
 
 // The block registry. Node-set blocks produce a single-column (subject)
@@ -26,7 +26,7 @@ type blockSpec struct {
 var blockTypes = map[string]blockSpec{
 	// select-type: nodes of a graph type — "first selects nodes of type
 	// lot from the graph" (section 3 step 1).
-	"select-type": {0, 0, func(c *Compiler, b Block, _ []engine.Node) (engine.Node, error) {
+	"select-type": {0, 0, func(c *lowering, b Block, _ []engine.Node) (engine.Node, error) {
 		typeName, err := stringParam(b, "type")
 		if err != nil {
 			return nil, err
@@ -36,7 +36,7 @@ var blockTypes = map[string]blockSpec{
 
 	// filter-property: nodes with a given (property, value) — the
 	// category filter of the toy scenario.
-	"filter-property": {0, 1, func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error) {
+	"filter-property": {0, 1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
 		prop, err := stringParam(b, "property")
 		if err != nil {
 			return nil, err
@@ -61,7 +61,7 @@ var blockTypes = map[string]blockSpec{
 
 	// traverse: follow a graph property forward or backward; scores
 	// propagate through the probabilistic join (Figure 3 step 3).
-	"traverse": {1, 1, func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error) {
+	"traverse": {1, 1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
 		prop, err := stringParam(b, "property")
 		if err != nil {
 			return nil, err
@@ -80,7 +80,7 @@ var blockTypes = map[string]blockSpec{
 	// extract-text: (subject) → (docID, data) via a text property — the
 	// sub-collection definition fed to ranking ("extracts the lot
 	// descriptions").
-	"extract-text": {1, 1, func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error) {
+	"extract-text": {1, 1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
 		prop, err := stringParam(b, "property")
 		if err != nil {
 			return nil, err
@@ -90,9 +90,10 @@ var blockTypes = map[string]blockSpec{
 
 	// rank-text: the "Rank by Text BM25" block of Figure 2. Input is a
 	// (docID, data) collection; output is (subject) ranked by relevance
-	// to the compiler's query. Optional params: model, k1, b, stemmer,
-	// expand (synonyms), compounds, normalize.
-	"rank-text": {1, 1, func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error) {
+	// to the compiler's query, scored by ir.RankPlan. Optional params:
+	// model (bm25, tfidf or lm-jm), k1, b, stemmer, expand (synonyms),
+	// compounds, normalize.
+	"rank-text": {1, 1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
 		p := c.IRParams
 		if m := optStringParam(b, "model", ""); m != "" {
 			switch strings.ToLower(m) {
@@ -108,6 +109,11 @@ var blockTypes = map[string]blockSpec{
 				return nil, fmt.Errorf("rank-text: unknown model %q", m)
 			}
 		}
+		if p.Model == ir.LMDirichlet {
+			// Its per-document term |q|·ln(μ/(μ+len)) makes scores
+			// negative; without the term the model is not Dirichlet.
+			return nil, fmt.Errorf("rank-text: model %v is not supported: its scores can be negative, and rank-text scores are probabilities (they feed normalize and mix)", p.Model)
+		}
 		if k1, ok := floatParam(b, "k1"); ok {
 			p.K1 = k1
 		}
@@ -120,18 +126,22 @@ var blockTypes = map[string]blockSpec{
 		if boolParam(b, "compounds") {
 			p.WithCompounds = true
 		}
-		leaf := queryLeaf(c, b, p)
-		var q engine.Node
-		if c.leaves != nil {
-			c.leaves[b.ID] = leaf
-			q = ir.QueryParam(b.ID)
-		} else {
-			q = leaf(c.Query)
-		}
-		plan, err := rankPlan(inputs[0], p, q)
+		c.leaves[b.ID] = queryLeaf(c.Synonyms, b, p)
+		plan, err := ir.RankPlan(inputs[0], p, ir.QueryParam(b.ID))
 		if err != nil {
 			return nil, err
 		}
+		// JOIN INDEPENDENT with the per-document probabilities of the
+		// input collection: text score × document probability. Per
+		// section 2.3, an uncertain category filter upstream, say,
+		// multiplies into the retrieval score — "structured search need
+		// not be restricted to boolean facts".
+		docProbs := engine.NewMaterialize(engine.NewDistinct(
+			engine.NewProject(inputs[0], engine.ProjCol{Name: ir.ColDocID, E: expr.Column(ir.ColDocID)}),
+			engine.GroupMax))
+		plan = engine.NewProject(
+			engine.NewHashJoin(plan, docProbs, []string{ir.ColDocID}, []string{ir.ColDocID}, engine.JoinIndependent),
+			engine.ProjCol{Name: ir.ColDocID, E: expr.Column(ir.ColDocID)})
 		if optBoolParam(b, "normalize", true) {
 			// Scores become probabilities by max-normalization (relational
 			// Bayes, MAX evidence), so mixing weights behave as a convex
@@ -143,7 +153,7 @@ var blockTypes = map[string]blockSpec{
 
 	// mix: linear combination of ranked node sets with given weights —
 	// Figure 3 step 4.
-	"mix": {2, -1, func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error) {
+	"mix": {2, -1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
 		weights, err := floatSliceParam(b, "weights")
 		if err != nil {
 			return nil, err
@@ -169,7 +179,7 @@ var blockTypes = map[string]blockSpec{
 	}},
 
 	// top-k: ranked cutoff.
-	"top-k": {1, 1, func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error) {
+	"top-k": {1, 1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
 		k, ok := floatParam(b, "k")
 		if !ok || k < 1 {
 			return nil, fmt.Errorf("top-k: positive integer parameter k required")
@@ -179,7 +189,7 @@ var blockTypes = map[string]blockSpec{
 	}},
 
 	// min-score: drop results below a probability threshold.
-	"min-score": {1, 1, func(c *Compiler, b Block, inputs []engine.Node) (engine.Node, error) {
+	"min-score": {1, 1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
 		min, ok := floatParam(b, "min")
 		if !ok {
 			return nil, fmt.Errorf("min-score: parameter min required")
@@ -191,10 +201,10 @@ var blockTypes = map[string]blockSpec{
 
 // queryLeaf returns how rank-text block b turns a raw query into its
 // query leaf under the analyzer p: the query itself, or, for an "expand"
-// block, its tokens expanded with c's synonyms (and joined adjacent pairs
-// for "compounds").
-func queryLeaf(c *Compiler, b Block, p ir.Params) func(query string) *engine.Values {
-	expand, compounds, synonyms := boolParam(b, "expand"), boolParam(b, "compounds"), c.Synonyms
+// block, its tokens expanded with synonyms (and joined adjacent pairs for
+// "compounds").
+func queryLeaf(synonyms text.SynonymDict, b Block, p ir.Params) func(query string) *engine.Values {
+	expand, compounds := boolParam(b, "expand"), boolParam(b, "compounds")
 	return func(query string) *engine.Values {
 		if expand {
 			terms := p.Tokenizer.Tokens(query)
@@ -206,32 +216,6 @@ func queryLeaf(c *Compiler, b Block, p ir.Params) func(query string) *engine.Val
 		}
 		return ir.QueryLeaf(p, query)
 	}
-}
-
-// rankPlan scores the docs collection for the query leaf q. Per section
-// 2.3, the input collection's own tuple probabilities (e.g. an uncertain
-// category filter upstream) multiply into the retrieval score —
-// "structured search need not be restricted to boolean facts".
-func rankPlan(docs engine.Node, p ir.Params, q engine.Node) (engine.Node, error) {
-	w, err := ir.WeightsPlan(docs, p)
-	if err != nil {
-		return nil, err
-	}
-	qterms := ir.QTerms(docs, p, q)
-	matched := engine.NewHashJoin(qterms, w,
-		[]string{ir.ColTermID}, []string{ir.ColTermID}, engine.JoinLeft)
-	scored := engine.NewAggregate(matched, []string{ir.ColDocID},
-		[]engine.AggSpec{{Op: engine.Sum, Col: ir.ColWeight, As: ir.ColScore}}, engine.GroupCertain)
-	asProb := engine.NewProbFromCol(scored, ir.ColScore, false, true)
-	// JOIN INDEPENDENT with the per-document probabilities of the input
-	// collection: text score × document probability.
-	docProbs := engine.NewMaterialize(engine.NewDistinct(
-		engine.NewProject(docs, engine.ProjCol{Name: ir.ColDocID, E: expr.Column(ir.ColDocID)}),
-		engine.GroupMax))
-	joined := engine.NewHashJoin(asProb, docProbs,
-		[]string{ir.ColDocID}, []string{ir.ColDocID}, engine.JoinIndependent)
-	return engine.NewProject(joined,
-		engine.ProjCol{Name: ir.ColDocID, E: expr.Column(ir.ColDocID)}), nil
 }
 
 // BlockTypeNames returns the registered block type names, sorted.

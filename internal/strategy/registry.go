@@ -36,12 +36,13 @@ func NewRegistry(eng *engine.Ctx, synonyms text.SynonymDict) *Registry {
 	return &Registry{eng: eng, c: Compiler{Synonyms: synonyms}, byName: map[string]*Entry{}}
 }
 
-// Install validates the strategies and installs each under its name. A
+// Install compiles the strategies and installs each under its name, so a
+// bad block parameter fails here rather than at the first search. A
 // strategy replacing another under the same name replaces its prepared
-// plan too. Nothing is installed when one is invalid.
+// plan too. Nothing is installed when one fails to compile.
 func (r *Registry) Install(sts ...*Strategy) error {
 	for _, st := range sts {
-		if err := st.Validate(); err != nil {
+		if _, err := st.lower(withDefaults(&r.c)); err != nil {
 			return err
 		}
 	}

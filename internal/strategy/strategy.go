@@ -6,10 +6,11 @@
 //
 // A strategy is serializable to JSON (the moral equivalent of the paper's
 // visual design environment saving a strategy) and compiles into a single
-// engine plan: against one query string (Compile), or once for every
-// query (Prepare), with each ranking block's query leaf a relation-valued
-// parameter that a search binds. A Registry holds installed strategies
-// with their prepared plans.
+// engine plan, always the same way: with each ranking block's query leaf a
+// relation-valued parameter. Prepare optimizes that plan once for every
+// query, and a search binds the query into it; Compile binds one query
+// string into it directly. A Registry holds installed strategies with
+// their prepared plans.
 package strategy
 
 import (
@@ -55,11 +56,13 @@ type Compiler struct {
 	// Synonyms feeds "expand": true ranking blocks (query expansion with
 	// synonyms, production strategy of section 3).
 	Synonyms text.SynonymDict
+}
 
-	// leaves is non-nil while preparing: each rank-text block then
-	// records under its ID how a raw query becomes its query leaf, and
-	// compiles over the parameter of that name instead of Query's leaf.
-	// Compile's copy of the Compiler shares the map with Prepare's.
+// lowering is one compilation of a strategy: the compiler's inputs and,
+// by block ID, how each rank-text block turns a raw query into the query
+// leaf bound to its parameter.
+type lowering struct {
+	Compiler
 	leaves map[string]func(query string) *engine.Values
 }
 
@@ -144,13 +147,45 @@ func (s *Strategy) Validate() error {
 }
 
 // Compile lowers the strategy into one engine plan producing a ranked
-// (subject) relation with scores as tuple probabilities, for c's query.
-// c is not modified.
+// (subject) relation with scores as tuple probabilities, for c's query:
+// the plan Prepare optimizes, bound to c.Query. c is not modified.
 func (s *Strategy) Compile(c *Compiler) (engine.Node, error) {
+	cc := withDefaults(c)
+	p, err := s.lower(cc)
+	if err != nil {
+		return nil, err
+	}
+	return p.Bind(cc.Query)
+}
+
+// Prepared is a strategy compiled once for every query: the query leaf of
+// each rank-text block is a relation-valued parameter, and Bind
+// substitutes the leaves of one query. Prepare's plan is also optimized.
+type Prepared struct {
+	plan   engine.Node
+	leaves map[string]func(query string) *engine.Values
+}
+
+// Prepare compiles the strategy under c's analyzer parameters and
+// synonyms (c.Query is not read) and optimizes the plan on eng. c is not
+// modified.
+func (s *Strategy) Prepare(eng *engine.Ctx, c *Compiler) (*Prepared, error) {
+	p, err := s.lower(withDefaults(c))
+	if err != nil {
+		return nil, err
+	}
+	p.plan = eng.Optimize(p.plan)
+	return p, nil
+}
+
+// lower compiles the strategy under c with the query leaf of each
+// rank-text block the relation-valued parameter named by the block's ID.
+// c.Query is not read.
+func (s *Strategy) lower(c Compiler) (*Prepared, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	cc := withDefaults(c)
+	l := &lowering{Compiler: c, leaves: map[string]func(string) *engine.Values{}}
 	byID := map[string]Block{}
 	for _, b := range s.Blocks {
 		byID[b.ID] = b
@@ -170,40 +205,23 @@ func (s *Strategy) Compile(c *Compiler) (engine.Node, error) {
 			}
 			inputs[i] = n
 		}
-		spec := blockTypes[b.Type]
-		n, err := spec.compile(&cc, b, inputs)
+		n, err := blockTypes[b.Type].compile(l, b, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("strategy %q: block %q: %w", s.Name, b.ID, err)
 		}
 		compiled[id] = n
 		return n, nil
 	}
-	return build(s.Output)
-}
-
-// Prepared is a strategy compiled and optimized once for every query: the
-// query leaf of each rank-text block is a relation-valued parameter, and
-// Bind substitutes the leaves of one query.
-type Prepared struct {
-	plan   engine.Node
-	leaves map[string]func(query string) *engine.Values
-}
-
-// Prepare compiles the strategy under c's analyzer parameters and
-// synonyms (c.Query is not read) and optimizes the plan on eng. c is not
-// modified.
-func (s *Strategy) Prepare(eng *engine.Ctx, c *Compiler) (*Prepared, error) {
-	cc := withDefaults(c)
-	cc.leaves = map[string]func(string) *engine.Values{}
-	plan, err := s.Compile(&cc)
+	plan, err := build(s.Output)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{plan: eng.Optimize(plan), leaves: cc.leaves}, nil
+	return &Prepared{plan: plan, leaves: l.leaves}, nil
 }
 
-// Bind returns the prepared plan for query: the plan Optimize makes of
-// Compile for that query, at the cost of building its query leaves.
+// Bind returns the prepared plan for query, at the cost of building its
+// query leaves: for a plan from Prepare, the plan Optimize makes of
+// Compile for that query.
 func (p *Prepared) Bind(query string) (engine.Node, error) {
 	return engine.Bindings{Relation: func(name string) (*engine.Values, bool) {
 		leaf, ok := p.leaves[name]

@@ -343,7 +343,9 @@ func TestMixValidation(t *testing.T) {
 	_ = ctx
 }
 
-func TestBlockParamErrors(t *testing.T) {
+// badParamStrategies are structurally valid strategies whose one block
+// has a bad parameter: only compiling them finds the fault.
+func badParamStrategies() []*Strategy {
 	mk := func(typ string, params map[string]any, inputs ...string) *Strategy {
 		blocks := []Block{{ID: "in", Type: "select-type", Params: map[string]any{"type": "lot"}}}
 		b := Block{ID: "b", Type: typ, Params: params}
@@ -353,7 +355,7 @@ func TestBlockParamErrors(t *testing.T) {
 		blocks = append(blocks, b)
 		return &Strategy{Name: "t", Blocks: blocks, Output: "b"}
 	}
-	cases := []*Strategy{
+	return []*Strategy{
 		mk("select-type", map[string]any{}), // missing type
 		mk("traverse", map[string]any{"property": "x", "direction": "sideways"}, "in"),
 		mk("extract-text", map[string]any{}, "in"),                         // missing property
@@ -361,10 +363,54 @@ func TestBlockParamErrors(t *testing.T) {
 		mk("top-k", map[string]any{}, "in"),                                // missing k
 		mk("min-score", map[string]any{}, "in"),                            // missing min
 		mk("filter-property", map[string]any{"property": 5, "value": "x"}), // wrong kind
+		mk("rank-text", map[string]any{"model": "lm-dirichlet"}, "in"),     // scores not probabilities
 	}
-	for i, s := range cases {
+}
+
+// TestBlockParamErrors: a bad block parameter fails Compile, Prepare and
+// Registry.Install, and the registry keeps nothing of a batch holding one.
+func TestBlockParamErrors(t *testing.T) {
+	ctx := toyStore(t)
+	for i, s := range badParamStrategies() {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("case %d: structurally invalid: %v", i, err)
+		}
 		if _, err := s.Compile(&Compiler{Query: "q"}); err == nil {
 			t.Errorf("case %d: compile passed on bad params", i)
+		}
+		if _, err := s.Prepare(ctx, nil); err == nil {
+			t.Errorf("case %d: prepare passed on bad params", i)
+		}
+		reg := NewRegistry(ctx, nil)
+		if err := reg.Install(Toy(), s); err == nil {
+			t.Errorf("case %d: install passed on bad params", i)
+		}
+		if names := reg.Names(); len(names) != 0 {
+			t.Errorf("case %d: a failed install left %v installed", i, names)
+		}
+	}
+}
+
+// TestRankTextRefusesDirichlet: rank-text scores feed max-normalization
+// and mix as probabilities, and Dirichlet's per-document term makes them
+// negative, so the block refuses the model and says why.
+func TestRankTextRefusesDirichlet(t *testing.T) {
+	s := Toy()
+	s.Blocks[2].Params = map[string]any{"model": "lm-dirichlet"}
+	_, err := s.Compile(&Compiler{Query: "wooden train"})
+	if err == nil || !strings.Contains(err.Error(), "negative") || !strings.Contains(err.Error(), "probabilities") {
+		t.Fatalf("rank-text lm-dirichlet: err = %v, want a refusal naming negative scores", err)
+	}
+	p := ir.DefaultParams()
+	p.Model = ir.LMDirichlet
+	s.Blocks[2].Params = nil
+	if _, err := s.Compile(&Compiler{Query: "wooden train", IRParams: p}); err == nil {
+		t.Error("rank-text compiled lm-dirichlet set through the compiler's parameters")
+	}
+	for _, m := range []string{"bm25", "tfidf", "lm-jm"} {
+		s.Blocks[2].Params = map[string]any{"model": m}
+		if _, err := s.Compile(&Compiler{Query: "wooden train"}); err != nil {
+			t.Errorf("rank-text %s: %v", m, err)
 		}
 	}
 }

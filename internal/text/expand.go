@@ -1,7 +1,5 @@
 package text
 
-import "sort"
-
 // SynonymDict maps a term to its synonyms. The production strategy of
 // section 3 uses "query expansion with synonyms and compound terms";
 // BenchmarkE7ProductionStrategyHot exercises this code path.
@@ -26,16 +24,6 @@ func (d SynonymDict) Expand(terms []string) []string {
 			add(s)
 		}
 	}
-	return out
-}
-
-// Terms returns the dictionary's keys in sorted order.
-func (d SynonymDict) Terms() []string {
-	out := make([]string, 0, len(d))
-	for t := range d {
-		out = append(out, t)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -128,14 +128,6 @@ func TestSynonymExpand(t *testing.T) {
 	}
 }
 
-func TestSynonymTermsSorted(t *testing.T) {
-	d := SynonymDict{"zebra": nil, "apple": nil}
-	got := d.Terms()
-	if !reflect.DeepEqual(got, []string{"apple", "zebra"}) {
-		t.Errorf("Terms = %v", got)
-	}
-}
-
 func TestCompounds(t *testing.T) {
 	got := Compounds([]string{"wooden", "train", "set"})
 	want := []string{"wooden_train", "train_set"}

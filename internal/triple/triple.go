@@ -425,9 +425,6 @@ func stringValues(rel *relation.Relation, name string) ([]string, error) {
 	}
 }
 
-// Catalog returns the backing catalog.
-func (s *Store) Catalog() *catalog.Catalog { return s.cat }
-
 // Counts reports the number of triples per object-type partition.
 func (s *Store) Counts() (str, ints, flts int, err error) {
 	for _, spec := range []struct {

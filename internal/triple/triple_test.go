@@ -81,7 +81,7 @@ func TestPropertyInt(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj, ok := rel.Col(rel.ColIndex(ColObject)).Vec.(*vector.Int64s)
-	if rel.NumRows() != 1 || !ok || obj.At(0) != 25 {
+	if rel.NumRows() != 1 || !ok || obj.Values()[0] != 25 {
 		t.Errorf("price = %s", rel.Format(-1))
 	}
 }

@@ -47,36 +47,8 @@ func (d *Dict) Lookup(s string) (int64, bool) {
 	return id, true
 }
 
-// Get returns the string for a previously allocated ID.
-func (d *Dict) Get(id int64) string { return d.strs[id] }
-
 // Len reports the number of distinct strings interned.
 func (d *Dict) Len() int { return len(d.strs) }
-
-// Strings returns a copy of all interned strings in ID order.
-func (d *Dict) Strings() []string {
-	out := make([]string, len(d.strs))
-	copy(out, d.strs)
-	return out
-}
-
-// Encode interns every value of the string vector and returns the ID column.
-func (d *Dict) Encode(v *Strings) *Int64s {
-	out := make([]int64, v.Len())
-	for i, s := range v.Values() {
-		out[i] = d.Put(s)
-	}
-	return FromInt64s(out)
-}
-
-// Decode maps an ID column back to strings.
-func (d *Dict) Decode(v *Int64s) *Strings {
-	out := make([]string, v.Len())
-	for i, id := range v.Values() {
-		out[i] = d.strs[id]
-	}
-	return FromStrings(out)
-}
 
 // Freeze returns an immutable, read-only view of the dictionary's current
 // contents. The view owns its own lookup structures, so the original Dict

@@ -27,13 +27,13 @@ func TestEncodeStringsRoundTrip(t *testing.T) {
 		t.Fatalf("dict len = %d, want 37", dv.Dict().Len())
 	}
 	for i := 0; i < sv.Len(); i++ {
-		if dv.At(i) != sv.At(i) {
-			t.Fatalf("row %d decodes to %q, want %q", i, dv.At(i), sv.At(i))
+		if dv.At(i) != sv.Values()[i] {
+			t.Fatalf("row %d decodes to %q, want %q", i, dv.At(i), sv.Values()[i])
 		}
 	}
 	for i, s := range dv.Decode().Values() {
-		if s != sv.At(i) {
-			t.Fatalf("decoded row %d = %q, want %q", i, s, sv.At(i))
+		if s != sv.Values()[i] {
+			t.Fatalf("decoded row %d = %q, want %q", i, s, sv.Values()[i])
 		}
 	}
 }
@@ -44,7 +44,7 @@ func TestDictStringsEqualLessCrossRepresentation(t *testing.T) {
 	dv2 := EncodeStrings(testStrings(200, 23)) // same values, different dict
 	for i := 0; i < 200; i += 7 {
 		for j := 0; j < 200; j += 11 {
-			want := sv.At(i) == sv.At(j)
+			want := sv.Values()[i] == sv.Values()[j]
 			if got := dv.EqualAt(i, dv, j); got != want {
 				t.Fatalf("same-dict EqualAt(%d,%d) = %v, want %v", i, j, got, want)
 			}
@@ -57,7 +57,7 @@ func TestDictStringsEqualLessCrossRepresentation(t *testing.T) {
 			if got := sv.EqualAt(i, dv, j); got != want {
 				t.Fatalf("plain-vs-dict EqualAt(%d,%d) = %v, want %v", i, j, got, want)
 			}
-			wantLess := sv.At(i) < sv.At(j)
+			wantLess := sv.Values()[i] < sv.Values()[j]
 			if got := dv.LessAt(i, dv, j); got != wantLess {
 				t.Fatalf("same-dict LessAt(%d,%d) = %v, want %v", i, j, got, wantLess)
 			}
@@ -97,19 +97,19 @@ func TestDictStringsGatherSliceCopy(t *testing.T) {
 		t.Fatal("Gather did not share the dict")
 	}
 	for i, s := range sel {
-		if g.At(i) != sv.At(s) {
-			t.Fatalf("gather row %d = %q, want %q", i, g.At(i), sv.At(s))
+		if g.At(i) != sv.Values()[s] {
+			t.Fatalf("gather row %d = %q, want %q", i, g.At(i), sv.Values()[s])
 		}
 	}
 	sl := dv.Slice(100, 200).(*DictStrings)
-	if sl.Len() != 100 || sl.At(0) != sv.At(100) {
+	if sl.Len() != 100 || sl.At(0) != sv.Values()[100] {
 		t.Fatal("Slice mismatch")
 	}
 	// code-copy into same-dict destination
 	dst := dv.NewSized(500).(*DictStrings)
 	dv.CopyRangeAt(dst, 0, 500, 0)
 	for i := 0; i < 500; i++ {
-		if dst.At(i) != sv.At(i) {
+		if dst.At(i) != sv.Values()[i] {
 			t.Fatalf("CopyRangeAt row %d mismatch", i)
 		}
 	}
@@ -117,7 +117,7 @@ func TestDictStringsGatherSliceCopy(t *testing.T) {
 	plain := NewStrings(0).NewSized(500)
 	dv.CopyRangeAt(plain, 0, 500, 0)
 	for i := 0; i < 500; i++ {
-		if plain.(*Strings).At(i) != sv.At(i) {
+		if plain.(*Strings).Values()[i] != sv.Values()[i] {
 			t.Fatalf("decode CopyRangeAt row %d mismatch", i)
 		}
 	}
@@ -125,7 +125,7 @@ func TestDictStringsGatherSliceCopy(t *testing.T) {
 	dst2 := dv.NewSized(len(sel)).(*DictStrings)
 	dv.GatherRangeInto(dst2, sel, 0, len(sel), 0)
 	for i, s := range sel {
-		if dst2.At(i) != sv.At(s) {
+		if dst2.At(i) != sv.Values()[s] {
 			t.Fatalf("GatherRangeInto row %d mismatch", i)
 		}
 	}
@@ -149,7 +149,7 @@ func TestDictStringsHashSelfConsistent(t *testing.T) {
 			t.Fatalf("range hash differs at %d", i)
 		}
 		for j := range hs {
-			if (sv.At(i) == sv.At(j)) != (hs[i] == hs[j]) {
+			if (sv.Values()[i] == sv.Values()[j]) != (hs[i] == hs[j]) {
 				t.Fatalf("hash equality mismatch at (%d,%d)", i, j)
 			}
 		}

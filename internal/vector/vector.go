@@ -148,9 +148,6 @@ func (v *Int64s) Values() []int64 { return v.vals }
 // Append adds a value.
 func (v *Int64s) Append(x int64) { v.vals = append(v.vals, x) }
 
-// At returns the value at row i.
-func (v *Int64s) At(i int) int64 { return v.vals[i] }
-
 // Gather implements Vector.
 func (v *Int64s) Gather(sel []int) Vector {
 	out := make([]int64, len(sel))
@@ -235,9 +232,6 @@ func (v *Float64s) Values() []float64 { return v.vals }
 
 // Append adds a value.
 func (v *Float64s) Append(x float64) { v.vals = append(v.vals, x) }
-
-// At returns the value at row i.
-func (v *Float64s) At(i int) float64 { return v.vals[i] }
 
 // Gather implements Vector.
 func (v *Float64s) Gather(sel []int) Vector {
@@ -326,9 +320,6 @@ func (v *Strings) Values() []string { return v.vals }
 
 // Append adds a value.
 func (v *Strings) Append(x string) { v.vals = append(v.vals, x) }
-
-// At returns the value at row i.
-func (v *Strings) At(i int) string { return v.vals[i] }
 
 // StringAt implements StringColumn.
 func (v *Strings) StringAt(i int) string { return v.vals[i] }
@@ -438,9 +429,6 @@ func (v *Bools) Values() []bool { return v.vals }
 
 // Append adds a value.
 func (v *Bools) Append(x bool) { v.vals = append(v.vals, x) }
-
-// At returns the value at row i.
-func (v *Bools) At(i int) bool { return v.vals[i] }
 
 // Gather implements Vector.
 func (v *Bools) Gather(sel []int) Vector {

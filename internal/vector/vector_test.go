@@ -35,11 +35,11 @@ func TestInt64sBasics(t *testing.T) {
 	if v.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", v.Len())
 	}
-	if v.At(1) != -7 {
-		t.Errorf("At(1) = %d", v.At(1))
+	if v.Values()[1] != -7 {
+		t.Errorf("At(1) = %d", v.Values()[1])
 	}
 	g := v.Gather([]int{2, 0, 0}).(*Int64s)
-	if g.At(0) != 3 || g.At(1) != 3 || g.At(2) != 3 {
+	if g.Values()[0] != 3 || g.Values()[1] != 3 || g.Values()[2] != 3 {
 		t.Errorf("Gather produced %v", g.Values())
 	}
 	if !v.EqualAt(0, v, 2) {
@@ -62,7 +62,7 @@ func TestFloat64sBasics(t *testing.T) {
 		t.Fatal("wrong kind")
 	}
 	v.AppendFrom(v, 0)
-	if v.Len() != 3 || v.At(2) != 0.5 {
+	if v.Len() != 3 || v.Values()[2] != 0.5 {
 		t.Errorf("AppendFrom: %v", v.Values())
 	}
 	if !v.LessAt(0, v, 1) || v.LessAt(1, v, 0) {
@@ -82,7 +82,7 @@ func TestStringsBasics(t *testing.T) {
 		t.Errorf("Format = %q", v.Format(1))
 	}
 	g := v.Gather([]int{1}).(*Strings)
-	if g.Len() != 1 || g.At(0) != "cake" {
+	if g.Len() != 1 || g.Values()[0] != "cake" {
 		t.Errorf("Gather: %v", g.Values())
 	}
 }
@@ -218,7 +218,7 @@ func TestGatherPreservesValuesProperty(t *testing.T) {
 		}
 		g := v.Gather(sel).(*Int64s)
 		for i, s := range sel {
-			if g.At(i) != vals[s] {
+			if g.Values()[i] != vals[s] {
 				return false
 			}
 		}
@@ -292,7 +292,7 @@ func TestFloat64sFormatAndAppend(t *testing.T) {
 	if v.Format(0) != "2.25" {
 		t.Errorf("Format = %q", v.Format(0))
 	}
-	if v.At(0) != 2.25 || v.Values()[0] != 2.25 {
+	if v.Values()[0] != 2.25 || v.Values()[0] != 2.25 {
 		t.Error("accessors wrong")
 	}
 }
@@ -301,7 +301,7 @@ func TestBoolsAppendValues(t *testing.T) {
 	v := NewBools(0)
 	v.Append(true)
 	v.Append(false)
-	if !v.At(0) || v.At(1) || len(v.Values()) != 2 {
+	if !v.Values()[0] || v.Values()[1] || len(v.Values()) != 2 {
 		t.Error("Bools accessors wrong")
 	}
 }
@@ -311,7 +311,7 @@ func TestStringsAppendFromAndValues(t *testing.T) {
 	v.Append("x")
 	w := NewStrings(0)
 	w.AppendFrom(v, 0)
-	if w.At(0) != "x" || len(w.Values()) != 1 {
+	if w.Values()[0] != "x" || len(w.Values()) != 1 {
 		t.Error("Strings AppendFrom wrong")
 	}
 }
@@ -330,8 +330,8 @@ func TestDictBasics(t *testing.T) {
 	if d.Len() != 2 {
 		t.Errorf("Len = %d, want 2", d.Len())
 	}
-	if d.Get(b) != "beta" {
-		t.Errorf("Get(b) = %q", d.Get(b))
+	if got := d.Freeze().Get(int32(b)); got != "beta" {
+		t.Errorf("Get(b) = %q", got)
 	}
 	if id, ok := d.Lookup("alpha"); !ok || id != a {
 		t.Errorf("Lookup(alpha) = %d,%v", id, ok)
@@ -343,15 +343,12 @@ func TestDictBasics(t *testing.T) {
 
 func TestDictEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(raw []string) bool {
-		d := NewDict(0)
-		v := FromStrings(raw)
-		enc := d.Encode(v)
-		dec := d.Decode(enc)
+		dec := EncodeStrings(FromStrings(raw)).Decode()
 		if dec.Len() != len(raw) {
 			return false
 		}
 		for i, s := range raw {
-			if dec.At(i) != s {
+			if dec.Values()[i] != s {
 				return false
 			}
 		}
@@ -368,7 +365,7 @@ func TestDictSortedStrings(t *testing.T) {
 		d.Put(s)
 	}
 	// ID order must be insertion order.
-	if d.Get(0) != "cake" || d.Get(2) != "history" {
+	if f := d.Freeze(); f.Get(0) != "cake" || f.Get(2) != "history" {
 		t.Error("IDs not in insertion order")
 	}
 }

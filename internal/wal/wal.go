@@ -515,21 +515,6 @@ func (l *Log) maybeSyncLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the current segment regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.fsyncs++
-	l.lastSync = time.Now()
-	return nil
-}
-
 // LastSeq returns the highest sequence number appended or replayed.
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()

@@ -91,11 +91,10 @@ type DB struct {
 	queries  atomic.Int64
 	closed   atomic.Bool
 
-	// searcher caches the SearchDocs searcher (its construction walks the
-	// collection for BM25 statistics); LoadDocs invalidates it. A racing
-	// construction may store twice — both searchers are valid over the
-	// same docs table, last one wins.
-	searcher atomic.Pointer[ir.Searcher]
+	// searcher ranks the docs table for SearchDocs. Its score plan is
+	// planned once per schema epoch, so LoadDocs and LoadSnapshot re-plan
+	// it and AppendDocs does not.
+	searcher *ir.Searcher
 }
 
 // Option configures Open.
@@ -199,12 +198,17 @@ func Open(opts ...Option) (*DB, error) {
 	eng := engine.NewCtx(cat)
 	eng.Parallelism = cfg.parallelism
 	store := triple.NewStore(cat)
+	searcher, err := ir.NewSearcher(eng, engine.NewScan(DocsTable), ir.DefaultParams())
+	if err != nil {
+		return nil, err
+	}
 	db := &DB{
 		cat:        cat,
 		store:      store,
 		eng:        eng,
 		ingest:     ingest.New(cat, store, DocsTable),
 		strategies: strategy.NewRegistry(eng, text.SynonymDict(cfg.synonyms)),
+		searcher:   searcher,
 	}
 	db.gate.SetMaxInFlight(cfg.maxInFlight)
 	db.gate.SetAdmissionWait(cfg.admissionWait)
@@ -398,17 +402,13 @@ func (db *DB) LoadDocs(docs []Doc) error {
 		}
 		b.AddP(p, d.ID, d.Text)
 	}
-	if err := db.ingest.ReplaceTable(DocsTable, b.Build()); err != nil {
-		return err
-	}
-	db.searcher.Store(nil)
-	return nil
+	return db.ingest.ReplaceTable(DocsTable, b.Build())
 }
 
 // AppendDocs appends documents to the collection backing SearchDocs —
-// live ingest with the same write-ahead durability as AppendTriples.
-// The cached searcher is discarded so the next search sees the new
-// documents. Returns the number of documents appended.
+// live ingest with the same write-ahead durability as AppendTriples. The
+// next search sees the new documents. Returns the number of documents
+// appended.
 func (db *DB) AppendDocs(docs []Doc) (int, error) {
 	if err := db.check(); err != nil {
 		return 0, err
@@ -417,12 +417,7 @@ func (db *DB) AppendDocs(docs []Doc) (int, error) {
 	for i, d := range docs {
 		converted[i] = ingest.Doc{ID: d.ID, Text: d.Text, P: d.P}
 	}
-	n, err := db.ingest.AppendDocs(converted)
-	if err != nil {
-		return n, err
-	}
-	db.searcher.Store(nil)
-	return n, nil
+	return db.ingest.AppendDocs(converted)
 }
 
 // Checkpoint writes a durable snapshot stamped with the WAL watermark it
@@ -463,11 +458,7 @@ func (db *DB) LoadSnapshot(path string) error {
 		return ErrClosed
 	}
 	defer release()
-	if err := db.ingest.LoadSnapshotFile(path); err != nil {
-		return err
-	}
-	db.searcher.Store(nil)
-	return nil
+	return db.ingest.LoadSnapshotFile(path)
 }
 
 // ---------------------------------------------------------------------------
@@ -614,24 +605,16 @@ func (db *DB) Search(ctx context.Context, strategyName, query string, k int) ([]
 }
 
 // SearchDocs ranks the LoadDocs collection against a keyword query with
-// the default retrieval model (BM25) and returns the top k documents. The
-// searcher is constructed once and cached until the next LoadDocs.
+// the default retrieval model (BM25) and returns the top k documents. Its
+// score plan is planned once per schema epoch and bound per search.
 func (db *DB) SearchDocs(ctx context.Context, query string, k int) ([]Hit, error) {
 	qctx, release, err := db.enter(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	s := db.searcher.Load()
-	if s == nil {
-		s, err = ir.NewSearcher(db.eng, engine.NewScan(DocsTable), ir.DefaultParams())
-		if err != nil {
-			return nil, err
-		}
-		db.searcher.Store(s)
-	}
 	db.queries.Add(1)
-	irHits, err := s.Search(qctx, query, k)
+	irHits, err := db.searcher.Search(qctx, query, k)
 	if err != nil {
 		return nil, err
 	}

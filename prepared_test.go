@@ -454,6 +454,33 @@ func TestPreparedStrategySearch(t *testing.T) {
 	}
 }
 
+// TestInstallStrategyRefusesBadParams: InstallStrategy compiles the
+// strategy, so a bad block parameter is an install error, and the
+// strategy under that name stays as it was.
+func TestInstallStrategyRefusesBadParams(t *testing.T) {
+	db := openT(t, WithParallelism(1))
+	t.Cleanup(func() { db.Close() })
+	db.InstallBuiltinStrategies()
+	for _, params := range []map[string]any{
+		{"model": "pagerank"},
+		{"model": "lm-dirichlet"},
+		{"model": "bm25", "stemmer": "no-such-stemmer"},
+	} {
+		st := strategy.Toy()
+		st.Blocks[2].Params = params
+		spec, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.InstallStrategy(spec); err == nil || !strings.Contains(err.Error(), `block "rank"`) {
+			t.Errorf("install with %v: err = %v, want the rank block's compile error", params, err)
+		}
+		if _, err := db.Search(context.Background(), st.Name, "wooden train", 5); err != nil {
+			t.Errorf("install with %v replaced the builtin: search: %v", params, err)
+		}
+	}
+}
+
 // TestPreparedConcurrentFirstSearch: the first searches of a fresh DB,
 // through every builtin strategy and SearchDocs at once, prepare their
 // plans under each other's feet (run with -race) and answer exactly as

@@ -8,10 +8,10 @@ import (
 )
 
 // TestSearchDocsConcurrent hammers SearchDocs from many goroutines while
-// LoadDocs swaps the collection underneath them. The cached searcher must
-// never be observed half-built (run with -race), every call must return a
-// well-formed result for whichever collection it saw, and after the last
-// reload a search must reflect the final collection.
+// LoadDocs swaps the collection underneath them. The score plan each swap
+// re-plans must never be observed half-built (run with -race), every call
+// must return a well-formed result for whichever collection it saw, and
+// after the last reload a search must reflect the final collection.
 func TestSearchDocsConcurrent(t *testing.T) {
 	db := openT(t, WithParallelism(2))
 	t.Cleanup(func() { db.Close() })
@@ -88,40 +88,49 @@ func TestSearchDocsConcurrent(t *testing.T) {
 	}
 }
 
-// TestSearchDocsCachesSearcher: the second search must reuse the searcher
-// built by the first (construction walks the whole collection), and a
-// LoadDocs in between must rebuild it.
+// TestSearchDocsCachesSearcher: SearchDocs plans its score plan once per
+// schema epoch. A second search and an AppendDocs re-plan nothing, and
+// the appended document is found; LoadDocs replaces the table, and the
+// next search plans again over the new documents.
 func TestSearchDocsCachesSearcher(t *testing.T) {
 	db := openT(t, WithParallelism(1))
 	t.Cleanup(func() { db.Close() })
+	bg := context.Background()
+	plans := func() int64 { return db.Stats().Optimizer.Plans }
+	search := func(q string) []Hit {
+		t.Helper()
+		hits, err := db.SearchDocs(bg, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hits
+	}
 	if err := db.LoadDocs([]Doc{{ID: "d1", Text: "wooden train"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SearchDocs(context.Background(), "train", 5); err != nil {
+	search("train")
+	planned := plans()
+	search("wooden")
+	if got := plans(); got != planned {
+		t.Fatalf("second SearchDocs planned %d more plans", got-planned)
+	}
+	if _, err := db.AppendDocs([]Doc{{ID: "d3", Text: "toy train"}}); err != nil {
 		t.Fatal(err)
 	}
-	first := db.searcher.Load()
-	if first == nil {
-		t.Fatal("searcher not cached after first SearchDocs")
+	if hits := search("toy"); len(hits) != 1 || hits[0].ID != "d3" {
+		t.Fatalf("post-append hits = %+v, want d3", hits)
 	}
-	if _, err := db.SearchDocs(context.Background(), "wooden", 5); err != nil {
-		t.Fatal(err)
-	}
-	if db.searcher.Load() != first {
-		t.Fatal("second SearchDocs rebuilt the cached searcher")
+	if got := plans(); got != planned {
+		t.Fatalf("SearchDocs after AppendDocs planned %d more plans", got-planned)
 	}
 	if err := db.LoadDocs([]Doc{{ID: "d2", Text: "steel rails"}}); err != nil {
 		t.Fatal(err)
 	}
-	if db.searcher.Load() != nil {
-		t.Fatal("LoadDocs must invalidate the cached searcher")
-	}
-	hits, err := db.SearchDocs(context.Background(), "rails", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 || hits[0].ID != "d2" {
+	if hits := search("rails"); len(hits) != 1 || hits[0].ID != "d2" {
 		t.Fatalf("post-reload hits = %+v, want d2", hits)
+	}
+	if got := plans(); got != planned+1 {
+		t.Fatalf("SearchDocs after LoadDocs planned %d plans, want 1", got-planned)
 	}
 }
 
