@@ -207,8 +207,8 @@ func strategySearch(tb testing.TB, ctx *engine.Ctx, st *strategy.Strategy, synon
 }
 
 // BenchmarkEvictBudget: hot searches of the evict_search shape (dataset
-// seed 127) under byte budgets on both sides of the ~3.7 MB of cached
-// entries a warm query reads (2.2 MB of join indexes, 1.5 MB of
+// seed 127) under byte budgets on both sides of the ~2.1 MB of cached
+// entries a warm query reads (0.3 MB of join indexes, 1.8 MB of
 // relations), after a 16-query warm-up.
 func BenchmarkEvictBudget(b *testing.B) {
 	for _, mib := range []int64{1, 2, 3, 4, 6} {

@@ -2,6 +2,7 @@ package irdb
 
 import (
 	"encoding/json"
+	"go/ast"
 	"go/types"
 	"io/fs"
 	"os"
@@ -168,7 +169,10 @@ var testOnlyAllowed = map[string]string{
 // non-test file there must be used by some non-test file of the module,
 // unless it implements an interface method or testOnlyAllowed lists it.
 // Uses are resolved with go/types and keyed by package, receiver and
-// name, so two functions of one name cannot hide each other. Both builds
+// name, so two functions of one name cannot hide each other. A call in a
+// type-switch clause on the function's own result type is not a use: it
+// only runs when a value of that type already exists, so it rebuilds one
+// (as engine.rebuild does) and never creates the first. Both builds
 // are checked: the default one and the faultinject one. An allowlist
 // entry that is no longer test-only fails too, so the list cannot go
 // stale.
@@ -197,7 +201,11 @@ func TestNoTestOnlyInternalAPI(t *testing.T) {
 					implements[key] = true
 				}
 			}
-			for _, obj := range pkg.Info.Uses {
+			rebuilds := selfTypeSwitchCalls(pkg)
+			for id, obj := range pkg.Info.Uses {
+				if rebuilds[id] {
+					continue
+				}
 				if fn, ok := obj.(*types.Func); ok {
 					if key, ok := internalKey(fn); ok {
 						used[key] = true
@@ -230,6 +238,60 @@ func TestNoTestOnlyInternalAPI(t *testing.T) {
 	for _, u := range unused {
 		t.Errorf("%s is called only by tests: delete it, or move it into a _test.go file", u)
 	}
+}
+
+// selfTypeSwitchCalls returns the callee identifiers of the calls in a
+// type-switch clause whose function returns, first, one of that clause's
+// case types: `case *X: return NewX(…)`.
+func selfTypeSwitchCalls(pkg *load.Package) map[*ast.Ident]bool {
+	out := map[*ast.Ident]bool{}
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSwitchStmt)
+			if !ok {
+				return true
+			}
+			for _, st := range ts.Body.List {
+				cc := st.(*ast.CaseClause)
+				var caseTypes []types.Type
+				for _, e := range cc.List {
+					if tv, ok := pkg.Info.Types[e]; ok && tv.IsType() {
+						caseTypes = append(caseTypes, tv.Type)
+					}
+				}
+				for _, body := range cc.Body {
+					ast.Inspect(body, func(n ast.Node) bool {
+						call, ok := n.(*ast.CallExpr)
+						if !ok {
+							return true
+						}
+						var id *ast.Ident
+						switch fun := call.Fun.(type) {
+						case *ast.Ident:
+							id = fun
+						case *ast.SelectorExpr:
+							id = fun.Sel
+						default:
+							return true
+						}
+						fn, ok := pkg.Info.Uses[id].(*types.Func)
+						if !ok {
+							return true
+						}
+						res := fn.Type().(*types.Signature).Results()
+						for _, ct := range caseTypes {
+							if res.Len() > 0 && types.Identical(res.At(0).Type(), ct) {
+								out[id] = true
+							}
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // internalKey keys a function declared under internal/ as "pkg.Func" or

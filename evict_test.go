@@ -6,12 +6,12 @@ import (
 )
 
 // TestEvictionKeepsQueryIndexes: under evict_search's 4 MiB budget, about
-// half the cache's working set, a warm search reads ~3.7 MB of cached
-// join indexes and relations. Eviction must keep those resident and give
-// up the bulky intermediates that build them, so the cache settles: some
-// run of 32 consecutive searches misses nothing. An LRU cache instead
-// rebuilds the indexes on every search (over a thousand misses per 64
-// searches).
+// two thirds of the cache's working set, a warm search reads ~2.1 MB of
+// cached join indexes and relations. Eviction must keep those resident
+// and give up the bulky intermediates that build them, so the cache
+// settles: some run of 32 consecutive searches misses nothing. An LRU
+// cache instead rebuilds the indexes on every search (over a thousand
+// misses per 64 searches).
 func TestEvictionKeepsQueryIndexes(t *testing.T) {
 	const settled, within = 32, 256
 	for _, seed := range []int64{126, 127, 128, 7} {

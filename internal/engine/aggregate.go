@@ -132,7 +132,7 @@ func (a *Aggregate) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	return aggregateRel(c, ctx, in, a.GroupBy, a.Aggs, a.PMode)
 }
 
-// aggregateRel is the operator core, shared with Distinct and Unite.
+// aggregateRel is the operator core, shared with Distinct.
 // groupRows hashes the rows and finds each row's group in per-partition
 // leader tables, charging its own scaffolding; accumulation —
 // the aggregate columns and the probability combine — folds per-chunk

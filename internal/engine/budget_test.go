@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"irdb/internal/catalog"
+	"irdb/internal/expr"
 	"irdb/internal/memory"
 	"irdb/internal/relation"
 	"irdb/internal/vector"
@@ -279,6 +280,59 @@ func TestBudgetChargesAlignedProbe(t *testing.T) {
 			if used := pool.Used(); used != 0 {
 				t.Errorf("%s %s: pool holds %d bytes after release", tc.name, plan.Label(), used)
 			}
+		}
+	}
+}
+
+// TestBudgetChargesComputedColumns: Project and Extend charge every column
+// an expression computes, a literal at its materialized size, besides the
+// 8-byte-per-row probability copy; a bare column reference shares its
+// input's vector and adds nothing. A budget that admits the bare
+// projection therefore denies each computed one, at the computed column.
+func TestBudgetChargesComputedColumns(t *testing.T) {
+	const n = 50_000
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = int64(i)
+	}
+	rel := relation.MustFromColumns([]relation.Column{{Name: "x", Vec: vector.FromInt64s(xs)}}, nil)
+	in := NewValues("in", rel)
+	x := expr.Column("x")
+	twice := expr.Arith{Op: expr.Mul, L: x, R: expr.Int(2)}
+	run := func(plan Node, budget int64) error {
+		pool := memory.NewPool(0)
+		res := pool.Reserve(budget)
+		defer res.Release()
+		_, err := (&Ctx{Cat: catalog.New(0), Parallelism: 1}).Exec(memory.WithReservation(context.Background(), res), plan)
+		return err
+	}
+	const probCopy = n * 8
+	for _, plan := range []Node{
+		NewProject(in, ProjCol{Name: "x", E: x}),
+		NewProject(in, ProjCol{Name: "y", E: expr.ColumnAt(1)}),
+		NewExtend(in, "y", x),
+	} {
+		if err := run(plan, probCopy); err != nil {
+			t.Errorf("%s: %v under the probability copy's budget", plan.Label(), err)
+		}
+	}
+	for _, tc := range []struct {
+		plan Node
+		want int64
+	}{
+		{NewProject(in, ProjCol{Name: "y", E: twice}), n * 8},
+		{NewProject(in, ProjCol{Name: "one", E: expr.Int(1)}), n * 8},
+		{NewProject(in, ProjCol{Name: "x", E: x}, ProjCol{Name: "s", E: expr.Str("ab")}), n * (16 + 2)},
+		{NewExtend(in, "y", twice), n * 8},
+		{NewExtend(in, "p", expr.Prob{}), n * 8},
+	} {
+		err := run(tc.plan, probCopy)
+		var be *memory.BudgetError
+		if !errors.As(err, &be) || be.Requested != tc.want {
+			t.Errorf("%s: err = %v, want the %d-byte computed column denied", tc.plan.Label(), err, tc.want)
+		}
+		if err := run(tc.plan, probCopy+tc.want); err != nil {
+			t.Errorf("%s: %v under a budget for both", tc.plan.Label(), err)
 		}
 	}
 }

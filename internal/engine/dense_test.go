@@ -221,18 +221,18 @@ func densePlans() map[string]Node {
 		"subtract":  NewSubtract(NewScan("PK"), NewScan("BK"), false),
 		"aggregate": NewAggregate(NewScan("P"), []string{"k"}, denseAggs, GroupIndependent),
 		"distinct":  NewDistinct(NewScan("PK"), GroupDisjoint),
-		"unite":     NewUnite(NewScan("PK"), NewScan("BK"), GroupIndependent),
+		"unite":     NewDistinct(NewUnion(NewScan("PK"), NewScan("BK")), GroupIndependent),
 		"normalize": NewNormalize(NewScan("P"), []int{0}, NormSum),
 	}
 }
 
-// TestDenseMatchesHashed runs join, Subtract, Aggregate, Distinct, Unite
-// and grouped Normalize over dict keys (probed from the same dict, a
-// foreign dict, plain strings and a Const), ints with negative values,
-// probes outside the build's [min, max], and a column holding both
-// MinInt64 and MaxInt64, whose range overflows and must hash. At
-// parallelism 1, 2 and 8 every result must equal the hashed builders'
-// bit for bit, and the keys must take the expected path.
+// TestDenseMatchesHashed runs join, Subtract, Aggregate, Distinct (alone
+// and over a Union) and grouped Normalize over dict keys (probed from
+// the same dict, a foreign dict, plain strings and a Const), ints with
+// negative values, probes outside the build's [min, max], and a column
+// holding both MinInt64 and MaxInt64, whose range overflows and must
+// hash. At parallelism 1, 2 and 8 every result must equal the hashed
+// builders' bit for bit, and the keys must take the expected path.
 func TestDenseMatchesHashed(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for _, fam := range denseFamilies(t, r) {

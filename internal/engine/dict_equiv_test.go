@@ -100,9 +100,9 @@ func equivPlans() map[string]Node {
 		"subtract": NewSubtract(
 			NewProject(fact, ProjCol{Name: "k", E: expr.Column("k")}),
 			NewProject(dim, ProjCol{Name: "k", E: expr.Column("k")}), false),
-		"unite": NewUnite(
+		"unite": NewDistinct(NewUnion(
 			NewProject(fact, ProjCol{Name: "g", E: expr.Column("g")}),
-			NewProject(fact, ProjCol{Name: "g", E: expr.Column("g")}), GroupMax),
+			NewProject(fact, ProjCol{Name: "g", E: expr.Column("g")})), GroupMax),
 		"union-mixed-reps": NewUnion(
 			NewProject(fact, ProjCol{Name: "k", E: expr.Column("k")}),
 			NewProject(dim, ProjCol{Name: "k", E: expr.Column("k")})),

@@ -6,9 +6,9 @@
 // column-at-a-time-with-parallel-fragments lineage, while keeping results
 // bit-identical to serial evaluation:
 //
-//   - Independent subtrees run concurrently: both inputs of a HashJoin,
-//     both branches of the set operators, and every child of a Concat are
-//     evaluated on separate workers when slots are free.
+//   - Independent subtrees run concurrently: both inputs of a HashJoin
+//     and both branches of the set operators are evaluated on separate
+//     workers when slots are free.
 //   - Hot per-row loops — hash-join probe, row hashing, selection
 //     predicate evaluation, probability recombination — split their rows
 //     into contiguous morsels processed by concurrent workers, and merge

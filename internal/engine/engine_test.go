@@ -289,7 +289,7 @@ func TestUnionAndUnite(t *testing.T) {
 	if u.NumRows() != 3 {
 		t.Errorf("union rows = %d, want 3 (bag)", u.NumRows())
 	}
-	un := mustExec(t, ctx, NewUnite(NewScan("l"), NewScan("r"), GroupIndependent))
+	un := mustExec(t, ctx, NewDistinct(NewUnion(NewScan("l"), NewScan("r")), GroupIndependent))
 	if un.NumRows() != 2 {
 		t.Fatalf("unite rows = %d, want 2", un.NumRows())
 	}
@@ -379,9 +379,9 @@ func TestScaleProbAndProbCols(t *testing.T) {
 		t.Error("negative weight should fail")
 	}
 
-	pc := mustExec(t, ctx, NewProbToCol(NewScan("t"), "score"))
+	pc := mustExec(t, ctx, NewExtend(NewScan("t"), "score", expr.Prob{}))
 	if pc.NumCols() != 2 || pc.Col(1).Vec.(*vector.Float64s).Values()[0] != 0.5 {
-		t.Errorf("ProbToCol = %s", pc.Format(-1))
+		t.Errorf("Extend PROB() = %s", pc.Format(-1))
 	}
 	back := mustExec(t, ctx, NewProbFromCol(NewValues("pc", pc), "score", false, true))
 	if back.NumCols() != 1 || back.Prob()[0] != 0.5 {

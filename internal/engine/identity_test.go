@@ -49,8 +49,6 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 		NewAggregate(t1, []string{"g"}, agg(Sum, "v", "s"), GroupDisjoint), NewAggregate(t1, nil, agg(Sum, "v", "s"), GroupCertain),
 		NewDistinct(t1, GroupMax), NewDistinct(t2, GroupMax), NewDistinct(t1, GroupIndependent),
 		NewUnion(t1, t2), NewUnion(t2, t1), NewUnion(t1, t1),
-		NewConcat(t1, t2), NewConcat(t2, t1), NewConcat(t1, t2, t1), NewConcat(t1),
-		NewUnite(t1, t2, GroupMax), NewUnite(t2, t2, GroupMax), NewUnite(t1, t2, GroupDisjoint),
 		NewSubtract(t1, t2, true), NewSubtract(t1, t2, false), NewSubtract(t2, t2, true),
 		NewSort(t1, SortSpec{Col: "x"}), NewSort(t1, SortSpec{Col: "x", Desc: true}), NewSort(t1, SortSpec{Col: "y"}),
 		NewSort(t1, SortSpec{Col: "x"}, SortSpec{}), NewSort(t2, SortSpec{Col: "x"}),
@@ -58,7 +56,6 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 		NewScaleProb(t1, 0.5), NewScaleProb(t1, 0.25), NewScaleProb(t2, 0.5),
 		NewProbFromCol(t1, "s", true, true), NewProbFromCol(t1, "r", true, true), NewProbFromCol(t1, "s", false, true),
 		NewProbFromCol(t1, "s", true, false), NewProbFromCol(t2, "s", true, true),
-		NewProbToCol(t1, "p"), NewProbToCol(t1, "q"), NewProbToCol(t2, "p"),
 		NewNormalize(t1, []int{0}, NormMax), NewNormalize(t1, []int{1}, NormMax), NewNormalize(t1, []int{0, 1}, NormMax),
 		NewNormalize(t1, nil, NormMax), NewNormalize(t1, []int{0}, NormSum), NewNormalize(t2, []int{0}, NormMax),
 		NewRowNumber(t1, "id"), NewRowNumber(t1, "n"), NewRowNumber(t2, "id"),
@@ -124,7 +121,7 @@ func TestScanSets(t *testing.T) {
 		{NewValues("v", rel), []string{}},
 		{b, []string{"b"}},
 		{NewHashJoin(b, NewMaterialize(a), []string{"x"}, []string{"x"}, JoinLeft), []string{"a", "b"}},
-		{NewConcat(b, a, NewValues("v", rel), b), []string{"a", "b"}},
+		{NewUnion(NewUnion(b, a), NewUnion(NewValues("v", rel), b)), []string{"a", "b"}},
 		{NewUnion(NewSelect(b, expr.BoolLit(true)), b), []string{"b"}},
 	} {
 		if got := tc.plan.identity().scans; got == nil || !reflect.DeepEqual(got, tc.want) {

@@ -17,7 +17,7 @@ import (
 // rewrite only the plan above the views:
 //
 //  1. pushdownPass — merge adjacent Selects and sink predicates below
-//     joins, unions/concats, unites/distincts, extends and sorts, toward
+//     joins, unions, distincts, extends and sorts, toward
 //     the scans that produce their columns; fuse Limit(n, Sort(keys, x))
 //     into TopN(n, keys, x), which keeps n rows instead of sorting all.
 //  2. emptyPass — remove statically-empty branches (constant-false
@@ -209,26 +209,15 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 		return pushSelectJoin(cat, s, child, info)
 
 	case *Union:
-		if out := pushSelectBranches(cat, s, []Node{child.L, child.R}, false, info); out != nil {
-			return NewUnion(out[0], out[1])
-		}
-
-	case *Concat:
-		if out := pushSelectBranches(cat, s, child.Inputs, false, info); out != nil {
-			return NewConcat(out...)
-		}
-
-	case *Unite:
-		// Unite groups rows by every visible column; a predicate over
-		// column values keeps or drops whole groups identically on either
-		// side of the grouping. Probability references do not commute —
-		// the grouping combines probabilities.
-		if out := pushSelectBranches(cat, s, []Node{child.L, child.R}, true, info); out != nil {
-			return NewUnite(out[0], out[1], child.PMode)
+		if l, r, ok := pushSelectBranches(cat, s, child.L, child.R, info); ok {
+			return NewUnion(l, r)
 		}
 
 	case *Distinct:
-		// Same argument as Unite: grouping is over all visible columns.
+		// Distinct groups rows by every visible column; a predicate over
+		// column values keeps or drops whole groups identically on either
+		// side of the grouping. Probability references do not commute —
+		// the grouping combines probabilities.
 		refs := expr.RefsOf(s.Pred)
 		if !refs.Prob {
 			info.SelectsPushed++
@@ -288,55 +277,32 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 	return s
 }
 
-// pushSelectBranches pushes s's predicate into every branch of a
-// concatenation-shaped operator (Union, Concat, Unite). Output columns are
-// branch 0's names with later branches aligned positionally, so predicates
-// referencing columns by name are renamed per branch; positional and
-// PROB() references align as-is (noProb blocks PROB() for the grouping
-// operators). Returns the new branches, or nil when the push is illegal.
-func pushSelectBranches(cat *catalog.Catalog, s *Select, branches []Node, noProb bool, info *OptInfo) []Node {
-	refs := expr.RefsOf(s.Pred)
-	if noProb && refs.Prob {
-		return nil
-	}
-	if len(branches) == 0 {
-		return nil
-	}
-	// Column references need a per-branch rename map derived from the
-	// positional alignment of branch schemas.
-	var renames []map[string]string
-	if len(refs.Cols) > 0 {
-		first, ok := staticSchema(cat, branches[0])
-		if !ok || !uniqueNames(first) {
-			return nil
+// pushSelectBranches pushes s's predicate into both branches of a Union.
+// Output columns are l's names with r aligned positionally, so predicates
+// referencing columns by name are renamed for r; positional and PROB()
+// references align as-is. ok is false when the push is illegal.
+func pushSelectBranches(cat *catalog.Catalog, s *Select, l, r Node, info *OptInfo) (Node, Node, bool) {
+	rPred := s.Pred
+	if refs := expr.RefsOf(s.Pred); len(refs.Cols) > 0 {
+		// Column references need a rename map derived from the
+		// positional alignment of the branch schemas.
+		ls, lok := staticSchema(cat, l)
+		rs, rok := staticSchema(cat, r)
+		if !lok || !rok || !uniqueNames(ls) || len(rs) != len(ls) {
+			return nil, nil, false
 		}
-		renames = make([]map[string]string, len(branches))
-		for i := 1; i < len(branches); i++ {
-			sch, ok := staticSchema(cat, branches[i])
-			if !ok || len(sch) != len(first) {
-				return nil
-			}
-			m := map[string]string{}
-			for j, from := range first {
-				if sch[j] != from {
-					m[from] = sch[j]
-				}
-			}
-			if len(m) > 0 {
-				renames[i] = m
+		m := map[string]string{}
+		for j, from := range ls {
+			if rs[j] != from {
+				m[from] = rs[j]
 			}
 		}
-	}
-	out := make([]Node, len(branches))
-	for i, b := range branches {
-		pred := s.Pred
-		if renames != nil && renames[i] != nil {
-			pred = expr.RenameCols(pred, renames[i])
+		if len(m) > 0 {
+			rPred = expr.RenameCols(rPred, m)
 		}
-		out[i] = pushSelect(cat, NewSelect(b, pred), info)
 	}
-	info.SelectsPushed += len(branches)
-	return out
+	info.SelectsPushed += 2
+	return pushSelect(cat, NewSelect(l, s.Pred), info), pushSelect(cat, NewSelect(r, rPred), info), true
 }
 
 // pushSelectJoin sinks the conjuncts of s that read only one side of an
@@ -469,37 +435,6 @@ func emptyPass(cat *catalog.Catalog, n Node, info *OptInfo) Node {
 			info.EmptyRewrites++
 			return x.R
 		}
-	case *Unite:
-		if staticEmpty(x.R) && !staticEmpty(x.L) {
-			info.EmptyRewrites++
-			return NewDistinct(x.L, x.PMode)
-		}
-		if staticEmpty(x.L) && !staticEmpty(x.R) && sameSchema(cat, x.L, x.R) {
-			info.EmptyRewrites++
-			return NewDistinct(x.R, x.PMode)
-		}
-	case *Concat:
-		keep := make([]Node, 0, len(x.Inputs))
-		for i, in := range x.Inputs {
-			if i > 0 && staticEmpty(in) {
-				continue
-			}
-			// The first branch defines output names; drop it only when
-			// the next survivor carries the same names.
-			if i == 0 && staticEmpty(in) && len(x.Inputs) > 1 &&
-				!staticEmpty(x.Inputs[1]) && sameSchema(cat, in, x.Inputs[1]) {
-				continue
-			}
-			keep = append(keep, in)
-		}
-		if len(keep) == 1 {
-			info.EmptyRewrites++
-			return keep[0]
-		}
-		if len(keep) < len(x.Inputs) {
-			info.EmptyRewrites++
-			return NewConcat(keep...)
-		}
 	}
 	return n
 }
@@ -553,8 +488,6 @@ func staticEmpty(n Node) bool {
 		return staticEmpty(x.Child)
 	case *ProbFromCol:
 		return staticEmpty(x.Child)
-	case *ProbToCol:
-		return staticEmpty(x.Child)
 	case *RowNumber:
 		return staticEmpty(x.Child)
 	case *Tokenize:
@@ -565,15 +498,6 @@ func staticEmpty(n Node) bool {
 		return staticEmpty(x.L)
 	case *Union:
 		return staticEmpty(x.L) && staticEmpty(x.R)
-	case *Unite:
-		return staticEmpty(x.L) && staticEmpty(x.R)
-	case *Concat:
-		for _, in := range x.Inputs {
-			if !staticEmpty(in) {
-				return false
-			}
-		}
-		return len(x.Inputs) > 0
 	case *Aggregate:
 		// A grouped aggregate of nothing is nothing; a global aggregate
 		// still yields its single summary row.
@@ -730,9 +654,6 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 	case *ProbFromCol:
 		return withChild(n, x.Child, pruneNode(cat, x.Child, needs.union(x.Col), info))
 
-	case *ProbToCol:
-		return withChild(n, x.Child, pruneNode(cat, x.Child, needs.without(x.Name), info))
-
 	case *RowNumber:
 		return withChild(n, x.Child, pruneNode(cat, x.Child, needs.without(x.Name), info))
 
@@ -759,9 +680,6 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 		// semantically load-bearing.
 		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
 
-	case *Unite:
-		return withChildren(n, pruneNode(cat, x.L, nil, info), pruneNode(cat, x.R, nil, info))
-
 	case *Subtract:
 		// The left side's full width defines the match key; the right
 		// side only contributes its same-named columns.
@@ -784,10 +702,8 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
 
 	case *Union:
-		return withChildren(n, pruneBranches(cat, []Node{x.L, x.R}, needs, info)...)
-
-	case *Concat:
-		return withChildren(n, pruneBranches(cat, x.Inputs, needs, info)...)
+		l, r := pruneBranches(cat, x.L, x.R, needs, info)
+		return withChildren(n, l, r)
 
 	case *HashJoin:
 		return pruneJoin(cat, x, needs, info)
@@ -837,54 +753,34 @@ func pruneConsumer(cat *catalog.Catalog, child Node, req needSet, info *OptInfo)
 	return NewProject(inner, ByName(keep...)...)
 }
 
-// pruneBranches prunes the branches of a concatenation-shaped operator.
-// Branch columns align positionally, so every branch must keep the same
-// positions; pruning therefore requires resolvable, duplicate-free,
-// equal-arity schemas on all branches and wraps each in an exact
-// projection of the shared surviving positions.
-func pruneBranches(cat *catalog.Catalog, branches []Node, needs needSet, info *OptInfo) []Node {
-	out := make([]Node, len(branches))
-	uniform := needs != nil && len(branches) > 0
-	var schemas [][]string
-	if uniform {
-		schemas = make([][]string, len(branches))
-		for i, b := range branches {
-			sch, ok := staticSchema(cat, b)
-			if !ok || !uniqueNames(sch) || len(sch) != len(schemas[0]) && i > 0 {
-				uniform = false
-				break
-			}
-			schemas[i] = sch
-		}
+// pruneBranches prunes both branches of a Union. Branch columns align
+// positionally, so both branches must keep the same positions; pruning
+// therefore requires resolvable, duplicate-free, equal-arity schemas and
+// wraps each branch in an exact projection of the surviving positions.
+func pruneBranches(cat *catalog.Catalog, l, r Node, needs needSet, info *OptInfo) (Node, Node) {
+	keepAll := func() (Node, Node) {
+		return pruneNode(cat, l, nil, info), pruneNode(cat, r, nil, info)
 	}
-	if !uniform {
-		for i, b := range branches {
-			out[i] = pruneNode(cat, b, nil, info)
-		}
-		return out
+	if needs == nil {
+		return keepAll()
 	}
-	// Positions to keep, from branch 0's names (the operator's output
-	// names).
-	keepPos := make([]int, 0, len(schemas[0]))
-	for j, name := range schemas[0] {
+	ls, lok := staticSchema(cat, l)
+	rs, rok := staticSchema(cat, r)
+	if !lok || !rok || !uniqueNames(ls) || !uniqueNames(rs) || len(rs) != len(ls) {
+		return keepAll()
+	}
+	// Positions to keep, from l's names (the Union's output names).
+	var lKeep, rKeep []string
+	for j, name := range ls {
 		if needs[name] {
-			keepPos = append(keepPos, j)
+			lKeep = append(lKeep, name)
+			rKeep = append(rKeep, rs[j])
 		}
 	}
-	if len(keepPos) == 0 || len(keepPos) == len(schemas[0]) {
-		for i, b := range branches {
-			out[i] = pruneNode(cat, b, nil, info)
-		}
-		return out
+	if len(lKeep) == 0 || len(lKeep) == len(ls) {
+		return keepAll()
 	}
-	for i, b := range branches {
-		names := make([]string, len(keepPos))
-		for k, j := range keepPos {
-			names[k] = schemas[i][j]
-		}
-		out[i] = pruneConsumer(cat, b, needOf(names...), info)
-	}
-	return out
+	return pruneConsumer(cat, l, needOf(lKeep...), info), pruneConsumer(cat, r, needOf(rKeep...), info)
 }
 
 // pruneJoin narrows both join inputs to downstream-referenced columns

@@ -107,14 +107,28 @@ func TestPushdownPassGolden(t *testing.T) {
 	})
 
 	t.Run("union-both-branches", func(t *testing.T) {
-		plan := NewSelect(NewUnion(NewScan("triples"), NewScan("triples")), eq("object", "toy"))
-		got, _ := runPass(t, pushdownPass, cat, plan)
+		// A UNITE is a Distinct over a Union: a value predicate passes the
+		// grouping, then enters both branches.
+		plan := NewSelect(NewDistinct(NewUnion(NewScan("triples"), NewScan("triples")), GroupMax), eq("object", "toy"))
+		got, info := runPass(t, pushdownPass, cat, plan)
 		wantExplain(t, "union", got,
-			"Union\n"+
-				"  Select (object = \"toy\")\n"+
-				"    Scan triples\n"+
-				"  Select (object = \"toy\")\n"+
-				"    Scan triples\n")
+			"Distinct[max]\n"+
+				"  Union\n"+
+				"    Select (object = \"toy\")\n"+
+				"      Scan triples\n"+
+				"    Select (object = \"toy\")\n"+
+				"      Scan triples\n")
+		if info.SelectsPushed != 3 {
+			t.Errorf("SelectsPushed = %d, want 3 (distinct, both branches)", info.SelectsPushed)
+		}
+	})
+
+	t.Run("unite-prob-stays", func(t *testing.T) {
+		// PROB() reads the merged probability: it stays above the grouping.
+		pred := expr.Cmp{Op: expr.Gt, L: expr.Prob{}, R: expr.Float(0.5)}
+		plan := NewSelect(NewDistinct(NewUnion(NewScan("triples"), NewScan("triples")), GroupMax), pred)
+		got, _ := runPass(t, pushdownPass, cat, plan)
+		wantExplain(t, "unite-prob", got, Explain(plan))
 	})
 
 	t.Run("materialize-is-a-barrier", func(t *testing.T) {
@@ -206,7 +220,7 @@ func TestEmptyPassGolden(t *testing.T) {
 	})
 
 	t.Run("unite-empty-becomes-distinct", func(t *testing.T) {
-		plan := NewUnite(NewScan("triples"), empty(), GroupMax)
+		plan := NewDistinct(NewUnion(NewScan("triples"), empty()), GroupMax)
 		got, _ := runPass(t, emptyPass, cat, plan)
 		wantExplain(t, "unite-empty", got,
 			"Distinct[max]\n"+
@@ -214,10 +228,10 @@ func TestEmptyPassGolden(t *testing.T) {
 	})
 
 	t.Run("concat-drops-empty-inputs", func(t *testing.T) {
-		plan := NewConcat(NewScan("triples"), empty(), NewScan("triples"))
+		plan := NewUnion(NewUnion(NewScan("triples"), empty()), NewScan("triples"))
 		got, _ := runPass(t, emptyPass, cat, plan)
 		wantExplain(t, "concat-empty", got,
-			"Concat 2\n"+
+			"Union\n"+
 				"  Scan triples\n"+
 				"  Scan triples\n")
 	})

@@ -126,7 +126,7 @@ func TestPanicBeatsCancellation(t *testing.T) {
 }
 
 // boomNode is a plan leaf whose execution panics, for exercising the
-// subtree-goroutine containment in execPair/execAll.
+// subtree-goroutine containment in execPair.
 type boomNode struct{ ident }
 
 func newBoomNode() *boomNode {
@@ -164,19 +164,19 @@ func TestJoinChildPanicContained(t *testing.T) {
 	}
 }
 
-// TestConcatChildPanicContained covers execAll's worker goroutines: one
-// panicking branch among healthy ones fails the query, not the process,
-// and every branch worker drains.
+// TestConcatChildPanicContained: one panicking branch of nested unions,
+// among healthy ones, fails the query, not the process, and every branch
+// worker drains.
 func TestConcatChildPanicContained(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			ctx := ctxAt(par, map[string]*relation.Relation{"t": panicRel()})
-			plan := NewConcat(NewScan("t"), newBoomNode(), NewScan("t"))
+			plan := NewUnion(NewUnion(NewScan("t"), newBoomNode()), NewScan("t"))
 			_, err := ctx.Exec(context.Background(), plan)
 			if _, ok := AsPanicError(err); !ok {
 				t.Fatalf("err = %v, want *PanicError", err)
 			}
-			if _, err := ctx.Exec(context.Background(), NewConcat(NewScan("t"), NewScan("t"))); err != nil {
+			if _, err := ctx.Exec(context.Background(), NewUnion(NewScan("t"), NewScan("t"))); err != nil {
 				t.Fatalf("query after contained panic: %v", err)
 			}
 		})

@@ -102,38 +102,6 @@ func (ctx *Ctx) execPair(c context.Context, l, r Node) (*relation.Relation, *rel
 	return left, right, nil
 }
 
-// execAll evaluates n independent subtrees, spreading them over available
-// worker slots; results keep input order. Used by Concat and by any caller
-// fanning out over a list of branches.
-func (ctx *Ctx) execAll(c context.Context, nodes []Node) ([]*relation.Relation, error) {
-	out := make([]*relation.Relation, len(nodes)) //lint:allow chargedalloc O(#plan branches) result headers; branch data charges in each subtree
-	errs := make([]error, len(nodes))             //lint:allow chargedalloc O(#plan branches) error slots
-	var wg sync.WaitGroup
-	// Drain even when an inline Exec panics mid-loop: outstanding branch
-	// workers must finish before the panic unwinds past this frame.
-	defer wg.Wait()
-	for i, n := range nodes {
-		if i < len(nodes)-1 && ctx.acquire() {
-			wg.Add(1)
-			go func(i int, n Node) {
-				defer wg.Done()
-				defer ctx.release()
-				defer fault.Recover("subtree "+n.Label(), &errs[i])
-				out[i], errs[i] = ctx.Exec(c, n)
-			}(i, n)
-		} else {
-			out[i], errs[i] = ctx.Exec(c, n)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // parallelRanges splits [0, n) into contiguous morsels and runs fn once per
 // morsel, concurrently when worker slots are free. Morsels are disjoint, so
 // fn may write to per-row output slots without synchronization; callers

@@ -52,7 +52,7 @@ func scaleKeys(rel *relation.Relation, col string, scale int64) *relation.Relati
 }
 
 // subsetWithNoise returns a relation sharing some of src's rows (so
-// Subtract and Unite find genuine matches) mixed with fresh random rows.
+// Subtract and Distinct find genuine matches) mixed with fresh random rows.
 func subsetWithNoise(r *rand.Rand, src *relation.Relation, keep, noise int) *relation.Relation {
 	sel := make([]int, keep)
 	for i := range sel {
@@ -156,10 +156,10 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"join-materialized-build", NewHashJoin(scanL, NewMaterialize(NewSelect(scanR, pred)),
 			[]string{"a"}, []string{"a"}, JoinIndependent)},
 		{"union", NewUnion(scanL, scanO)},
-		{"concat", NewConcat(scanL, scanO, NewSelect(scanR, pred), scanR)},
-		{"unite-independent", NewUnite(scanL, scanO, GroupIndependent)},
-		{"unite-disjoint", NewUnite(scanL, scanO, GroupDisjoint)},
-		{"unite-max", NewUnite(scanL, scanO, GroupMax)},
+		{"concat", NewUnion(NewUnion(NewUnion(scanL, scanO), NewSelect(scanR, pred)), scanR)},
+		{"unite-independent", NewDistinct(NewUnion(scanL, scanO), GroupIndependent)},
+		{"unite-disjoint", NewDistinct(NewUnion(scanL, scanO), GroupDisjoint)},
+		{"unite-max", NewDistinct(NewUnion(scanL, scanO), GroupMax)},
 		{"subtract-prob", NewSubtract(scanL, scanO, false)},
 		{"subtract-boolean", NewSubtract(scanL, scanO, true)},
 		{"select", NewSelect(scanL, pred)},
@@ -192,14 +192,14 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"rownumber", NewRowNumber(scanL, "rowid")},
 		{"scaleprob", NewScaleProb(scanL, 0.25)},
 		{"probfromcol", NewProbFromCol(scanL, "x", true, true)},
-		{"probtocol", NewProbToCol(scanL, "score")},
+		{"probtocol", NewExtend(scanL, "score", expr.Prob{})},
 		{"normalize", NewNormalize(scanL, []int{1}, NormSum)},
 		{"normalize-max-global", NewNormalize(scanL, nil, NormMax)},
 		{"composite", NewTopN(
-			NewUnite(
+			NewDistinct(NewUnion(
 				NewScaleProb(NewHashJoin(NewSelect(scanL, pred), NewMaterialize(scanR),
 					[]string{"a"}, []string{"a"}, JoinIndependent), 0.7),
-				NewScaleProb(NewHashJoinPos(scanO, scanL, []int{0}, []int{0}, JoinLeft), 0.3),
+				NewScaleProb(NewHashJoinPos(scanO, scanL, []int{0}, []int{0}, JoinLeft), 0.3)),
 				GroupIndependent),
 			200, SortSpec{Col: "", Desc: true}, SortSpec{Col: "a"})},
 	}
@@ -447,7 +447,8 @@ func TestNestedMaterializeNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestConcatErrors covers Concat's error paths.
+// TestConcatErrors covers concatAll's error paths through Union: inputs
+// of another arity or column kind, and a failing branch of a nested union.
 func TestConcatErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	tables := map[string]*relation.Relation{
@@ -456,21 +457,14 @@ func TestConcatErrors(t *testing.T) {
 			{Name: "only", Vec: vector.FromInt64s([]int64{1, 2})}}, nil),
 	}
 	ctx := ctxAt(4, tables)
-	if _, err := ctx.Exec(context.Background(), NewConcat()); err == nil {
-		t.Error("empty concat should fail")
-	}
-	if _, err := ctx.Exec(context.Background(), NewConcat(NewScan("L"), NewScan("N"))); err == nil {
+	if _, err := ctx.Exec(context.Background(), NewUnion(NewScan("L"), NewScan("N"))); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if _, err := ctx.Exec(context.Background(), NewConcat(NewScan("L"), NewScan("nope"), NewScan("L"))); err == nil {
-		t.Error("failing child should fail the concat")
+	if _, err := ctx.Exec(context.Background(), NewUnion(NewScan("L"), NewProject(NewScan("L"), ByName("b", "a", "x")...))); err == nil {
+		t.Error("kind mismatch should fail")
 	}
-	one, err := ctx.Exec(context.Background(), NewConcat(NewScan("L")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.NumRows() != 50 {
-		t.Errorf("single-input concat rows = %d, want 50", one.NumRows())
+	if _, err := ctx.Exec(context.Background(), NewUnion(NewUnion(NewScan("L"), NewScan("nope")), NewScan("L"))); err == nil {
+		t.Error("failing child should fail the union")
 	}
 }
 

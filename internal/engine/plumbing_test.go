@@ -34,13 +34,11 @@ func TestNodePlumbing(t *testing.T) {
 		NewAggregate(scan, []string{"x"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupDisjoint),
 		NewDistinct(scan, GroupMax),
 		NewUnion(scan, scan2),
-		NewUnite(scan, scan2, GroupIndependent),
 		NewSubtract(scan, scan2, true),
 		NewSort(scan, SortSpec{Col: "x", Desc: true}),
 		NewTopN(scan, 5, SortSpec{Col: ""}),
 		NewScaleProb(scan, 0.5),
 		NewProbFromCol(scan, "s", true, true),
-		NewProbToCol(scan, "p_out"),
 		NewNormalize(scan, []int{0}, NormMax),
 		NewRowNumber(scan, "id"),
 		NewTokenize(scan, "x", "y", text.Default(), false),

@@ -139,49 +139,3 @@ func (n *ProbFromCol) Children() []Node { return []Node{n.Child} }
 
 // Label implements Node.
 func (n *ProbFromCol) Label() string { return "ProbFromCol " + n.Col }
-
-// ---------------------------------------------------------------------------
-// ProbToCol
-
-// ProbToCol exposes the tuple probability as a visible float column named
-// Name, leaving probabilities in place. Needed when a score must feed a
-// further computation (e.g. the relational Bayes normalizer).
-type ProbToCol struct {
-	ident
-	Child Node
-	Name  string
-}
-
-// NewProbToCol appends the probability column under the given name.
-func NewProbToCol(child Node, name string) *ProbToCol {
-	h := newHasher("probtocol")
-	h.str(name)
-	return &ProbToCol{ident: h.finish(child), Child: child, Name: name}
-}
-
-// Execute implements Node.
-func (n *ProbToCol) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
-	in, err := ctx.Exec(c, n.Child)
-	if err != nil {
-		return nil, err
-	}
-	p := in.Prob()
-	// Budget the copied probability column and its visible twin.
-	if err := ctx.charge(c, int64(len(p))*16); err != nil {
-		return nil, err
-	}
-	vals := make([]float64, len(p))
-	copy(vals, p)
-	prob := make([]float64, len(p))
-	copy(prob, p)
-	cols := make([]relation.Column, 0, in.NumCols()+1)
-	cols = append(cols, in.Columns()...)
-	cols = append(cols, relation.Column{Name: n.Name, Vec: vector.FromFloat64s(vals)})
-	return relation.FromColumns(cols, prob)
-}
-
-// Children implements Node.
-func (n *ProbToCol) Children() []Node { return []Node{n.Child} }
-
-// Label implements Node.
-func (n *ProbToCol) Label() string { return "ProbToCol " + n.Name }

@@ -67,10 +67,6 @@ func rebuild(n Node, kids []Node) Node {
 		return newHashJoin(kids[0], kids[1], x.LKeys, x.RKeys, x.LPos, x.RPos, x.PMode)
 	case *Union:
 		return NewUnion(kids[0], kids[1])
-	case *Concat:
-		return NewConcat(kids...)
-	case *Unite:
-		return NewUnite(kids[0], kids[1], x.PMode)
 	case *Subtract:
 		return NewSubtract(kids[0], kids[1], x.Boolean)
 	case *Aggregate:
@@ -87,8 +83,6 @@ func rebuild(n Node, kids []Node) Node {
 		return NewScaleProb(kids[0], x.Factor)
 	case *ProbFromCol:
 		return NewProbFromCol(kids[0], x.Col, x.Clamp, x.Drop)
-	case *ProbToCol:
-		return NewProbToCol(kids[0], x.Name)
 	case *RowNumber:
 		return NewRowNumber(kids[0], x.Name)
 	case *Tokenize:

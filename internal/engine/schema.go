@@ -84,12 +84,6 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 			return nil, false
 		}
 		return append(append([]string(nil), child...), x.Name), true
-	case *ProbToCol:
-		child, ok := staticSchema(cat, x.Child)
-		if !ok {
-			return nil, false
-		}
-		return append(append([]string(nil), child...), x.Name), true
 	case *ProbFromCol:
 		child, ok := staticSchema(cat, x.Child)
 		if !ok {
@@ -119,15 +113,8 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 		return joinOutputNames(l, r), true
 	case *Union:
 		return staticSchema(cat, x.L)
-	case *Unite:
-		return staticSchema(cat, x.L)
 	case *Subtract:
 		return staticSchema(cat, x.L)
-	case *Concat:
-		if len(x.Inputs) == 0 {
-			return nil, false
-		}
-		return staticSchema(cat, x.Inputs[0])
 	case *Aggregate:
 		out := make([]string, 0, len(x.GroupBy)+len(x.Aggs)) //lint:allow chargedalloc O(#columns) schema inference, plan-shaped
 		out = append(out, x.GroupBy...)

@@ -152,17 +152,41 @@ func (p *Project) Execute(c context.Context, ctx *Ctx) (*relation.Relation, erro
 	}
 	cols := make([]relation.Column, len(p.Cols))
 	for i, pc := range p.Cols {
-		v, err := pc.E.Eval(in)
+		v, err := ctx.evalColumn(c, pc.E, in)
 		if err != nil {
 			return nil, err
 		}
-		// A literal projection column evaluates to a vector.Const; expand
-		// it here — relations hold only dense vectors.
-		cols[i] = relation.Column{Name: pc.Name, Vec: vector.MaterializeConst(v)}
+		cols[i] = relation.Column{Name: pc.Name, Vec: v}
 	}
 	prob := make([]float64, in.NumRows())
 	copy(prob, in.Prob())
 	return relation.FromColumns(cols, prob)
+}
+
+// evalColumn evaluates e over in as a dense output column, charging what
+// it computes before a relation holds it: nothing for a bare column
+// reference, which shares in's vector; a literal (a vector.Const) at its
+// materialized size, before it is expanded; any other expression at the
+// size of its result.
+func (ctx *Ctx) evalColumn(c context.Context, e expr.Expr, in *relation.Relation) (vector.Vector, error) {
+	v, err := e.Eval(in)
+	if err != nil {
+		return nil, err
+	}
+	var n int64
+	switch e.(type) {
+	case expr.Col, expr.ColIdx:
+	default:
+		if cv, ok := v.(*vector.Const); ok {
+			n = cv.MaterializedBytes()
+		} else {
+			n = v.EstimatedBytes()
+		}
+	}
+	if err := ctx.charge(c, n); err != nil {
+		return nil, err
+	}
+	return vector.MaterializeConst(v), nil
 }
 
 // Children implements Node.
@@ -206,17 +230,17 @@ func (x *Extend) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	v, err := x.E.Eval(in)
-	if err != nil {
+	// Budget the copied probability column before materializing anything.
+	if err := ctx.charge(c, int64(in.NumRows())*8); err != nil {
 		return nil, err
 	}
-	// Budget the copied probability column before assembling the output.
-	if err := ctx.charge(c, int64(in.NumRows())*8); err != nil {
+	v, err := ctx.evalColumn(c, x.E, in)
+	if err != nil {
 		return nil, err
 	}
 	cols := make([]relation.Column, 0, in.NumCols()+1)
 	cols = append(cols, in.Columns()...)
-	cols = append(cols, relation.Column{Name: x.Name, Vec: vector.MaterializeConst(v)})
+	cols = append(cols, relation.Column{Name: x.Name, Vec: v})
 	prob := make([]float64, in.NumRows())
 	copy(prob, in.Prob())
 	return relation.FromColumns(cols, prob)

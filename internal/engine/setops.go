@@ -127,85 +127,6 @@ func (u *Union) Children() []Node { return []Node{u.L, u.R} }
 func (u *Union) Label() string { return "Union" }
 
 // ---------------------------------------------------------------------------
-// Concat
-
-// Concat concatenates any number of schema-compatible inputs (bag
-// semantics, no dedup) — the n-ary Union used by multi-branch strategies,
-// e.g. the production strategy's five parallel keyword-search branches.
-// All children are evaluated concurrently when worker slots are free;
-// output rows keep child order.
-type Concat struct {
-	ident
-	Inputs []Node
-}
-
-// NewConcat concatenates the given inputs in order.
-func NewConcat(inputs ...Node) *Concat {
-	h := newHasher("concat")
-	h.int(len(inputs))
-	return &Concat{ident: h.finish(inputs...), Inputs: inputs}
-}
-
-// Execute implements Node.
-func (cc *Concat) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
-	if len(cc.Inputs) == 0 {
-		return nil, fmt.Errorf("concat of zero inputs")
-	}
-	rels, err := ctx.execAll(c, cc.Inputs)
-	if err != nil {
-		return nil, err
-	}
-	if len(rels) == 1 {
-		return rels[0], nil
-	}
-	return concatAll(c, ctx, rels)
-}
-
-// Children implements Node.
-func (c *Concat) Children() []Node { return c.Inputs }
-
-// Label implements Node.
-func (c *Concat) Label() string { return fmt.Sprintf("Concat %d", len(c.Inputs)) }
-
-// ---------------------------------------------------------------------------
-// Unite
-
-// Unite is the probabilistic union of PRA: duplicate rows across both
-// inputs are collapsed and their probabilities combined under the given
-// assumption (independent → noisy-or, disjoint → clamped sum, max → max).
-type Unite struct {
-	ident
-	L, R  Node
-	PMode GroupProb
-}
-
-// NewUnite unions l and r collapsing duplicates under pmode.
-func NewUnite(l, r Node, pmode GroupProb) *Unite {
-	h := newHasher("unite")
-	h.int(int(pmode))
-	return &Unite{ident: h.finish(l, r), L: l, R: r, PMode: pmode}
-}
-
-// Execute implements Node.
-func (u *Unite) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
-	left, right, err := ctx.execPair(c, u.L, u.R)
-	if err != nil {
-		return nil, err
-	}
-	all, err := concatAll(c, ctx, []*relation.Relation{left, right})
-	if err != nil {
-		return nil, err
-	}
-	return aggregateRel(c, ctx, all, all.ColumnNames(), nil, u.PMode)
-}
-
-// Children implements Node.
-func (u *Unite) Children() []Node { return []Node{u.L, u.R} }
-
-// Label implements Node.
-func (u *Unite) Label() string { return fmt.Sprintf("Unite[%s]", u.PMode) }
-
-// ---------------------------------------------------------------------------
 // Subtract
 
 // Subtract computes probabilistic difference: rows of the left input,

@@ -100,7 +100,9 @@ func (j *Join) String() string {
 
 // Unite is the probabilistic union: inputs must be schema-compatible;
 // duplicate tuples across inputs are merged under the assumption
-// (independent → noisy-or, disjoint → clamped sum, max → max).
+// (independent → noisy-or, disjoint → clamped sum, max → max). It
+// compiles to a bag Union of both inputs under a Distinct that merges the
+// duplicates; the bag assumption None keeps the Union alone.
 type Unite struct {
 	L, R       Node
 	Assumption Assumption
@@ -128,10 +130,11 @@ func (u *Unite) Compile() (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	bag := engine.NewUnion(lc, rc)
 	if u.Assumption == None {
-		return engine.NewUnion(lc, rc), nil
+		return bag, nil
 	}
-	return engine.NewUnite(lc, rc, u.Assumption.groupProb()), nil
+	return engine.NewDistinct(bag, u.Assumption.groupProb()), nil
 }
 
 // String implements Node.

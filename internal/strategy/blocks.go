@@ -171,9 +171,11 @@ var blockTypes = map[string]blockSpec{
 		if sum > 1+1e-9 {
 			return nil, fmt.Errorf("mix: weights sum to %g > 1 (scores are probabilities)", sum)
 		}
+		// A left-deep fold: each step merges one more input into the
+		// running union, so disjoint sums associate left to right.
 		acc := engine.Node(engine.NewScaleProb(inputs[0], weights[0]))
 		for i := 1; i < len(inputs); i++ {
-			acc = engine.NewUnite(acc, engine.NewScaleProb(inputs[i], weights[i]), engine.GroupDisjoint)
+			acc = engine.NewDistinct(engine.NewUnion(acc, engine.NewScaleProb(inputs[i], weights[i])), engine.GroupDisjoint)
 		}
 		return acc, nil
 	}},

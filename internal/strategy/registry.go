@@ -89,11 +89,11 @@ func (r *Registry) Lookup(name string) (*Entry, error) {
 }
 
 // Search ranks the strategy's results for query and keeps the top k
-// subjects by descending score, ties broken by subject, executing under
-// ctx. It binds query into the prepared plan, preparing it first when the
-// schema epoch moved since; every search entry point runs it, so they all
-// run the same plan, and that plan is the one Compile and Optimize make
-// for the query.
+// subjects by descending score, ties broken by subject (every subject
+// when k ≤ 0), executing under ctx. It binds query into the prepared
+// plan, preparing it first when the schema epoch moved since; every
+// search entry point runs it, so they all run the same plan, and that
+// plan is the one Compile and Optimize make for the query.
 func (e *Entry) Search(ctx context.Context, query string, k int) (*relation.Relation, error) {
 	prep, err := e.prepared.Get(e.reg.eng, func() (*Prepared, error) {
 		return e.st.Prepare(e.reg.eng, &e.reg.c)
@@ -105,6 +105,9 @@ func (e *Entry) Search(ctx context.Context, query string, k int) (*relation.Rela
 	if err != nil {
 		return nil, err
 	}
-	return e.reg.eng.Exec(ctx, engine.NewTopN(plan, k,
-		engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: triple.ColSubject}))
+	keys := []engine.SortSpec{{Col: "", Desc: true}, {Col: triple.ColSubject}}
+	if k > 0 {
+		return e.reg.eng.Exec(ctx, engine.NewTopN(plan, k, keys...))
+	}
+	return e.reg.eng.Exec(ctx, engine.NewSort(plan, keys...))
 }

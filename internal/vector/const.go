@@ -86,6 +86,20 @@ func (v *Const) Materialize() Vector {
 	}
 }
 
+// MaterializedBytes reports the EstimatedBytes of the dense vector
+// Materialize returns, without allocating it.
+func (v *Const) MaterializedBytes() int64 {
+	n := int64(v.n)
+	switch v.kind {
+	case Int64, Float64:
+		return n * 8
+	case String:
+		return n * int64(16+len(v.s))
+	default:
+		return n
+	}
+}
+
 // MaterializeConst returns v with any Const representation expanded to a
 // dense vector; non-Const vectors pass through untouched. Call it wherever
 // an expression result leaves the expression evaluator.

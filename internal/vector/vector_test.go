@@ -369,3 +369,13 @@ func TestDictSortedStrings(t *testing.T) {
 		t.Error("IDs not in insertion order")
 	}
 }
+
+// TestConstMaterializedBytes: a Const reports the size of its dense
+// expansion without allocating it.
+func TestConstMaterializedBytes(t *testing.T) {
+	for _, c := range []*Const{ConstInt64(-9, 7), ConstFloat64(2.25, 7), ConstBool(true, 7), ConstString("key", 7), ConstString("", 0)} {
+		if got, want := c.MaterializedBytes(), c.Materialize().EstimatedBytes(); got != want {
+			t.Errorf("Const %v: MaterializedBytes = %d, Materialize().EstimatedBytes() = %d", c.Kind(), got, want)
+		}
+	}
+}

@@ -577,10 +577,11 @@ type Hit struct {
 }
 
 // Search runs an installed strategy against a keyword query and returns
-// the top k subjects. It runs the same admission and the same plan as
-// irdb-server's /search: admitted first, then the strategy's prepared
-// plan (compiled and optimized once per schema epoch) bound to query and
-// executed. ctx's deadline and cancellation abort the plan mid-execution.
+// the top k subjects, or every matching subject when k ≤ 0. It runs the
+// same admission and the same plan as irdb-server's /search: admitted
+// first, then the strategy's prepared plan (compiled and optimized once
+// per schema epoch) bound to query and executed. ctx's deadline and
+// cancellation abort the plan mid-execution.
 func (db *DB) Search(ctx context.Context, strategyName, query string, k int) ([]Hit, error) {
 	qctx, release, err := db.enter(ctx)
 	if err != nil {
@@ -605,8 +606,9 @@ func (db *DB) Search(ctx context.Context, strategyName, query string, k int) ([]
 }
 
 // SearchDocs ranks the LoadDocs collection against a keyword query with
-// the default retrieval model (BM25) and returns the top k documents. Its
-// score plan is planned once per schema epoch and bound per search.
+// the default retrieval model (BM25) and returns the top k documents, or
+// every matching document when k ≤ 0. Its score plan is planned once per
+// schema epoch and bound per search.
 func (db *DB) SearchDocs(ctx context.Context, query string, k int) ([]Hit, error) {
 	qctx, release, err := db.enter(ctx)
 	if err != nil {

@@ -3,6 +3,7 @@ package irdb
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -169,5 +170,57 @@ func TestSearchMatchingNothing(t *testing.T) {
 	hits, err = db.Search(context.Background(), "auction-lots", "wooden train", 10)
 	if err != nil || len(hits) != 1 || hits[0].ID != "lot1" {
 		t.Errorf("auction-lots over a lot with no auction = %v, %v; want lot1 and nil", hits, err)
+	}
+}
+
+// TestSearchNonPositiveK: k ≤ 0 asks for every match. Search and
+// SearchDocs with k = 0 or k = -1 return exactly what a k larger than
+// the result returns: the same hits in the same order.
+func TestSearchNonPositiveK(t *testing.T) {
+	ctx := context.Background()
+	db := openTestDB(t, 2)
+	graph := testGraph(400)
+	var query string
+	for _, tr := range graph {
+		if tr.Property == "description" {
+			query = tr.Object.(string)
+			break
+		}
+	}
+	docs := make([]Doc, 0, 50)
+	for _, tr := range graph {
+		if tr.Property == "description" && len(docs) < cap(docs) {
+			docs = append(docs, Doc{ID: tr.Subject, Text: tr.Object.(string)})
+		}
+	}
+	if err := db.LoadDocs(docs); err != nil {
+		t.Fatal(err)
+	}
+	const big = 1 << 20
+	searches := map[string]func(k int) ([]Hit, error){
+		"SearchDocs": func(k int) ([]Hit, error) { return db.SearchDocs(ctx, query, k) },
+	}
+	for _, name := range db.InstallBuiltinStrategies() {
+		searches["Search "+name] = func(k int) ([]Hit, error) { return db.Search(ctx, name, query, k) }
+	}
+	for label, search := range searches {
+		want, err := search(big)
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", label, big, err)
+		}
+		// toy-products ranks product triples, which the auction graph
+		// has none of.
+		if label != "Search toy-products" && len(want) < 2 {
+			t.Fatalf("%s %q: %d hits, want several", label, query, len(want))
+		}
+		for _, k := range []int{0, -1} {
+			got, err := search(k)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", label, k, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s k=%d: %d hits, want the %d of k=%d", label, k, len(got), len(want), big)
+			}
+		}
 	}
 }
