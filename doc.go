@@ -110,18 +110,19 @@
 // # Migration from the internal call patterns
 //
 // Earlier revisions wired internal packages together by hand. The facade
-// replaces those shapes one for one:
+// replaces those shapes one for one; spinql.Eval and spinql.Explain are
+// gone, and cmd/irdb runs on the facade too:
 //
 //	catalog.New + triple.NewStore + engine.NewCtx   -> irdb.Open(opts...)
 //	ctx.Parallelism = n                             -> irdb.WithParallelism(n)
 //	cat.Cache().SetMaxBytes(n)                      -> irdb.WithCacheBytes(n)
 //	server admission gate                           -> irdb.WithMaxInFlight(n)
 //	store.Load(triples)                             -> db.LoadTriples / db.LoadTriplesTSV
-//	spinql.Eval(src, env, ctx)                      -> db.Query(ctx, src)
+//	spinql.Eval(src, env, ctx) (removed)            -> db.Query(ctx, src)
 //	spinql.Parse + Compile per request              -> db.Prepare(src); stmt.Query(ctx, params...)
 //	strategy.FromJSON + Compile per request         -> db.InstallStrategy(json); db.Search(ctx, name, q, k)
 //	ir.NewSearcher(ctx, docsPlan, params).Search    -> db.LoadDocs(docs); db.SearchDocs(ctx, q, k)
-//	spinql.Explain / pra.ToSQL                      -> db.Explain / db.ToSQL
+//	spinql.Explain (removed) / pra.ToSQL            -> db.Explain / db.ToSQL
 //
 // At the engine layer, engine.Ctx.Exec and engine.Node.Execute now take
 // a context.Context first; catalog.Cache.GetOrComputeDeps and

@@ -60,8 +60,6 @@ func nodeExprs(n Node) []expr.Expr {
 			out[i] = pc.E
 		}
 		return out
-	case *Extend:
-		return []expr.Expr{x.E}
 	}
 	return nil
 }
@@ -123,14 +121,6 @@ func (b Bindings) Bind(plan Node) (Node, error) {
 		}
 		if changed {
 			return NewProject(bound[0], cols...), nil
-		}
-	case *Extend:
-		e, changed, err := expr.Bind(x.E, b.scalar)
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			return NewExtend(bound[0], x.Name, e), nil
 		}
 	}
 	if slices.Equal(kids, bound) {

@@ -284,11 +284,12 @@ func TestBudgetChargesAlignedProbe(t *testing.T) {
 	}
 }
 
-// TestBudgetChargesComputedColumns: Project and Extend charge every column
-// an expression computes, a literal at its materialized size, besides the
-// 8-byte-per-row probability copy; a bare column reference shares its
-// input's vector and adds nothing. A budget that admits the bare
-// projection therefore denies each computed one, at the computed column.
+// TestBudgetChargesComputedColumns: Project charges every column an
+// expression computes, a literal at its materialized size; a bare column
+// reference shares its input's vector and the output shares its input's
+// probabilities, so neither adds anything. A pass-through or renaming
+// projection therefore runs under a one-byte budget (0 sets no ceiling),
+// and a computed one is denied there at exactly its computed column.
 func TestBudgetChargesComputedColumns(t *testing.T) {
 	const n = 50_000
 	xs := make([]int64, n)
@@ -306,14 +307,13 @@ func TestBudgetChargesComputedColumns(t *testing.T) {
 		_, err := (&Ctx{Cat: catalog.New(0), Parallelism: 1}).Exec(memory.WithReservation(context.Background(), res), plan)
 		return err
 	}
-	const probCopy = n * 8
 	for _, plan := range []Node{
 		NewProject(in, ProjCol{Name: "x", E: x}),
 		NewProject(in, ProjCol{Name: "y", E: expr.ColumnAt(1)}),
-		NewExtend(in, "y", x),
+		NewProject(in, ProjCol{Name: "x", E: x}, ProjCol{Name: "y", E: x}),
 	} {
-		if err := run(plan, probCopy); err != nil {
-			t.Errorf("%s: %v under the probability copy's budget", plan.Label(), err)
+		if err := run(plan, 1); err != nil {
+			t.Errorf("%s: %v under a one-byte budget", plan.Label(), err)
 		}
 	}
 	for _, tc := range []struct {
@@ -323,16 +323,16 @@ func TestBudgetChargesComputedColumns(t *testing.T) {
 		{NewProject(in, ProjCol{Name: "y", E: twice}), n * 8},
 		{NewProject(in, ProjCol{Name: "one", E: expr.Int(1)}), n * 8},
 		{NewProject(in, ProjCol{Name: "x", E: x}, ProjCol{Name: "s", E: expr.Str("ab")}), n * (16 + 2)},
-		{NewExtend(in, "y", twice), n * 8},
-		{NewExtend(in, "p", expr.Prob{}), n * 8},
+		{NewProject(in, ProjCol{Name: "x", E: x}, ProjCol{Name: "y", E: twice}), n * 8},
+		{NewProject(in, ProjCol{Name: "x", E: x}, ProjCol{Name: "p", E: expr.Prob{}}), n * 8},
 	} {
-		err := run(tc.plan, probCopy)
+		err := run(tc.plan, 1)
 		var be *memory.BudgetError
 		if !errors.As(err, &be) || be.Requested != tc.want {
 			t.Errorf("%s: err = %v, want the %d-byte computed column denied", tc.plan.Label(), err, tc.want)
 		}
-		if err := run(tc.plan, probCopy+tc.want); err != nil {
-			t.Errorf("%s: %v under a budget for both", tc.plan.Label(), err)
+		if err := run(tc.plan, tc.want); err != nil {
+			t.Errorf("%s: %v under a budget for the computed column", tc.plan.Label(), err)
 		}
 	}
 }

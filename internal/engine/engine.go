@@ -298,7 +298,7 @@ func (m *Materialize) Children() []Node { return []Node{m.Child} }
 func (m *Materialize) Label() string { return "Materialize" }
 
 // ---------------------------------------------------------------------------
-// Limit / Rename
+// Limit
 
 // Limit keeps the first N rows.
 type Limit struct {
@@ -341,32 +341,3 @@ func (l *Limit) Children() []Node { return []Node{l.Child} }
 
 // Label implements Node.
 func (l *Limit) Label() string { return fmt.Sprintf("Limit %d", l.N) }
-
-// Rename gives new names to all columns of its input, positionally.
-type Rename struct {
-	ident
-	Child Node
-	Names []string
-}
-
-// NewRename renames child's columns to names (arity-checked at execution).
-func NewRename(child Node, names ...string) *Rename {
-	h := newHasher("rename")
-	h.strs(names)
-	return &Rename{ident: h.finish(child), Child: child, Names: names}
-}
-
-// Execute implements Node.
-func (r *Rename) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
-	in, err := ctx.Exec(c, r.Child)
-	if err != nil {
-		return nil, err
-	}
-	return in.Renamed(r.Names)
-}
-
-// Children implements Node.
-func (r *Rename) Children() []Node { return []Node{r.Child} }
-
-// Label implements Node.
-func (r *Rename) Label() string { return fmt.Sprintf("Rename %v", r.Names) }

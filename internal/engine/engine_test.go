@@ -117,7 +117,7 @@ func TestHashJoinProbModes(t *testing.T) {
 	cat.Put("l", relation.NewBuilder([]string{"k"}, []vector.Kind{vector.Int64}).AddP(0.5, 1).Build())
 	cat.Put("r", relation.NewBuilder([]string{"k"}, []vector.Kind{vector.Int64}).AddP(0.4, 1).Build())
 	ctx := NewCtx(cat)
-	cases := map[JoinProb]float64{JoinIndependent: 0.2, JoinLeft: 0.5, JoinRight: 0.4}
+	cases := map[JoinProb]float64{JoinIndependent: 0.2, JoinLeft: 0.5}
 	for mode, want := range cases {
 		r := mustExec(t, ctx, NewHashJoin(NewScan("l"), NewScan("r"), []string{"k"}, []string{"k"}, mode))
 		if r.NumRows() != 1 {
@@ -162,10 +162,15 @@ func TestProjectAndExtend(t *testing.T) {
 	if got := r.Col(1).Vec.(*vector.Strings).Values()[0]; got != "TOY" {
 		t.Errorf("ucase = %q", got)
 	}
-	e := NewExtend(NewScan("triples"), "double", expr.Arith{Op: expr.Mul, L: expr.Prob{}, R: expr.Float(2)})
+	// Extending: every input column passes through and one is appended.
+	e := NewProject(NewScan("triples"), append(ByName("subject", "property", "object"),
+		ProjCol{Name: "double", E: expr.Arith{Op: expr.Mul, L: expr.Prob{}, R: expr.Float(2)}})...)
 	re := mustExec(t, ctx, e)
 	if re.NumCols() != 4 {
 		t.Errorf("extend cols = %d, want 4", re.NumCols())
+	}
+	if got := re.Col(3).Vec.(*vector.Float64s).Values()[6]; got != 1 {
+		t.Errorf("double(p4 category) = %g, want 1", got)
 	}
 }
 
@@ -351,14 +356,27 @@ func TestSortTopNLimit(t *testing.T) {
 	}
 }
 
+// TestRename: a positional Project renames its input's columns, sharing
+// its column vectors and its probabilities.
 func TestRename(t *testing.T) {
 	ctx := newTestCtx()
-	r := mustExec(t, ctx, NewRename(NewScan("triples"), "s", "p", "o"))
+	rename := func(names ...string) Node {
+		cols := make([]ProjCol, len(names))
+		for i, n := range names {
+			cols[i] = ProjCol{Name: n, E: expr.ColumnAt(i + 1)}
+		}
+		return NewProject(NewScan("triples"), cols...)
+	}
+	r := mustExec(t, ctx, rename("s", "p", "o"))
 	if strings.Join(r.ColumnNames(), ",") != "s,p,o" {
 		t.Errorf("renamed = %v", r.ColumnNames())
 	}
-	if _, err := ctx.Exec(context.Background(), NewRename(NewScan("triples"), "only-one")); err == nil {
-		t.Error("bad arity rename should fail")
+	base, _ := ctx.Cat.Table("triples")
+	if r.Col(2).Vec != base.Col(2).Vec || &r.Prob()[0] != &base.Prob()[0] {
+		t.Error("renaming Project copied its input")
+	}
+	if _, err := ctx.Exec(context.Background(), rename("a", "b", "c", "d")); err == nil {
+		t.Error("renaming a column the input does not have should fail")
 	}
 }
 
@@ -379,9 +397,9 @@ func TestScaleProbAndProbCols(t *testing.T) {
 		t.Error("negative weight should fail")
 	}
 
-	pc := mustExec(t, ctx, NewExtend(NewScan("t"), "score", expr.Prob{}))
+	pc := mustExec(t, ctx, NewProject(NewScan("t"), ProjCol{Name: "x", E: expr.Column("x")}, ProjCol{Name: "score", E: expr.Prob{}}))
 	if pc.NumCols() != 2 || pc.Col(1).Vec.(*vector.Float64s).Values()[0] != 0.5 {
-		t.Errorf("Extend PROB() = %s", pc.Format(-1))
+		t.Errorf("Project PROB() = %s", pc.Format(-1))
 	}
 	back := mustExec(t, ctx, NewProbFromCol(NewValues("pc", pc), "score", false, true))
 	if back.NumCols() != 1 || back.Prob()[0] != 0.5 {

@@ -32,17 +32,19 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 		t1, t2,
 		NewValues("a", rel), NewValues("b", rel),
 		NewLimit(t1, 3), NewLimit(t1, 4), NewLimit(t2, 3),
-		NewRename(t1, "a", "b"), NewRename(t1, "a", "c"), NewRename(t1, "ab"), NewRename(t2, "a", "b"),
 		NewSelect(t1, p), NewSelect(t2, p),
 		NewProject(t1, ProjCol{Name: "a", E: x}), NewProject(t1, ProjCol{Name: "b", E: x}),
 		NewProject(t1, ProjCol{Name: "a", E: y}), NewProject(t2, ProjCol{Name: "a", E: x}),
 		NewProject(t1, ProjCol{Name: "a", E: x}, ProjCol{Name: "b", E: x}),
-		NewExtend(t1, "a", x), NewExtend(t1, "b", x), NewExtend(t1, "a", y), NewExtend(t2, "a", x),
+		NewProject(t1, ProjCol{Name: "a", E: x}, ProjCol{Name: "b", E: y}), NewProject(t1, ProjCol{Name: "b", E: x}, ProjCol{Name: "a", E: y}),
+		NewProject(t1, ProjCol{Name: "a", E: y}, ProjCol{Name: "b", E: x}),
+		NewProject(t1, ProjCol{Name: "a", E: expr.ColumnAt(1)}), NewProject(t1, ProjCol{Name: "b", E: expr.ColumnAt(1)}),
+		NewProject(t1, ProjCol{Name: "a", E: expr.ColumnAt(2)}), NewProject(t2, ProjCol{Name: "a", E: expr.ColumnAt(1)}),
 		NewHashJoin(t1, t2, k, k, JoinIndependent), NewHashJoin(t2, t2, k, k, JoinIndependent),
 		NewHashJoin(t1, t1, k, k, JoinIndependent), NewHashJoin(t1, t2, j, k, JoinIndependent),
 		NewHashJoin(t1, t2, k, j, JoinIndependent), NewHashJoin(t1, t2, k, k, JoinLeft),
 		NewHashJoinPos(t1, t2, []int{0}, []int{0}, JoinIndependent), NewHashJoinPos(t1, t2, []int{1}, []int{0}, JoinIndependent),
-		NewHashJoinPos(t1, t2, []int{0}, []int{1}, JoinIndependent), NewHashJoinPos(t1, t2, []int{0}, []int{0}, JoinRight),
+		NewHashJoinPos(t1, t2, []int{0}, []int{1}, JoinIndependent), NewHashJoinPos(t1, t2, []int{0}, []int{0}, JoinLeft),
 		NewAggregate(t1, []string{"g"}, agg(Sum, "v", "s"), GroupCertain), NewAggregate(t2, []string{"g"}, agg(Sum, "v", "s"), GroupCertain),
 		NewAggregate(t1, []string{"h"}, agg(Sum, "v", "s"), GroupCertain), NewAggregate(t1, []string{"g"}, agg(Max, "v", "s"), GroupCertain),
 		NewAggregate(t1, []string{"g"}, agg(Sum, "w", "s"), GroupCertain), NewAggregate(t1, []string{"g"}, agg(Sum, "v", "t"), GroupCertain),

@@ -22,8 +22,6 @@ const (
 	// JoinLeft keeps the left tuple's probability (the right side acts as
 	// a certain filter).
 	JoinLeft
-	// JoinRight keeps the right tuple's probability.
-	JoinRight
 )
 
 func (m JoinProb) String() string {
@@ -32,8 +30,6 @@ func (m JoinProb) String() string {
 		return "independent"
 	case JoinLeft:
 		return "left"
-	case JoinRight:
-		return "right"
 	}
 	return "?"
 }
@@ -173,8 +169,6 @@ func (j *HashJoin) joinPairs(c context.Context, ctx *Ctx, left, right *relation.
 			}
 		case JoinLeft:
 			copy(prob[lo:hi], lp[lo:hi])
-		case JoinRight:
-			copy(prob[lo:hi], rp[lo:hi])
 		}
 	})
 	if len(cols) == 0 {

@@ -225,37 +225,6 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 			return NewDistinct(inner, child.PMode)
 		}
 
-	case *Extend:
-		// Conjuncts not reading the extended column filter the same rows
-		// below the Extend; the extension expression then runs on fewer
-		// rows. Probabilities pass through Extend untouched, so PROB()
-		// references are fine; positional references could address the
-		// appended column, so they stay above.
-		var push, keep []expr.Expr
-		for _, cj := range splitConjuncts(s.Pred) {
-			refs := expr.RefsOf(cj)
-			ok := !refs.Positional
-			for _, col := range refs.Cols {
-				if col == child.Name {
-					ok = false
-				}
-			}
-			if ok {
-				push = append(push, cj)
-			} else {
-				keep = append(keep, cj)
-			}
-		}
-		if len(push) > 0 {
-			info.SelectsPushed += len(push)
-			inner := pushSelect(cat, NewSelect(child.Child, joinConjuncts(push)), info)
-			var out Node = NewExtend(inner, child.Name, child.E)
-			if len(keep) > 0 {
-				out = NewSelect(out, joinConjuncts(keep))
-			}
-			return out
-		}
-
 	case *Sort:
 		// Filtering commutes with a stable sort: surviving rows keep
 		// their relative order whether filtered before or after sorting,
@@ -472,11 +441,7 @@ func staticEmpty(n Node) bool {
 		return staticEmpty(x.Child)
 	case *Materialize:
 		return staticEmpty(x.Child)
-	case *Rename:
-		return staticEmpty(x.Child)
 	case *Project:
-		return staticEmpty(x.Child)
-	case *Extend:
 		return staticEmpty(x.Child)
 	case *Sort:
 		return staticEmpty(x.Child)
@@ -639,9 +604,6 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 		}
 		return withChild(n, x.Child, pruneNode(cat, x.Child, childNeeds, info))
 
-	case *Extend:
-		return withChild(n, x.Child, pruneNode(cat, x.Child, exprNeeds(needs.without(x.Name), x.E), info))
-
 	case *Sort:
 		return withChild(n, x.Child, pruneNode(cat, x.Child, sortNeeds(needs, x.Keys), info))
 
@@ -691,11 +653,6 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 			r = pruneNode(cat, x.R, nil, info)
 		}
 		return withChildren(n, l, r)
-
-	case *Rename:
-		// Rename is positional and arity-checked; its child keeps every
-		// column.
-		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
 
 	case *Normalize:
 		// KeyPos is positional.

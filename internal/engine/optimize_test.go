@@ -482,7 +482,7 @@ func randomPlan(rng *rand.Rand, depth int) Node {
 	case 0, 1:
 		return NewSelect(sub(), pred())
 	case 2:
-		mode := []JoinProb{JoinIndependent, JoinLeft, JoinRight}[rng.Intn(3)]
+		mode := []JoinProb{JoinIndependent, JoinLeft}[rng.Intn(2)]
 		return toFact(NewHashJoin(sub(), NewScan("dim"), []string{"k"}, []string{"k"}, mode))
 	case 3:
 		return NewUnion(sub(), sub())

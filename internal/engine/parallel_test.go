@@ -151,7 +151,6 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}{
 		{"join-independent", NewHashJoin(scanL, scanR, []string{"a"}, []string{"a"}, JoinIndependent)},
 		{"join-left", NewHashJoin(scanL, scanR, []string{"a"}, []string{"a"}, JoinLeft)},
-		{"join-right", NewHashJoin(scanL, scanR, []string{"a"}, []string{"a"}, JoinRight)},
 		{"join-positional-multikey", NewHashJoinPos(scanL, scanO, []int{0, 1}, []int{0, 1}, JoinIndependent)},
 		{"join-materialized-build", NewHashJoin(scanL, NewMaterialize(NewSelect(scanR, pred)),
 			[]string{"a"}, []string{"a"}, JoinIndependent)},
@@ -165,7 +164,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"select", NewSelect(scanL, pred)},
 		{"project", NewProject(scanL, ProjCol{Name: "b", E: expr.Column("b")},
 			ProjCol{Name: "x2", E: expr.Arith{Op: expr.Mul, L: expr.Column("x"), R: expr.Float(2)}})},
-		{"extend", NewExtend(scanL, "y", expr.Arith{Op: expr.Add, L: expr.Column("x"), R: expr.Float(1)})},
+		{"extend", NewProject(scanL, append(ByName("a", "b", "x"),
+			ProjCol{Name: "y", E: expr.Arith{Op: expr.Add, L: expr.Column("x"), R: expr.Float(1)}})...)},
 		{"sort", NewSort(scanL, SortSpec{Col: "b"}, SortSpec{Col: "x", Desc: true})},
 		{"sort-by-prob", NewSort(scanL, SortSpec{Col: "", Desc: true})},
 		{"topn", NewTopN(scanL, 100, SortSpec{Col: "", Desc: true}, SortSpec{Col: "a"})},
@@ -173,7 +173,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"topn-large-n", NewTopN(scanL, 8000, SortSpec{Col: "x", Desc: true})},
 		{"topn-over-input", NewTopN(scanL, 20000, SortSpec{Col: "a"}, SortSpec{Col: "b", Desc: true})},
 		{"limit", NewLimit(scanL, 123)},
-		{"rename", NewRename(scanL, "c1", "c2", "c3")},
+		{"rename", NewProject(scanL, ProjCol{Name: "c1", E: expr.ColumnAt(1)},
+			ProjCol{Name: "c2", E: expr.ColumnAt(2)}, ProjCol{Name: "c3", E: expr.ColumnAt(3)})},
 		{"aggregate", NewAggregate(scanL, []string{"b"}, []AggSpec{
 			{Op: CountAll, As: "n"},
 			{Op: Sum, Col: "x", As: "sx"},
@@ -192,7 +193,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"rownumber", NewRowNumber(scanL, "rowid")},
 		{"scaleprob", NewScaleProb(scanL, 0.25)},
 		{"probfromcol", NewProbFromCol(scanL, "x", true, true)},
-		{"probtocol", NewExtend(scanL, "score", expr.Prob{})},
+		{"probtocol", NewProject(scanL, append(ByName("a", "b", "x"), ProjCol{Name: "score", E: expr.Prob{}})...)},
 		{"normalize", NewNormalize(scanL, []int{1}, NormSum)},
 		{"normalize-max-global", NewNormalize(scanL, nil, NormMax)},
 		{"composite", NewTopN(

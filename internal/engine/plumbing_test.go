@@ -25,10 +25,9 @@ func TestNodePlumbing(t *testing.T) {
 		vals,
 		NewMaterialize(scan),
 		NewLimit(scan, 3),
-		NewRename(scan, "a", "b", "c"),
 		NewSelect(scan, pred),
 		NewProject(scan, ProjCol{Name: "x", E: expr.Column("x")}),
-		NewExtend(scan, "y", pred),
+		NewProject(scan, ProjCol{Name: "a", E: expr.ColumnAt(1)}),
 		NewHashJoin(scan, scan2, []string{"x"}, []string{"x"}, JoinIndependent),
 		NewHashJoinPos(scan, scan2, []int{0}, []int{0}, JoinLeft),
 		NewAggregate(scan, []string{"x"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupDisjoint),
@@ -74,7 +73,7 @@ func TestNodePlumbing(t *testing.T) {
 
 func TestJoinProbAndGroupProbStrings(t *testing.T) {
 	for _, s := range []string{
-		JoinIndependent.String(), JoinLeft.String(), JoinRight.String(),
+		JoinIndependent.String(), JoinLeft.String(),
 		GroupCertain.String(), GroupDisjoint.String(), GroupIndependent.String(),
 		GroupMax.String(), GroupSumRaw.String(),
 		NormSum.String(), NormMax.String(),
@@ -95,9 +94,9 @@ func TestErrorPaths(t *testing.T) {
 	cat.Put("t", relation.NewBuilder([]string{"x"}, []vector.Kind{vector.String}).Add("a").Build())
 	ctx := NewCtx(cat)
 
-	// Extend with failing expression
-	if _, err := ctx.Exec(context.Background(), NewExtend(NewScan("t"), "y", expr.Column("missing"))); err == nil {
-		t.Error("Extend over missing column should fail")
+	// Project over a missing column
+	if _, err := ctx.Exec(context.Background(), NewProject(NewScan("t"), ProjCol{Name: "y", E: expr.Column("missing")})); err == nil {
+		t.Error("Project over missing column should fail")
 	}
 	// Project with failing expression
 	if _, err := ctx.Exec(context.Background(), NewProject(NewScan("t"), ProjCol{Name: "y", E: expr.NewCall("log", expr.Column("x"))})); err == nil {
@@ -170,19 +169,5 @@ func TestAggregateMinMaxAndCountCol(t *testing.T) {
 	// float sums stay float
 	if r.Col(4).Vec.Kind() != vector.Float64 {
 		t.Error("float sum kind lost")
-	}
-}
-
-func TestUniteBagModeAndJoinRight(t *testing.T) {
-	cat := catalog.New(0)
-	cat.Put("l", relation.NewBuilder([]string{"x"}, []vector.Kind{vector.String}).AddP(0.3, "a").Build())
-	cat.Put("r", relation.NewBuilder([]string{"x"}, []vector.Kind{vector.String}).AddP(0.9, "a").Build())
-	ctx := NewCtx(cat)
-	j, err := ctx.Exec(context.Background(), NewHashJoin(NewScan("l"), NewScan("r"), []string{"x"}, []string{"x"}, JoinRight))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Prob()[0] != 0.9 {
-		t.Errorf("JoinRight p = %g", j.Prob()[0])
 	}
 }

@@ -55,14 +55,10 @@ func rebuild(n Node, kids []Node) Node {
 		return NewMaterialize(kids[0])
 	case *Limit:
 		return NewLimit(kids[0], x.N)
-	case *Rename:
-		return NewRename(kids[0], x.Names...)
 	case *Select:
 		return NewSelect(kids[0], x.Pred)
 	case *Project:
 		return NewProject(kids[0], x.Cols...)
-	case *Extend:
-		return NewExtend(kids[0], x.Name, x.E)
 	case *HashJoin:
 		return newHashJoin(kids[0], kids[1], x.LKeys, x.RKeys, x.LPos, x.RPos, x.PMode)
 	case *Union:

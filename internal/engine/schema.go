@@ -60,24 +60,12 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 		return staticSchema(cat, x.Child)
 	case *ScaleProb:
 		return staticSchema(cat, x.Child)
-	case *Rename:
-		child, ok := staticSchema(cat, x.Child)
-		if !ok || len(child) != len(x.Names) {
-			return nil, false
-		}
-		return append([]string(nil), x.Names...), true
 	case *Project:
 		out := make([]string, len(x.Cols)) //lint:allow chargedalloc O(#columns) schema inference, plan-shaped
 		for i, pc := range x.Cols {
 			out[i] = pc.Name
 		}
 		return out, true
-	case *Extend:
-		child, ok := staticSchema(cat, x.Child)
-		if !ok {
-			return nil, false
-		}
-		return append(append([]string(nil), child...), x.Name), true
 	case *RowNumber:
 		child, ok := staticSchema(cat, x.Child)
 		if !ok {

@@ -146,11 +146,7 @@ func (p *Project) Execute(c context.Context, ctx *Ctx) (*relation.Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	// Budget the copied probability column before materializing anything.
-	if err := ctx.charge(c, int64(in.NumRows())*8); err != nil {
-		return nil, err
-	}
-	cols := make([]relation.Column, len(p.Cols))
+	cols := make([]relation.Column, len(p.Cols)) //lint:allow chargedalloc O(#columns) headers, plan-shaped; computed columns are charged by evalColumn
 	for i, pc := range p.Cols {
 		v, err := ctx.evalColumn(c, pc.E, in)
 		if err != nil {
@@ -158,9 +154,8 @@ func (p *Project) Execute(c context.Context, ctx *Ctx) (*relation.Relation, erro
 		}
 		cols[i] = relation.Column{Name: pc.Name, Vec: v}
 	}
-	prob := make([]float64, in.NumRows())
-	copy(prob, in.Prob())
-	return relation.FromColumns(cols, prob)
+	// Relations are immutable, so the output shares in's probabilities.
+	return relation.FromColumns(cols, in.Prob())
 }
 
 // evalColumn evaluates e over in as a dense output column, charging what
@@ -203,51 +198,3 @@ func (p *Project) Label() string {
 	}
 	return s
 }
-
-// ---------------------------------------------------------------------------
-// Extend
-
-// Extend appends one computed column to its input, keeping all existing
-// columns. It is the engine's equivalent of SELECT *, expr AS name.
-type Extend struct {
-	ident
-	Child Node
-	Name  string
-	E     expr.Expr
-}
-
-// NewExtend appends column name computed by e.
-func NewExtend(child Node, name string, e expr.Expr) *Extend {
-	h := newHasher("extend")
-	h.str(name)
-	h.expr(e)
-	return &Extend{ident: h.finish(child), Child: child, Name: name, E: e}
-}
-
-// Execute implements Node.
-func (x *Extend) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
-	in, err := ctx.Exec(c, x.Child)
-	if err != nil {
-		return nil, err
-	}
-	// Budget the copied probability column before materializing anything.
-	if err := ctx.charge(c, int64(in.NumRows())*8); err != nil {
-		return nil, err
-	}
-	v, err := ctx.evalColumn(c, x.E, in)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]relation.Column, 0, in.NumCols()+1)
-	cols = append(cols, in.Columns()...)
-	cols = append(cols, relation.Column{Name: x.Name, Vec: v})
-	prob := make([]float64, in.NumRows())
-	copy(prob, in.Prob())
-	return relation.FromColumns(cols, prob)
-}
-
-// Children implements Node.
-func (x *Extend) Children() []Node { return []Node{x.Child} }
-
-// Label implements Node.
-func (x *Extend) Label() string { return "Extend " + x.Name }

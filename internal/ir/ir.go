@@ -11,6 +11,10 @@
 //	tf        — integer term frequencies per (termID, docID)
 //	idf       — BM25 inverse document frequency per termID
 //
+// WeightsPlan folds them into one weight per (term, document) under one
+// of three models: BM25 (the paper's), TF-IDF, or the Jelinek-Mercer
+// smoothed language model.
+//
 // Because every view is "independent of query-terms", all of them sit
 // behind Materialize nodes and are computed once per (collection,
 // parameters) pair; only the final per-query scoring runs per query.
@@ -38,7 +42,6 @@ const (
 	BM25 Model = iota
 	TFIDF
 	LMJelinekMercer
-	LMDirichlet
 )
 
 func (m Model) String() string {
@@ -49,8 +52,6 @@ func (m Model) String() string {
 		return "tfidf"
 	case LMJelinekMercer:
 		return "lm-jm"
-	case LMDirichlet:
-		return "lm-dirichlet"
 	}
 	return "?"
 }
@@ -81,8 +82,6 @@ type Params struct {
 	IDFPlusOne bool
 	// LambdaJM is the Jelinek-Mercer mixing weight (LMJelinekMercer).
 	LambdaJM float64
-	// MuDirichlet is the Dirichlet prior mass (LMDirichlet).
-	MuDirichlet float64
 }
 
 // DefaultParams returns the configuration of the paper's running example:
@@ -90,14 +89,13 @@ type Params struct {
 // k1 = 1.2, b = 0.75.
 func DefaultParams() Params {
 	return Params{
-		Stemmer:     "sb-english",
-		Tokenizer:   text.Default(),
-		Model:       BM25,
-		K1:          1.2,
-		B:           0.75,
-		IDFPlusOne:  true,
-		LambdaJM:    0.3,
-		MuDirichlet: 2000,
+		Stemmer:    "sb-english",
+		Tokenizer:  text.Default(),
+		Model:      BM25,
+		K1:         1.2,
+		B:          0.75,
+		IDFPlusOne: true,
+		LambdaJM:   0.3,
 	}
 }
 
@@ -121,9 +119,6 @@ func (p Params) Validate() error {
 	}
 	if p.LambdaJM < 0 || p.LambdaJM > 1 {
 		return fmt.Errorf("ir: lambda out of range: %g", p.LambdaJM)
-	}
-	if p.MuDirichlet < 0 {
-		return fmt.Errorf("ir: mu out of range: %g", p.MuDirichlet)
 	}
 	return nil
 }

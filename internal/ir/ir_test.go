@@ -376,7 +376,7 @@ func TestHotSearchUsesCache(t *testing.T) {
 }
 
 func TestAllModelsRankRelevantFirst(t *testing.T) {
-	for _, m := range []Model{BM25, TFIDF, LMJelinekMercer, LMDirichlet} {
+	for _, m := range []Model{BM25, TFIDF, LMJelinekMercer} {
 		ctx, docs := newIRCtx(t)
 		p := DefaultParams()
 		p.Model = m
@@ -442,11 +442,6 @@ func TestStatsAndValidate(t *testing.T) {
 	bad.LambdaJM = 1.5
 	if err := bad.Validate(); err == nil {
 		t.Error("lambda=1.5 should fail validation")
-	}
-	bad = DefaultParams()
-	bad.MuDirichlet = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("mu<0 should fail validation")
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 	"irdb/internal/vector"
 )
 
-// Closed-form references for the language models, mirroring the pipeline
-// definitions: JM in the rank-equivalent sum-of-logs form
-// w = ln(1 + ((1-λ)·tf/len)/(λ·cf/C)), Dirichlet as
-// Σ ln(1 + tf/(μ·cf/C)) + |q|·ln(μ/(μ+len)).
+// Closed-form reference for the Jelinek-Mercer language model, mirroring
+// the pipeline definition: the rank-equivalent sum-of-logs form
+// w = ln(1 + ((1-λ)·tf/len)/(λ·cf/C)).
 func referenceLM(query string, p Params) map[int64]float64 {
 	st, _ := stem.Get(p.Stemmer)
 	tokenize := func(s string) []string {
@@ -42,8 +41,7 @@ func referenceLM(query string, p Params) map[int64]float64 {
 		tf[d.id] = m
 	}
 	scores := map[int64]float64{}
-	qterms := tokenize(query)
-	for _, q := range qterms {
+	for _, q := range tokenize(query) {
 		if cf[q] == 0 {
 			continue
 		}
@@ -53,53 +51,39 @@ func referenceLM(query string, p Params) map[int64]float64 {
 			if f == 0 {
 				continue
 			}
-			switch p.Model {
-			case LMJelinekMercer:
-				num := (1 - p.LambdaJM) * f / float64(dl[id])
-				den := p.LambdaJM * pc
-				scores[id] += math.Log(1 + num/den)
-			case LMDirichlet:
-				scores[id] += math.Log(1 + f/(p.MuDirichlet*pc))
-			}
-		}
-	}
-	if p.Model == LMDirichlet {
-		for id := range scores {
-			scores[id] += float64(len(qterms)) *
-				math.Log(p.MuDirichlet/(p.MuDirichlet+float64(dl[id])))
+			num := (1 - p.LambdaJM) * f / float64(dl[id])
+			den := p.LambdaJM * pc
+			scores[id] += math.Log(1 + num/den)
 		}
 	}
 	return scores
 }
 
 func TestLMModelsMatchReference(t *testing.T) {
-	for _, model := range []Model{LMJelinekMercer, LMDirichlet} {
-		ctx, docs := newIRCtx(t)
-		p := DefaultParams()
-		p.Model = model
-		s, err := NewSearcher(ctx, docs, p)
+	ctx, docs := newIRCtx(t)
+	p := DefaultParams()
+	p.Model = LMJelinekMercer
+	s, err := NewSearcher(ctx, docs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "zzzq" is in no document: it scores nothing.
+	for _, query := range []string{"history book", "toy train set", "venice", "wooden zzzq train"} {
+		hits, err := s.Search(context.Background(), query, 0)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%q: %v", query, err)
 		}
-		// "zzzq" is in no document: it scores nothing, but Dirichlet's |q|
-		// counts it.
-		for _, query := range []string{"history book", "toy train set", "venice", "wooden zzzq train"} {
-			hits, err := s.Search(context.Background(), query, 0)
+		want := referenceLM(query, p)
+		if len(hits) != len(want) {
+			t.Fatalf("%q: %d hits, want %d", query, len(hits), len(want))
+		}
+		for _, h := range hits {
+			id, err := strconv.ParseInt(h.DocID, 10, 64)
 			if err != nil {
-				t.Fatalf("%v %q: %v", model, query, err)
+				t.Fatal(err)
 			}
-			want := referenceLM(query, p)
-			if len(hits) != len(want) {
-				t.Fatalf("%v %q: %d hits, want %d", model, query, len(hits), len(want))
-			}
-			for _, h := range hits {
-				id, err := strconv.ParseInt(h.DocID, 10, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(h.Score-want[id]) > 1e-9 {
-					t.Errorf("%v %q doc %d: score %g, want %g", model, query, id, h.Score, want[id])
-				}
+			if math.Abs(h.Score-want[id]) > 1e-9 {
+				t.Errorf("%q doc %d: score %g, want %g", query, id, h.Score, want[id])
 			}
 		}
 	}

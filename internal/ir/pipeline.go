@@ -87,11 +87,15 @@ func AvgDocLenPlan(docs engine.Node, p Params) engine.Node {
 		[]engine.AggSpec{{Op: engine.Avg, Col: ColLen, As: "avgdl"}}, engine.GroupCertain))
 }
 
-// crossOne joins a plan against a single-row plan by a constant key,
-// the engine's way of referencing a scalar subquery.
-func crossOne(big, single engine.Node) engine.Node {
-	l := engine.NewExtend(big, "one", expr.Int(1))
-	r := engine.NewExtend(single, "one_r", expr.Int(1))
+// crossOne joins big against the single-row plan single by a constant
+// key, the engine's way of referencing a scalar subquery. Each side is
+// projected onto the columns its consumer reads (cols of big, the scalar
+// column of single) plus the key.
+func crossOne(big engine.Node, cols []string, single engine.Node, scalar string) engine.Node {
+	l := engine.NewProject(big, append(engine.ByName(cols...), engine.ProjCol{Name: "one", E: expr.Int(1)})...)
+	r := engine.NewProject(single,
+		engine.ProjCol{Name: scalar, E: expr.Column(scalar)},
+		engine.ProjCol{Name: "one_r", E: expr.Int(1)})
 	return engine.NewHashJoin(l, r, []string{"one"}, []string{"one_r"}, engine.JoinLeft)
 }
 
@@ -104,7 +108,7 @@ func crossOne(big, single engine.Node) engine.Node {
 func IDFPlan(docs engine.Node, p Params) engine.Node {
 	df := engine.NewAggregate(TFPlan(docs, p), []string{ColTermID},
 		[]engine.AggSpec{{Op: engine.CountAll, As: ColDF}}, engine.GroupCertain)
-	joined := crossOne(df, NumDocsPlan(docs, p))
+	joined := crossOne(df, []string{ColTermID, ColDF}, NumDocsPlan(docs, p), "n")
 	ratio := expr.Arith{Op: expr.Div,
 		L: expr.Arith{Op: expr.Add,
 			L: expr.Arith{Op: expr.Sub, L: expr.Column("n"), R: expr.Column(ColDF)},
@@ -160,8 +164,6 @@ func WeightsPlan(docs engine.Node, p Params) (engine.Node, error) {
 		return tfidfWeights(docs, p), nil
 	case LMJelinekMercer:
 		return lmjmWeights(docs, p), nil
-	case LMDirichlet:
-		return lmDirichletWeights(docs, p), nil
 	default:
 		return nil, fmt.Errorf("ir: unknown model %v", p.Model)
 	}
@@ -171,7 +173,7 @@ func bm25Weights(docs engine.Node, p Params) engine.Node {
 	// tf ⋈ doc_len on docID, then bring in the avgdl scalar.
 	tfLen := engine.NewHashJoin(TFPlan(docs, p), DocLenPlan(docs, p),
 		[]string{ColDocID}, []string{ColDocID}, engine.JoinLeft)
-	withAvg := crossOne(tfLen, AvgDocLenPlan(docs, p))
+	withAvg := crossOne(tfLen, []string{ColTermID, ColDocID, ColTF, ColLen}, AvgDocLenPlan(docs, p), "avgdl")
 	// tfn = tf / (tf + k1*(1 - b + b*len/avgdl))
 	tfn := expr.Arith{Op: expr.Div,
 		L: expr.Column(ColTF),
@@ -206,7 +208,7 @@ func bm25Weights(docs engine.Node, p Params) engine.Node {
 func tfidfWeights(docs engine.Node, p Params) engine.Node {
 	df := engine.NewAggregate(TFPlan(docs, p), []string{ColTermID},
 		[]engine.AggSpec{{Op: engine.CountAll, As: ColDF}}, engine.GroupCertain)
-	withN := crossOne(df, NumDocsPlan(docs, p))
+	withN := crossOne(df, []string{ColTermID, ColDF}, NumDocsPlan(docs, p), "n")
 	idf2 := engine.NewProject(withN,
 		engine.ProjCol{Name: ColTermID, E: expr.Column(ColTermID)},
 		engine.ProjCol{Name: ColIDF, E: expr.NewCall("log",
@@ -234,7 +236,7 @@ func lmjmWeights(docs engine.Node, p Params) engine.Node {
 		[]string{ColDocID}, []string{ColDocID}, engine.JoinLeft)
 	withCF := engine.NewHashJoin(tfLen, CollectionFreqPlan(docs, p),
 		[]string{ColTermID}, []string{ColTermID}, engine.JoinLeft)
-	withC := crossOne(withCF, CollectionSizePlan(docs, p))
+	withC := crossOne(withCF, []string{ColTermID, ColDocID, ColTF, ColLen, "cf"}, CollectionSizePlan(docs, p), "csize")
 	lambda := p.LambdaJM
 	num := expr.Arith{Op: expr.Mul, L: expr.Float(1 - lambda),
 		R: expr.Arith{Op: expr.Div, L: expr.Column(ColTF), R: expr.Column(ColLen)}}
@@ -245,26 +247,6 @@ func lmjmWeights(docs engine.Node, p Params) engine.Node {
 		engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
 		engine.ProjCol{Name: ColWeight, E: expr.NewCall("log",
 			expr.Arith{Op: expr.Add, L: expr.Float(1), R: expr.Arith{Op: expr.Div, L: num, R: den}})},
-	)
-	return engine.NewMaterialize(w)
-}
-
-// lmDirichletWeights: Dirichlet-smoothed language model, per-matching-term
-// part w = ln(1 + tf/(μ·cf/C)); RankPlan adds the per-document term
-// |q|·ln(μ/(μ+len)).
-func lmDirichletWeights(docs engine.Node, p Params) engine.Node {
-	withCF := engine.NewHashJoin(TFPlan(docs, p), CollectionFreqPlan(docs, p),
-		[]string{ColTermID}, []string{ColTermID}, engine.JoinLeft)
-	withC := crossOne(withCF, CollectionSizePlan(docs, p))
-	w := engine.NewProject(withC,
-		engine.ProjCol{Name: ColTermID, E: expr.Column(ColTermID)},
-		engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
-		engine.ProjCol{Name: ColWeight, E: expr.NewCall("log",
-			expr.Arith{Op: expr.Add, L: expr.Float(1),
-				R: expr.Arith{Op: expr.Div,
-					L: expr.Column(ColTF),
-					R: expr.Arith{Op: expr.Mul, L: expr.Float(p.MuDirichlet),
-						R: expr.Arith{Op: expr.Div, L: expr.Column("cf"), R: expr.Column("csize")}}}})},
 	)
 	return engine.NewMaterialize(w)
 }
@@ -298,9 +280,6 @@ func QTerms(docs engine.Node, p Params, q engine.Node) engine.Node {
 	return engine.NewProject(join, engine.ProjCol{Name: ColTermID, E: expr.Column(ColTermID)})
 }
 
-// colQueryLen is Dirichlet's |q|, the query's token count.
-const colQueryLen = "qlen"
-
 // RankPlan is the paper's "Rank by Text" block for the query leaf q (a
 // QueryLeaf or a QueryParam): probe the weights matrix with the query's
 // termIDs, sum the contributions per document, and expose the score as
@@ -314,32 +293,7 @@ func RankPlan(docs engine.Node, p Params, q engine.Node) (engine.Node, error) {
 	// weights matrix — Figure 1's "inverted index as a relational join".
 	matched := engine.NewHashJoin(QTerms(docs, p, q), w,
 		[]string{ColTermID}, []string{ColTermID}, engine.JoinLeft)
-	var scored engine.Node = engine.NewAggregate(matched, []string{ColDocID},
+	scored := engine.NewAggregate(matched, []string{ColDocID},
 		[]engine.AggSpec{{Op: engine.Sum, Col: ColWeight, As: ColScore}}, engine.GroupCertain)
-	if p.Model == LMDirichlet {
-		scored = dirichletDocTerm(docs, p, q, scored)
-	}
 	return engine.NewProbFromCol(scored, ColScore, false, true), nil
-}
-
-// dirichletDocTerm adds Dirichlet's per-document term to the scored
-// (docID, score) relation: score += |q| · ln(μ / (μ + len)). |q| counts
-// the query's tokens before the term-dictionary join, so terms unknown to
-// the collection count too.
-func dirichletDocTerm(docs engine.Node, p Params, q, scored engine.Node) engine.Node {
-	qlen := engine.NewAggregate(engine.NewTokenize(q, ColDocID, ColData, p.Tokenizer, false), nil,
-		[]engine.AggSpec{{Op: engine.CountAll, As: colQueryLen}}, engine.GroupCertain)
-	withLen := engine.NewHashJoin(scored, DocLenPlan(docs, p),
-		[]string{ColDocID}, []string{ColDocID}, engine.JoinLeft)
-	return engine.NewProject(crossOne(withLen, qlen),
-		engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
-		engine.ProjCol{Name: ColScore, E: expr.Arith{Op: expr.Add,
-			L: expr.Column(ColScore),
-			R: expr.Arith{Op: expr.Mul,
-				L: expr.Column(colQueryLen),
-				R: expr.NewCall("log", expr.Arith{Op: expr.Div,
-					L: expr.Float(p.MuDirichlet),
-					R: expr.Arith{Op: expr.Add, L: expr.Float(p.MuDirichlet), R: expr.Column(ColLen)}})},
-		}},
-	)
 }

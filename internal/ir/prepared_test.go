@@ -14,7 +14,7 @@ import (
 // hits are bit-identical to that plan's.
 func TestPreparedSearchMatchesScorePlan(t *testing.T) {
 	queries := []string{"wooden train", "book book book", "", "zzzq", "the history of toys"}
-	for _, m := range []Model{BM25, TFIDF, LMJelinekMercer, LMDirichlet} {
+	for _, m := range []Model{BM25, TFIDF, LMJelinekMercer} {
 		ctx, docs := newIRCtx(t)
 		p := DefaultParams()
 		p.Model = m

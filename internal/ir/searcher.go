@@ -55,12 +55,6 @@ func (s *Searcher) BuildIndex(c context.Context) error {
 	if _, err := s.ctx.Exec(c, s.ctx.Optimize(w)); err != nil {
 		return err
 	}
-	// Dirichlet scoring additionally touches doc_len at query time.
-	if s.p.Model == LMDirichlet {
-		if _, err := s.ctx.Exec(c, s.ctx.Optimize(DocLenPlan(s.docs, s.p))); err != nil {
-			return err
-		}
-	}
 	_, err = s.ctx.Exec(c, s.ctx.Optimize(TermDictPlan(s.docs, s.p)))
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"irdb/internal/engine"
+	"irdb/internal/expr"
 )
 
 // ---------------------------------------------------------------------------
@@ -176,9 +177,14 @@ func (s *Subtract) Compile() (engine.Node, error) {
 		return nil, err
 	}
 	// The engine matches on column names of the left input; align the
-	// right input's names positionally first.
-	rc = engine.NewRename(rc, s.L.Schema()...)
-	return engine.NewSubtract(lc, rc, false), nil
+	// right input's names positionally first: its i-th column takes the
+	// left's i-th name.
+	names := s.L.Schema()
+	cols := make([]engine.ProjCol, len(names))
+	for i, name := range names {
+		cols[i] = engine.ProjCol{Name: name, E: expr.ColumnAt(i + 1)}
+	}
+	return engine.NewSubtract(lc, engine.NewProject(rc, cols...), false), nil
 }
 
 // String implements Node.

@@ -256,19 +256,6 @@ func (r *Relation) ApproxRowBytes() int64 {
 	return per
 }
 
-// Renamed returns a relation with the same columns and probabilities but
-// new column names.
-func (r *Relation) Renamed(names []string) (*Relation, error) {
-	if len(names) != len(r.cols) {
-		return nil, fmt.Errorf("relation: rename with %d names for %d columns", len(names), len(r.cols))
-	}
-	cols := make([]Column, len(r.cols))
-	for i, c := range r.cols {
-		cols[i] = Column{Name: names[i], Vec: c.Vec}
-	}
-	return &Relation{cols: cols, prob: r.Prob()}, nil
-}
-
 // Slice returns a view of rows [lo, hi) sharing this relation's column
 // storage and probability values. The view must be treated as read-only.
 func (r *Relation) Slice(lo, hi int) *Relation {

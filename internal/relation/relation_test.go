@@ -76,20 +76,6 @@ func TestGatherRows(t *testing.T) {
 	}
 }
 
-func TestWithColumnsAndRenamed(t *testing.T) {
-	r := triples()
-	rn, err := r.Renamed([]string{"s", "p", "o"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn.Col(2).Name != "o" || rn.Col(2).Vec != r.Col(2).Vec {
-		t.Errorf("Renamed = %v", rn.ColumnNames())
-	}
-	if _, err := r.Renamed([]string{"one"}); err == nil {
-		t.Error("Renamed with wrong arity should fail")
-	}
-}
-
 func TestSortedByColumnAndProb(t *testing.T) {
 	r := triples()
 	s := r.Gather(r.SortedSel([]SortKey{{Col: ProbCol, Desc: true}, {Col: 0}}))

@@ -2,7 +2,6 @@ package spinql
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
@@ -92,7 +91,7 @@ func TestBM25ExpressedInSpinQL(t *testing.T) {
 		env.Define("docs", pra.NewBase("docs", engine.NewScan("docs"), "docID", "data"))
 		env.Define("query", pra.NewBase("query", engine.NewScan("query"), "qID", "q"))
 
-		rel, err := Eval(context.Background(), bm25Program, env, ctx)
+		rel, err := eval(context.Background(), bm25Program, env, ctx)
 		if err != nil {
 			t.Fatalf("query %q: %v", query, err)
 		}
@@ -133,7 +132,7 @@ func TestMapGroupTokenizeBasics(t *testing.T) {
 	env.Define("docs", pra.NewBase("docs", engine.NewScan("docs"), "docID", "data"))
 
 	// TOKENIZE output shape
-	toks, err := Eval(context.Background(), `TOKENIZE [$1,$2] (docs);`, env, ctx)
+	toks, err := eval(context.Background(), `TOKENIZE [$1,$2] (docs);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestMapGroupTokenizeBasics(t *testing.T) {
 	}
 
 	// MAP with arithmetic and function calls
-	m, err := Eval(context.Background(), `MAP [$1 * 2 + 1 as x, ucase($2) as u] (docs);`, env, ctx)
+	m, err := eval(context.Background(), `MAP [$1 * 2 + 1 as x, ucase($2) as u] (docs);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestMapGroupTokenizeBasics(t *testing.T) {
 	}
 
 	// GROUP with stemming conflation: toys+toys+and → 2 distinct stems
-	g, err := Eval(context.Background(), `GROUP [$1 ; count() as n]
+	g, err := eval(context.Background(), `GROUP [$1 ; count() as n]
 		(MAP [stem(lcase($2),"sb-english") as term] (TOKENIZE [$1,$2] (docs)));`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +168,7 @@ func TestMapGroupTokenizeBasics(t *testing.T) {
 	pb.AddP(0.5, "a").AddP(0.5, "a")
 	cat.Put("ev", pb.Build())
 	env.Define("ev", pra.NewBase("ev", engine.NewScan("ev"), "k"))
-	pg, err := Eval(context.Background(), `GROUP DISJOINT [$1 ; sump() as total, maxp() as best] (ev);`, env, ctx)
+	pg, err := eval(context.Background(), `GROUP DISJOINT [$1 ; sump() as total, maxp() as best] (ev);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,17 +204,4 @@ func TestNewOpsParseErrors(t *testing.T) {
 			t.Errorf("%s: accepted", src)
 		}
 	}
-}
-
-func ExampleEval() {
-	cat := catalog.New(0)
-	b := relation.NewBuilder([]string{"docID", "data"}, []vector.Kind{vector.Int64, vector.String})
-	b.Add(1, "wooden train")
-	cat.Put("docs", b.Build())
-	ctx := engine.NewCtx(cat)
-	env := NewEnv()
-	env.Define("docs", pra.NewBase("docs", engine.NewScan("docs"), "docID", "data"))
-	rel, _ := Eval(context.Background(), `GROUP [$1 ; count() as len] (TOKENIZE [$1,$2] (docs));`, env, ctx)
-	fmt.Println(rel.NumRows(), rel.Col(1).Vec.Format(0))
-	// Output: 1 2
 }

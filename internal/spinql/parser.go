@@ -59,8 +59,7 @@ func (p *Program) Result() pra.Node {
 
 // Parse parses a SpinQL program against the environment. Named statements
 // are added to env as they are parsed, so later statements can reference
-// earlier ones (and callers can run programs incrementally, as the
-// cmd/irdb REPL does).
+// earlier ones, including those of an earlier Parse against the same env.
 func Parse(src string, env *Env) (*Program, error) {
 	tokens, err := lex(src)
 	if err != nil {

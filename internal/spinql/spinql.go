@@ -1,11 +1,8 @@
 package spinql
 
 import (
-	"context"
-
 	"irdb/internal/engine"
 	"irdb/internal/pra"
-	"irdb/internal/relation"
 	"irdb/internal/triple"
 
 	// SpinQL programs call the stem() UDF (section 2.1); importing the
@@ -26,35 +23,6 @@ func TriplesEnv() *Env {
 	env.Define("triples_int", pra.NewBase("triples_int", engine.NewScan(triple.TableInt), cols...))
 	env.Define("triples_flt", pra.NewBase("triples_flt", engine.NewScan(triple.TableFlt), cols...))
 	return env
-}
-
-// Eval parses src against env and executes the last statement's plan
-// under c's deadline and cancellation. Programs evaluated repeatedly
-// should be prepared once instead (see the root irdb package), which
-// skips the per-call parse and compile.
-func Eval(c context.Context, src string, env *Env, ctx *engine.Ctx) (*relation.Relation, error) {
-	prog, err := Parse(src, env)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := prog.Result().Compile()
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Exec(c, ctx.Optimize(plan))
-}
-
-// Explain parses src and renders the compiled engine plan of its result.
-func Explain(src string, env *Env) (string, error) {
-	prog, err := Parse(src, env)
-	if err != nil {
-		return "", err
-	}
-	plan, err := prog.Result().Compile()
-	if err != nil {
-		return "", err
-	}
-	return engine.Explain(plan), nil
 }
 
 // ToSQL parses src and renders the SQL translation of its result — the

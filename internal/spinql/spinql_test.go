@@ -23,6 +23,20 @@ docs = PROJECT [$1,$6] (
     SELECT [$2="description"] (triples) ) );
 `
 
+// eval parses src against env and executes the optimized plan of its
+// last statement under c.
+func eval(c context.Context, src string, env *Env, ctx *engine.Ctx) (*relation.Relation, error) {
+	prog, err := Parse(src, env)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := prog.Result().Compile()
+	if err != nil {
+		return nil, err
+	}
+	return ctx.Exec(c, ctx.Optimize(plan))
+}
+
 func newStoreCtx(t *testing.T) (*Env, *engine.Ctx) {
 	t.Helper()
 	cat := catalog.New(0)
@@ -42,7 +56,7 @@ func newStoreCtx(t *testing.T) (*Env, *engine.Ctx) {
 
 func TestPaperProgramEndToEnd(t *testing.T) {
 	env, ctx := newStoreCtx(t)
-	rel, err := Eval(context.Background(), paperProgram, env, ctx)
+	rel, err := eval(context.Background(), paperProgram, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +84,7 @@ func TestNamedStatementsComposable(t *testing.T) {
 ranked = WEIGHT [0.5] (docs);
 ranked;
 `
-	rel, err := Eval(context.Background(), src, env, ctx)
+	rel, err := eval(context.Background(), src, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +101,7 @@ ranked;
 
 func TestIntPartitionQuery(t *testing.T) {
 	env, ctx := newStoreCtx(t)
-	rel, err := Eval(context.Background(), `SELECT [$2="price" and $3 >= 10] (triples_int);`, env, ctx)
+	rel, err := eval(context.Background(), `SELECT [$2="price" and $3 >= 10] (triples_int);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +115,7 @@ func TestUniteSubtractBayes(t *testing.T) {
 	toys := `toys = PROJECT INDEPENDENT [$1] (SELECT [$2="category" and $3="toy"] (triples));`
 	books := `books = PROJECT INDEPENDENT [$1] (SELECT [$2="category" and $3="book"] (triples));`
 
-	both, err := Eval(context.Background(), toys+books+`UNITE DISJOINT [] (toys, books);`, env, ctx)
+	both, err := eval(context.Background(), toys+books+`UNITE DISJOINT [] (toys, books);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +123,7 @@ func TestUniteSubtractBayes(t *testing.T) {
 		t.Errorf("unite rows = %d, want 3", both.NumRows())
 	}
 
-	onlyToys, err := Eval(context.Background(), `SUBTRACT [] (toys, books);`, env, ctx)
+	onlyToys, err := eval(context.Background(), `SUBTRACT [] (toys, books);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +131,7 @@ func TestUniteSubtractBayes(t *testing.T) {
 		t.Errorf("subtract rows = %d, want 2", onlyToys.NumRows())
 	}
 
-	norm, err := Eval(context.Background(), `BAYES DISJOINT [] (toys);`, env, ctx)
+	norm, err := eval(context.Background(), `BAYES DISJOINT [] (toys);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +158,7 @@ func TestConditionOperatorsAndLiterals(t *testing.T) {
 		{`SELECT [$3 > 4.5] (triples_int);`, 2},
 	}
 	for _, c := range cases {
-		rel, err := Eval(context.Background(), c.src, env, ctx)
+		rel, err := eval(context.Background(), c.src, env, ctx)
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
 			continue
@@ -181,20 +195,25 @@ func TestParseErrors(t *testing.T) {
 func TestCompileErrorsSurface(t *testing.T) {
 	env, ctx := newStoreCtx(t)
 	// parses fine, fails at compile: $9 out of range
-	if _, err := Eval(context.Background(), `PROJECT [$9] (triples);`, env, ctx); err == nil {
+	if _, err := eval(context.Background(), `PROJECT [$9] (triples);`, env, ctx); err == nil {
 		t.Error("PROJECT $9 should fail at compile")
 	}
-	if _, err := Eval(context.Background(), `WEIGHT [1.5] (triples);`, env, ctx); err == nil {
+	if _, err := eval(context.Background(), `WEIGHT [1.5] (triples);`, env, ctx); err == nil {
 		t.Error("WEIGHT 1.5 should fail at compile")
 	}
 }
 
 func TestExplainAndToSQL(t *testing.T) {
 	env, _ := newStoreCtx(t)
-	out, err := Explain(paperProgram, env)
+	prog, err := Parse(paperProgram, env)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := prog.Result().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := engine.Explain(plan)
 	for _, want := range []string{"Project", "HashJoin[independent]", "Select"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
@@ -215,7 +234,7 @@ func TestCommentsAndWhitespace(t *testing.T) {
 -- select all toy products
 # hash comments work too
 SELECT [$2="category" and $3="toy"] (triples);`
-	rel, err := Eval(context.Background(), src, env, ctx)
+	rel, err := eval(context.Background(), src, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +245,7 @@ SELECT [$2="category" and $3="toy"] (triples);`
 
 func TestCaseInsensitiveKeywords(t *testing.T) {
 	env, ctx := newStoreCtx(t)
-	rel, err := Eval(context.Background(), `select [$2="category" AND $3="toy"] (TRIPLES);`, env, ctx)
+	rel, err := eval(context.Background(), `select [$2="category" AND $3="toy"] (TRIPLES);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +317,7 @@ func TestEnvIsolation(t *testing.T) {
 	env := NewEnv()
 	env.Define("mine", pra.NewBase("mine", engine.NewScan("mine"), "a", "b"))
 	ctx := engine.NewCtx(cat)
-	rel, err := Eval(context.Background(), `PROJECT [$2] (mine);`, env, ctx)
+	rel, err := eval(context.Background(), `PROJECT [$2] (mine);`, env, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

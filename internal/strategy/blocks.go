@@ -90,11 +90,11 @@ var blockTypes = map[string]blockSpec{
 
 	// rank-text: the "Rank by Text BM25" block of Figure 2. Input is a
 	// (docID, data) collection; output is (subject) ranked by relevance
-	// to the compiler's query, scored by ir.RankPlan. Optional params:
-	// model (bm25, tfidf or lm-jm), k1, b, stemmer, expand (synonyms),
-	// compounds, normalize.
+	// to the compiler's query, scored by ir.RankPlan under
+	// ir.DefaultParams. Optional params: model (bm25, tfidf or lm-jm),
+	// k1, b, stemmer, expand (synonyms), compounds, normalize.
 	"rank-text": {1, 1, func(c *lowering, b Block, inputs []engine.Node) (engine.Node, error) {
-		p := c.IRParams
+		p := ir.DefaultParams()
 		if m := optStringParam(b, "model", ""); m != "" {
 			switch strings.ToLower(m) {
 			case "bm25":
@@ -103,16 +103,9 @@ var blockTypes = map[string]blockSpec{
 				p.Model = ir.TFIDF
 			case "lm-jm":
 				p.Model = ir.LMJelinekMercer
-			case "lm-dirichlet":
-				p.Model = ir.LMDirichlet
 			default:
 				return nil, fmt.Errorf("rank-text: unknown model %q", m)
 			}
-		}
-		if p.Model == ir.LMDirichlet {
-			// Its per-document term |q|·ln(μ/(μ+len)) makes scores
-			// negative; without the term the model is not Dirichlet.
-			return nil, fmt.Errorf("rank-text: model %v is not supported: its scores can be negative, and rank-text scores are probabilities (they feed normalize and mix)", p.Model)
 		}
 		if k1, ok := floatParam(b, "k1"); ok {
 			p.K1 = k1
@@ -148,7 +141,7 @@ var blockTypes = map[string]blockSpec{
 			// combination.
 			plan = engine.NewNormalize(plan, nil, engine.NormMax)
 		}
-		return engine.NewRename(plan, triple.ColSubject), nil
+		return engine.NewProject(plan, engine.ProjCol{Name: triple.ColSubject, E: expr.Column(ir.ColDocID)}), nil
 	}},
 
 	// mix: linear combination of ranked node sets with given weights —

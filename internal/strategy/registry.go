@@ -42,7 +42,7 @@ func NewRegistry(eng *engine.Ctx, synonyms text.SynonymDict) *Registry {
 // plan too. Nothing is installed when one fails to compile.
 func (r *Registry) Install(sts ...*Strategy) error {
 	for _, st := range sts {
-		if _, err := st.lower(withDefaults(&r.c)); err != nil {
+		if _, err := st.lower(r.c); err != nil {
 			return err
 		}
 	}

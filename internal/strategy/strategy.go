@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"irdb/internal/engine"
-	"irdb/internal/ir"
 	"irdb/internal/text"
 )
 
@@ -44,15 +43,12 @@ type Strategy struct {
 }
 
 // Compiler binds the collection-independent strategy to a concrete query
-// and retrieval configuration — the runtime inputs of Figure 2, where the
-// query-terms list enters the Rank block from the right.
+// — the runtime input of Figure 2, where the query-terms list enters the
+// Rank block from the right.
 type Compiler struct {
 	// Query is the user's keyword query (the website search-bar input of
 	// section 3).
 	Query string
-	// IRParams configures ranking blocks; zero value means
-	// ir.DefaultParams().
-	IRParams ir.Params
 	// Synonyms feeds "expand": true ranking blocks (query expansion with
 	// synonyms, production strategy of section 3).
 	Synonyms text.SynonymDict
@@ -150,7 +146,7 @@ func (s *Strategy) Validate() error {
 // (subject) relation with scores as tuple probabilities, for c's query:
 // the plan Prepare optimizes, bound to c.Query. c is not modified.
 func (s *Strategy) Compile(c *Compiler) (engine.Node, error) {
-	cc := withDefaults(c)
+	cc := valueOf(c)
 	p, err := s.lower(cc)
 	if err != nil {
 		return nil, err
@@ -170,7 +166,7 @@ type Prepared struct {
 // synonyms (c.Query is not read) and optimizes the plan on eng. c is not
 // modified.
 func (s *Strategy) Prepare(eng *engine.Ctx, c *Compiler) (*Prepared, error) {
-	p, err := s.lower(withDefaults(c))
+	p, err := s.lower(valueOf(c))
 	if err != nil {
 		return nil, err
 	}
@@ -232,17 +228,12 @@ func (p *Prepared) Bind(query string) (engine.Node, error) {
 	}}.Bind(p.plan)
 }
 
-// withDefaults returns a copy of c (zero when c is nil) with the default
-// retrieval parameters when it sets none.
-func withDefaults(c *Compiler) Compiler {
-	var cc Compiler
-	if c != nil {
-		cc = *c
+// valueOf returns a copy of c, the zero Compiler when c is nil.
+func valueOf(c *Compiler) Compiler {
+	if c == nil {
+		return Compiler{}
 	}
-	if cc.IRParams.Stemmer == "" {
-		cc.IRParams = ir.DefaultParams()
-	}
-	return cc
+	return *c
 }
 
 // NumBlocks reports the number of blocks, the complexity measure of the

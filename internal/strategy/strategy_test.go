@@ -363,7 +363,7 @@ func badParamStrategies() []*Strategy {
 		mk("top-k", map[string]any{}, "in"),                                // missing k
 		mk("min-score", map[string]any{}, "in"),                            // missing min
 		mk("filter-property", map[string]any{"property": 5, "value": "x"}), // wrong kind
-		mk("rank-text", map[string]any{"model": "lm-dirichlet"}, "in"),     // scores not probabilities
+		mk("rank-text", map[string]any{"model": "lm-dirichlet"}, "in"),     // unknown model (not supported)
 	}
 }
 
@@ -391,22 +391,10 @@ func TestBlockParamErrors(t *testing.T) {
 	}
 }
 
-// TestRankTextRefusesDirichlet: rank-text scores feed max-normalization
-// and mix as probabilities, and Dirichlet's per-document term makes them
-// negative, so the block refuses the model and says why.
-func TestRankTextRefusesDirichlet(t *testing.T) {
+// TestRankTextAcceptsModels: rank-text compiles under each model it
+// names.
+func TestRankTextAcceptsModels(t *testing.T) {
 	s := Toy()
-	s.Blocks[2].Params = map[string]any{"model": "lm-dirichlet"}
-	_, err := s.Compile(&Compiler{Query: "wooden train"})
-	if err == nil || !strings.Contains(err.Error(), "negative") || !strings.Contains(err.Error(), "probabilities") {
-		t.Fatalf("rank-text lm-dirichlet: err = %v, want a refusal naming negative scores", err)
-	}
-	p := ir.DefaultParams()
-	p.Model = ir.LMDirichlet
-	s.Blocks[2].Params = nil
-	if _, err := s.Compile(&Compiler{Query: "wooden train", IRParams: p}); err == nil {
-		t.Error("rank-text compiled lm-dirichlet set through the compiler's parameters")
-	}
 	for _, m := range []string{"bm25", "tfidf", "lm-jm"} {
 		s.Blocks[2].Params = map[string]any{"model": m}
 		if _, err := s.Compile(&Compiler{Query: "wooden train"}); err != nil {
