@@ -308,7 +308,7 @@ func BenchmarkConcatParallel8(b *testing.B) { benchConcat(b, 8) }
 
 func BenchmarkNormalizeGrouped(b *testing.B) {
 	ctx := benchCtx(100000, 1000)
-	plan := NewNormalize(NewScan("t"), []int{0}, NormSum)
+	plan := NewNormalize(NewScan("t"), []string{"k"}, NormSum)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctx.Exec(context.Background(), plan); err != nil {

@@ -123,11 +123,11 @@ func budgetExceeded(t *testing.T, scale int64, dense bool) {
 		{"aggregate", func() Node {
 			return NewMaterialize(NewAggregate(NewScan("fact"), []string{"b"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupCertain))
 		}, hashedBudget},
-		{"normalize", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []int{1}, NormSum)) }, hashedBudget},
+		{"normalize", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []string{"b"}, NormSum)) }, hashedBudget},
 		{"aggregate-int-key", func() Node {
 			return NewMaterialize(NewAggregate(NewScan("fact"), []string{"a"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupCertain))
 		}, keyBudget},
-		{"normalize-int-key", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []int{0}, NormSum)) }, keyBudget},
+		{"normalize-int-key", func() Node { return NewMaterialize(NewNormalize(NewScan("fact"), []string{"a"}, NormSum)) }, keyBudget},
 	} {
 		for _, par := range []int{1, 2, 8} {
 			cat := budgetCatalogScaled(scale)
@@ -309,7 +309,7 @@ func TestBudgetChargesComputedColumns(t *testing.T) {
 	}
 	for _, plan := range []Node{
 		NewProject(in, ProjCol{Name: "x", E: x}),
-		NewProject(in, ProjCol{Name: "y", E: expr.ColumnAt(1)}),
+		NewProject(in, ProjCol{Name: "y", E: x}),
 		NewProject(in, ProjCol{Name: "x", E: x}, ProjCol{Name: "y", E: x}),
 	} {
 		if err := run(plan, 1); err != nil {

@@ -153,7 +153,7 @@ func TestCancelDuringNormalize(t *testing.T) {
 			cat.Put("big", big)
 			ctx := NewCtx(cat)
 			ctx.Parallelism = 2
-			plan := NewNormalize(NewScan("big"), []int{0}, NormSum)
+			plan := NewNormalize(NewScan("big"), []string{"k"}, NormSum)
 			runCancelled(t, ctx, plan)
 		})
 	}

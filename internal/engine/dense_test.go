@@ -222,7 +222,7 @@ func densePlans() map[string]Node {
 		"aggregate": NewAggregate(NewScan("P"), []string{"k"}, denseAggs, GroupIndependent),
 		"distinct":  NewDistinct(NewScan("PK"), GroupDisjoint),
 		"unite":     NewDistinct(NewUnion(NewScan("PK"), NewScan("BK")), GroupIndependent),
-		"normalize": NewNormalize(NewScan("P"), []int{0}, NormSum),
+		"normalize": NewNormalize(NewScan("P"), []string{"k"}, NormSum),
 	}
 }
 

@@ -77,6 +77,10 @@
 // share one single-flight computation, detached from the callers so no
 // caller's cancellation can kill work others wait on.
 //
+// Operators address columns by name only. A join names its output columns
+// by relation.UniqueNames, the rule the optimizer's static schemas and
+// package pra's derived schemas follow too.
+//
 // Relations flowing between operators are treated as immutable; operators
 // may share column vectors of their inputs but never modify them.
 package engine

@@ -356,14 +356,14 @@ func TestSortTopNLimit(t *testing.T) {
 	}
 }
 
-// TestRename: a positional Project renames its input's columns, sharing
-// its column vectors and its probabilities.
+// TestRename: a Project of bare column references renames its input's
+// columns, sharing its column vectors and its probabilities.
 func TestRename(t *testing.T) {
 	ctx := newTestCtx()
 	rename := func(names ...string) Node {
 		cols := make([]ProjCol, len(names))
 		for i, n := range names {
-			cols[i] = ProjCol{Name: n, E: expr.ColumnAt(i + 1)}
+			cols[i] = ProjCol{Name: n, E: expr.Column([]string{"subject", "property", "object", "extra"}[i])}
 		}
 		return NewProject(NewScan("triples"), cols...)
 	}

@@ -133,13 +133,6 @@ func (h *hasher) strs(ss []string) {
 	}
 }
 
-func (h *hasher) ints(vs []int) {
-	h.int(len(vs))
-	for _, v := range vs {
-		h.int(v)
-	}
-}
-
 func (h *hasher) sortSpecs(keys []SortSpec) {
 	h.int(len(keys))
 	for _, k := range keys {
@@ -159,9 +152,6 @@ func (h *hasher) expr(e expr.Expr) {
 	case expr.Col:
 		h.byte('c')
 		h.str(x.Name)
-	case expr.ColIdx:
-		h.byte('$')
-		h.int(x.Idx)
 	case expr.Prob:
 		h.byte('p')
 	case expr.Param:

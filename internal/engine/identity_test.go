@@ -38,13 +38,10 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 		NewProject(t1, ProjCol{Name: "a", E: x}, ProjCol{Name: "b", E: x}),
 		NewProject(t1, ProjCol{Name: "a", E: x}, ProjCol{Name: "b", E: y}), NewProject(t1, ProjCol{Name: "b", E: x}, ProjCol{Name: "a", E: y}),
 		NewProject(t1, ProjCol{Name: "a", E: y}, ProjCol{Name: "b", E: x}),
-		NewProject(t1, ProjCol{Name: "a", E: expr.ColumnAt(1)}), NewProject(t1, ProjCol{Name: "b", E: expr.ColumnAt(1)}),
-		NewProject(t1, ProjCol{Name: "a", E: expr.ColumnAt(2)}), NewProject(t2, ProjCol{Name: "a", E: expr.ColumnAt(1)}),
 		NewHashJoin(t1, t2, k, k, JoinIndependent), NewHashJoin(t2, t2, k, k, JoinIndependent),
 		NewHashJoin(t1, t1, k, k, JoinIndependent), NewHashJoin(t1, t2, j, k, JoinIndependent),
 		NewHashJoin(t1, t2, k, j, JoinIndependent), NewHashJoin(t1, t2, k, k, JoinLeft),
-		NewHashJoinPos(t1, t2, []int{0}, []int{0}, JoinIndependent), NewHashJoinPos(t1, t2, []int{1}, []int{0}, JoinIndependent),
-		NewHashJoinPos(t1, t2, []int{0}, []int{1}, JoinIndependent), NewHashJoinPos(t1, t2, []int{0}, []int{0}, JoinLeft),
+		NewHashJoin(t1, t2, []string{"k", "j"}, []string{"k", "j"}, JoinIndependent), NewHashJoin(t1, t2, []string{"kj"}, []string{"kj"}, JoinIndependent),
 		NewAggregate(t1, []string{"g"}, agg(Sum, "v", "s"), GroupCertain), NewAggregate(t2, []string{"g"}, agg(Sum, "v", "s"), GroupCertain),
 		NewAggregate(t1, []string{"h"}, agg(Sum, "v", "s"), GroupCertain), NewAggregate(t1, []string{"g"}, agg(Max, "v", "s"), GroupCertain),
 		NewAggregate(t1, []string{"g"}, agg(Sum, "w", "s"), GroupCertain), NewAggregate(t1, []string{"g"}, agg(Sum, "v", "t"), GroupCertain),
@@ -58,8 +55,8 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 		NewScaleProb(t1, 0.5), NewScaleProb(t1, 0.25), NewScaleProb(t2, 0.5),
 		NewProbFromCol(t1, "s", true, true), NewProbFromCol(t1, "r", true, true), NewProbFromCol(t1, "s", false, true),
 		NewProbFromCol(t1, "s", true, false), NewProbFromCol(t2, "s", true, true),
-		NewNormalize(t1, []int{0}, NormMax), NewNormalize(t1, []int{1}, NormMax), NewNormalize(t1, []int{0, 1}, NormMax),
-		NewNormalize(t1, nil, NormMax), NewNormalize(t1, []int{0}, NormSum), NewNormalize(t2, []int{0}, NormMax),
+		NewNormalize(t1, k, NormMax), NewNormalize(t1, j, NormMax), NewNormalize(t1, []string{"k", "j"}, NormMax),
+		NewNormalize(t1, nil, NormMax), NewNormalize(t1, k, NormSum), NewNormalize(t2, k, NormMax),
 		NewRowNumber(t1, "id"), NewRowNumber(t1, "n"), NewRowNumber(t2, "id"),
 		NewTokenize(t1, "x", "y", text.Default(), false), NewTokenize(t1, "z", "y", text.Default(), false),
 		NewTokenize(t1, "x", "z", text.Default(), false), NewTokenize(t1, "x", "y", text.Tokenizer{}, false),
@@ -67,7 +64,7 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 		NewTokenize(t1, "x", "y", stop("toy"), false), NewTokenize(t1, "x", "y", stop("car"), false),
 	}
 	for _, e := range []expr.Expr{
-		x, y, expr.ColumnAt(1), expr.ColumnAt(2), expr.Prob{}, expr.Param{Name: "x"}, expr.Param{Name: "y"},
+		x, y, expr.Prob{}, expr.Param{Name: "x"}, expr.Param{Name: "y"},
 		expr.Int(1), expr.Int(2), expr.Float(1), expr.Str("1"), expr.Str("x"), expr.BoolLit(true), expr.BoolLit(false),
 		expr.Cmp{Op: expr.Eq, L: x, R: y}, expr.Cmp{Op: expr.Lt, L: x, R: y}, expr.Cmp{Op: expr.Eq, L: y, R: x},
 		expr.And{L: x, R: y}, expr.And{L: y, R: x}, expr.Or{L: x, R: y}, expr.Not{E: x}, expr.Not{E: y},
@@ -104,7 +101,7 @@ func TestGoldenDigest(t *testing.T) {
 	plan := NewTopN(NewSelect(
 		NewHashJoin(NewScan("l"), NewMaterialize(NewScan("r")), []string{"k"}, []string{"k"}, JoinLeft),
 		expr.Cmp{Op: expr.Gt, L: expr.Column("v"), R: expr.Float(0.5)}), 10, SortSpec{Desc: true})
-	const want = "3435dfcb97b1d84bb86f81309989de2e"
+	const want = "b9c0c521b8db9856762b394c72b74aac"
 	if got := hex.EncodeToString([]byte(plan.Fingerprint())); got != want {
 		t.Errorf("digest = %s, want %s", got, want)
 	}

@@ -34,81 +34,51 @@ func (m JoinProb) String() string {
 	return "?"
 }
 
-// HashJoin is an inner equi-join. The build side is the right input; the
-// probe side the left. Output columns are all left columns followed by all
-// right columns, with clashing right names deduplicated by a numeric
-// suffix (positional access, as used by SpinQL's $n, is unaffected).
-//
-// Keys are given either by name (LKeys/RKeys) or by 0-based position
-// (LPos/RPos), the latter serving SpinQL's positional join conditions
-// such as JOIN INDEPENDENT [$1=$1].
+// HashJoin is an inner equi-join on pairwise equality of the named key
+// columns. The build side is the right input; the probe side the left.
+// Output columns are all left columns followed by all right columns,
+// named by relation.UniqueNames: a right name the left side already took
+// becomes name_2, name_3, …, the same names the optimizer and PRA derive
+// before the plan runs.
 type HashJoin struct {
 	ident
 	L, R  Node
 	LKeys []string
 	RKeys []string
-	LPos  []int
-	RPos  []int
 	PMode JoinProb
 
 	// auxKey keys the build side's index in the aux cache: the build
-	// side's digest and its key spec.
+	// side's digest and its key columns.
 	auxKey string
 }
 
 // NewHashJoin joins l and r on pairwise equality of the named key columns.
 func NewHashJoin(l, r Node, lkeys, rkeys []string, mode JoinProb) *HashJoin {
-	return newHashJoin(l, r, lkeys, rkeys, nil, nil, mode)
-}
-
-// NewHashJoinPos joins l and r on pairwise equality of 0-based column
-// positions.
-func NewHashJoinPos(l, r Node, lpos, rpos []int, mode JoinProb) *HashJoin {
-	return newHashJoin(l, r, nil, nil, lpos, rpos, mode)
-}
-
-func newHashJoin(l, r Node, lkeys, rkeys []string, lpos, rpos []int, mode JoinProb) *HashJoin {
 	h := newHasher("join")
 	h.int(int(mode))
 	h.strs(lkeys)
 	h.strs(rkeys)
-	h.ints(lpos)
-	h.ints(rpos)
-	j := &HashJoin{ident: h.finish(l, r), L: l, R: r, LKeys: lkeys, RKeys: rkeys, LPos: lpos, RPos: rpos, PMode: mode}
-	j.auxKey = "hashidx|" + r.Fingerprint() + "|" + j.rKeySpec()
+	j := &HashJoin{ident: h.finish(l, r), L: l, R: r, LKeys: lkeys, RKeys: rkeys, PMode: mode}
+	j.auxKey = "hashidx|" + r.Fingerprint() + "|" + strings.Join(rkeys, "|")
 	return j
 }
 
-func (j *HashJoin) positional() bool { return len(j.LPos) > 0 }
-
 // Execute implements Node.
 func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
-	if j.positional() {
-		if len(j.LPos) != len(j.RPos) {
-			return nil, fmt.Errorf("join wants matching positional key lists, got %v and %v", j.LPos, j.RPos)
-		}
-	} else if len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys) {
+	if len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys) {
 		return nil, fmt.Errorf("join wants matching non-empty key lists, got %v and %v", j.LKeys, j.RKeys)
 	}
 	left, right, err := ctx.execPair(c, j.L, j.R)
 	if err != nil {
 		return nil, err
 	}
-	var lIdx, rIdx []int
-	if j.positional() {
-		if lIdx, err = checkPositions(left, j.LPos); err != nil {
-			return nil, err
-		}
-		if rIdx, err = checkPositions(right, j.RPos); err != nil {
-			return nil, err
-		}
-	} else {
-		if lIdx, err = colPositions(left, j.LKeys); err != nil {
-			return nil, err
-		}
-		if rIdx, err = colPositions(right, j.RKeys); err != nil {
-			return nil, err
-		}
+	lIdx, err := colPositions(left, j.LKeys)
+	if err != nil {
+		return nil, err
+	}
+	rIdx, err := colPositions(right, j.RKeys)
+	if err != nil {
+		return nil, err
 	}
 	for k := range lIdx {
 		lk := left.Col(lIdx[k]).Vec.Kind()
@@ -143,19 +113,10 @@ func (j *HashJoin) joinPairs(c context.Context, ctx *Ctx, left, right *relation.
 	if err != nil {
 		return nil, err
 	}
-	names := make(map[string]bool, lOut.NumCols()+rOut.NumCols())
-	cols := make([]relation.Column, 0, lOut.NumCols()+rOut.NumCols())
-	for _, c := range lOut.Columns() {
-		names[c.Name] = true
-		cols = append(cols, c)
-	}
-	for _, c := range rOut.Columns() {
-		name := c.Name
-		for i := 2; names[name]; i++ {
-			name = fmt.Sprintf("%s_%d", c.Name, i)
-		}
-		names[name] = true
-		cols = append(cols, relation.Column{Name: name, Vec: c.Vec})
+	names := joinNames(lOut.ColumnNames(), rOut.ColumnNames())
+	cols := append(append([]relation.Column(nil), lOut.Columns()...), rOut.Columns()...)
+	for i := range cols {
+		cols[i].Name = names[i]
 	}
 	// Probability recombination is embarrassingly parallel: every output
 	// row writes only its own slot.
@@ -281,35 +242,12 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 	return pSel, bSel, nil
 }
 
-func (j *HashJoin) lKeySpec() string {
-	if j.positional() {
-		return fmt.Sprintf("#%v", j.LPos)
-	}
-	return strings.Join(j.LKeys, "|")
-}
-
-func (j *HashJoin) rKeySpec() string {
-	if j.positional() {
-		return fmt.Sprintf("#%v", j.RPos)
-	}
-	return strings.Join(j.RKeys, "|")
-}
-
 // Children implements Node.
 func (j *HashJoin) Children() []Node { return []Node{j.L, j.R} }
 
 // Label implements Node.
 func (j *HashJoin) Label() string {
-	return fmt.Sprintf("HashJoin[%s] %s=%s", j.PMode, j.lKeySpec(), j.rKeySpec())
-}
-
-func checkPositions(r *relation.Relation, pos []int) ([]int, error) {
-	for _, p := range pos {
-		if p < 0 || p >= r.NumCols() {
-			return nil, fmt.Errorf("join key position %d out of range (relation has %d columns)", p+1, r.NumCols())
-		}
-	}
-	return pos, nil
+	return fmt.Sprintf("HashJoin[%s] %s=%s", j.PMode, strings.Join(j.LKeys, "|"), strings.Join(j.RKeys, "|"))
 }
 
 // joinIndex is a reusable index over the build side of an equi-join.

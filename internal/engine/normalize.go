@@ -34,18 +34,18 @@ func (m NormMode) String() string {
 // zero keep probability zero.
 type Normalize struct {
 	ident
-	Child  Node
-	KeyPos []int // 0-based evidence-key column positions; empty = global
-	Mode   NormMode
+	Child Node
+	Keys  []string // evidence-key columns; empty = global
+	Mode  NormMode
 }
 
-// NewNormalize normalizes child's probabilities within evidence-key
-// groups.
-func NewNormalize(child Node, keyPos []int, mode NormMode) *Normalize {
+// NewNormalize normalizes child's probabilities within the groups of the
+// named evidence-key columns.
+func NewNormalize(child Node, keys []string, mode NormMode) *Normalize {
 	h := newHasher("normalize")
 	h.int(int(mode))
-	h.ints(keyPos)
-	return &Normalize{ident: h.finish(child), Child: child, KeyPos: keyPos, Mode: mode}
+	h.strs(keys)
+	return &Normalize{ident: h.finish(child), Child: child, Keys: keys, Mode: mode}
 }
 
 // Execute implements Node.
@@ -54,15 +54,16 @@ func (n *Normalize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, er
 	if err != nil {
 		return nil, err
 	}
-	if _, err := checkPositions(in, n.KeyPos); err != nil {
+	keyIdx, err := colPositions(in, n.Keys)
+	if err != nil {
 		return nil, err
 	}
 	// The keyless global case is simply nGroups = 1.
 	groupOf := []int(nil)
 	nGroups := 1
-	if len(n.KeyPos) > 0 {
+	if len(keyIdx) > 0 {
 		var firstRow []int
-		groupOf, firstRow, err = groupRows(c, ctx, in, n.KeyPos)
+		groupOf, firstRow, err = groupRows(c, ctx, in, keyIdx)
 		if err != nil {
 			return nil, err
 		}
@@ -133,4 +134,4 @@ func normalizeGroups(c context.Context, ctx *Ctx, in *relation.Relation, groupOf
 func (n *Normalize) Children() []Node { return []Node{n.Child} }
 
 // Label implements Node.
-func (n *Normalize) Label() string { return fmt.Sprintf("Normalize[%s] #%v", n.Mode, n.KeyPos) }
+func (n *Normalize) Label() string { return fmt.Sprintf("Normalize[%s] #%v", n.Mode, n.Keys) }

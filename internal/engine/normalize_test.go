@@ -53,7 +53,7 @@ func TestNormalizeGlobalMax(t *testing.T) {
 
 func TestNormalizeGrouped(t *testing.T) {
 	ctx := normCtx([]float64{0.1, 0.3, 0.5}, []string{"g1", "g1", "g2"})
-	r, err := ctx.Exec(context.Background(), NewNormalize(NewScan("t"), []int{0}, NormSum))
+	r, err := ctx.Exec(context.Background(), NewNormalize(NewScan("t"), []string{"k"}, NormSum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestNormalizeZeroDenominator(t *testing.T) {
 	}
 }
 
-func TestNormalizeBadPosition(t *testing.T) {
+func TestNormalizeBadKey(t *testing.T) {
 	ctx := normCtx([]float64{1}, []string{"a"})
-	if _, err := ctx.Exec(context.Background(), NewNormalize(NewScan("t"), []int{7}, NormSum)); err == nil {
-		t.Error("out-of-range key position should fail")
+	if _, err := ctx.Exec(context.Background(), NewNormalize(NewScan("t"), []string{"nope"}, NormSum)); err == nil {
+		t.Error("a key column the input does not have should fail")
 	}
 }
 
@@ -112,7 +112,7 @@ func TestNormalizeProperties(t *testing.T) {
 			keys[i] = "k"
 		}
 		ctx := normCtx(probs, keys)
-		r, err := ctx.Exec(context.Background(), NewNormalize(NewScan("t"), []int{0}, NormSum))
+		r, err := ctx.Exec(context.Background(), NewNormalize(NewScan("t"), []string{"k"}, NormSum))
 		if err != nil {
 			return false
 		}
@@ -150,33 +150,6 @@ func TestRowNumber(t *testing.T) {
 		if id != int64(i+1) {
 			t.Fatalf("ids = %v, want 1-based dense", ids)
 		}
-	}
-}
-
-func TestHashJoinPositional(t *testing.T) {
-	cat := catalog.New(0)
-	cat.Put("l", relation.NewBuilder([]string{"a", "b"}, []vector.Kind{vector.String, vector.String}).
-		Add("x", "1").Add("y", "2").Build())
-	cat.Put("r", relation.NewBuilder([]string{"c"}, []vector.Kind{vector.String}).
-		Add("x").Build())
-	ctx := NewCtx(cat)
-	j := NewHashJoinPos(NewScan("l"), NewScan("r"), []int{0}, []int{0}, JoinIndependent)
-	rel, err := ctx.Exec(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.NumRows() != 1 || rel.NumCols() != 3 {
-		t.Errorf("positional join = %s", rel.Format(-1))
-	}
-	// out of range position
-	bad := NewHashJoinPos(NewScan("l"), NewScan("r"), []int{5}, []int{0}, JoinIndependent)
-	if _, err := ctx.Exec(context.Background(), bad); err == nil {
-		t.Error("out-of-range position should fail")
-	}
-	// mismatched lists
-	bad2 := NewHashJoinPos(NewScan("l"), NewScan("r"), []int{0, 1}, []int{0}, JoinIndependent)
-	if _, err := ctx.Exec(context.Background(), bad2); err == nil {
-		t.Error("mismatched positional key lists should fail")
 	}
 }
 

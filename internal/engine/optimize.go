@@ -32,8 +32,8 @@ import (
 // parallelism level — values, probabilities AND row order — because the
 // engine's operators are themselves order-deterministic. Rewrites are
 // conservative: a pass that cannot prove legality (unresolvable schema,
-// positional references, probability-dependent predicates, duplicate
-// column names) leaves the plan alone. Plans containing ?name parameters
+// probability-dependent predicates, duplicate column names, expressions it
+// does not know) leaves the plan alone. Plans containing ?name parameters
 // optimize before binding; passes treat parameters as opaque non-constant
 // scalars, so a prepared statement is optimized once and bound many
 // times.
@@ -248,8 +248,8 @@ func pushSelect(cat *catalog.Catalog, s *Select, info *OptInfo) Node {
 
 // pushSelectBranches pushes s's predicate into both branches of a Union.
 // Output columns are l's names with r aligned positionally, so predicates
-// referencing columns by name are renamed for r; positional and PROB()
-// references align as-is. ok is false when the push is illegal.
+// referencing columns by name are renamed for r; PROB() references align
+// as-is. ok is false when the push is illegal.
 func pushSelectBranches(cat *catalog.Catalog, s *Select, l, r Node, info *OptInfo) (Node, Node, bool) {
 	rPred := s.Pred
 	if refs := expr.RefsOf(s.Pred); len(refs.Cols) > 0 {
@@ -278,8 +278,7 @@ func pushSelectBranches(cat *catalog.Catalog, s *Select, l, r Node, info *OptInf
 // inner equi-join below that side. Filtering probe or build rows before
 // the join keeps the surviving pairs in the same relative order the
 // unfiltered join produces, so output is bit-identical. Probability
-// references stay above (the join recombines probabilities), as do
-// positional references (positions change across the join boundary).
+// references stay above (the join recombines probabilities).
 func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo) Node {
 	lSchema, lok := staticSchema(cat, j.L)
 	rSchema, rok := staticSchema(cat, j.R)
@@ -293,7 +292,7 @@ func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo)
 	// Reconstruct the dedup renaming HashJoin applies to clashing right
 	// names: output name → original right name.
 	rightBack := map[string]string{}
-	outNames := joinOutputNames(lSchema, rSchema)
+	outNames := joinNames(lSchema, rSchema)
 	for i, orig := range rSchema {
 		rightBack[outNames[len(lSchema)+i]] = orig
 	}
@@ -303,9 +302,8 @@ func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo)
 		refs := expr.RefsOf(cj)
 		// PROB() conjuncts stay (the join recombines probabilities), as
 		// do reference-free conjuncts (nothing to gain) and unknown
-		// expressions (reported as Positional with no Positions, plus
-		// Prob — blocked here).
-		if refs.Prob || (len(refs.Cols) == 0 && len(refs.Positions) == 0) {
+		// expressions (reported as Opaque, plus Prob — blocked here).
+		if refs.Prob || len(refs.Cols) == 0 {
 			keep = append(keep, cj)
 			continue
 		}
@@ -315,21 +313,6 @@ func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo)
 				left = false
 			}
 			if _, fromRight := rightBack[col]; !fromRight {
-				right = false
-			}
-		}
-		// Positional references ($n, 1-based) resolve by output position:
-		// at or below the left arity they address left columns unchanged;
-		// above it they address right columns shifted by the left arity.
-		// SpinQL selections are positional, so this is the common case.
-		for _, p := range refs.Positions {
-			if p < 1 || p > len(outNames) {
-				left, right = false, false
-				break
-			}
-			if p > len(lSchema) {
-				left = false
-			} else {
 				right = false
 			}
 		}
@@ -343,7 +326,7 @@ func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo)
 					m[col] = rightBack[col]
 				}
 			}
-			rPush = append(rPush, expr.ShiftPositions(expr.RenameCols(cj, m), -len(lSchema)))
+			rPush = append(rPush, expr.RenameCols(cj, m))
 		default:
 			keep = append(keep, cj)
 		}
@@ -527,10 +510,10 @@ func (s needSet) without(name string) needSet {
 }
 
 // exprNeeds folds an expression's references into a need set: nil (all)
-// when the expression uses positional access or is unrecognized.
+// when the expression is unrecognized.
 func exprNeeds(s needSet, e expr.Expr) needSet {
 	refs := expr.RefsOf(e)
-	if refs.Positional {
+	if refs.Opaque {
 		return nil
 	}
 	return s.union(refs.Cols...)
@@ -655,8 +638,8 @@ func pruneNode(cat *catalog.Catalog, n Node, needs needSet, info *OptInfo) Node 
 		return withChildren(n, l, r)
 
 	case *Normalize:
-		// KeyPos is positional.
-		return withChild(n, x.Child, pruneNode(cat, x.Child, nil, info))
+		// Normalize reads its evidence keys and passes every column on.
+		return withChild(n, x.Child, pruneNode(cat, x.Child, needs.union(x.Keys...), info))
 
 	case *Union:
 		l, r := pruneBranches(cat, x.L, x.R, needs, info)
@@ -749,7 +732,7 @@ func pruneJoin(cat *catalog.Catalog, j *HashJoin, needs needSet, info *OptInfo) 
 	rebuildAll := func() Node {
 		return withChildren(j, pruneNode(cat, j.L, nil, info), pruneNode(cat, j.R, nil, info))
 	}
-	if needs == nil || j.positional() {
+	if needs == nil {
 		return rebuildAll()
 	}
 	lSchema, lok := staticSchema(cat, j.L)
@@ -757,7 +740,7 @@ func pruneJoin(cat *catalog.Catalog, j *HashJoin, needs needSet, info *OptInfo) 
 	if !lok || !rok || !uniqueNames(lSchema) || !uniqueNames(rSchema) {
 		return rebuildAll()
 	}
-	outBefore := joinOutputNames(lSchema, rSchema)
+	outBefore := joinNames(lSchema, rSchema)
 	leftHas := map[string]bool{}
 	for _, n := range lSchema {
 		leftHas[n] = true
@@ -798,7 +781,7 @@ func stableJoinNames(needs needSet, lBefore, rBefore, lAfter, rAfter []string) b
 		name string
 	}
 	resolve := func(l, r []string) map[string]origin {
-		out := joinOutputNames(l, r)
+		out := joinNames(l, r)
 		m := make(map[string]origin, len(out))
 		for i, name := range out {
 			if i < len(l) {

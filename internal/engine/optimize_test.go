@@ -23,10 +23,6 @@ func eq(col, lit string) expr.Expr {
 	return expr.Cmp{Op: expr.Eq, L: expr.Column(col), R: expr.Str(lit)}
 }
 
-func eqPos(pos int, lit string) expr.Expr {
-	return expr.Cmp{Op: expr.Eq, L: expr.ColumnAt(pos), R: expr.Str(lit)}
-}
-
 func and(l, r expr.Expr) expr.Expr { return expr.And{L: l, R: r} }
 
 // runPass applies one optimizer pass and renders the result.
@@ -76,20 +72,6 @@ func TestPushdownPassGolden(t *testing.T) {
 		if info.SelectsPushed != 2 {
 			t.Errorf("SelectsPushed = %d, want 2", info.SelectsPushed)
 		}
-	})
-
-	t.Run("join-positional-both-sides", func(t *testing.T) {
-		// $2 addresses the left input's second column; $6 the right
-		// input's third (1-based over the 6-wide join output), shifted to
-		// $3 below the join.
-		plan := NewSelect(selfJoin(), and(eqPos(2, "category"), eqPos(6, "toy")))
-		got, _ := runPass(t, pushdownPass, cat, plan)
-		wantExplain(t, "join-positional", got,
-			"HashJoin[independent] subject=subject\n"+
-				"  Select ($2 = \"category\")\n"+
-				"    Scan triples\n"+
-				"  Select ($3 = \"toy\")\n"+
-				"    Scan triples\n")
 	})
 
 	t.Run("join-prob-stays", func(t *testing.T) {
@@ -445,7 +427,7 @@ func TestJoinManyToMany(t *testing.T) {
 
 // randomPlan builds a random plan over fact(k,g,v) and dim(k,w) whose
 // sub-structure exercises every optimizer pass: stacked and conjunctive
-// selections (named and positional) above joins, unions and sorts,
+// selections above joins, unions and sorts,
 // statically-empty branches, narrow projections, and aggregation on top.
 func randomPlan(rng *rand.Rand, depth int) Node {
 	if depth <= 0 {
@@ -458,7 +440,6 @@ func randomPlan(rng *rand.Rand, depth int) Node {
 		func() expr.Expr {
 			return expr.Cmp{Op: expr.Lt, L: expr.Column("v"), R: expr.Int(int64(rng.Intn(1000)))}
 		},
-		func() expr.Expr { return eqPos(2, fmt.Sprintf("grp%03d", rng.Intn(89))) },
 		func() expr.Expr {
 			return expr.Cmp{Op: expr.Gt, L: expr.Prob{}, R: expr.Float(rng.Float64() * 0.5)}
 		},

@@ -151,7 +151,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}{
 		{"join-independent", NewHashJoin(scanL, scanR, []string{"a"}, []string{"a"}, JoinIndependent)},
 		{"join-left", NewHashJoin(scanL, scanR, []string{"a"}, []string{"a"}, JoinLeft)},
-		{"join-positional-multikey", NewHashJoinPos(scanL, scanO, []int{0, 1}, []int{0, 1}, JoinIndependent)},
+		{"join-multikey", NewHashJoin(scanL, scanO, []string{"a", "b"}, []string{"a", "b"}, JoinIndependent)},
 		{"join-materialized-build", NewHashJoin(scanL, NewMaterialize(NewSelect(scanR, pred)),
 			[]string{"a"}, []string{"a"}, JoinIndependent)},
 		{"union", NewUnion(scanL, scanO)},
@@ -173,8 +173,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"topn-large-n", NewTopN(scanL, 8000, SortSpec{Col: "x", Desc: true})},
 		{"topn-over-input", NewTopN(scanL, 20000, SortSpec{Col: "a"}, SortSpec{Col: "b", Desc: true})},
 		{"limit", NewLimit(scanL, 123)},
-		{"rename", NewProject(scanL, ProjCol{Name: "c1", E: expr.ColumnAt(1)},
-			ProjCol{Name: "c2", E: expr.ColumnAt(2)}, ProjCol{Name: "c3", E: expr.ColumnAt(3)})},
+		{"rename", NewProject(scanL, ProjCol{Name: "c1", E: expr.Column("a")},
+			ProjCol{Name: "c2", E: expr.Column("b")}, ProjCol{Name: "c3", E: expr.Column("x")})},
 		{"aggregate", NewAggregate(scanL, []string{"b"}, []AggSpec{
 			{Op: CountAll, As: "n"},
 			{Op: Sum, Col: "x", As: "sx"},
@@ -194,13 +194,13 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"scaleprob", NewScaleProb(scanL, 0.25)},
 		{"probfromcol", NewProbFromCol(scanL, "x", true, true)},
 		{"probtocol", NewProject(scanL, append(ByName("a", "b", "x"), ProjCol{Name: "score", E: expr.Prob{}})...)},
-		{"normalize", NewNormalize(scanL, []int{1}, NormSum)},
+		{"normalize", NewNormalize(scanL, []string{"b"}, NormSum)},
 		{"normalize-max-global", NewNormalize(scanL, nil, NormMax)},
 		{"composite", NewTopN(
 			NewDistinct(NewUnion(
 				NewScaleProb(NewHashJoin(NewSelect(scanL, pred), NewMaterialize(scanR),
 					[]string{"a"}, []string{"a"}, JoinIndependent), 0.7),
-				NewScaleProb(NewHashJoinPos(scanO, scanL, []int{0}, []int{0}, JoinLeft), 0.3)),
+				NewScaleProb(NewHashJoin(scanO, scanL, []string{"a"}, []string{"a"}, JoinLeft), 0.3)),
 				GroupIndependent),
 			200, SortSpec{Col: "", Desc: true}, SortSpec{Col: "a"})},
 	}
@@ -267,8 +267,8 @@ func TestAggregationChunkedEquivalence(t *testing.T) {
 		{"agg-high-cardinality", NewAggregate(scanB, []string{"a"}, []AggSpec{
 			{Op: Sum, Col: "x", As: "sx"}, {Op: SumProb, As: "sp"}}, GroupIndependent)},
 		{"distinct", NewDistinct(NewProject(scanB, ByName("b")...), GroupDisjoint)},
-		{"normalize-grouped", NewNormalize(scanB, []int{1}, NormSum)},
-		{"normalize-grouped-max", NewNormalize(scanB, []int{1}, NormMax)},
+		{"normalize-grouped", NewNormalize(scanB, []string{"b"}, NormSum)},
+		{"normalize-grouped-max", NewNormalize(scanB, []string{"b"}, NormMax)},
 		{"normalize-global", NewNormalize(scanB, nil, NormSum)},
 	}
 	for _, tc := range cases {

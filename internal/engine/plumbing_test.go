@@ -27,9 +27,8 @@ func TestNodePlumbing(t *testing.T) {
 		NewLimit(scan, 3),
 		NewSelect(scan, pred),
 		NewProject(scan, ProjCol{Name: "x", E: expr.Column("x")}),
-		NewProject(scan, ProjCol{Name: "a", E: expr.ColumnAt(1)}),
 		NewHashJoin(scan, scan2, []string{"x"}, []string{"x"}, JoinIndependent),
-		NewHashJoinPos(scan, scan2, []int{0}, []int{0}, JoinLeft),
+		NewHashJoin(scan, scan2, []string{"x"}, []string{"x"}, JoinLeft),
 		NewAggregate(scan, []string{"x"}, []AggSpec{{Op: CountAll, As: "n"}}, GroupDisjoint),
 		NewDistinct(scan, GroupMax),
 		NewUnion(scan, scan2),
@@ -38,7 +37,7 @@ func TestNodePlumbing(t *testing.T) {
 		NewTopN(scan, 5, SortSpec{Col: ""}),
 		NewScaleProb(scan, 0.5),
 		NewProbFromCol(scan, "s", true, true),
-		NewNormalize(scan, []int{0}, NormMax),
+		NewNormalize(scan, []string{"x"}, NormMax),
 		NewRowNumber(scan, "id"),
 		NewTokenize(scan, "x", "y", text.Default(), false),
 	}

@@ -60,7 +60,7 @@ func rebuild(n Node, kids []Node) Node {
 	case *Project:
 		return NewProject(kids[0], x.Cols...)
 	case *HashJoin:
-		return newHashJoin(kids[0], kids[1], x.LKeys, x.RKeys, x.LPos, x.RPos, x.PMode)
+		return NewHashJoin(kids[0], kids[1], x.LKeys, x.RKeys, x.PMode)
 	case *Union:
 		return NewUnion(kids[0], kids[1])
 	case *Subtract:
@@ -74,7 +74,7 @@ func rebuild(n Node, kids []Node) Node {
 	case *TopN:
 		return NewTopN(kids[0], x.N, x.Keys...)
 	case *Normalize:
-		return NewNormalize(kids[0], x.KeyPos, x.Mode)
+		return NewNormalize(kids[0], x.Keys, x.Mode)
 	case *ScaleProb:
 		return NewScaleProb(kids[0], x.Factor)
 	case *ProbFromCol:

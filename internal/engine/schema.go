@@ -1,9 +1,10 @@
 package engine
 
 import (
-	"strconv"
+	"slices"
 
 	"irdb/internal/catalog"
+	"irdb/internal/relation"
 )
 
 // Static schema resolution for the optimizer (optimize.go). The engine has
@@ -98,7 +99,7 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 		if !lok || !rok {
 			return nil, false
 		}
-		return joinOutputNames(l, r), true
+		return joinNames(l, r), true
 	case *Union:
 		return staticSchema(cat, x.L)
 	case *Subtract:
@@ -114,31 +115,11 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 	return nil, false
 }
 
-// joinOutputNames mirrors HashJoin.Execute's output naming: all left
-// columns, then all right columns with clashing names deduplicated by a
-// numeric suffix.
-func joinOutputNames(l, r []string) []string {
-	names := make(map[string]bool, len(l)+len(r)) //lint:allow chargedalloc O(#columns) schema inference, plan-shaped
-	out := make([]string, 0, len(l)+len(r))       //lint:allow chargedalloc O(#columns) schema inference, plan-shaped
-	for _, n := range l {
-		names[n] = true
-		out = append(out, n)
-	}
-	for _, n := range r {
-		name := n
-		for i := 2; names[name]; i++ {
-			name = joinDedupName(n, i)
-		}
-		names[name] = true
-		out = append(out, name)
-	}
-	return out
-}
-
-// joinDedupName renders the numeric clash suffix exactly as
-// HashJoin.Execute's fmt.Sprintf("%s_%d", base, i) does.
-func joinDedupName(base string, i int) string {
-	return base + "_" + strconv.Itoa(i)
+// joinNames names a HashJoin's output columns from its inputs' column
+// names l and r, both when the join runs and when the optimizer derives
+// its schema.
+func joinNames(l, r []string) []string {
+	return relation.UniqueNames(slices.Concat(l, r))
 }
 
 // uniqueNames reports whether a schema has no duplicate column names —

@@ -170,7 +170,7 @@ func (ctx *Ctx) evalColumn(c context.Context, e expr.Expr, in *relation.Relation
 	}
 	var n int64
 	switch e.(type) {
-	case expr.Col, expr.ColIdx:
+	case expr.Col:
 	default:
 		if cv, ok := v.(*vector.Const); ok {
 			n = cv.MaterializedBytes()

@@ -49,19 +49,19 @@ func (c Col) Eval(r *relation.Relation) (vector.Vector, error) {
 // String implements Expr.
 func (c Col) String() string { return c.Name }
 
-// ColIdx references a column by 1-based position, the $n notation of
-// SpinQL (section 2.3 of the paper).
+// ColIdx is SpinQL's $n (section 2.3 of the paper): the 1-based position
+// of a column in the parse tree. It is never evaluated — package pra
+// resolves every $n to the Col it names when it lowers a plan onto the
+// engine, so the engine addresses columns by name only.
 type ColIdx struct{ Idx int }
 
-// ColumnAt returns a reference to the 1-based idx-th column.
+// ColumnAt returns the parse-tree reference to the 1-based idx-th column.
 func ColumnAt(idx int) ColIdx { return ColIdx{Idx: idx} }
 
-// Eval implements Expr.
-func (c ColIdx) Eval(r *relation.Relation) (vector.Vector, error) {
-	if c.Idx < 1 || c.Idx > r.NumCols() {
-		return nil, fmt.Errorf("expr: $%d out of range (relation has %d columns)", c.Idx, r.NumCols())
-	}
-	return r.Col(c.Idx - 1).Vec, nil
+// Eval implements Expr: an unresolved position is an error, so a $n can
+// never address a column at execution.
+func (c ColIdx) Eval(*relation.Relation) (vector.Vector, error) {
+	return nil, fmt.Errorf("expr: unresolved $%d: positions resolve to names before execution", c.Idx)
 }
 
 // String implements Expr.

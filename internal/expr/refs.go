@@ -18,13 +18,10 @@ type Refs struct {
 	// Cols lists named column references in first-appearance order,
 	// without duplicates.
 	Cols []string
-	// Positions lists $n positional references (1-based, as in ColIdx) in
-	// first-appearance order, without duplicates.
-	Positions []int
-	// Positional is true when a positional reference appears — including
-	// the unknown-expression case where Positions stays empty; plans
-	// containing positional references must not be reordered column-wise.
-	Positional bool
+	// Opaque is true when an expression this analysis does not know
+	// appears (an unresolved $n among them): what it reads is unknown, so
+	// no rewrite may move or narrow anything around it.
+	Opaque bool
 	// Prob is true when PROB() appears: the expression depends on tuple
 	// probabilities, which operators like joins recombine.
 	Prob bool
@@ -48,14 +45,6 @@ func collectRefs(e Expr, r *Refs) {
 			}
 		}
 		r.Cols = append(r.Cols, x.Name)
-	case ColIdx:
-		r.Positional = true
-		for _, p := range r.Positions {
-			if p == x.Idx {
-				return
-			}
-		}
-		r.Positions = append(r.Positions, x.Idx)
 	case Prob:
 		r.Prob = true
 	case Param:
@@ -83,73 +72,68 @@ func collectRefs(e Expr, r *Refs) {
 	default:
 		// Unknown expression type: assume the worst on every axis so no
 		// rewrite fires around it.
-		r.Positional = true
+		r.Opaque = true
 		r.Prob = true
 		r.Param = true
 	}
 }
 
 // RenameCols returns e with every named column reference renamed through
-// m; names absent from m are kept. Positional and probability references
-// are unaffected (callers decide separately whether those are legal).
+// m; names absent from m are kept. Probability references are unaffected
+// (callers decide separately whether those are legal).
 func RenameCols(e Expr, m map[string]string) Expr {
-	switch x := e.(type) {
-	case Col:
-		if to, ok := m[x.Name]; ok {
-			return Col{Name: to}
+	out, _ := Rewrite(e, func(x Expr) (Expr, error) {
+		if c, ok := x.(Col); ok {
+			if to, ok := m[c.Name]; ok {
+				return Col{Name: to}, nil
+			}
 		}
-		return x
-	case Cmp:
-		return Cmp{Op: x.Op, L: RenameCols(x.L, m), R: RenameCols(x.R, m)}
-	case And:
-		return And{L: RenameCols(x.L, m), R: RenameCols(x.R, m)}
-	case Or:
-		return Or{L: RenameCols(x.L, m), R: RenameCols(x.R, m)}
-	case Not:
-		return Not{E: RenameCols(x.E, m)}
-	case Arith:
-		return Arith{Op: x.Op, L: RenameCols(x.L, m), R: RenameCols(x.R, m)}
-	case Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = RenameCols(a, m)
-		}
-		return Call{Name: x.Name, Args: args}
-	default:
-		return e
-	}
+		return x, nil
+	})
+	return out
 }
 
-// ShiftPositions returns e with every $n positional reference shifted by
-// delta. Named and probability references are unaffected. Used when a
-// predicate moves across an operator that offsets column positions, such
-// as from a join's output into its right input.
-func ShiftPositions(e Expr, delta int) Expr {
-	if delta == 0 {
-		return e
+// Rewrite returns e with every leaf — any expression that is not one of
+// this package's operators (Cmp, And, Or, Not, Arith, Call) — replaced by
+// f's result for it, and the operators above rebuilt. The first error f
+// returns is returned.
+func Rewrite(e Expr, f func(Expr) (Expr, error)) (Expr, error) {
+	var l, r, out Expr
+	var err error
+	pair := func(le, re Expr) {
+		if l, err = Rewrite(le, f); err == nil {
+			r, err = Rewrite(re, f)
+		}
 	}
 	switch x := e.(type) {
-	case ColIdx:
-		return ColIdx{Idx: x.Idx + delta}
 	case Cmp:
-		return Cmp{Op: x.Op, L: ShiftPositions(x.L, delta), R: ShiftPositions(x.R, delta)}
+		pair(x.L, x.R)
+		out = Cmp{Op: x.Op, L: l, R: r}
 	case And:
-		return And{L: ShiftPositions(x.L, delta), R: ShiftPositions(x.R, delta)}
+		pair(x.L, x.R)
+		out = And{L: l, R: r}
 	case Or:
-		return Or{L: ShiftPositions(x.L, delta), R: ShiftPositions(x.R, delta)}
-	case Not:
-		return Not{E: ShiftPositions(x.E, delta)}
+		pair(x.L, x.R)
+		out = Or{L: l, R: r}
 	case Arith:
-		return Arith{Op: x.Op, L: ShiftPositions(x.L, delta), R: ShiftPositions(x.R, delta)}
+		pair(x.L, x.R)
+		out = Arith{Op: x.Op, L: l, R: r}
+	case Not:
+		l, err = Rewrite(x.E, f)
+		out = Not{E: l}
 	case Call:
 		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = ShiftPositions(a, delta)
+		for i := 0; i < len(args) && err == nil; i++ {
+			args[i], err = Rewrite(x.Args[i], f)
 		}
-		return Call{Name: x.Name, Args: args}
+		out = Call{Name: x.Name, Args: args}
 	default:
-		return e
+		return f(e)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ConstBool folds e to a constant boolean when that is statically sound:

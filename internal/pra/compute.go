@@ -52,13 +52,17 @@ func (m *Map) Compile() (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	arity := len(m.Child.Schema())
+	if err := checkNames("MAP", m.Schema()); err != nil {
+		return nil, err
+	}
+	in := m.Child.Schema()
 	cols := make([]engine.ProjCol, len(m.Cols))
 	for i, c := range m.Cols {
-		if err := checkPositions(c.E, arity); err != nil {
+		e, err := resolve(c.E, in)
+		if err != nil {
 			return nil, fmt.Errorf("pra: MAP %s: %w", c.As, err)
 		}
-		cols[i] = engine.ProjCol{Name: c.As, E: c.E}
+		cols[i] = engine.ProjCol{Name: c.As, E: e}
 	}
 	return engine.NewProject(child, cols...), nil
 }
@@ -138,10 +142,12 @@ func (g *Group) Compile() (engine.Node, error) {
 	in := g.Child.Schema()
 	keys := make([]string, len(g.Keys))
 	for i, k := range g.Keys {
-		if k < 1 || k > len(in) {
-			return nil, fmt.Errorf("pra: GROUP key $%d out of range (input has %d columns)", k, len(in))
+		if keys[i], err = colName(in, k); err != nil {
+			return nil, fmt.Errorf("pra: GROUP key %w", err)
 		}
-		keys[i] = in[k-1]
+	}
+	if err := checkNames("GROUP", g.Schema()); err != nil {
+		return nil, err
 	}
 	aggs := make([]engine.AggSpec, len(g.Aggs))
 	for i, a := range g.Aggs {
@@ -154,10 +160,9 @@ func (g *Group) Compile() (engine.Node, error) {
 		case AggMaxProb:
 			spec.Op = engine.MaxProb
 		case AggSum, AggAvg, AggMin, AggMax:
-			if a.Col < 1 || a.Col > len(in) {
-				return nil, fmt.Errorf("pra: GROUP %s($%d) out of range (input has %d columns)", a.Kind, a.Col, len(in))
+			if spec.Col, err = colName(in, a.Col); err != nil {
+				return nil, fmt.Errorf("pra: GROUP %s: %w", a.Kind, err)
 			}
-			spec.Col = in[a.Col-1]
 			switch a.Kind {
 			case AggSum:
 				spec.Op = engine.Sum
@@ -237,13 +242,18 @@ func (t *TokenizeOp) Compile() (engine.Node, error) {
 		return nil, err
 	}
 	in := t.Child.Schema()
-	if t.IDCol < 1 || t.IDCol > len(in) {
-		return nil, fmt.Errorf("pra: TOKENIZE id $%d out of range (input has %d columns)", t.IDCol, len(in))
+	id, err := colName(in, t.IDCol)
+	if err != nil {
+		return nil, fmt.Errorf("pra: TOKENIZE id %w", err)
 	}
-	if t.DataCol < 1 || t.DataCol > len(in) {
-		return nil, fmt.Errorf("pra: TOKENIZE data $%d out of range (input has %d columns)", t.DataCol, len(in))
+	data, err := colName(in, t.DataCol)
+	if err != nil {
+		return nil, fmt.Errorf("pra: TOKENIZE data %w", err)
 	}
-	return engine.NewTokenize(child, in[t.IDCol-1], in[t.DataCol-1], t.Tok, false), nil
+	if err := checkNames("TOKENIZE", t.Schema()); err != nil {
+		return nil, err
+	}
+	return engine.NewTokenize(child, id, data, t.Tok, false), nil
 }
 
 // String implements Node.

@@ -2,10 +2,12 @@ package pra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"irdb/internal/engine"
 	"irdb/internal/expr"
+	"irdb/internal/relation"
 )
 
 // ---------------------------------------------------------------------------
@@ -13,13 +15,15 @@ import (
 
 // JoinCond is one positional equality condition between the left and
 // right inputs: left column $L equals right column $R (both 1-based,
-// each relative to its own input, as in SpinQL's JOIN [$1=$1]).
+// each relative to its own input, as in SpinQL's JOIN [$1=$1]). Compile
+// resolves both to names.
 type JoinCond struct{ L, R int }
 
 // Join is the probabilistic equi-join. Under Independent, matching tuple
 // probabilities multiply ("t1.p * t2.p" in the paper's translation);
 // Max keeps the left probability treating the right side as a filter.
-// Output schema is the concatenation of both inputs' columns.
+// Output schema is the concatenation of both inputs' columns, named by
+// relation.UniqueNames as the engine names them.
 type Join struct {
 	L, R       Node
 	Conds      []JoinCond
@@ -33,21 +37,7 @@ func NewJoin(l, r Node, assumption Assumption, conds ...JoinCond) *Join {
 
 // Schema implements Node.
 func (j *Join) Schema() []string {
-	ls, rs := j.L.Schema(), j.R.Schema()
-	out := make([]string, 0, len(ls)+len(rs))
-	seen := map[string]int{}
-	for _, n := range ls {
-		seen[n]++
-		out = append(out, n)
-	}
-	for _, n := range rs {
-		seen[n]++
-		if seen[n] > 1 {
-			n = fmt.Sprintf("%s_%d", n, seen[n])
-		}
-		out = append(out, n)
-	}
-	return out
+	return relation.UniqueNames(slices.Concat(j.L.Schema(), j.R.Schema()))
 }
 
 // Compile implements Node.
@@ -63,24 +53,22 @@ func (j *Join) Compile() (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	lAr, rAr := len(j.L.Schema()), len(j.R.Schema())
-	lpos := make([]int, len(j.Conds))
-	rpos := make([]int, len(j.Conds))
+	ls, rs := j.L.Schema(), j.R.Schema()
+	lkeys := make([]string, len(j.Conds))
+	rkeys := make([]string, len(j.Conds))
 	for i, c := range j.Conds {
-		if c.L < 1 || c.L > lAr {
-			return nil, fmt.Errorf("pra: JOIN left $%d out of range (input has %d columns)", c.L, lAr)
+		if lkeys[i], err = colName(ls, c.L); err != nil {
+			return nil, fmt.Errorf("pra: JOIN left %w", err)
 		}
-		if c.R < 1 || c.R > rAr {
-			return nil, fmt.Errorf("pra: JOIN right $%d out of range (input has %d columns)", c.R, rAr)
+		if rkeys[i], err = colName(rs, c.R); err != nil {
+			return nil, fmt.Errorf("pra: JOIN right %w", err)
 		}
-		lpos[i] = c.L - 1
-		rpos[i] = c.R - 1
 	}
 	mode := engine.JoinIndependent
 	if j.Assumption == Max {
 		mode = engine.JoinLeft
 	}
-	return engine.NewHashJoinPos(lc, rc, lpos, rpos, mode), nil
+	return engine.NewHashJoin(lc, rc, lkeys, rkeys, mode), nil
 }
 
 // String implements Node.
@@ -179,10 +167,10 @@ func (s *Subtract) Compile() (engine.Node, error) {
 	// The engine matches on column names of the left input; align the
 	// right input's names positionally first: its i-th column takes the
 	// left's i-th name.
-	names := s.L.Schema()
+	names, rnames := s.L.Schema(), s.R.Schema()
 	cols := make([]engine.ProjCol, len(names))
 	for i, name := range names {
-		cols[i] = engine.ProjCol{Name: name, E: expr.ColumnAt(i + 1)}
+		cols[i] = engine.ProjCol{Name: name, E: expr.Column(rnames[i])}
 	}
 	return engine.NewSubtract(lc, engine.NewProject(rc, cols...), false), nil
 }
@@ -257,13 +245,12 @@ func (b *Bayes) Compile() (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	arity := len(b.Child.Schema())
-	pos := make([]int, len(b.Keys))
+	in := b.Child.Schema()
+	keys := make([]string, len(b.Keys))
 	for i, k := range b.Keys {
-		if k < 1 || k > arity {
-			return nil, fmt.Errorf("pra: BAYES $%d out of range (input has %d columns)", k, arity)
+		if keys[i], err = colName(in, k); err != nil {
+			return nil, fmt.Errorf("pra: BAYES %w", err)
 		}
-		pos[i] = k - 1
 	}
 	var mode engine.NormMode
 	switch b.Norm {
@@ -274,7 +261,7 @@ func (b *Bayes) Compile() (engine.Node, error) {
 	default:
 		return nil, fmt.Errorf("pra: BAYES assumption must be DISJOINT or MAX, got %s", b.Norm)
 	}
-	return engine.NewNormalize(c, pos, mode), nil
+	return engine.NewNormalize(c, keys, mode), nil
 }
 
 // String implements Node.

@@ -4,18 +4,26 @@
 // typed plan layer compiling onto the relational engine.
 //
 // PRA plans are positional: columns are addressed $1..$n as in SpinQL.
-// Every node knows its output schema statically, so arity errors surface
-// at plan-construction time rather than mid-query. Each relational
-// operator "defines how to compute probability columns"; the assumptions
-// (independent, disjoint, ...) select the combination rule.
+// Every node knows its output schema statically, and Compile resolves
+// each $n to the name its input's schema gives that position, so the
+// engine plan addresses columns by name only and arity errors surface
+// when the plan is compiled rather than mid-query. Names follow the
+// relation rule (relation.UniqueNames): a join or projection that would
+// repeat a name numbers the later column name_2, name_3, …, exactly as the
+// engine names its output; a name the program gives twice (MAP, GROUP,
+// TOKENIZE) is refused at Compile. Each relational operator "defines how
+// to compute probability columns"; the assumptions (independent,
+// disjoint, ...) select the combination rule.
 package pra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"irdb/internal/engine"
 	"irdb/internal/expr"
+	"irdb/internal/relation"
 )
 
 // Assumption qualifies how an operator combines the probabilities of the
@@ -82,7 +90,8 @@ type Node interface {
 // Base
 
 // Base wraps an engine plan (usually a table scan) as a PRA leaf with a
-// declared schema.
+// declared schema: Cols are the names of the columns Plan produces, in
+// order, and $n resolves against them.
 type Base struct {
 	Name string
 	Plan engine.Node
@@ -130,10 +139,11 @@ func (s *Select) Compile() (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkPositions(s.Cond, len(s.Child.Schema())); err != nil {
+	cond, err := resolve(s.Cond, s.Child.Schema())
+	if err != nil {
 		return nil, fmt.Errorf("pra: SELECT %s: %w", s.Cond.String(), err)
 	}
-	return engine.NewSelect(child, s.Cond), nil
+	return engine.NewSelect(child, cond), nil
 }
 
 // String implements Node.
@@ -141,44 +151,34 @@ func (s *Select) String() string {
 	return fmt.Sprintf("SELECT [%s] (%s)", s.Cond.String(), s.Child.String())
 }
 
-// checkPositions validates that every $n reference in e is within arity.
-func checkPositions(e expr.Expr, arity int) error {
-	switch x := e.(type) {
-	case expr.ColIdx:
-		if x.Idx < 1 || x.Idx > arity {
-			return fmt.Errorf("$%d out of range (input has %d columns)", x.Idx, arity)
+// colName returns the name of the 1-based n-th column of schema: the one
+// place a SpinQL position becomes a column name.
+func colName(schema []string, n int) (string, error) {
+	if n < 1 || n > len(schema) {
+		return "", fmt.Errorf("$%d out of range (input has %d columns)", n, len(schema))
+	}
+	return schema[n-1], nil
+}
+
+// resolve returns e with every $n replaced by the column it names in
+// schema.
+func resolve(e expr.Expr, schema []string) (expr.Expr, error) {
+	return expr.Rewrite(e, func(x expr.Expr) (expr.Expr, error) {
+		c, ok := x.(expr.ColIdx)
+		if !ok {
+			return x, nil
 		}
-	case expr.Cmp:
-		if err := checkPositions(x.L, arity); err != nil {
-			return err
-		}
-		return checkPositions(x.R, arity)
-	case expr.And:
-		if err := checkPositions(x.L, arity); err != nil {
-			return err
-		}
-		return checkPositions(x.R, arity)
-	case expr.Or:
-		if err := checkPositions(x.L, arity); err != nil {
-			return err
-		}
-		return checkPositions(x.R, arity)
-	case expr.Not:
-		return checkPositions(x.E, arity)
-	case expr.Param:
-		// Parameter placeholders reference no columns; they are bound to
-		// literals before execution.
-		return nil
-	case expr.Arith:
-		if err := checkPositions(x.L, arity); err != nil {
-			return err
-		}
-		return checkPositions(x.R, arity)
-	case expr.Call:
-		for _, a := range x.Args {
-			if err := checkPositions(a, arity); err != nil {
-				return err
-			}
+		name, err := colName(schema, c.Idx)
+		return expr.Column(name), err
+	})
+}
+
+// checkNames refuses a schema that gives one name to two columns, naming
+// the column; op names the operator whose program text gave the names.
+func checkNames(op string, names []string) error {
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
+			return fmt.Errorf("pra: %s names column %q twice", op, n)
 		}
 	}
 	return nil
@@ -202,7 +202,8 @@ func NewProject(child Node, assumption Assumption, cols ...int) *Project {
 	return &Project{Child: child, Cols: cols, Assumption: assumption}
 }
 
-// Schema implements Node.
+// Schema implements Node: the kept columns' names, made unique by
+// relation.UniqueNames.
 func (p *Project) Schema() []string {
 	in := p.Child.Schema()
 	out := make([]string, len(p.Cols))
@@ -213,7 +214,7 @@ func (p *Project) Schema() []string {
 			out[i] = fmt.Sprintf("$%d", c)
 		}
 	}
-	return out
+	return relation.UniqueNames(out)
 }
 
 // Compile implements Node.
@@ -222,20 +223,14 @@ func (p *Project) Compile() (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	arity := len(p.Child.Schema())
-	names := p.Schema()
-	seen := map[string]int{}
+	in, names := p.Child.Schema(), p.Schema()
 	cols := make([]engine.ProjCol, len(p.Cols))
 	for i, c := range p.Cols {
-		if c < 1 || c > arity {
-			return nil, fmt.Errorf("pra: PROJECT $%d out of range (input has %d columns)", c, arity)
+		name, err := colName(in, c)
+		if err != nil {
+			return nil, fmt.Errorf("pra: PROJECT %w", err)
 		}
-		name := names[i]
-		seen[name]++
-		if seen[name] > 1 {
-			name = fmt.Sprintf("%s_%d", name, seen[name])
-		}
-		cols[i] = engine.ProjCol{Name: name, E: expr.ColumnAt(c)}
+		cols[i] = engine.ProjCol{Name: names[i], E: expr.Column(name)}
 	}
 	proj := engine.NewProject(child, cols...)
 	if p.Assumption == None {

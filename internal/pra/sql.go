@@ -108,7 +108,7 @@ func (e *emitter) emit(n Node) (*query, error) {
 			out.where = append(out.where, fmt.Sprintf("%s = %s", lq.cols[c.L-1], rq.cols[c.R-1]))
 		}
 		out.cols = append(append([]string{}, lq.cols...), rq.cols...)
-		out.names = joinNames(lq.names, rq.names)
+		out.names = x.Schema()
 		if x.Assumption == Max {
 			out.probExpr = lq.probExpr
 		} else {
@@ -121,13 +121,12 @@ func (e *emitter) emit(n Node) (*query, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := &query{from: q.from, where: q.where, probExpr: q.probExpr}
+		out := &query{from: q.from, where: q.where, probExpr: q.probExpr, names: x.Schema()}
 		for _, c := range x.Cols {
 			if c < 1 || c > len(q.cols) {
 				return nil, fmt.Errorf("pra: PROJECT $%d out of range", c)
 			}
 			out.cols = append(out.cols, q.cols[c-1])
-			out.names = append(out.names, q.names[c-1])
 		}
 		if x.Assumption == None {
 			return out, nil
@@ -240,23 +239,6 @@ func (e *emitter) opaque(sql string, names []string) *query {
 		q.names = append(q.names, n)
 	}
 	return q
-}
-
-func joinNames(l, r []string) []string {
-	out := make([]string, 0, len(l)+len(r))
-	seen := map[string]int{}
-	for _, n := range l {
-		seen[n]++
-		out = append(out, n)
-	}
-	for _, n := range r {
-		seen[n]++
-		if seen[n] > 1 {
-			n = fmt.Sprintf("%s_%d", n, seen[n])
-		}
-		out = append(out, n)
-	}
-	return out
 }
 
 func probAggSQL(a Assumption) string {

@@ -12,6 +12,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"irdb/internal/vector"
@@ -56,6 +57,24 @@ func FromColumns(cols []Column, prob []float64) (*Relation, error) {
 		seen[c.Name] = true
 	}
 	return &Relation{cols: cols, prob: prob}, nil
+}
+
+// UniqueNames returns names with each name that an earlier one already
+// took replaced by the first free one of name_2, name_3, …. It is the one
+// rule that names the output columns of joins and projections, so the
+// names a plan derives before it runs are the names its relations carry.
+func UniqueNames(names []string) []string {
+	out := make([]string, len(names))
+	taken := make(map[string]bool, len(names))
+	for i, n := range names {
+		name := n
+		for k := 2; taken[name]; k++ {
+			name = n + "_" + strconv.Itoa(k)
+		}
+		taken[name] = true
+		out[i] = name
+	}
+	return out
 }
 
 // MustFromColumns is FromColumns that panics on error, for literals in

@@ -1,13 +1,23 @@
 package spinql
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"irdb/internal/engine"
+	"irdb/internal/memory"
 )
 
 // FuzzParse drives the SpinQL lexer and parser with arbitrary inputs. The
-// invariants are crash-freedom and a basic parse/render round-trip: any
-// program that parses must render to text that parses again.
+// invariants are crash-freedom, a basic parse/render round-trip — any
+// program that parses must render to text that parses again — and sound
+// column naming: a program that parses and compiles runs, naive and
+// optimized, over a tiny store under a small query budget; a run that
+// succeeds returns exactly the columns its schema names, and no run fails
+// on a column the engine cannot find or a name it holds twice. A budget
+// denial is no finding.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// Queries from spinql_test.go, covering every statement form.
@@ -35,6 +45,10 @@ func FuzzParse(f *testing.F) {
 		"\"", "'", "“smart quotes”", "\x00", "\xff\xfe", "SELECT", "select [",
 		strings.Repeat("(", 500), strings.Repeat("a=", 200) + "b",
 		"-- comment only\n", "0.0.0.0", "1e309", ".5;",
+		// Joins whose inputs already carry suffixed names.
+		chainDefs + `GROUP [$8 ; count() as n] (y);`,
+		chainDefs + `SUBTRACT [] (y, y);`,
+		chainDefs + `PROJECT [$1,$1,$4] (x);`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -55,6 +69,25 @@ func FuzzParse(f *testing.F) {
 		rendered := result.String() + ";"
 		if _, err := Parse(rendered, NewEnvFrom(env)); err != nil {
 			t.Fatalf("round-trip failed:\n src: %q\nrendered: %q\n err: %v", src, rendered, err)
+		}
+		plan, err := result.Compile()
+		if err != nil {
+			return
+		}
+		ctx := storeCtx()
+		for _, p := range []engine.Node{plan, ctx.Optimize(plan)} {
+			res := memory.NewPool(0).Reserve(1 << 20)
+			rel, err := ctx.Exec(memory.WithReservation(context.Background(), res), p)
+			res.Release()
+			switch {
+			case errors.Is(err, memory.ErrBudgetExceeded):
+			case err != nil:
+				if msg := err.Error(); strings.Contains(msg, "no column") || strings.Contains(msg, "duplicate column name") {
+					t.Fatalf("column naming failed:\n src: %q\n err: %v\n%s", src, err, engine.Explain(p))
+				}
+			case strings.Join(rel.ColumnNames(), ",") != strings.Join(result.Schema(), ","):
+				t.Fatalf("columns %v, schema %v:\n src: %q\n%s", rel.ColumnNames(), result.Schema(), src, engine.Explain(p))
+			}
 		}
 	})
 }

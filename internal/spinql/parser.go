@@ -2,6 +2,7 @@ package spinql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,12 +29,13 @@ func (e *Env) Lookup(name string) (pra.Node, bool) {
 	return n, ok
 }
 
-// Names returns the defined names (unsorted).
+// Names returns the defined names, sorted.
 func (e *Env) Names() []string {
 	out := make([]string, 0, len(e.bases))
 	for n := range e.bases {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -224,8 +226,11 @@ func (p *parser) parseExpr() (pra.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if assumption == pra.None {
+		switch assumption {
+		case pra.None:
 			assumption = pra.Independent
+		case pra.Disjoint, pra.SumRaw:
+			return nil, p.errf("JOIN takes INDEPENDENT or MAX, not %s", assumption)
 		}
 		return pra.NewJoin(args[0], args[1], assumption, conds...), nil
 

@@ -39,6 +39,12 @@ func eval(c context.Context, src string, env *Env, ctx *engine.Ctx) (*relation.R
 
 func newStoreCtx(t *testing.T) (*Env, *engine.Ctx) {
 	t.Helper()
+	return TriplesEnv(), storeCtx()
+}
+
+// storeCtx loads the toy products: three with a category and a
+// description, two of them with a price.
+func storeCtx() *engine.Ctx {
 	cat := catalog.New(0)
 	s := triple.NewStore(cat)
 	s.Load([]triple.Triple{
@@ -51,7 +57,7 @@ func newStoreCtx(t *testing.T) (*Env, *engine.Ctx) {
 		{Subject: "p1", Property: "price", Obj: triple.Int(25)},
 		{Subject: "p2", Property: "price", Obj: triple.Int(5)},
 	})
-	return TriplesEnv(), engine.NewCtx(cat)
+	return engine.NewCtx(cat)
 }
 
 func TestPaperProgramEndToEnd(t *testing.T) {
