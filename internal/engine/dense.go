@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"irdb/internal/vector"
 )
@@ -194,8 +195,18 @@ func denseProbeKey(c context.Context, ctx *Ctx, key vector.Vector) (codes []int3
 }
 
 // probeDense appends the (probe, build) pairs of probe rows [lo, hi) to
-// pp and bp, in probe row order with build rows ascending.
+// pp and bp, in probe row order with build rows ascending. A first pass
+// counts the pairs from the slot offsets, so each list grows once, to
+// its exact size.
 func probeDense[K denseKey](c context.Context, d *denseIndex, keys []K, lo, hi int, pp, bp []int) ([]int, []int) {
+	n := 0
+	for i := lo; i < hi; i++ {
+		if i&0x1fff == 0x1fff && c.Err() != nil {
+			return pp, bp
+		}
+		n += len(d.lookup(uint64(keys[i])))
+	}
+	pp, bp = slices.Grow(pp, n), slices.Grow(bp, n)
 	for i := lo; i < hi; i++ {
 		if i&0x1fff == 0x1fff && c.Err() != nil {
 			break

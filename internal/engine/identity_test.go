@@ -42,6 +42,12 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 		NewHashJoin(t1, t1, k, k, JoinIndependent), NewHashJoin(t1, t2, j, k, JoinIndependent),
 		NewHashJoin(t1, t2, k, j, JoinIndependent), NewHashJoin(t1, t2, k, k, JoinLeft),
 		NewHashJoin(t1, t2, []string{"k", "j"}, []string{"k", "j"}, JoinIndependent), NewHashJoin(t1, t2, []string{"kj"}, []string{"kj"}, JoinIndependent),
+		newHashJoin(t1, t2, k, k, JoinIndependent, []JoinCol{{Col: "k", Name: "k"}}),
+		newHashJoin(t1, t2, k, k, JoinIndependent, []JoinCol{{Right: true, Col: "k", Name: "k"}}),
+		newHashJoin(t1, t2, k, k, JoinIndependent, []JoinCol{{Col: "k", Name: "k_2"}}),
+		newHashJoin(t1, t2, k, k, JoinIndependent, []JoinCol{{Col: "j", Name: "k"}}),
+		newHashJoin(t1, t2, k, k, JoinIndependent, []JoinCol{{Col: "k", Name: "k"}, {Right: true, Col: "k", Name: "k_2"}}),
+		newHashJoin(t1, t2, k, k, JoinIndependent, []JoinCol{{Right: true, Col: "k", Name: "k_2"}, {Col: "k", Name: "k"}}),
 		NewAggregate(t1, []string{"g"}, agg(Sum, "v", "s"), GroupCertain), NewAggregate(t2, []string{"g"}, agg(Sum, "v", "s"), GroupCertain),
 		NewAggregate(t1, []string{"h"}, agg(Sum, "v", "s"), GroupCertain), NewAggregate(t1, []string{"g"}, agg(Max, "v", "s"), GroupCertain),
 		NewAggregate(t1, []string{"g"}, agg(Sum, "w", "s"), GroupCertain), NewAggregate(t1, []string{"g"}, agg(Sum, "v", "t"), GroupCertain),
@@ -91,6 +97,10 @@ func TestDigestCoversEveryParameter(t *testing.T) {
 	}
 	if NewMaterialize(NewSelect(t1, p)).Fingerprint() != NewSelect(t1, p).Fingerprint() {
 		t.Error("Materialize's digest differs from its child's")
+	}
+	// An empty output list means all columns, as nil does.
+	if newHashJoin(t1, t2, k, k, JoinLeft, []JoinCol{}).Fingerprint() != NewHashJoin(t1, t2, k, k, JoinLeft).Fingerprint() {
+		t.Error("an empty join output list changed the digest")
 	}
 }
 

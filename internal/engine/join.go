@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"strings"
 
 	"irdb/internal/relation"
@@ -36,31 +37,82 @@ func (m JoinProb) String() string {
 
 // HashJoin is an inner equi-join on pairwise equality of the named key
 // columns. The build side is the right input; the probe side the left.
-// Output columns are all left columns followed by all right columns,
-// named by relation.UniqueNames: a right name the left side already took
-// becomes name_2, name_3, …, the same names the optimizer and PRA derive
-// before the plan runs.
+//
+// Out lists the output columns. nil means all: every left column, then
+// every right column, named by relation.UniqueNames — a right name the
+// left side already took becomes name_2, name_3, …, the same names the
+// optimizer and PRA derive before the plan runs. The prune pass sets Out
+// to the columns the join's consumer reads (late materialization: the
+// join gathers only those, and reads both inputs' probabilities through
+// its pair lists). A set list keeps the names the unpruned join gave its
+// columns, so narrowing an input never renames a column above the join.
 type HashJoin struct {
 	ident
 	L, R  Node
 	LKeys []string
 	RKeys []string
 	PMode JoinProb
+	Out   []JoinCol
 
 	// auxKey keys the build side's index in the aux cache: the build
 	// side's digest and its key columns.
 	auxKey string
 }
 
-// NewHashJoin joins l and r on pairwise equality of the named key columns.
+// JoinCol is one output column of a HashJoin: input column Col of the
+// right side when Right, of the left side otherwise, named Name.
+type JoinCol struct {
+	Right bool
+	Col   string
+	Name  string
+}
+
+// NewHashJoin joins l and r on pairwise equality of the named key
+// columns, keeping every column of both.
 func NewHashJoin(l, r Node, lkeys, rkeys []string, mode JoinProb) *HashJoin {
+	return newHashJoin(l, r, lkeys, rkeys, mode, nil)
+}
+
+// newHashJoin is NewHashJoin with the output list out; an empty list
+// means all columns. A set list enters the digest, so a join without one
+// keeps the digest it always had.
+func newHashJoin(l, r Node, lkeys, rkeys []string, mode JoinProb, out []JoinCol) *HashJoin {
 	h := newHasher("join")
 	h.int(int(mode))
 	h.strs(lkeys)
 	h.strs(rkeys)
-	j := &HashJoin{ident: h.finish(l, r), L: l, R: r, LKeys: lkeys, RKeys: rkeys, PMode: mode}
+	if len(out) == 0 {
+		out = nil
+	} else {
+		h.byte('o')
+		h.int(len(out))
+		for _, oc := range out {
+			h.bool(oc.Right)
+			h.str(oc.Col)
+			h.str(oc.Name)
+		}
+	}
+	j := &HashJoin{ident: h.finish(l, r), L: l, R: r, LKeys: lkeys, RKeys: rkeys, PMode: mode, Out: out}
 	j.auxKey = "hashidx|" + r.Fingerprint() + "|" + strings.Join(rkeys, "|")
 	return j
+}
+
+// outCols returns the join's output list over inputs with column names l
+// and r: Out when set, otherwise every column of both.
+func (j *HashJoin) outCols(l, r []string) []JoinCol {
+	if j.Out != nil {
+		return j.Out
+	}
+	names := relation.UniqueNames(slices.Concat(l, r))
+	var out []JoinCol
+	for i, name := range names {
+		if i < len(l) {
+			out = append(out, JoinCol{Col: l[i], Name: name})
+		} else {
+			out = append(out, JoinCol{Right: true, Col: r[i-len(l)], Name: name})
+		}
+	}
+	return out
 }
 
 // Execute implements Node.
@@ -96,45 +148,63 @@ func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	return j.joinPairs(c, ctx, left, right, lSel, rSel)
 }
 
-// joinPairs gathers the matched (left, right) row pairs into the join's
-// output and recombines their probabilities per PMode.
+// joinPairs gathers the output columns at the matched (left, right) row
+// pairs and recombines their probabilities per PMode. It copies only the
+// listed columns, and reads both inputs' probabilities through the pair
+// lists instead of gathering them.
 func (j *HashJoin) joinPairs(c context.Context, ctx *Ctx, left, right *relation.Relation, lSel, rSel []int) (*relation.Relation, error) {
-	// Budget the output probability column as soon as the pair count is
-	// known (the gathered columns charge themselves in gatherParallel).
-	if err := ctx.charge(c, int64(len(lSel))*8); err != nil {
+	out := j.outCols(left.ColumnNames(), right.ColumnNames())
+	if len(out) == 0 {
+		return nil, fmt.Errorf("join produced zero columns")
+	}
+	side := func(oc JoinCol) (*relation.Relation, []int) {
+		if oc.Right {
+			return right, rSel
+		}
+		return left, lSel
+	}
+	// Budget the output before any of it is allocated: the probability
+	// column plus each kept column's width, per pair.
+	perRow := int64(8)
+	for _, oc := range out {
+		in, _ := side(oc)
+		k := in.ColIndex(oc.Col)
+		if k < 0 {
+			return nil, fmt.Errorf("join output %s: no column %q (have %s)", oc.Name, oc.Col, strings.Join(in.ColumnNames(), ", "))
+		}
+		perRow += in.ApproxColBytes(k)
+	}
+	n := len(lSel)
+	if err := ctx.charge(c, perRow*int64(n)); err != nil {
 		return nil, err
 	}
-
-	lOut, err := gatherParallel(c, ctx, left, lSel)
-	if err != nil {
-		return nil, err
+	cols := make([]relation.Column, len(out))
+	srcs := make([]vector.Vector, len(out))
+	for i, oc := range out {
+		in, _ := side(oc)
+		srcs[i] = in.Col(in.ColIndex(oc.Col)).Vec
+		cols[i] = relation.Column{Name: oc.Name, Vec: srcs[i].NewSized(n)}
 	}
-	rOut, err := gatherParallel(c, ctx, right, rSel)
-	if err != nil {
-		return nil, err
-	}
-	names := joinNames(lOut.ColumnNames(), rOut.ColumnNames())
-	cols := append(append([]relation.Column(nil), lOut.Columns()...), rOut.Columns()...)
-	for i := range cols {
-		cols[i].Name = names[i]
-	}
-	// Probability recombination is embarrassingly parallel: every output
-	// row writes only its own slot.
-	lp, rp := lOut.Prob(), rOut.Prob()
-	prob := make([]float64, len(lSel))
-	ctx.parallelRanges(c, len(prob), func(lo, hi int) {
+	// Every output row writes only its own slots, so morsels fill
+	// disjoint ranges of the pre-sized columns.
+	lp, rp := left.Prob(), right.Prob()
+	prob := make([]float64, n)
+	ctx.parallelRanges(c, n, func(lo, hi int) {
+		for i, oc := range out {
+			_, sel := side(oc)
+			srcs[i].GatherRangeInto(cols[i].Vec, sel, lo, hi, 0)
+		}
 		switch j.PMode {
 		case JoinIndependent:
 			for i := lo; i < hi; i++ {
-				prob[i] = lp[i] * rp[i]
+				prob[i] = lp[lSel[i]] * rp[rSel[i]]
 			}
 		case JoinLeft:
-			copy(prob[lo:hi], lp[lo:hi])
+			for i := lo; i < hi; i++ {
+				prob[i] = lp[lSel[i]]
+			}
 		}
 	})
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("join produced zero columns")
-	}
 	return relation.FromColumns(cols, prob)
 }
 
@@ -201,12 +271,12 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 
 	// Probe in parallel: each morsel of probe rows collects its matches
 	// into its own pair lists, merged in morsel order below — the same
-	// output order the serial loop produces. Many-to-one joins (foreign
-	// key → dictionary) are the common case; start with one output row per
-	// probe row.
-	// The per-morsel pair lists start at one slot per probe row and are
-	// all retained until the merge below; budget that floor before any
-	// worker allocates (16 bytes per probe row across the two lists).
+	// output order the serial loop produces. A dense index counts each
+	// morsel's pairs before it appends (probeDense); a hashed probe starts
+	// with one slot per probe row, since many-to-one joins (foreign key →
+	// dictionary) are the common case. The per-morsel lists are all
+	// retained until the merge below; budget one slot per probe row before
+	// any worker allocates (16 bytes per probe row across the two lists).
 	if err := ctx.charge(c, int64(probeRows)*16); err != nil {
 		return nil, nil, err
 	}
@@ -214,7 +284,11 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 	pParts := make([][]int, len(ranges))
 	bParts := make([][]int, len(ranges))
 	ctx.runRanges(c, ranges, func(m, lo, hi int) {
-		pParts[m], bParts[m] = probe(lo, hi, make([]int, 0, hi-lo), make([]int, 0, hi-lo))
+		var pp, bp []int
+		if idx.dense == nil {
+			pp, bp = make([]int, 0, hi-lo), make([]int, 0, hi-lo)
+		}
+		pParts[m], bParts[m] = probe(lo, hi, pp, bp)
 	})
 	if err := c.Err(); err != nil {
 		return nil, nil, err
@@ -245,9 +319,32 @@ func probePairs(c context.Context, ctx *Ctx, idx *joinIndex, probeVecs, buildVec
 // Children implements Node.
 func (j *HashJoin) Children() []Node { return []Node{j.L, j.R} }
 
-// Label implements Node.
+// Label implements Node. A set output list is shown as its source
+// columns, l. or r. by side, each with " as name" where the join renames
+// it.
 func (j *HashJoin) Label() string {
-	return fmt.Sprintf("HashJoin[%s] %s=%s", j.PMode, strings.Join(j.LKeys, "|"), strings.Join(j.RKeys, "|"))
+	var b strings.Builder
+	fmt.Fprintf(&b, "HashJoin[%s] %s=%s", j.PMode, strings.Join(j.LKeys, "|"), strings.Join(j.RKeys, "|"))
+	if j.Out == nil {
+		return b.String()
+	}
+	b.WriteString(" out(")
+	for i, oc := range j.Out {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if oc.Right {
+			b.WriteString("r.")
+		} else {
+			b.WriteString("l.")
+		}
+		b.WriteString(oc.Col)
+		if oc.Name != oc.Col {
+			b.WriteString(" as " + oc.Name)
+		}
+	}
+	b.WriteString(")")
+	return b.String()
 }
 
 // joinIndex is a reusable index over the build side of an equi-join.

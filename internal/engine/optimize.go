@@ -25,8 +25,8 @@ import (
 //     drop always-true selections.
 //  3. prunePass — insert pass-through projections so operators only
 //     materialize columns referenced downstream (scans narrow before
-//     gathers, join inputs narrow before the pair gather, materialized
-//     cache entries shrink).
+//     gathers, joins gather only the columns read above them,
+//     materialized cache entries shrink).
 //
 // Every rewrite preserves bit-identical results for valid plans at any
 // parallelism level — values, probabilities AND row order — because the
@@ -285,16 +285,11 @@ func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo)
 	if !lok || !rok || !uniqueNames(lSchema) || !uniqueNames(rSchema) {
 		return s
 	}
-	leftHas := map[string]bool{}
-	for _, n := range lSchema {
-		leftHas[n] = true
-	}
-	// Reconstruct the dedup renaming HashJoin applies to clashing right
-	// names: output name → original right name.
-	rightBack := map[string]string{}
-	outNames := joinNames(lSchema, rSchema)
-	for i, orig := range rSchema {
-		rightBack[outNames[len(lSchema)+i]] = orig
+	// Each output name's side and input column: the join's output list,
+	// which also carries the dedup renaming of clashing right names.
+	origin := map[string]JoinCol{}
+	for _, oc := range j.outCols(lSchema, rSchema) {
+		origin[oc.Name] = oc
 	}
 
 	var lPush, rPush, keep []expr.Expr
@@ -308,24 +303,19 @@ func pushSelectJoin(cat *catalog.Catalog, s *Select, j *HashJoin, info *OptInfo)
 			continue
 		}
 		left, right := true, true
+		m := map[string]string{}
 		for _, col := range refs.Cols {
-			if !leftHas[col] {
-				left = false
-			}
-			if _, fromRight := rightBack[col]; !fromRight {
-				right = false
+			oc, ok := origin[col]
+			left = left && ok && !oc.Right
+			right = right && ok && oc.Right
+			if ok && oc.Col != col {
+				m[col] = oc.Col
 			}
 		}
 		switch {
 		case left:
-			lPush = append(lPush, cj)
+			lPush = append(lPush, expr.RenameCols(cj, m))
 		case right:
-			m := map[string]string{}
-			for _, col := range refs.Cols {
-				if rightBack[col] != col {
-					m[col] = rightBack[col]
-				}
-			}
 			rPush = append(rPush, expr.RenameCols(cj, m))
 		default:
 			keep = append(keep, cj)
@@ -723,87 +713,45 @@ func pruneBranches(cat *catalog.Catalog, l, r Node, needs needSet, info *OptInfo
 	return pruneConsumer(cat, l, needOf(lKeep...), info), pruneConsumer(cat, r, needOf(rKeep...), info)
 }
 
-// pruneJoin narrows both join inputs to downstream-referenced columns
-// plus the join keys, re-deriving the dedup renaming afterwards: a needed
-// output column must resolve to the same origin column before and after
-// the prune, otherwise the join is left untouched (dropping a left column
-// can un-rename a clashing right column).
+// pruneJoin narrows a join's output list to the columns its consumer
+// reads, and its inputs to those columns plus the join keys. The list
+// keeps the names the unpruned join gave its columns, so the inputs
+// narrow freely: dropping a left column cannot un-rename a clashing
+// right one. A Materialize build side is left unwrapped, since the aux
+// cache keeps the join index only for a materialized build side; the
+// join gathers only the listed columns from it anyway.
 func pruneJoin(cat *catalog.Catalog, j *HashJoin, needs needSet, info *OptInfo) Node {
-	rebuildAll := func() Node {
-		return withChildren(j, pruneNode(cat, j.L, nil, info), pruneNode(cat, j.R, nil, info))
-	}
-	if needs == nil {
-		return rebuildAll()
-	}
 	lSchema, lok := staticSchema(cat, j.L)
 	rSchema, rok := staticSchema(cat, j.R)
-	if !lok || !rok || !uniqueNames(lSchema) || !uniqueNames(rSchema) {
-		return rebuildAll()
+	if needs == nil || !lok || !rok || !uniqueNames(lSchema) || !uniqueNames(rSchema) {
+		return withChildren(j, pruneNode(cat, j.L, nil, info), pruneNode(cat, j.R, nil, info))
 	}
-	outBefore := joinNames(lSchema, rSchema)
-	leftHas := map[string]bool{}
-	for _, n := range lSchema {
-		leftHas[n] = true
-	}
-	lNeed := needOf(j.LKeys...)
-	rNeed := needOf(j.RKeys...)
-	for i, out := range outBefore {
-		if !needs[out] {
-			continue
+	all := j.outCols(lSchema, rSchema)
+	var keep []JoinCol
+	for _, oc := range all {
+		if needs[oc.Name] {
+			keep = append(keep, oc)
 		}
-		if i < len(lSchema) {
-			lNeed[lSchema[i]] = true
+	}
+	// A zero-column relation cannot carry row counts; keep one.
+	if len(keep) == 0 {
+		keep = all[:min(1, len(all))]
+	}
+	lNeed, rNeed := needOf(j.LKeys...), needOf(j.RKeys...)
+	for _, oc := range keep {
+		if oc.Right {
+			rNeed[oc.Col] = true
 		} else {
-			rNeed[rSchema[i-len(lSchema)]] = true
+			lNeed[oc.Col] = true
 		}
 	}
-	l := pruneConsumer(cat, j.L, lNeed, info)
-	r := pruneConsumer(cat, j.R, rNeed, info)
-	if l == j.L && r == j.R {
-		return j
+	l, r := pruneConsumer(cat, j.L, lNeed, info), j.R
+	if !isMaterialize(j.R) {
+		r = pruneConsumer(cat, j.R, rNeed, info)
 	}
-	// Stability recheck: every needed output name must keep its name and
-	// origin under the narrowed schemas.
-	lAfter, laok := staticSchema(cat, l)
-	rAfter, raok := staticSchema(cat, r)
-	if !laok || !raok || !stableJoinNames(needs, lSchema, rSchema, lAfter, rAfter) {
-		return rebuildAll()
+	if len(keep) == len(all) {
+		return withChildren(j, l, r)
 	}
-	return withChildren(j, l, r)
-}
-
-// stableJoinNames verifies that for every needed output column, the
-// (side, origin column) it resolves to is unchanged between the original
-// and pruned input schemas.
-func stableJoinNames(needs needSet, lBefore, rBefore, lAfter, rAfter []string) bool {
-	type origin struct {
-		left bool
-		name string
-	}
-	resolve := func(l, r []string) map[string]origin {
-		out := joinNames(l, r)
-		m := make(map[string]origin, len(out))
-		for i, name := range out {
-			if i < len(l) {
-				m[name] = origin{left: true, name: l[i]}
-			} else {
-				m[name] = origin{left: false, name: r[i-len(l)]}
-			}
-		}
-		return m
-	}
-	before := resolve(lBefore, rBefore)
-	after := resolve(lAfter, rAfter)
-	//lint:allow mapiterorder all-quantified membership check; the boolean result is order-independent
-	for name := range needs {
-		b, inBefore := before[name]
-		if !inBefore {
-			continue
-		}
-		a, inAfter := after[name]
-		if !inAfter || a != b {
-			return false
-		}
-	}
-	return true
+	info.ColumnsPruned += len(all) - len(keep)
+	return newHashJoin(l, r, j.LKeys, j.RKeys, j.PMode, keep)
 }

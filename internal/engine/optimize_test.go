@@ -74,6 +74,29 @@ func TestPushdownPassGolden(t *testing.T) {
 		}
 	})
 
+	t.Run("join-output-list", func(t *testing.T) {
+		// A join with an output list resolves names through it: object_2
+		// is the right side's object, renamed back below the join, though
+		// over these narrowed inputs the name would not arise.
+		l := NewProject(NewScan("triples"), ByName("subject")...)
+		r := NewProject(NewScan("triples"), ByName("subject", "object")...)
+		j := newHashJoin(l, r, []string{"subject"}, []string{"subject"},
+			JoinIndependent, []JoinCol{{Col: "subject", Name: "subject"}, {Right: true, Col: "object", Name: "object_2"}})
+		plan := NewSelect(j, and(eq("subject", "p1"), eq("object_2", "toy")))
+		got, info := runPass(t, pushdownPass, cat, plan)
+		wantExplain(t, "join-out", got,
+			"HashJoin[independent] subject=subject out(l.subject, r.object as object_2)\n"+
+				"  Select (subject = \"p1\")\n"+
+				"    Project subject\n"+
+				"      Scan triples\n"+
+				"  Select (object = \"toy\")\n"+
+				"    Project subject, object\n"+
+				"      Scan triples\n")
+		if info.SelectsPushed != 2 {
+			t.Errorf("SelectsPushed = %d, want 2", info.SelectsPushed)
+		}
+	})
+
 	t.Run("join-prob-stays", func(t *testing.T) {
 		// PROB() depends on the join's probability recombination; the
 		// conjunct must stay above while the pushable one moves.
@@ -239,7 +262,8 @@ func TestPrunePassGolden(t *testing.T) {
 
 	t.Run("join-inputs-narrow-through-projects", func(t *testing.T) {
 		// Only subject and property survive the projection above the
-		// join; the right side needs nothing beyond its key.
+		// join, so the join outputs only them; the right side needs
+		// nothing beyond its key.
 		j := NewHashJoin(NewScan("triples"), NewScan("triples"),
 			[]string{"subject"}, []string{"subject"}, JoinLeft)
 		plan := NewProject(j,
@@ -248,7 +272,7 @@ func TestPrunePassGolden(t *testing.T) {
 		got, _ := runPass(t, prunePass, cat, plan)
 		wantExplain(t, "join-prune", got,
 			"Project subject, property\n"+
-				"  HashJoin[left] subject=subject\n"+
+				"  HashJoin[left] subject=subject out(l.subject, l.property)\n"+
 				"    Project subject, property\n"+
 				"      Scan triples\n"+
 				"    Project subject\n"+

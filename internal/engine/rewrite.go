@@ -60,7 +60,7 @@ func rebuild(n Node, kids []Node) Node {
 	case *Project:
 		return NewProject(kids[0], x.Cols...)
 	case *HashJoin:
-		return NewHashJoin(kids[0], kids[1], x.LKeys, x.RKeys, x.PMode)
+		return newHashJoin(kids[0], kids[1], x.LKeys, x.RKeys, x.PMode, x.Out)
 	case *Union:
 		return NewUnion(kids[0], kids[1])
 	case *Subtract:

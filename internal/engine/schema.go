@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"slices"
-
-	"irdb/internal/catalog"
-	"irdb/internal/relation"
-)
+import "irdb/internal/catalog"
 
 // Static schema resolution for the optimizer (optimize.go). The engine has
 // no compile-time type system — operators discover their input schemas at
@@ -94,12 +89,20 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 	case *Tokenize:
 		return []string{x.IDCol, "token", "pos"}, true
 	case *HashJoin:
-		l, lok := staticSchema(cat, x.L)
-		r, rok := staticSchema(cat, x.R)
-		if !lok || !rok {
-			return nil, false
+		var l, r []string
+		if x.Out == nil {
+			var lok, rok bool
+			l, lok = staticSchema(cat, x.L)
+			r, rok = staticSchema(cat, x.R)
+			if !lok || !rok {
+				return nil, false
+			}
 		}
-		return joinNames(l, r), true
+		var names []string
+		for _, oc := range x.outCols(l, r) {
+			names = append(names, oc.Name)
+		}
+		return names, true
 	case *Union:
 		return staticSchema(cat, x.L)
 	case *Subtract:
@@ -113,13 +116,6 @@ func staticSchema(cat *catalog.Catalog, n Node) ([]string, bool) {
 		return out, true
 	}
 	return nil, false
-}
-
-// joinNames names a HashJoin's output columns from its inputs' column
-// names l and r, both when the join runs and when the optimizer derives
-// its schema.
-func joinNames(l, r []string) []string {
-	return relation.UniqueNames(slices.Concat(l, r))
 }
 
 // uniqueNames reports whether a schema has no duplicate column names —

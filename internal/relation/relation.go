@@ -243,36 +243,39 @@ func (r *Relation) EstimatedBytesExcluding(pinned map[*vector.FrozenDict]bool) i
 	return n
 }
 
-// approxSampleRows bounds the prefix ApproxRowBytes inspects per column.
+// approxSampleRows bounds the prefix ApproxColBytes inspects.
 const approxSampleRows = 256
 
 // ApproxRowBytes estimates the marginal heap footprint of one
 // materialized row — every column plus the probability slot — for
 // memory-budget sizing of gathers and concats. Unlike EstimatedBytes it
-// is O(columns), not O(rows): plain string columns are estimated from a
-// bounded prefix sample instead of walking every payload, and
-// dict-encoded columns count only their codes (gathers share the frozen
-// dict, they never copy it).
+// is O(columns), not O(rows): see ApproxColBytes.
 func (r *Relation) ApproxRowBytes() int64 {
 	var per int64 = 8 // probability column
-	for _, c := range r.cols {
-		if _, ok := c.Vec.(*vector.DictStrings); ok {
-			per += 4
-			continue
-		}
-		v := c.Vec
-		n := v.Len()
-		if n == 0 {
-			per += 8
-			continue
-		}
-		if n > approxSampleRows {
-			v = v.Slice(0, approxSampleRows)
-			n = approxSampleRows
-		}
-		per += v.EstimatedBytes() / int64(n)
+	for i := range r.cols {
+		per += r.ApproxColBytes(i)
 	}
 	return per
+}
+
+// ApproxColBytes is column i's share of ApproxRowBytes: plain string
+// columns are estimated from a bounded prefix sample instead of walking
+// every payload, and dict-encoded columns count only their codes
+// (gathers share the frozen dict, they never copy it).
+func (r *Relation) ApproxColBytes(i int) int64 {
+	v := r.cols[i].Vec
+	if _, ok := v.(*vector.DictStrings); ok {
+		return 4
+	}
+	n := v.Len()
+	if n == 0 {
+		return 8
+	}
+	if n > approxSampleRows {
+		v = v.Slice(0, approxSampleRows)
+		n = approxSampleRows
+	}
+	return v.EstimatedBytes() / int64(n)
 }
 
 // Slice returns a view of rows [lo, hi) sharing this relation's column
