@@ -28,20 +28,34 @@ import (
 const benchSeed = 42
 
 // docsRelation loads generated docs into the (docID, data) relation the
-// relational searcher scans. The data column stays plain strings: every
-// payload is unique, so dictionary encoding would buy no dedup.
-func docsRelation(docs []workload.Doc) *relation.Relation {
+// relational searcher scans, keyed by Int64 IDs or, with stringIDs, by
+// their stringDocID (the shape DB.LoadDocs stores). Both columns stay
+// plain strings: every payload is unique, so dictionary encoding would
+// buy no dedup.
+func docsRelation(docs []workload.Doc, stringIDs bool) *relation.Relation {
 	ids := make([]int64, len(docs))
 	data := make([]string, len(docs))
 	for i, d := range docs {
 		ids[i] = d.ID
 		data[i] = d.Data
 	}
+	var id vector.Vector = vector.FromInt64s(ids)
+	if stringIDs {
+		strs := make([]string, len(docs))
+		for i, d := range docs {
+			strs[i] = stringDocID(d.ID)
+		}
+		id = vector.FromStrings(strs)
+	}
 	return relation.MustFromColumns([]relation.Column{
-		{Name: "docID", Vec: vector.FromInt64s(ids)},
+		{Name: "docID", Vec: id},
 		{Name: "data", Vec: vector.FromStrings(data)},
 	}, nil)
 }
+
+// stringDocID is a generated document's string key, zero-padded so that
+// string order is ID order.
+func stringDocID(id int64) string { return fmt.Sprintf("d%06d", id) }
 
 // Keyword-search benchmarks (E1, E5, E6) run over docs of ~80 tokens from
 // a docVocab-word vocabulary, and the strategy benchmarks (E4, E7) over
@@ -59,11 +73,11 @@ func auctionSynonyms() text.SynonymDict {
 	return text.SynonymDict(workload.Synonyms(auctionVocab, 200, 2, benchSeed))
 }
 
-func newSearcher(b *testing.B, nDocs int) (*ir.Searcher, []string) {
+func newSearcher(b *testing.B, nDocs int, stringIDs bool) (*ir.Searcher, []string) {
 	b.Helper()
 	docs := workload.GenDocs(nDocs, 80, docVocab, benchSeed)
 	cat := catalog.New(0)
-	cat.Put("docs", docsRelation(docs))
+	cat.Put("docs", docsRelation(docs, stringIDs))
 	ctx := engine.NewCtx(cat)
 	s, err := ir.NewSearcher(ctx, engine.NewScan("docs"), ir.DefaultParams())
 	if err != nil {
@@ -80,11 +94,19 @@ func newSearcher(b *testing.B, nDocs int) (*ir.Searcher, []string) {
 }
 
 // BenchmarkE1KeywordSearchHot is the paper's headline: hot 3-term BM25
-// queries via relational plans (section 2.1, "20ms hot").
+// queries via relational plans (section 2.1, "20ms hot"). The ids=string
+// case keys the documents by string, as DB.SearchDocs does.
 func BenchmarkE1KeywordSearchHot(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
-			s, queries := newSearcher(b, n)
+	for _, tc := range []struct {
+		n         int
+		stringIDs bool
+	}{{2000, false}, {10000, false}, {10000, true}} {
+		name := fmt.Sprintf("docs=%d", tc.n)
+		if tc.stringIDs {
+			name += "/ids=string"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, queries := newSearcher(b, tc.n, tc.stringIDs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Search(context.Background(), queries[i%len(queries)], 10); err != nil {
@@ -102,7 +124,7 @@ func BenchmarkE1IndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cat := catalog.New(0)
-		cat.Put("docs", docsRelation(docs))
+		cat.Put("docs", docsRelation(docs, false))
 		ctx := engine.NewCtx(cat)
 		s, err := ir.NewSearcher(ctx, engine.NewScan("docs"), ir.DefaultParams())
 		if err != nil {
@@ -297,7 +319,7 @@ func BenchmarkE4AuctionStrategyHot(b *testing.B) {
 func BenchmarkE5SharedRebuild(b *testing.B) {
 	docs := workload.GenDocs(2000, 80, docVocab, benchSeed)
 	cat := catalog.New(0)
-	cat.Put("docs", docsRelation(docs))
+	cat.Put("docs", docsRelation(docs, false))
 	ctx := engine.NewCtx(cat)
 	first, err := ir.NewSearcher(ctx, engine.NewScan("docs"), ir.DefaultParams())
 	if err != nil {
@@ -321,7 +343,7 @@ func BenchmarkE5SharedRebuild(b *testing.B) {
 // BenchmarkE6 compares the relational pipeline against the dedicated
 // inverted-index engine on identical hot queries.
 func BenchmarkE6RelationalHot(b *testing.B) {
-	s, queries := newSearcher(b, 5000)
+	s, queries := newSearcher(b, 5000, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Search(context.Background(), queries[i%len(queries)], 10); err != nil {

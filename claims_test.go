@@ -161,7 +161,6 @@ var testOnlyAllowed = map[string]string{
 	"ir.Searcher.BuildIndex":      "BenchmarkE1IndexBuild and BenchmarkE5SharedRebuild measure it (CLAIMS.md E1, E5)",
 	"lint/analysistest.Run":       "the analyzers' test harness: each analyzer's tests run it over their testdata",
 	"relation.EncodeStringCols":   "builds the dict-encoded inputs of the encoded-equals-raw suites in other packages",
-	"vector.EncodeStrings":        "builds the dict-encoded inputs of the encoded-equals-raw suites in other packages",
 }
 
 // TestNoTestOnlyInternalAPI keeps code that only tests call from piling up

@@ -13,7 +13,7 @@ import (
 // attached to its context (memory.WithReservation); operators charge
 // estimated allocation sizes at their sizing sites — gather outputs,
 // concat prefix sums, hash-join build tables, sort runs, aggregation
-// accumulators — *before* allocating. A denied charge surfaces as
+// accumulators, tokenizer output — *before* allocating. A denied charge surfaces as
 // ErrBudgetExceeded through the ordinary operator error path: charges
 // happen on the coordinating goroutine before morsels fan out, so the
 // abort needs no extra draining beyond what any operator error gets,

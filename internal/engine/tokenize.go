@@ -19,6 +19,12 @@ import (
 // WithCompounds additionally emits joined adjacent-pair tokens so
 // compound query terms can match (used by the production strategy of
 // section 3).
+//
+// Both string columns of the output are dictionary-encoded: the token
+// column always, and the id column when the input's is a plain string
+// column (dict-encoded and integer ids are copied as they are). The
+// index views built from this output then carry int32 codes, and every
+// grouping and join on docID or term runs on them.
 type Tokenize struct {
 	ident
 	Child         Node
@@ -39,6 +45,15 @@ func NewTokenize(child Node, idCol, dataCol string, tok text.Tokenizer, withComp
 	return &Tokenize{ident: h.finish(child), Child: child, IDCol: idCol, DataCol: dataCol, Tok: tok, WithCompounds: withCompounds}
 }
 
+// tokenizeChunkRows is how many input rows Tokenize tokenizes between
+// cancellation checks.
+const tokenizeChunkRows = 8 << 10
+
+// dictEntryBytes is the charge per presized entry of a vector.Dict: its
+// lookup-map slot (as FrozenDict.EstimatedBytes counts it) plus the
+// string header of its code-order slice.
+const dictEntryBytes = 48 + 16
+
 // Execute implements Node.
 func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
 	in, err := ctx.Exec(c, t.Child)
@@ -57,27 +72,54 @@ func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	if !ok {
 		return nil, fmt.Errorf("tokenize: data column %q is %v, want string", t.DataCol, dataCol.Vec.Kind())
 	}
+	n := data.Len()
 
-	// Tokens repeat massively (Zipf), so the token column is interned into
-	// a dictionary as it is produced and emitted dict-encoded: every
-	// downstream lcase/stem runs once per distinct token and every hash,
-	// group and join over terms operates on int32 codes.
-	ids := idCol.Vec.New(0)
-	dict := vector.NewDict(min(data.Len(), 1024))
+	// A plain string id column is interned up front, each input row's id
+	// once, and its codes are copied per token. Tokens repeat massively
+	// (Zipf), so they are interned as they are produced, and every
+	// downstream lcase/stem runs once per distinct token.
+	idVec := idCol.Vec
+	raw, encodeIDs := idVec.(*vector.Strings)
+	dictBytes, idBytes := int64(min(n, 1024))*dictEntryBytes, int64(4)
+	if encodeIDs {
+		dictBytes += int64(n) * (dictEntryBytes + 4) // an entry and a code per input row
+	} else {
+		idBytes = in.ApproxColBytes(in.ColIndex(t.IDCol))
+	}
+	if err := ctx.charge(c, dictBytes); err != nil {
+		return nil, err
+	}
+	if encodeIDs {
+		idVec = vector.EncodeStrings(raw)
+	}
+	ids := idVec.New(0)
+	dict := vector.NewDict(min(n, 1024))
 	var codes []int32
 	positions := vector.NewInt64s(0)
 	var prob []float64
 	inProb := in.Prob()
-	for row := 0; row < data.Len(); row++ {
-		toks := t.Tok.TokensPos(data.StringAt(row))
-		if t.WithCompounds {
-			toks = text.CompoundVariants(toks)
+	// Each row's output is charged as soon as the row is tokenized, before
+	// it is appended: counting a whole chunk first would hold the chunk's
+	// tokens at once.
+	rowBytes := idBytes + 4 + 8 + 8 // id, token code, position, probability
+	for lo := 0; lo < n; lo += tokenizeChunkRows {
+		if err := c.Err(); err != nil {
+			return nil, err
 		}
-		for _, tok := range toks {
-			ids.AppendFrom(idCol.Vec, row)
-			codes = append(codes, int32(dict.Put(tok.Term)))
-			positions.Append(int64(tok.Pos))
-			prob = append(prob, inProb[row])
+		for row := lo; row < min(lo+tokenizeChunkRows, n); row++ {
+			toks := t.Tok.TokensPos(data.StringAt(row))
+			if t.WithCompounds {
+				toks = text.CompoundVariants(toks)
+			}
+			if err := ctx.charge(c, int64(len(toks))*rowBytes); err != nil {
+				return nil, err
+			}
+			for _, tok := range toks {
+				ids.AppendFrom(idVec, row)
+				codes = append(codes, int32(dict.Put(tok.Term)))
+				positions.Append(int64(tok.Pos))
+				prob = append(prob, inProb[row])
+			}
 		}
 	}
 	cols := []relation.Column{

@@ -8,11 +8,12 @@
 //
 // The mechanical rule: inside irdb/internal/engine, a `make` of a slice
 // or map with a non-constant length, or a call to the pre-sized
-// constructors (vector.NewSized*, relation/Relation NewSizedLike), must
-// appear lexically after a budget charge (ctx.charge, ctx.chargeRel, or
-// memory.Charge) within the same top-level function — or the function
-// must be *caller-covered*: every call site in the package either sits
-// after a charge in its own function or is itself caller-covered. The
+// constructors (vector.NewSized*, relation/Relation NewSizedLike, and
+// vector.NewDict with a non-constant size hint), must appear lexically
+// after a budget charge (ctx.charge, ctx.chargeRel, or memory.Charge)
+// within the same top-level function — or the function must be
+// *caller-covered*: every call site in the package either sits after a
+// charge in its own function or is itself caller-covered. The
 // second clause is a fixpoint over the package call graph and is what
 // lets buildBuckets charge 48 bytes/row once and have newOpenTable's
 // internal allocations ride under that umbrella without annotations.
@@ -40,10 +41,11 @@ var Analyzer = &analysis.Analyzer{
 	Name: "chargedalloc",
 	Doc: `report engine allocations that bypass the memory budget
 
-In irdb/internal/engine, make() with a non-constant length and the
-pre-sized vector/relation constructors must be preceded by a budget
-charge — in the same function, or in every caller (transitively, to a
-fixpoint over the package call graph). Plan-time files are exempt;
+In irdb/internal/engine, make() with a non-constant length, the
+pre-sized vector/relation constructors and vector.NewDict with a
+non-constant size hint must be preceded by a budget charge — in the
+same function, or in every caller (transitively, to a fixpoint over
+the package call graph). Plan-time files are exempt;
 anything else carries //lint:allow chargedalloc <reason>.`,
 	Run: run,
 }
@@ -251,7 +253,8 @@ func isUnchargedMake(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // isSizedCtor reports whether call is one of the pre-sized constructors
-// that allocate a full column or relation footprint up front.
+// that allocate a full column or relation footprint up front, or a
+// vector.NewDict whose size hint is not a compile-time constant.
 func isSizedCtor(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -261,7 +264,7 @@ func isSizedCtor(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if name == "NewSizedLike" {
 		return true // relation.NewSizedLike or (*Relation).NewSizedLike
 	}
-	if !strings.HasPrefix(name, "NewSized") {
+	if !strings.HasPrefix(name, "NewSized") && name != "NewDict" {
 		return false
 	}
 	id, ok := sel.X.(*ast.Ident)
@@ -269,7 +272,15 @@ func isSizedCtor(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-	return ok && pkgBase(pn.Imported().Path()) == "vector"
+	if !ok || pkgBase(pn.Imported().Path()) != "vector" {
+		return false
+	}
+	if name == "NewDict" {
+		// A dictionary presizes its map and string slice by the hint.
+		tv, ok := pass.TypesInfo.Types[call.Args[0]]
+		return !ok || tv.Value == nil
+	}
+	return true
 }
 
 func pkgBase(path string) string {

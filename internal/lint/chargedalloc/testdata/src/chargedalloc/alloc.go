@@ -29,6 +29,22 @@ func unchargedCtor(n int) []int64 {
 	return vector.NewSizedInts(n) // want "pre-sized constructor"
 }
 
+func unchargedDict(n int) *vector.Dict {
+	return vector.NewDict(n) // want "pre-sized constructor"
+}
+
+func chargedDict(c *ctx, n int) *vector.Dict {
+	if err := c.charge(int64(n) * 64); err != nil {
+		return nil
+	}
+	return vector.NewDict(n)
+}
+
+// constDict presizes a fixed number of entries; never flagged.
+func constDict() *vector.Dict {
+	return vector.NewDict(1024)
+}
+
 func charged(c *ctx, n int) []int {
 	if err := c.charge(int64(n) * 8); err != nil {
 		return nil

@@ -3,9 +3,16 @@ package irdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
+
+	"irdb/internal/catalog"
+	"irdb/internal/engine"
+	"irdb/internal/ir"
+	"irdb/internal/workload"
 )
 
 // TestSearchDocsConcurrent hammers SearchDocs from many goroutines while
@@ -221,6 +228,67 @@ func TestSearchNonPositiveK(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s k=%d: %d hits, want the %d of k=%d", label, k, len(got), len(want), big)
 			}
+		}
+	}
+}
+
+// TestSearchDocsStringIDsMatchInt64IDs: SearchDocs over string document
+// IDs, which Tokenize dict-encodes, ranks exactly like ir.Searcher over
+// the same collection keyed by Int64 IDs: the same documents in the same
+// order with bit-identical scores, at parallelism 1, 2 and 8, for k = 0
+// and k = 10. The IDs are zero-padded, so string order is ID order and
+// score ties break the same way on both sides.
+func TestSearchDocsStringIDsMatchInt64IDs(t *testing.T) {
+	const vocab = 2000
+	gen := workload.GenDocs(1500, 30, vocab, benchSeed)
+	docs := make([]Doc, len(gen))
+	for i, d := range gen {
+		docs[i] = Doc{ID: stringDocID(d.ID), Text: d.Data}
+	}
+	queries := workload.Queries(12, 3, vocab, benchSeed)
+	bg := context.Background()
+	for _, par := range []int{1, 2, 8} {
+		db := openT(t, WithParallelism(par))
+		t.Cleanup(func() { db.Close() })
+		if err := db.LoadDocs(docs); err != nil {
+			t.Fatal(err)
+		}
+		cat := catalog.New(0)
+		cat.Put("docs", docsRelation(gen, false))
+		ctx := engine.NewCtx(cat)
+		ctx.Parallelism = par
+		s, err := ir.NewSearcher(ctx, engine.NewScan("docs"), ir.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched := 0
+		for _, q := range queries {
+			for _, k := range []int{0, 10} {
+				got, err := db.SearchDocs(bg, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := s.Search(bg, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("par=%d k=%d %q: %d hits, want %d", par, k, q, len(got), len(want))
+				}
+				for i, w := range want {
+					id, err := strconv.ParseInt(w.DocID, 10, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i].ID != stringDocID(id) || math.Float64bits(got[i].Score) != math.Float64bits(w.Score) {
+						t.Fatalf("par=%d k=%d %q hit %d: %s %v, want %s %v", par, k, q, i, got[i].ID, got[i].Score, stringDocID(id), w.Score)
+					}
+				}
+				matched += len(got)
+			}
+		}
+		if matched == 0 {
+			t.Fatalf("par=%d: no query matched, the comparison is vacuous", par)
 		}
 	}
 }
