@@ -123,8 +123,12 @@ func NewAggregate(child Node, groupBy []string, aggs []AggSpec, pmode GroupProb)
 	return &Aggregate{ident: h.finish(child), Child: child, GroupBy: groupBy, Aggs: aggs, PMode: pmode}
 }
 
-// Execute implements Node.
+// Execute implements Node. Over a bare HashJoin it executes the join's
+// inputs itself, to fold from the join index when it can (groupjoin.go).
 func (a *Aggregate) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
+	if j, ok := a.Child.(*HashJoin); ok {
+		return a.overJoin(c, ctx, j)
+	}
 	in, err := ctx.Exec(c, a.Child)
 	if err != nil {
 		return nil, err
@@ -603,41 +607,48 @@ func evalAgg(c context.Context, ctx *Ctx, in *relation.Relation, spec AggSpec, g
 		default:
 			return nil, fmt.Errorf("%s over non-numeric column %q", spec.Op, spec.Col)
 		}
-		sums, err := foldGroups(c, ctx, n, nGroups,
-			func() []sumCount { return make([]sumCount, nGroups) },
-			fold,
-			func(dst, src []sumCount) {
-				for g := range dst {
-					dst[g].sum += src[g].sum
-					dst[g].n += src[g].n
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-		if spec.Op == Avg {
-			out := make([]float64, nGroups)
-			for g := range out {
-				if sums[g].n > 0 {
-					out[g] = sums[g].sum / float64(sums[g].n)
-				}
+		return sumGroups(c, ctx, spec.Op, isInt, n, nGroups, fold)
+	}
+	return nil, fmt.Errorf("unknown aggregate op %v", spec.Op)
+}
+
+// sumGroups folds the Sum or Avg (op) partials of n rows and returns the
+// output column: the mean for Avg, the sum otherwise, integer when the
+// summed column is.
+func sumGroups(c context.Context, ctx *Ctx, op AggOp, isInt bool, n, nGroups int, fold func(acc []sumCount, lo, hi int)) (vector.Vector, error) {
+	sums, err := foldGroups(c, ctx, n, nGroups,
+		func() []sumCount { return make([]sumCount, nGroups) },
+		fold,
+		func(dst, src []sumCount) {
+			for g := range dst {
+				dst[g].sum += src[g].sum
+				dst[g].n += src[g].n
 			}
-			return vector.FromFloat64s(out), nil
-		}
-		if isInt {
-			out := make([]int64, nGroups)
-			for g := range out {
-				out[g] = int64(sums[g].sum)
-			}
-			return vector.FromInt64s(out), nil
-		}
-		out := make([]float64, nGroups)
+		})
+	if err != nil {
+		return nil, err
+	}
+	if op == Avg {
+		out := make([]float64, len(sums))
 		for g := range out {
-			out[g] = sums[g].sum
+			if sums[g].n > 0 {
+				out[g] = sums[g].sum / float64(sums[g].n)
+			}
 		}
 		return vector.FromFloat64s(out), nil
 	}
-	return nil, fmt.Errorf("unknown aggregate op %v", spec.Op)
+	if isInt {
+		out := make([]int64, len(sums))
+		for g := range out {
+			out[g] = int64(sums[g].sum)
+		}
+		return vector.FromInt64s(out), nil
+	}
+	out := make([]float64, len(sums))
+	for g := range out {
+		out[g] = sums[g].sum
+	}
+	return vector.FromFloat64s(out), nil
 }
 
 // Children implements Node.

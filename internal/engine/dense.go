@@ -71,13 +71,20 @@ func denseDomainOf(c context.Context, v vector.Vector, maxSlots int) (denseDomai
 				hi = x
 			}
 		}
-		span := uint64(hi) - uint64(lo)
-		if span >= uint64(maxSlots) {
-			return denseDomain{}, false, nil
-		}
-		return denseDomain{base: uint64(lo), slots: int(span) + 1}, true, nil
+		dom, ok := spanDomain(lo, hi, maxSlots)
+		return dom, ok, nil
 	}
 	return denseDomain{}, false, nil
+}
+
+// spanDomain is the slot space of Int64s values in [lo, hi] when it is at
+// most maxSlots slots wide.
+func spanDomain(lo, hi int64, maxSlots int) (denseDomain, bool) {
+	span := uint64(hi) - uint64(lo)
+	if span >= uint64(maxSlots) {
+		return denseDomain{}, false
+	}
+	return denseDomain{base: uint64(lo), slots: int(span) + 1}, true
 }
 
 // minTableSlots is the fewest slots the hashed builds' open-addressing

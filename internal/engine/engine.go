@@ -78,7 +78,7 @@ func (ctx *Ctx) SchemaEpoch() uint64 {
 }
 
 // NodeExecs reports how many operator executions have run (cache hits do
-// not count).
+// not count, nor does a join an Aggregate folds from; see groupjoin.go).
 func (ctx *Ctx) NodeExecs() int64 { return ctx.nodeExecs.Load() }
 
 // CacheHits reports how many node evaluations were answered from the

@@ -117,6 +117,26 @@ func (j *HashJoin) outCols(l, r []string) []JoinCol {
 
 // Execute implements Node.
 func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
+	in, err := j.index(c, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return j.join(c, ctx, in)
+}
+
+// joinInputs is a join's executed inputs and the index over its right
+// one. lKeys are the left key columns aligned with the build side's key
+// domains (dict columns decoded or re-encoded; see dictkeys.go), rKeys
+// the right ones.
+type joinInputs struct {
+	left, right  *relation.Relation
+	idx          *joinIndex
+	lKeys, rKeys []vector.Vector
+}
+
+// index executes both inputs, checks their key columns and indexes the
+// right one.
+func (j *HashJoin) index(c context.Context, ctx *Ctx) (*joinInputs, error) {
 	if len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys) {
 		return nil, fmt.Errorf("join wants matching non-empty key lists, got %v and %v", j.LKeys, j.RKeys)
 	}
@@ -140,12 +160,26 @@ func (j *HashJoin) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 				left.Col(lIdx[k]).Name, lk, right.Col(rIdx[k]).Name, rk)
 		}
 	}
-
-	lSel, rSel, err := j.match(c, ctx, left, right, lIdx, rIdx)
+	idx, err := j.buildIndex(c, ctx, right, rIdx)
 	if err != nil {
 		return nil, err
 	}
-	return j.joinPairs(c, ctx, left, right, lSel, rSel)
+	rKeys := colVecs(right, rIdx)
+	lKeys, err := alignProbeVecs(c, ctx, colVecs(left, lIdx), rKeys)
+	if err != nil {
+		return nil, err
+	}
+	return &joinInputs{left: left, right: right, idx: idx, lKeys: lKeys, rKeys: rKeys}, nil
+}
+
+// join probes in's index with every left row and gathers the output at
+// the matched pairs.
+func (j *HashJoin) join(c context.Context, ctx *Ctx, in *joinInputs) (*relation.Relation, error) {
+	lSel, rSel, err := probePairs(c, ctx, in.idx, in.lKeys, in.rKeys, in.left.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	return j.joinPairs(c, ctx, in.left, in.right, lSel, rSel)
 }
 
 // joinPairs gathers the output columns at the matched (left, right) row
@@ -206,24 +240,6 @@ func (j *HashJoin) joinPairs(c context.Context, ctx *Ctx, left, right *relation.
 		}
 	})
 	return relation.FromColumns(cols, prob)
-}
-
-// match indexes the right input and probes it with left rows. Pairs come
-// out in the canonical order — ascending left row, ties in ascending right
-// row (bucket segments and dense slots both store build rows ascending).
-func (j *HashJoin) match(c context.Context, ctx *Ctx, left, right *relation.Relation, lIdx, rIdx []int) ([]int, []int, error) {
-	idx, err := j.buildIndex(c, ctx, right, rIdx)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Align the probe keys with the build side's key domains (decode or
-	// re-encode dict columns as needed; see dictkeys.go).
-	rKeyVecs := colVecs(right, rIdx)
-	lKeyVecs, err := alignProbeVecs(c, ctx, colVecs(left, lIdx), rKeyVecs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return probePairs(c, ctx, idx, lKeyVecs, rKeyVecs, left.NumRows())
 }
 
 // probePairs probes the index with probeVecs and returns matching

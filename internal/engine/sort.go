@@ -62,7 +62,8 @@ func NewSort(child Node, keys ...SortSpec) *Sort {
 // runs (sortRunRows) stable-sort independently and a k-way merge (with
 // original-row-index tie-break) reassembles exactly the serial stable
 // sort's permutation, so ORDER BY without LIMIT scales like TopN does —
-// and a cancelled context stops the sort between runs.
+// and a cancelled context stops the sort between runs. A sort by one
+// direct-addressed key is a counting sort instead (countingSortSel).
 func (s *Sort) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
 	in, err := ctx.Exec(c, s.Child)
 	if err != nil {

@@ -49,10 +49,15 @@ func NewTokenize(child Node, idCol, dataCol string, tok text.Tokenizer, withComp
 // cancellation checks.
 const tokenizeChunkRows = 8 << 10
 
-// dictEntryBytes is the charge per presized entry of a vector.Dict: its
-// lookup-map slot (as FrozenDict.EstimatedBytes counts it) plus the
-// string header of its code-order slice.
-const dictEntryBytes = 48 + 16
+// dictEntryBytes is the charge per entry of a vector.Dict: its lookup-map
+// slot (as FrozenDict.EstimatedBytes counts it) plus the string header of
+// its code-order slice. frozenEntryBytes is the charge per entry of the
+// copy Dict.Freeze makes: a string header, a map slot, and an entry each
+// in its rank and order arrays.
+const (
+	dictEntryBytes   = 48 + 16
+	frozenEntryBytes = 16 + 48 + 4 + 4
+)
 
 // Execute implements Node.
 func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, error) {
@@ -77,12 +82,17 @@ func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 	// A plain string id column is interned up front, each input row's id
 	// once, and its codes are copied per token. Tokens repeat massively
 	// (Zipf), so they are interned as they are produced, and every
-	// downstream lcase/stem runs once per distinct token.
+	// downstream lcase/stem runs once per distinct token. The token dict's
+	// presized entries are charged here, each entry past them as it is
+	// interned, and its frozen copy before it is made.
 	idVec := idCol.Vec
 	raw, encodeIDs := idVec.(*vector.Strings)
-	dictBytes, idBytes := int64(min(n, 1024))*dictEntryBytes, int64(4)
+	presize := min(n, 1024)
+	dictBytes, idBytes := int64(presize)*dictEntryBytes, int64(4)
 	if encodeIDs {
-		dictBytes += int64(n) * (dictEntryBytes + 4) // an entry and a code per input row
+		// At most one entry per input row, its frozen copy, and a code per
+		// input row.
+		dictBytes += int64(n) * (dictEntryBytes + frozenEntryBytes + 4)
 	} else {
 		idBytes = in.ApproxColBytes(in.ColIndex(t.IDCol))
 	}
@@ -93,7 +103,7 @@ func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 		idVec = vector.EncodeStrings(raw)
 	}
 	ids := idVec.New(0)
-	dict := vector.NewDict(min(n, 1024))
+	dict := vector.NewDict(presize)
 	var codes []int32
 	positions := vector.NewInt64s(0)
 	var prob []float64
@@ -115,12 +125,24 @@ func (t *Tokenize) Execute(c context.Context, ctx *Ctx) (*relation.Relation, err
 				return nil, err
 			}
 			for _, tok := range toks {
+				code, ok := dict.Lookup(tok.Term)
+				if !ok {
+					if dict.Len() >= presize {
+						if err := ctx.charge(c, dictEntryBytes); err != nil {
+							return nil, err
+						}
+					}
+					code = dict.Put(tok.Term)
+				}
 				ids.AppendFrom(idVec, row)
-				codes = append(codes, int32(dict.Put(tok.Term)))
+				codes = append(codes, int32(code))
 				positions.Append(int64(tok.Pos))
 				prob = append(prob, inProb[row])
 			}
 		}
+	}
+	if err := ctx.charge(c, int64(dict.Len())*frozenEntryBytes); err != nil {
+		return nil, err
 	}
 	cols := []relation.Column{
 		{Name: t.IDCol, Vec: ids},

@@ -121,19 +121,40 @@ func TestTokenizeIDs(t *testing.T) {
 	}
 }
 
-// TestTokenizeBudget: Tokenize charges its dictionaries up front (the
-// token dict's presized entries and, for plain string ids, an entry and a
-// code per input row), then each input row's output rows before
-// appending them (id code or width, token code, position, probability).
-// Its peak is exactly that sum; a budget at the peak admits it with a result
-// bit-identical to the unbudgeted one, and one below the output alone,
-// or one byte below the peak, denies it.
+// wideVocabulary replaces every third row's text in a tokenizeInput
+// relation with a word of its own, so the token dict grows far past its
+// presized entries.
+func wideVocabulary(in *relation.Relation) *relation.Relation {
+	data, _ := vector.AsStringColumn(in.Col(1).Vec)
+	strs := make([]string, in.NumRows())
+	for i := range strs {
+		strs[i] = data.StringAt(i)
+		if i%3 == 0 {
+			strs[i] = fmt.Sprintf("unique%d", i)
+		}
+	}
+	return relation.MustFromColumns([]relation.Column{in.Col(0), {Name: "data", Vec: vector.FromStrings(strs)}}, in.Prob())
+}
+
+// TestTokenizeBudget: Tokenize charges the token dict's presized entries
+// and, for plain string ids, an id dict entry, its frozen copy and a code
+// per input row up front; then each input row's output rows before
+// appending them (id code or width, token code, position, probability),
+// each token dict entry past the presized ones as it is interned, and the
+// token dict's frozen copy before it is made. Its peak is exactly that
+// sum, over a small vocabulary and a wide one; a budget at the peak admits
+// it with a result bit-identical to the unbudgeted one, and one below the
+// output alone, or one byte below the peak, denies it.
 func TestTokenizeBudget(t *testing.T) {
 	bg := context.Background()
 	n := 3*tokenizeChunkRows + 17
-	for _, ids := range tokenizeIDKinds {
-		t.Run(ids, func(t *testing.T) {
+	for _, tc := range []string{"strings", "dict", "int64", "strings/wide", "int64/wide"} {
+		ids, wide, _ := strings.Cut(tc, "/")
+		t.Run(tc, func(t *testing.T) {
 			in := tokenizeInput(n, ids)
+			if wide != "" {
+				in = wideVocabulary(in)
+			}
 			run := func(budget int64) (*relation.Relation, int64, error) {
 				res := memory.NewPool(0).Reserve(budget)
 				defer res.Release()
@@ -144,10 +165,14 @@ func TestTokenizeBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idBytes, dicts := int64(4), int64(min(n, 1024))*dictEntryBytes
+			tokens := int64(want.Col(1).Vec.(*vector.DictStrings).Dict().Len())
+			if wide != "" && tokens < 2*1024 {
+				t.Fatalf("%d distinct tokens: the token dict does not grow past its presized entries", tokens)
+			}
+			idBytes, dicts := int64(4), max(tokens, 1024)*dictEntryBytes+tokens*frozenEntryBytes
 			switch ids {
 			case "strings":
-				dicts += int64(n) * (dictEntryBytes + 4)
+				dicts += int64(n) * (dictEntryBytes + frozenEntryBytes + 4)
 			case "int64":
 				idBytes = 8
 			}

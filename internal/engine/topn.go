@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"irdb/internal/relation"
+	"irdb/internal/vector"
 )
 
 // Parallel sort and TopN selection.
@@ -58,13 +59,25 @@ func (ctx *Ctx) sortRanges(n int) [][2]int {
 	return out
 }
 
-// sortSel returns in.SortedSel(keys) computed with per-run stable sorts
-// plus the same k-way merge TopN uses. Unlike topNSel it keeps every row:
-// ORDER BY without LIMIT scales the same way TopN does. The sort runs
-// plus the merged permutation (16 bytes per row) are charged against the
-// query's memory budget before any run is dispatched.
+// sortSel returns in.SortedSel(keys). One direct-addressed key column
+// (dense.go) whose slots fit denseJoinSlots is counting-sorted
+// (countingSortSel). Any other sort runs per-run stable sorts plus the
+// same k-way merge TopN uses. Unlike topNSel it keeps every row: ORDER BY
+// without LIMIT scales the same way TopN does. The sort runs plus the
+// merged permutation (16 bytes per row) are charged against the query's
+// memory budget before any run is dispatched.
 func sortSel(c context.Context, ctx *Ctx, in *relation.Relation, keys []relation.SortKey) ([]int, error) {
 	total := in.NumRows()
+	if len(keys) == 1 && keys[0].Col != relation.ProbCol {
+		key := in.Col(keys[0].Col).Vec
+		dom, ok, err := denseDomainOf(c, key, denseJoinSlots(total))
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return countingSortSel(c, ctx, key, dom, keys[0].Desc)
+		}
+	}
 	if err := ctx.charge(c, int64(total)*16); err != nil {
 		return nil, err
 	}
@@ -83,6 +96,59 @@ func sortSel(c context.Context, ctx *Ctx, in *relation.Relation, keys []relation
 		runs[m] = in.SortedSelRange(keys, lo, hi)
 	})
 	return mergeRuns(c, less, runs, total), nil
+}
+
+// countingSortSel is sortSel's stable counting sort over one
+// direct-addressed key column. Its dense index (buildDenseIndex) lists
+// each slot's rows ascending, so reading the slots in key order is the
+// stable sort: a DictStrings column's slots (codes) in the order of their
+// FrozenDict.Rank, an Int64s column's in value order, either reversed for
+// desc with ties still in ascending rows. Every array is charged before
+// it is allocated; the permutation is read out with a cancellation check
+// every 8k rows.
+func countingSortSel(c context.Context, ctx *Ctx, key vector.Vector, dom denseDomain, desc bool) ([]int, error) {
+	n := key.Len()
+	if err := checkBuildRows(n); err != nil {
+		return nil, err
+	}
+	d, err := buildDenseIndex(c, ctx, key, dom)
+	if err != nil {
+		return nil, err
+	}
+	var byRank []int32
+	if ds, ok := key.(*vector.DictStrings); ok {
+		if err := ctx.charge(c, int64(dom.slots)*4); err != nil {
+			return nil, err
+		}
+		byRank = make([]int32, dom.slots)
+		for code := range byRank {
+			byRank[ds.Dict().Rank(int32(code))] = int32(code)
+		}
+	}
+	if err := ctx.charge(c, int64(n)*8); err != nil {
+		return nil, err
+	}
+	sel := make([]int, 0, n)
+	check := 0x2000
+	for k := range dom.slots {
+		if len(sel) >= check {
+			if err := c.Err(); err != nil {
+				return nil, err
+			}
+			check = len(sel) + 0x2000
+		}
+		s := k
+		if desc {
+			s = dom.slots - 1 - k
+		}
+		if byRank != nil {
+			s = int(byRank[s])
+		}
+		for _, r := range d.rows[d.off[s]:d.off[s+1]] {
+			sel = append(sel, int(r))
+		}
+	}
+	return sel, nil
 }
 
 // topNSel returns the first n entries of in.SortedSel(keys), computed with

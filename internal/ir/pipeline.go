@@ -153,20 +153,31 @@ func CollectionSizePlan(docs engine.Node, p Params) engine.Node {
 // (The paper's final SQL sums tf_bm25.tf after joining idf; the idf
 // factor is part of BM25's standard formulation, so we fold it into the
 // weight.)
+//
+// The matrix is stored clustered by termID, so one query term's postings
+// are one contiguous run of rows: the probe in RankPlan reads them in
+// order instead of scattered over the whole relation. Clustering changes
+// no score. The sort is stable, so each term's rows keep their relative
+// order, and the join index lists a term's rows in ascending row order
+// either way: every query meets the same (term, document) pairs in the
+// same order, so documents are grouped and their weights summed in the
+// same order as over the unsorted matrix.
 func WeightsPlan(docs engine.Node, p Params) (engine.Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	var w engine.Node
 	switch p.Model {
 	case BM25:
-		return bm25Weights(docs, p), nil
+		w = bm25Weights(docs, p)
 	case TFIDF:
-		return tfidfWeights(docs, p), nil
+		w = tfidfWeights(docs, p)
 	case LMJelinekMercer:
-		return lmjmWeights(docs, p), nil
+		w = lmjmWeights(docs, p)
 	default:
 		return nil, fmt.Errorf("ir: unknown model %v", p.Model)
 	}
+	return engine.NewMaterialize(engine.NewSort(w, engine.SortSpec{Col: ColTermID})), nil
 }
 
 func bm25Weights(docs engine.Node, p Params) engine.Node {
@@ -200,7 +211,7 @@ func bm25Weights(docs engine.Node, p Params) engine.Node {
 		engine.ProjCol{Name: ColDocID, E: expr.Column(ColDocID)},
 		engine.ProjCol{Name: ColWeight, E: expr.Arith{Op: expr.Mul, L: expr.Column("tfn"), R: expr.Column(ColIDF)}},
 	)
-	return engine.NewMaterialize(w)
+	return w
 }
 
 // tfidfWeights: w = (1 + ln tf) · ln((N+1)/(df+0.5)). Log-scaled term
@@ -226,7 +237,7 @@ func tfidfWeights(docs engine.Node, p Params) engine.Node {
 			L: expr.Arith{Op: expr.Add, L: expr.Float(1), R: expr.NewCall("log", expr.Column(ColTF))},
 			R: expr.Column(ColIDF)}},
 	)
-	return engine.NewMaterialize(w)
+	return w
 }
 
 // lmjmWeights: Jelinek-Mercer smoothed language model in rank-equivalent
@@ -248,7 +259,7 @@ func lmjmWeights(docs engine.Node, p Params) engine.Node {
 		engine.ProjCol{Name: ColWeight, E: expr.NewCall("log",
 			expr.Arith{Op: expr.Add, L: expr.Float(1), R: expr.Arith{Op: expr.Div, L: num, R: den}})},
 	)
-	return engine.NewMaterialize(w)
+	return w
 }
 
 // QueryLeaf is a query's leaf plan: the raw query as the single-row

@@ -12,6 +12,7 @@ import (
 	"irdb/internal/catalog"
 	"irdb/internal/engine"
 	"irdb/internal/ir"
+	"irdb/internal/vector"
 	"irdb/internal/workload"
 )
 
@@ -289,6 +290,159 @@ func TestSearchDocsStringIDsMatchInt64IDs(t *testing.T) {
 		}
 		if matched == 0 {
 			t.Fatalf("par=%d: no query matched, the comparison is vacuous", par)
+		}
+	}
+}
+
+// unclusteredHits ranks query with a hand-built score plan over the
+// weights matrix as the model computes it, before WeightsPlan clusters it
+// by termID, and with a projection between the aggregate and the join,
+// so the aggregate groups the join's output instead of folding from its
+// index. It returns the hits, ranked as Searcher.Search ranks them with
+// k = 0, and the operators the plan executed.
+func unclusteredHits(t *testing.T, ctx *engine.Ctx, docs engine.Node, p ir.Params, query string) ([]ir.Hit, int64) {
+	t.Helper()
+	w, err := ir.WeightsPlan(docs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted := w.(*engine.Materialize).Child.(*engine.Sort).Child
+	matched := engine.NewHashJoin(ir.QTerms(docs, p, ir.QueryLeaf(p, query)), engine.NewMaterialize(unsorted),
+		[]string{ir.ColTermID}, []string{ir.ColTermID}, engine.JoinLeft)
+	scored := engine.NewAggregate(engine.NewProject(matched, engine.ByName(ir.ColDocID, ir.ColWeight)...),
+		[]string{ir.ColDocID}, []engine.AggSpec{{Op: engine.Sum, Col: ir.ColWeight, As: ir.ColScore}}, engine.GroupCertain)
+	ranked := engine.NewSort(engine.NewProbFromCol(scored, ir.ColScore, false, true),
+		engine.SortSpec{Col: "", Desc: true}, engine.SortSpec{Col: ir.ColDocID})
+	before := ctx.NodeExecs()
+	rel, err := ctx.Exec(context.Background(), ranked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := ctx.NodeExecs() - before
+	hits, err := ir.HitsFromRelation(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits, execs
+}
+
+// mustSameHits asserts got and want list the same documents in the same
+// order with bit-identical scores.
+func mustSameHits(t *testing.T, label string, got, want []ir.Hit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, want %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].DocID != w.DocID || math.Float64bits(got[i].Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s hit %d: %s %v, want %s %v", label, i, got[i].DocID, got[i].Score, w.DocID, w.Score)
+		}
+	}
+}
+
+// TestScoresMatchUnclusteredWeights: for every model, the cached weights
+// relation is clustered by termID, and ir.Searcher ranks exactly as a
+// score plan over the unclustered weights that groups the join's output
+// does: the same documents in the same order with bit-identical scores,
+// for int and string document ids at parallelism 1, 2 and 8. SearchDocs
+// (BM25, string ids) matches the same reference. The bound score plan
+// runs two operators fewer than the reference, which adds a projection
+// and runs its join, whenever the score plan's aggregate folds from the
+// join index; some query must.
+func TestScoresMatchUnclusteredWeights(t *testing.T) {
+	const vocab = 2000
+	gen := workload.GenDocs(1500, 30, vocab, benchSeed)
+	queries := workload.Queries(12, 3, vocab, benchSeed)
+	bg := context.Background()
+	for _, model := range []ir.Model{ir.BM25, ir.TFIDF, ir.LMJelinekMercer} {
+		for _, stringIDs := range []bool{false, true} {
+			for _, par := range []int{1, 2, 8} {
+				label := fmt.Sprintf("%v stringIDs=%v par=%d", model, stringIDs, par)
+				p := ir.DefaultParams()
+				p.Model = model
+				cat := catalog.New(0)
+				cat.Put("docs", docsRelation(gen, stringIDs))
+				ctx := engine.NewCtx(cat)
+				ctx.Parallelism = par
+				docs := engine.NewScan("docs")
+				s, err := ir.NewSearcher(ctx, docs, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.BuildIndex(bg); err != nil {
+					t.Fatal(err)
+				}
+				w, err := ir.WeightsPlan(docs, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				weights, err := ctx.Exec(bg, ctx.Optimize(w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				termIDs := weights.Col(weights.ColIndex(ir.ColTermID)).Vec.(*vector.Int64s).Values()
+				for i := 1; i < len(termIDs); i++ {
+					if termIDs[i] < termIDs[i-1] {
+						t.Fatalf("%s: cached weights row %d has termID %d after %d", label, i, termIDs[i], termIDs[i-1])
+					}
+				}
+				var db *DB
+				if model == ir.BM25 && stringIDs {
+					db = openT(t, WithParallelism(par))
+					t.Cleanup(func() { db.Close() })
+					loaded := make([]Doc, len(gen))
+					for i, d := range gen {
+						loaded[i] = Doc{ID: stringDocID(d.ID), Text: d.Data}
+					}
+					if err := db.LoadDocs(loaded); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fused, matched := 0, 0
+				for _, q := range queries {
+					want, _ := unclusteredHits(t, ctx, docs, p, q)
+					// Warm, the reference runs only its per-query operators.
+					want, refExecs := unclusteredHits(t, ctx, docs, p, q)
+					got, err := s.Search(bg, q, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustSameHits(t, label+" "+q, got, want)
+					matched += len(got)
+					if db != nil {
+						facade, err := db.SearchDocs(bg, q, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						hits := make([]ir.Hit, len(facade))
+						for i, h := range facade {
+							hits[i] = ir.Hit{DocID: h.ID, Score: h.Score}
+						}
+						mustSameHits(t, label+" SearchDocs "+q, hits, want)
+					}
+					plan, err := s.ScorePlan(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ctx.Exec(bg, plan); err != nil {
+						t.Fatal(err)
+					}
+					before := ctx.NodeExecs()
+					if _, err := ctx.Exec(bg, plan); err != nil {
+						t.Fatal(err)
+					}
+					switch refExecs - (ctx.NodeExecs() - before) {
+					case 2:
+						fused++
+					case 1:
+					default:
+						t.Fatalf("%s %q: score plan ran %d operators, the reference %d", label, q, ctx.NodeExecs()-before, refExecs)
+					}
+				}
+				if matched == 0 || fused == 0 {
+					t.Fatalf("%s: %d hits, %d of %d queries folded from the join index; the comparison is vacuous", label, matched, fused, len(queries))
+				}
+			}
 		}
 	}
 }

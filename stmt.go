@@ -17,9 +17,11 @@ import (
 //
 // Sub-plans that do not depend on any parameter are shared by pointer
 // between the prepared plan and every bound instance, so their
-// fingerprints — and materialization cache entries — are shared across
-// bindings: re-executing a prepared statement with a different ?value
-// still hits the cache tables its parameter-free sub-plans built.
+// fingerprints are the same under every binding. That does not make them
+// cached: the materialization cache holds only Materialize sub-plans
+// (and join indexes over them), and the SpinQL compiler places none, so
+// every execution of a statement runs all of its operators again,
+// parameter-free ones included.
 //
 // A Stmt is immutable and safe for concurrent use.
 type Stmt struct {
